@@ -21,7 +21,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--order", type=int, default=16, help="series truncation")
     ap.add_argument("--window", default=(-16, 28), nargs=2, type=int,
-                    help="x-exponent window for the ansatz")
+                    help="x-exponent window for the order-12 commutation ansatz")
     ap.add_argument("--outdir", default=".", help="artifact directory")
     args = ap.parse_args()
 
@@ -30,7 +30,7 @@ def main():
     chis = chi_series_triple(args.order)
 
     print("re-deriving the order-9 operator from the reduction conditions ...")
-    coeffs = derive_L1_coeffs(*chis, window=tuple(args.window))
+    coeffs = derive_L1_coeffs(*chis)
     derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
     assert derived == make_l1(), "re-derived operator differs from the catalog"
     write_op_file(f"{args.outdir}/l1_derived.txt", derived,

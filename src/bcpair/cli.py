@@ -16,7 +16,8 @@ multiplication is a syntax error.  Division and negative powers are allowed
 only for order-0 single-monomial operands without eps content, so '26/x^2'
 and 'x^-2' both work but '1/(D+x)' does not.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage error or no
+check applied to the given inputs.
 """
 
 from __future__ import annotations
@@ -336,8 +337,8 @@ class Report:
     def outcome(self) -> str:
         if any(c.status == "fail" for c in self.checks):
             return "fail"
-        if not self.checks and self.findings:
-            return "finding"
+        if not self.checks:
+            return "finding" if self.findings else "skipped"
         return "pass"
 
     def to_json(self) -> str:
@@ -443,16 +444,15 @@ def _suite_rank(report: Report, eps, order: int) -> None:
                    "28/x^2, which the reduction refutes")
 
 
-def _suite_kn(report: Report, eps, precision: int, points) -> None:
-    eps_val = Fraction(-1) if eps is None else Fraction(eps)
-    rep = kncheck.kn_check(points=points, eps=eps_val, precision=precision)
-    from mpmath import mp, nstr
+def _suite_kn(report: Report, eps: Fraction, precision: int, points) -> None:
+    rep = kncheck.kn_check(points=points, eps=eps, precision=precision)
+    from mpmath import nstr
     report.add("compatibility residuals below tolerance at all points", rep.passed,
-               f"max residual {nstr(rep.max_residual, 5)} < {nstr(rep.tolerance, 3)} "
-               f"at {len(rep.points)} points")
+               f"eps = {eps}: max residual {nstr(rep.max_residual, 5)} < "
+               f"{nstr(rep.tolerance, 3)} at {len(rep.points)} points")
     report.add("gamma-equation residual at full precision",
                rep.max_gamma_residual < kncheck.mpf(10) ** (-(precision - 10)),
-               f"max {nstr(rep.max_gamma_residual, 5)}")
+               f"eps = {eps}: max {nstr(rep.max_gamma_residual, 5)}")
     report.findings.append(
         "branch assignment: " + json.dumps(rep.branch.describe(), sort_keys=True))
 
@@ -462,6 +462,8 @@ SUITES = ("all", "commute", "bc", "limit", "rank", "kn")
 
 def cmd_verify(args) -> Report:
     eps = None if args.eps == "symbolic" else Fraction(args.eps)
+    if args.suite == "kn" and eps is not None and eps >= 0:
+        raise ValueError(f"the kn suite needs a negative eps, got {args.eps}")
     points = [Fraction(p) for p in args.points.split(",")] if args.points else \
         [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)]
     report = Report(
@@ -479,7 +481,8 @@ def cmd_verify(args) -> Report:
     if args.suite in ("rank", "all"):
         _suite_rank(report, eps, args.order)
     if args.suite in ("kn", "all"):
-        kn_eps = eps if (eps is not None and eps < 0) else None
+        # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
+        kn_eps = eps if (eps is not None and eps < 0) else Fraction(-1)
         _suite_kn(report, kn_eps, args.precision, points)
     report.wall_time_s = round(time.time() - t0, 3)
     return report
@@ -489,18 +492,22 @@ def cmd_verify(args) -> Report:
 # the construction commands
 # ---------------------------------------------------------------------------
 
+_CONSTRUCT_INPUTS = {"l1": ("order", "out"), "l2": ("window", "seed", "out"),
+                     "bc": ("out",)}
+
+
 def cmd_construct(args) -> Report:
+    used = {"order": args.order, "window": list(args.window), "seed": args.seed,
+            "out": args.out or ""}
     report = Report(
         command=f"construct {args.target}",
-        inputs={"eps": args.eps, "precision": args.precision, "order": args.order,
-                "window": list(args.window), "seed": args.seed,
-                "out": args.out or ""})
+        inputs={k: used[k] for k in _CONSTRUCT_INPUTS[args.target]})
     t0 = time.time()
     out_path = args.out or f"{args.target}_derived.txt"
     if args.target == "l1":
         chis = pipeline.chi_series_triple(args.order)
         try:
-            coeffs = pipeline.derive_L1_coeffs(*chis, window=tuple(args.window))
+            coeffs = pipeline.derive_L1_coeffs(*chis)
         except pipeline.PipelineError as exc:
             report.add("derivation of the order-9 coefficients", False, str(exc))
             report.wall_time_s = round(time.time() - t0, 3)
@@ -577,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER,
                        help="series truncation (terms beyond the lowest exponent)")
         p.add_argument("--window", type=_window, default=(-16, 28),
-                       help="x-exponent window lo..hi for the ansatz solvers")
+                       help="x-exponent window lo..hi of the commutant ansatz (construct l2)")
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the machine-readable report to this path")
         p.add_argument("--seed", type=int, default=20120715,
@@ -605,9 +612,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_negative_eps(argv: list[str]) -> list[str]:
+    """Rewrite ``--eps -1/2`` as ``--eps=-1/2``: argparse reads a dash-led
+    value that is not a plain number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--eps" and re.fullmatch(r"-\d+(/\d+)?", arg):
+            out[-1] = f"--eps={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_eps(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "print":
         try:
             op = read_op_file(args.path)
@@ -625,7 +644,11 @@ def main(argv=None) -> int:
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
-    return 0 if report.outcome != "fail" else 1
+    if report.outcome == "skipped":
+        print(f"error: no check of '{report.command}' applies to these inputs",
+              file=sys.stderr)
+        return 2
+    return 1 if report.outcome == "fail" else 0
 
 
 if __name__ == "__main__":

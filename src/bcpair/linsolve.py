@@ -12,6 +12,12 @@ Three solvers live here, each deterministic:
 
 Plus Lagrange interpolation and the modular plumbing (primes, CRT, rational
 reconstruction).
+
+``gauss_solve`` and ``lagrange_coefficients`` have no caller in the pipeline
+since ``derive_L1_coeffs`` solves its triangular system by back-substitution.
+They stay, with their own unit tests, until the benchmark's per-layer metrics
+``linsolve.gauss_solve.*`` and ``linsolve.lagrange_s``, which wrap them, are
+retired.
 """
 
 from __future__ import annotations

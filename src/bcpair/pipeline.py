@@ -3,7 +3,8 @@ relation from scratch.
 
 * ``derive_L1_coeffs`` recovers the order-9 operator's coefficients from the
   chi series alone (reduce D^9 + sum f_n D^n modulo the third-order relation,
-  equate the remainder to (lambda, 0, 0), solve the linear system).
+  equate the remainder to (lambda, 0, 0), and back-substitute through the
+  triangular system over Q[eps]).
 * ``solve_commuting`` computes the full affine family of monic operators of a
   given order commuting with a given operator, under a Laurent-window ansatz.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
@@ -124,18 +125,17 @@ def verify_rank3(op: DiffOp, chis, eigen: ZSeries,
 
 def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
                      order: int = 9, *, eigen: ZSeries | None = None,
-                     window: tuple[int, int] = (-16, 28),
-                     eps_points=(1, 2, 3, 4, 5),
                      verify: bool = True) -> list[XLaurent]:
     """Recover f_0..f_{order-2} of the monic operator D^order + sum f_n D^n.
 
     The remainder of the operator modulo T must equal (eigen, 0, 0); the
     unknowns enter linearly, and the z-orders -2..0 of the three remainder
     components give nine equations for the eight coefficient functions.  The
-    system is solved exactly: evaluation at rational sample points in
-    (x, eps), Gaussian elimination over Q per point, Lagrange interpolation
-    in x and then in eps^2, and a final symbolic re-verification of the
-    reduction remainder over the full series window.
+    system is triangular with unit pivots (the Burchnall-Chaundy recursion),
+    so it is solved exactly over Q[eps] by back-substitution: a row with one
+    unsolved unknown whose coefficient is a unit fixes that unknown, and a
+    row with none left must reduce to zero.  The result is re-verified
+    symbolically against the reduction remainder over the full series window.
     """
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
         if s.upper != _INF and s.upper - s.lowest < 8:
@@ -152,7 +152,8 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     for s in (-2, -1, 0):
         for j in range(3):
             try:
-                coeffs = [frame[n][j].coefficient(s) for n in range(n_unknowns)]
+                coeffs = {n: c for n in range(n_unknowns)
+                          if not (c := frame[n][j].coefficient(s)).is_zero()}
                 rhs = (eigen.coefficient(s) if j == 0 else XLaurent.zero()) \
                     - top[j].coefficient(s)
             except ExactError as exc:
@@ -160,66 +161,40 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
                     f"series window does not cover z^{s} of component {j}") from exc
             rows.append(((j, s), coeffs, rhs))
 
-    lo, hi = window
-    n_x = hi - lo + 1
-    eps_values = [Fraction(e) for e in eps_points]
-
-    # specialize the matrix at each eps value once
-    rows_by_eps = []
-    for ev in eps_values:
-        rows_by_eps.append([(key, [c.substitute_eps(ev) for c in coeffs],
-                             rhs.substitute_eps(ev)) for key, coeffs, rhs in rows])
-
-    # common x grid: points where the system has full rank for every eps value
-    x_points: list[Fraction] = []
-    solutions: dict[tuple[int, int], list[Fraction]] = {}
-    candidate = 0
-    while len(x_points) < n_x:
-        candidate += 1
-        if candidate > 300:
-            raise PipelineError("could not find enough regular sample points")
-        x0 = Fraction(candidate)
-        point_sols = []
-        for rows_e in rows_by_eps:
-            mat = [[c.evaluate_x(x0).as_rational() for c in coeffs]
-                   for _, coeffs, _ in rows_e]
-            rhs = [r.evaluate_x(x0).as_rational() for _, _, r in rows_e]
-            sol, err = linsolve.gauss_solve(mat, rhs)
-            if sol is None:
-                if err[0] == "inconsistent":
-                    key = rows_e[err[1]][0]
+    solved: dict[int, XLaurent] = {}
+    while rows:
+        for i, ((j, s), coeffs, rhs) in enumerate(rows):
+            unsolved = [n for n in coeffs if n not in solved]
+            if len(unsolved) > 1 or (unsolved and not coeffs[unsolved[0]].is_unit()):
+                continue
+            del rows[i]
+            value = rhs
+            for n in coeffs:
+                if n in solved:
+                    value = value - coeffs[n] * solved[n]
+            if not unsolved:
+                if not value.is_zero():
                     raise PipelineError(
-                        f"reduction system inconsistent at component Q_{key[0]}, "
-                        f"z-order {key[1]}")
-                point_sols = None
-                break
-            point_sols.append(sol)
-        if point_sols is None:
-            continue  # rank-deficient sample point, take the next one
-        ix = len(x_points)
-        x_points.append(x0)
-        for ie, sol in enumerate(point_sols):
-            solutions[(ix, ie)] = sol
-
-    coeffs_out: list[XLaurent] = []
-    for n in range(n_unknowns):
-        per_eps: list[list[Fraction]] = []
-        for ie in range(len(eps_values)):
-            pts = [(x_points[ix], solutions[(ix, ie)][n] * x_points[ix] ** (-lo))
-                   for ix in range(n_x)]
-            per_eps.append(linsolve.lagrange_coefficients(pts))
-        cmap: dict[int, EpsPoly] = {}
-        for k in range(n_x):
-            upts = [(ev * ev, per_eps[ie][k]) for ie, ev in enumerate(eps_values)]
-            upoly = linsolve.lagrange_coefficients(upts)
-            emap = {2 * t: v for t, v in enumerate(upoly) if v}
-            if emap:
-                cmap[lo + k] = EpsPoly(emap)
-        coeffs_out.append(XLaurent(cmap))
+                        f"reduction system inconsistent at component Q_{j}, z-order {s}")
+            else:
+                try:
+                    solved[unsolved[0]] = value.divide_unit(coeffs[unsolved[0]])
+                except ExactError as exc:
+                    raise PipelineError(
+                        f"pivot of component Q_{j}, z-order {s} does not divide "
+                        f"its right-hand side over Q[eps]") from exc
+            break
+        else:
+            raise PipelineError("reduction system has no unit pivot left; unsolved rows: "
+                                + "; ".join(f"Q_{j}, z-order {s}" for (j, s), _, _ in rows))
+    missing = [n for n in range(n_unknowns) if n not in solved]
+    if missing:
+        raise PipelineError(f"reduction rows at z-orders -2..0 do not determine "
+                            f"f_{', f_'.join(map(str, missing))}")
+    coeffs_out = [solved[n] for n in range(n_unknowns)]
 
     if verify:
-        op = DiffOp(coeffs_out + [XLaurent.zero()] * (order - 1 - n_unknowns)
-                    + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
+        op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
         report = verify_rank3(op, (chi0, chi1, chi2), eigen)
         if not report.passed:
             raise PipelineError(f"derived coefficients fail re-verification: {report}")

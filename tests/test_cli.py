@@ -175,6 +175,50 @@ def test_cli_construct_l1(tmp_path, capsys):
 
 
 def test_cli_verify_commute_numeric_eps(capsys):
-    # negative rationals need the --eps=value spelling
+    # the --eps=value spelling works as well as --eps value
     assert main(["verify", "commute", "--eps=-3/2"]) == 0
     capsys.readouterr()
+
+
+def test_cli_construct_l1_reports_no_window(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    assert main(["construct", "l1", "--out", str(tmp_path / "l1.txt"),
+                 "--json", str(report)]) == 0
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    assert "window" not in payload["inputs"]
+    assert payload["outcome"] == "pass"
+
+
+def test_cli_zero_checks_is_skipped_not_pass(tmp_path, capsys):
+    # the limit suite runs only at symbolic eps: nothing applies at eps = 1
+    path = tmp_path / "r.json"
+    assert main(["verify", "limit", "--eps", "1", "--json", str(path)]) == 2
+    out = capsys.readouterr()
+    assert "skipped" in out.out and "pass" not in out.out
+    assert "error:" in out.err
+    payload = json.loads(path.read_text())
+    assert payload["outcome"] == "skipped" and payload["checks"] == []
+
+
+def test_cli_verify_kn_rejects_nonnegative_eps(capsys):
+    assert main(["verify", "kn", "--eps", "2"]) == 2
+    assert "negative eps" in capsys.readouterr().err
+
+
+def test_cli_verify_all_kn_detail_states_eps(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["verify", "all", "--eps", "1", "--json", str(path)]) == 0
+    capsys.readouterr()
+    payload = json.loads(path.read_text())
+    assert payload["inputs"]["eps"] == "1"
+    kn_checks = [c for c in payload["checks"] if "residual" in c["name"]]
+    assert len(kn_checks) == 2
+    assert all(c["detail"].startswith("eps = -1:") for c in kn_checks)
+
+
+def test_cli_negative_eps_as_separate_argument(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["verify", "commute", "--eps", "-1/2", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["inputs"]["eps"] == "-1/2"

@@ -161,3 +161,34 @@ def test_find_bc_relation_rejects_noncommuting():
     x_op = DiffOp.from_coeff(XLaurent.var(), XLAURENT_RING).compose(DiffOp.d(1))
     with pytest.raises(PipelineError):
         find_bc_relation(DiffOp.d(1) + x_op, DiffOp.d(2), 6)
+
+
+def _plus_z_term(series, zexp, coeff):
+    return series + ZSeries.from_z_coefficients({zexp: coeff})
+
+
+def test_derive_l1_names_rows_without_unit_pivot(chis24):
+    # a z^-1 term in chi2 fills the z^-2 rows, so no row has a single unit pivot
+    chi0, chi1, chi2 = (s.truncate(16) for s in chis24)
+    with pytest.raises(PipelineError) as err:
+        derive_L1_coeffs(chi0, chi1, _plus_z_term(chi2, -1, XLaurent.one()))
+    msg = str(err.value)
+    assert "no unit pivot" in msg
+    for j in range(3):
+        for s in (-2, -1, 0):
+            assert f"Q_{j}, z-order {s}" in msg
+
+
+def test_derive_l1_names_inconsistent_row(chis24):
+    # a z^0 term in chi2 leaves the pivots alone but breaks row (2, -2)
+    chi0, chi1, chi2 = (s.truncate(16) for s in chis24)
+    with pytest.raises(PipelineError, match=r"inconsistent at component Q_2, z-order -2"):
+        derive_L1_coeffs(chi0, chi1, _plus_z_term(chi2, 0, XLaurent.var()))
+
+
+def test_derive_l1_wrong_eigenvalue_fails_reverification(chis24):
+    chis = tuple(s.truncate(16) for s in chis24)
+    eigen = _plus_z_term(curve_series(lambda_fn(), 16), -1, XLaurent.var())
+    with pytest.raises(PipelineError,
+                       match=r"re-verification.*component Q_0, z-order 1"):
+        derive_L1_coeffs(*chis, eigen=eigen)
