@@ -1,22 +1,26 @@
 """Exact linear algebra helpers for the constructive pipeline.
 
-Three solvers live here, each deterministic:
+Four solvers live here, each deterministic:
 
 * small dense Gaussian elimination over the rationals (first-nonzero pivot in
   column order),
-* sparse forward echelon over a prime field, used with CRT and rational
-  reconstruction for the big commutant systems (results are always re-verified
-  by exact substitution at the call site, never trusted from elimination),
+* sparse forward echelon over a prime field, with primes, CRT and rational
+  reconstruction,
 * sparse incremental echelon over the rationals for small column counts
-  (kernel extraction for algebraic-relation discovery).
+  (kernel extraction for algebraic-relation discovery),
+* fraction-free echelon over Q[eps] (Bareiss 1968) for the commutant
+  constraints, with primitive solutions over Q[eps].
 
-Plus Lagrange interpolation and the modular plumbing (primes, CRT, rational
-reconstruction).
+Plus Lagrange interpolation.
 
-``gauss_solve`` and ``lagrange_coefficients`` have no caller in the pipeline
-since ``derive_L1_coeffs`` solves its triangular system by back-substitution.
-They stay, with their own unit tests, until the benchmark's per-layer metrics
-``linsolve.gauss_solve.*`` and ``linsolve.lagrange_s``, which wrap them, are
+``gauss_solve``, ``lagrange_coefficients``, ``ModEchelon``, ``prime_stream``,
+``crt_pair``, ``rational_reconstruct`` and ``fraction_mod`` have no caller in
+the pipeline: ``derive_L1_coeffs`` solves its triangular system by
+back-substitution, and ``solve_commuting`` eliminates over Q[eps] with
+``BareissEchelon``.  They stay, with their own unit tests, until the
+benchmark's per-layer metrics that wrap them (``linsolve.gauss_solve.*``,
+``linsolve.lagrange_s``, ``linsolve.mod_echelon_insert.calls``,
+``linsolve.primes_drawn``, ``linsolve.rational_reconstruct.calls``) are
 retired.
 """
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .exact import EpsPoly
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,134 @@ class FractionEchelon:
                     vec[lead] = acc
             basis.append(vec)
         return basis
+
+
+# ---------------------------------------------------------------------------
+# fraction-free echelon over Q[eps]
+# ---------------------------------------------------------------------------
+
+def _eps_rem(a: EpsPoly, b: EpsPoly) -> EpsPoly:
+    rem = dict(a.c)
+    db = b.degree()
+    lead = b.c[db]
+    while rem and max(rem) >= db:
+        e = max(rem)
+        q = rem[e] / lead
+        for be, bv in b.c.items():
+            t = be + e - db
+            s = rem.get(t, Fraction(0)) - q * bv
+            if s:
+                rem[t] = s
+            else:
+                rem.pop(t, None)
+    return EpsPoly(rem)
+
+
+def eps_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
+    """Monic greatest common divisor over Q (zero only when both are zero)."""
+    while not b.is_zero():
+        a, b = b, _eps_rem(a, b)
+    return a.scale(1 / a.c[a.degree()]) if not a.is_zero() else a
+
+
+def _entry_size(p: EpsPoly) -> tuple[int, int]:
+    return p.degree(), len(p.c)
+
+
+class BareissEchelon:
+    """Fraction-free row echelon over Q[eps] of labelled linear forms.
+
+    A row ``{c: r_c}`` stands for the form ``sum_c r_c * x_c`` in the columns
+    ``0..rhs``; column ``rhs`` carries the constant term, so a system
+    ``M x = b`` enters as rows of ``[M | -b]`` and its solutions have
+    ``x_rhs = 1``.  Each step takes as pivot the remaining row whose entry in
+    the next column is smallest (eps-degree, then term count; input order on
+    ties) and replaces every other remaining row r by
+    ``(p * r - r[col] * pivot_row) / p_prev`` (Bareiss 1968).  Every entry is
+    then a minor of the input, so the division by the previous pivot is exact
+    (``EpsPoly.divexact``) and no gcd is taken during elimination.
+
+    ``inconsistent`` is the label of the first row reduced to a nonzero
+    constant term alone (the system has no solution), else None.
+    """
+
+    def __init__(self, rows, rhs: int):
+        self.rhs = rhs
+        self.pivots: list[tuple[int, dict[int, EpsPoly]]] = []
+        self.inconsistent = None
+        active = []
+        for label, row in rows:
+            row = {c: v for c, v in row.items() if not v.is_zero()}
+            if row:
+                active.append((label, row))
+        prev = EpsPoly.one()
+        for col in range(rhs):
+            if self._find_inconsistent(active):
+                return
+            hits = [i for i, (_, row) in enumerate(active) if col in row]
+            if not hits:
+                continue
+            _, prow = active.pop(min(hits, key=lambda i: _entry_size(active[i][1][col])))
+            p = prow[col]
+            reduced = []
+            for label, row in active:
+                f = row.get(col)
+                new = {}
+                for c in sorted((row.keys() | prow.keys()) - {col}):
+                    v = p * row[c] if c in row else EpsPoly.zero()
+                    if f is not None and c in prow:
+                        v = v - f * prow[c]
+                    if not v.is_zero():
+                        new[c] = v.divexact(prev)
+                if new:
+                    reduced.append((label, new))
+            active = reduced
+            self.pivots.append((col, prow))
+            prev = p
+        self._find_inconsistent(active)
+
+    def _find_inconsistent(self, active) -> bool:
+        for label, row in active:
+            if set(row) == {self.rhs}:
+                self.inconsistent = label
+                return True
+        return False
+
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def free_columns(self) -> list[int]:
+        """Unknown columns (``rhs`` excluded) that hold no pivot."""
+        piv = {c for c, _ in self.pivots}
+        return [c for c in range(self.rhs) if c not in piv]
+
+    def primitive_solution(self, free_col: int) -> dict[int, EpsPoly]:
+        """Solution over Q[eps] that is nonzero at ``free_col`` and zero at
+        every other free column (and at ``rhs`` unless ``free_col == rhs``).
+
+        Back-substitution runs projectively: the vector is rescaled instead
+        of divided, then its content (the gcd of its entries) is removed and
+        the entry at ``free_col`` is made monic.  Solving over Q(eps) means
+        dividing by the ``free_col`` entry.
+        """
+        vec = {free_col: EpsPoly.one()}
+        for col, row in reversed(self.pivots):
+            s = EpsPoly.zero()
+            for c, v in row.items():
+                if c != col and c in vec:
+                    s = s + v * vec[c]
+            if s.is_zero():
+                continue
+            g = eps_gcd(s, row[col])
+            scale = row[col].divexact(g)
+            vec = {c: v * scale for c, v in vec.items()}
+            vec[col] = -s.divexact(g)
+        content = EpsPoly.zero()
+        for v in vec.values():
+            content = eps_gcd(content, v)
+        lead = vec[free_col].divexact(content)
+        content = content.scale(lead.c[lead.degree()])
+        return {c: v.divexact(content) for c, v in vec.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ relation from scratch.
   equate the remainder to (lambda, 0, 0), and back-substitute through the
   triangular system over Q[eps]).
 * ``solve_commuting`` computes the full affine family of monic operators of a
-  given order commuting with a given operator, under a Laurent-window ansatz.
+  given order commuting with a given monic operator: the Burchnall-Chaundy
+  recursion integrates the coefficients top-down, one constant each, and the
+  remaining linear constraints are eliminated fraction-free over Q[eps].  No
+  ansatz window bounds the result, and an empty family is named by the
+  constraint that cannot hold.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
   annihilating a commuting pair.
 * ``verify_rank3`` checks the reduction remainder of an operator against its
@@ -18,7 +22,7 @@ returned; elimination results are never trusted on their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
@@ -27,7 +31,6 @@ from .diffop import DiffOp, XLAURENT_RING, binom
 from .curve import DEFAULT_CURVE, chi, curve_series, lambda_fn
 from . import linsolve
 
-_F0 = Fraction(0)
 _INF = float("inf")
 
 
@@ -202,8 +205,12 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
 
 
 # ---------------------------------------------------------------------------
-# the commutant ansatz solver
+# the commutant by the Burchnall-Chaundy recursion
 # ---------------------------------------------------------------------------
+
+class EmptyCommutant(PipelineError):
+    """No monic operator of the requested order commutes with the given one."""
+
 
 def _op_vector(op: DiffOp) -> dict[tuple[int, int, int], Fraction]:
     out = {}
@@ -235,18 +242,20 @@ def _in_span(target: DiffOp, ops: list[DiffOp]) -> bool:
 
 @dataclass
 class AffineSolutionSet:
-    """Affine family particular + eps-polynomial span of homogeneous_basis.
+    """Affine family particular + Q[eps]-span of homogeneous_basis.
 
-    ``homogeneous_basis`` holds module generators over Q[eps]: every solution
-    of the ansatz is particular + sum t_i(eps) * basis_i with polynomial
-    scalars t_i.  ``rational_basis`` is the underlying certified Q-basis of
-    the kernel (one vector per free unknown of the linear system).
+    ``homogeneous_basis`` holds one primitive (content-free) generator over
+    Q[eps] per free integration constant; it is zero at the other free
+    constants and monic at its own.  Where that entry is 1 (as for every
+    operator in the catalogue), the solutions with Q[eps] coefficients are
+    exactly particular + sum t_i(eps) * basis_i with polynomial t_i.
+    ``constraints`` and ``rank`` describe the linear system that was solved.
     """
 
     particular: DiffOp
     homogeneous_basis: list[DiffOp]
-    rational_basis: list[DiffOp] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    constraints: int = 0
+    rank: int = 0
 
     @property
     def dimension(self) -> int:
@@ -271,271 +280,119 @@ class AffineSolutionSet:
         return _in_span(delta, _eps_shifts(self.homogeneous_basis, max_eps + 8))
 
 
-def _module_generators(ops: list[DiffOp], max_eps: int) -> list[DiffOp]:
-    """Minimal generating set of span(ops) as a Q[eps]-module."""
+def _integrate_level(integrands: dict[int, XLaurent], n: int, j: int):
+    """Components of b_j from the D^(n+j-1) coefficients of [A, B] so far.
 
-    def min_eps(op):
-        return min((ee for _, _, ee in op.support()), default=0)
-
-    gens: list[DiffOp] = []
-    for v in sorted(ops, key=lambda o: (min_eps(o), o.order, len(o.support()))):
-        if gens and _in_span(v, _eps_shifts(gens, max_eps)):
-            continue
-        gens.append(v)
-    return gens
-
-
-def _monomial_commutator(a_coeffs, da, a_order, xexp, eexp, m):
-    """Support map of [A, x^xexp eps^eexp D^m] as {(k, xe, ee): Fraction}.
-
-    ``da[j][k]`` holds the k-th x-derivative of A's coefficient a_j.
+    Each component's equation reads ``n*b_j' + integrand = 0``, so b_j is
+    ``-1/n`` times an antiderivative.  An x^-1 term has no Laurent
+    antiderivative: its coefficients form the obstruction row of b_j, which
+    must vanish, and the antiderivatives leave it out.  Returns (components
+    of b_j, the labelled obstruction row if there is one).
     """
-    out: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(a_order + 1):                     # A . (x^a eps^b D^m)
-        ai = a_coeffs[i]
-        if ai.is_zero():
-            continue
-        fall = 1
-        for k in range(i + 1):
-            if k:
-                fall *= (xexp - k + 1)
-            if fall == 0:
-                break
-            c = binom(i, k) * fall
-            dk = i + m - k
-            for xe, epoly in ai.c.items():
-                for ee, v in epoly.c.items():
-                    key = (dk, xe + xexp - k, ee + eexp)
-                    s = out.get(key, _F0) + c * v
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-    for j in range(a_order + 1):                     # minus (x^a eps^b D^m) . A
-        for k in range(m + 1):
-            ajk = da[j][k]
-            if ajk.is_zero():
-                continue
-            c = binom(m, k)
-            dk = m + j - k
-            for xe, epoly in ajk.c.items():
-                for ee, v in epoly.c.items():
-                    key = (dk, xe + xexp, ee + eexp)
-                    s = out.get(key, _F0) - c * v
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-    return out
+    parts, obstruction = {}, {}
+    for comp, f in integrands.items():
+        if -1 in f.c:
+            obstruction[comp] = f.c[-1]
+        g = XLaurent({e + 1: v.scale(Fraction(-1, n * (e + 1)))
+                      for e, v in f.c.items() if e != -1})
+        if not g.is_zero():
+            parts[comp] = g
+    return parts, [(f"the x^-1 obstruction of b_{j}", obstruction)] if obstruction else []
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _eliminate(rows, m: int) -> linsolve.BareissEchelon:
+    """Echelon of the constraints on c_0..c_(m-1); column m is the particular part."""
+    ech = linsolve.BareissEchelon(rows, m)
+    if ech.inconsistent is not None:
+        raise EmptyCommutant(f"no monic operator of order {m} commutes with the given "
+                             f"operator: {ech.inconsistent} cannot vanish")
+    return ech
 
 
-def solve_commuting(a: DiffOp, target_order: int,
-                    window: tuple[int, int] = (-16, 28), eps_degree: int = 8,
-                    *, max_bad_primes: int = 4,
-                    max_total_primes: int = 8) -> AffineSolutionSet:
+def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
     """All monic operators of ``target_order`` commuting with ``a``.
 
-    Ansatz: B = D^target + sum over (m < target, x-exponent in window, even
-    eps-exponent <= eps_degree) of unknown rational multiples of
-    x^xe eps^ee D^m.  The commutator's monomials give a sparse exact linear
-    system over Q, split into connected components, solved modulo large
-    primes with CRT and rational reconstruction under deterministic
-    first-nonzero-column pivoting, and finally re-verified by exact symbolic
-    commutation.  The modular rank bounds the affine dimension from above and
-    the exactly verified basis realizes it from below, so the returned
-    dimension is certified, not assumed.
+    Burchnall-Chaundy recursion (Burchnall & Chaundy 1923): for monic A of
+    order n and B = D^m + sum b_j D^j, the D^(n+j-1) coefficient of [A, B] is
+    ``n*b_j'`` plus terms in b_(j+1..m) alone.  So b_(m-1), ..., b_0 follow
+    by exact x-integration, each adding one integration constant c_j.  Every
+    b_j is kept linear in c_0..c_(m-1): one XLaurent per constant plus the
+    particular part.  The constraints are linear in the c_j over Q[eps]:
+
+    * the x^-1 term of each integrand (the obstruction of b_j);
+    * every x-monomial of the remaining coefficients D^(n-2)..D^0 of [A, B].
+
+    They are eliminated fraction-free over Q(eps) (``linsolve.BareissEchelon``).
+    The particular solution (free constants 0) and one primitive Q[eps]
+    generator per free constant are rebuilt as operators, and each is
+    re-verified by exact commutation with ``a``.  There is no ansatz window:
+    the b_j carry whatever x- and eps-exponents the recursion produces.
+
+    For monic A with Laurent-polynomial coefficients the obstructions are
+    identically zero: the b_j are those of sum c_k (A^(k/n))_+, differential
+    polynomials in A's coefficients (Schur 1905).  They are kept as a guard.
+
+    Raises ``EmptyCommutant``, naming the commutator coefficient D^k or the
+    b_j whose obstruction cannot vanish, when no monic operator of
+    ``target_order`` commutes with ``a``.
     """
-    lo, hi = window
-    t_max = eps_degree // 2
-    columns = [(m, xe, t) for m in range(target_order)
-               for xe in range(lo, hi + 1) for t in range(t_max + 1)]
+    n, m = int(a.order), target_order
+    if n < 1 or not a.is_monic():
+        raise PipelineError("solve_commuting needs a monic operator of positive order")
+    if m < 0:
+        raise ValueError("target_order must be non-negative")
+    # b[j][comp]: component comp < m multiplies the constant c_comp; comp m is
+    # the particular part.  comm[comp] holds that component's [A, B] so far.
+    b: list[dict[int, XLaurent]] = [{} for _ in range(m + 1)]
+    comm: dict[int, list[XLaurent]] = {}
 
-    a_order = int(a.order)
-    a_coeffs = [a.coefficient(i) for i in range(a_order + 1)]
-    da = []
-    for c in a_coeffs:
-        drow = [c]
-        for _ in range(target_order):
-            drow.append(drow[-1].derive())
-        da.append(drow)
+    def put(j: int, comp: int, g: XLaurent) -> None:
+        b[j][comp] = g
+        acc = comm.setdefault(comp, [XLaurent.zero()] * (n + m))
+        for k, c in enumerate(a.commutator(DiffOp.monomial(g, j)).coeffs):
+            acc[k] = acc[k] + c
 
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for ci, (m, xe, t) in enumerate(columns):
-        for key, v in _monomial_commutator(a_coeffs, da, a_order, xe, 2 * t, m).items():
-            rows.setdefault(key, {})[ci] = v
-    rhs0 = _monomial_commutator(a_coeffs, da, a_order, 0, 0, target_order)
+    rows = []
+    put(m, m, XLaurent.one())
+    for j in range(m - 1, -1, -1):
+        parts, obstruction = _integrate_level(
+            {comp: acc[n + j - 1] for comp, acc in comm.items()
+             if not acc[n + j - 1].is_zero()}, n, j)
+        rows += obstruction
+        for comp, g in parts.items():
+            put(j, comp, g)
+        put(j, j, XLaurent.one())
+    for d in range(n - 2, -1, -1):
+        by_x: dict[int, dict[int, EpsPoly]] = {}
+        for comp, acc in comm.items():
+            for xe, v in acc[d].c.items():
+                by_x.setdefault(xe, {})[comp] = v
+        rows.extend((f"commutator coefficient D^{d} (x^{xe} term)", row)
+                    for xe, row in sorted(by_x.items()))
 
-    infeasible = sorted(key for key in rhs0 if key not in rows)
-    if infeasible:
-        raise PipelineError(
-            f"window {window} cannot absorb commutator monomials at {infeasible[:3]}; "
-            "empty solution set under this ansatz")
+    ech = _eliminate(rows, m)
 
-    uf = _UnionFind(len(columns))
-    for cols in rows.values():
-        it = iter(cols)
-        first = next(it)
-        for c in it:
-            uf.union(first, c)
-    comp_cols: dict[int, list[int]] = {}
-    for ci in range(len(columns)):
-        comp_cols.setdefault(uf.find(ci), []).append(ci)
-    comp_keys: dict[int, list] = {root: [] for root in comp_cols}
-    for key in sorted(rows):
-        comp_keys[uf.find(next(iter(rows[key])))].append(key)
+    def build(vec: dict[int, EpsPoly]) -> DiffOp:
+        coeffs = []
+        for parts in b:
+            c = XLaurent.zero()
+            for comp, g in parts.items():
+                if comp in vec:
+                    c = c + g.scale(vec[comp])
+            coeffs.append(c)
+        return DiffOp(coeffs, XLAURENT_RING)
 
-    def solve_one_prime(p: int):
-        """(particular, kernels, rank) mod p, or None on breakdown."""
-        part: dict[int, int] = {}
-        kernels: dict[int, dict[int, int]] = {}
-        rank = 0
-        for root in sorted(comp_cols):
-            ech = linsolve.ModEchelon(p)
-            for key in comp_keys[root]:
-                row = {ci: linsolve.fraction_mod(v, p) for ci, v in rows[key].items()}
-                ech.insert(row, linsolve.fraction_mod(-rhs0.get(key, _F0), p))
-            if ech.inconsistent:
-                return None
-            cc = comp_cols[root]
-            part.update(ech.solve_particular(cc))
-            rank += len(ech.rows)
-            for fc in cc:
-                if fc not in ech.rows:
-                    kernels[fc] = ech.kernel_vector(cc, fc)
-        return part, kernels, rank
-
-    primes_iter = linsolve.prime_stream()
-    good: list[tuple[int, dict, dict, int]] = []
-    bad = 0
-    warnings: list[str] = []
-
-    while True:
-        if len(good) < 2:
-            if bad > max_bad_primes or bad + len(good) > max_total_primes:
-                raise PipelineError("modular solve failed to stabilize")
-            p = next(primes_iter)
-            try:
-                res = solve_one_prime(p)
-            except ZeroDivisionError:
-                bad += 1
-                continue
-            if res is None:
-                bad += 1
-                continue
-            good.append((p, *res))
-            # keep only maximal-rank results: a rank drop means an unlucky prime
-            top_rank = max(g[3] for g in good)
-            dropped = [g for g in good if g[3] < top_rank]
-            bad += len(dropped)
-            good = [g for g in good if g[3] == top_rank]
-            continue
-
-        if any(set(g[2]) != set(good[0][2]) for g in good[1:]):
-            # same rank but different free columns: discard all but the first
-            bad += len(good) - 1
-            good = good[:1]
-            continue
-
-        modulus = 1
-        part_acc: dict[int, int] = {}
-        kern_acc: dict[int, dict[int, int]] = {fc: {} for fc in good[0][2]}
-        for idx, (p, part, kernels, _) in enumerate(good):
-            if idx == 0:
-                modulus = p
-                part_acc = dict(part)
-                kern_acc = {fc: dict(v) for fc, v in kernels.items()}
-            else:
-                for ci in set(part_acc) | set(part):
-                    r, _ = linsolve.crt_pair(part_acc.get(ci, 0), modulus,
-                                             part.get(ci, 0), p)
-                    part_acc[ci] = r
-                for fc in kern_acc:
-                    cur, new = kern_acc[fc], kernels[fc]
-                    for ci in set(cur) | set(new):
-                        r, _ = linsolve.crt_pair(cur.get(ci, 0), modulus,
-                                                 new.get(ci, 0), p)
-                        cur[ci] = r
-                modulus *= p
-
-        def reconstruct(vec: dict[int, int]):
-            out = {}
-            for ci, v in vec.items():
-                if v % modulus == 0:
-                    continue
-                f = linsolve.rational_reconstruct(v % modulus, modulus)
-                if f is None:
-                    return None
-                out[ci] = f
-            return out
-
-        part_q = reconstruct(part_acc)
-        kerns_q = None
-        if part_q is not None:
-            kerns_q = {}
-            for fc in sorted(kern_acc):
-                rq = reconstruct(kern_acc[fc])
-                if rq is None:
-                    kerns_q = None
-                    break
-                kerns_q[fc] = rq
-
-        if kerns_q is not None:
-            def build_op(vec: dict[int, Fraction], monic: bool) -> DiffOp:
-                per_m: dict[int, dict[int, dict[int, Fraction]]] = {}
-                for ci, v in vec.items():
-                    m, xe, t = columns[ci]
-                    per_m.setdefault(m, {}).setdefault(xe, {})[2 * t] = v
-                cs = [XLaurent({xe: EpsPoly(emap) for xe, emap in per_m.get(m, {}).items()})
-                      for m in range(target_order)]
-                if monic:
-                    cs.append(XLaurent.one())
-                return DiffOp(cs, XLAURENT_RING)
-
-            particular = build_op(part_q, monic=True)
-            basis = [build_op(kerns_q[fc], monic=False) for fc in sorted(kerns_q)]
-            if a.commutator(particular).is_zero() and all(
-                    a.commutator(h).is_zero() for h in basis):
-                edge = set()
-                for op in [particular] + basis:
-                    for _, xe, _ in op.support():
-                        if xe in (lo, hi):
-                            edge.add(xe)
-                if edge:
-                    warnings.append(
-                        f"solution support touches the window edge at x-exponents {sorted(edge)}")
-                gens = _module_generators(basis, eps_degree)
-                return AffineSolutionSet(particular, gens, basis, warnings)
-
-        # reconstruction or verification failed: widen the modulus
-        if len(good) + bad > max_total_primes:
-            raise PipelineError("modular solve failed to stabilize")
-        p = next(primes_iter)
-        try:
-            res = solve_one_prime(p)
-        except ZeroDivisionError:
-            bad += 1
-            continue
-        if res is None or res[2] != good[0][3] or set(res[1]) != set(good[0][2]):
-            bad += 1
-            continue
-        good.append((p, *res))
+    part_vec = ech.primitive_solution(m)
+    if part_vec[m] != EpsPoly.one():
+        raise PipelineError(f"the particular solution of order {m} needs "
+                            f"{part_vec[m]} as an eps denominator")
+    particular = build(part_vec)
+    basis = [build(ech.primitive_solution(f)) for f in ech.free_columns()]
+    for name, op in [("particular solution", particular)] + [
+            (f"homogeneous generator {i}", h) for i, h in enumerate(basis)]:
+        if not a.commutator(op).is_zero():
+            raise PipelineError(f"{name} of order {m} fails exact re-verification")
+    return AffineSolutionSet(particular, basis, len(rows), ech.rank())
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,18 @@ def test_cli_report_schema(tmp_path, capsys):
     for check in payload["checks"]:
         assert set(check) == {"name", "status", "detail"}
         assert check["status"] in ("pass", "fail")
-    assert set(payload["inputs"]) >= {"eps", "precision", "order", "window", "seed"}
+    # the limit suite reads eps alone
+    assert set(payload["inputs"]) == {"eps"}
+
+
+def test_cli_verify_reports_only_inputs_its_suites_read(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["verify", "bc", "--eps", "2", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert set(json.loads(path.read_text())["inputs"]) == {"eps", "variant"}
+    assert main(["verify", "rank", "--eps", "2", "--order", "12", "--json", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text())["inputs"] == {"eps": "2", "order": 12}
 
 
 def test_cli_print_command(tmp_path, capsys):
@@ -188,6 +199,20 @@ def test_cli_construct_l1_reports_no_window(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert "window" not in payload["inputs"]
     assert payload["outcome"] == "pass"
+
+
+def test_cli_construct_l2(tmp_path, capsys):
+    out, report = tmp_path / "l2.txt", tmp_path / "r.json"
+    assert main(["construct", "l2", "--out", str(out), "--json", str(report)]) == 0
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    assert payload["outcome"] == "pass"
+    assert set(payload["inputs"]) == {"seed", "out"}
+    derived = read_op_file(str(out))
+    assert derived.order == 12 and make_l1().commutator(derived).is_zero()
+    with pytest.raises(SystemExit):
+        main(["construct", "l2", "--window=-12..18"])
+    capsys.readouterr()
 
 
 def test_cli_zero_checks_is_skipped_not_pass(tmp_path, capsys):

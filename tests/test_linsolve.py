@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from bcpair import linsolve
-from conftest import rng
+from bcpair import EpsPoly, linsolve
+from conftest import random_epspoly, rng
 
 F = Fraction
 
@@ -107,6 +107,65 @@ def test_fraction_echelon_kernel():
     assert vec[0] + vec[1] + vec[2] == 0
     assert vec[0] + 2 * vec[1] + 3 * vec[2] == 0
     assert ech.reduce_vector({0: F(2), 1: F(3), 2: F(4)}) == {}
+
+
+def _eps(coeffs):
+    return EpsPoly(coeffs)
+
+
+def test_eps_gcd():
+    a = _eps({0: -1, 1: 1}) * _eps({0: 2, 1: 1})          # (eps - 1)(eps + 2)
+    b = _eps({0: -1, 1: 1}) * _eps({0: 1, 2: 1}).scale(3)  # 3(eps - 1)(eps^2 + 1)
+    assert linsolve.eps_gcd(a, b) == _eps({0: -1, 1: 1})
+    assert linsolve.eps_gcd(EpsPoly.zero(), b.scale(F(1, 3))) == b.scale(F(1, 3))
+    assert linsolve.eps_gcd(_eps({2: 5}), _eps({0: 1, 2: 1})) == EpsPoly.one()
+
+
+def _apply(row, vec):
+    total = EpsPoly.zero()
+    for c, v in row.items():
+        if c in vec:
+            total = total + v * vec[c]
+    return total
+
+
+def test_bareiss_unique_solution_round_trip():
+    r = rng(33)
+    for _ in range(60):
+        n = r.randint(1, 4)
+        x = [random_epspoly(r, 3) for _ in range(n)]
+        rows = []
+        for i in range(n + 2):
+            m = {c: random_epspoly(r, 2) for c in range(n)}
+            m[n] = -_apply(m, dict(enumerate(x)))
+            rows.append((i, m))
+        ech = linsolve.BareissEchelon(rows, n)
+        assert ech.inconsistent is None
+        if ech.rank() == n:
+            sol = ech.primitive_solution(n)
+            assert sol[n] == EpsPoly.one()
+            assert all(sol.get(c, EpsPoly.zero()) == x[c] for c in range(n))
+        for f in ech.free_columns():
+            vec = ech.primitive_solution(f)
+            assert all(_apply(row, vec).is_zero() for _, row in rows)
+
+
+def test_bareiss_names_inconsistent_row():
+    # x0 = 1 and eps*x0 = 2 have no common solution over Q(eps)
+    rows = [("a", {0: _eps({0: 1}), 1: _eps({0: -1})}),
+            ("b", {0: _eps({1: 1}), 1: _eps({0: -2})})]
+    assert linsolve.BareissEchelon(rows, 1).inconsistent == "b"
+    assert linsolve.BareissEchelon([("c", {1: _eps({0: 3})})], 1).inconsistent == "c"
+
+
+def test_bareiss_primitive_generators():
+    # (eps^2 + 1) x0 + 2 x1 = 0: over Q(eps) x0 = -2/(eps^2 + 1) at x1 = 1
+    ech = linsolve.BareissEchelon([("r", {0: _eps({0: 1, 2: 1}), 1: _eps({0: 2})})], 2)
+    assert ech.free_columns() == [1]
+    assert ech.primitive_solution(1) == {0: _eps({0: -2}), 1: _eps({0: 1, 2: 1})}
+    # eps^2 x0 + eps^3 x1 = 0: the content eps^2 cancels
+    ech = linsolve.BareissEchelon([("r", {0: _eps({2: 1}), 1: _eps({3: 1})})], 2)
+    assert ech.primitive_solution(1) == {0: _eps({1: -1}), 1: EpsPoly.one()}
 
 
 def test_lagrange_interpolation():

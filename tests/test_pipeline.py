@@ -10,7 +10,8 @@ from bcpair import (BivarPoly, DiffOp, PipelineError, TruncationTooShort,
                     lambda_fn, make_l1, make_l2, make_limit_op, mu_fn,
                     reduce_with_frame, reduction_frame, solve_commuting,
                     verify_rank3, xl)
-from bcpair.pipeline import _eps_shifts, _in_span
+from bcpair.pipeline import (EmptyCommutant, _eliminate, _eps_shifts, _in_span,
+                             _integrate_level)
 from conftest import rng
 
 F = Fraction
@@ -93,7 +94,7 @@ def test_derive_l1_truncation_too_short(chis24):
 
 
 def test_solve_commuting_constant_coefficients():
-    sol = solve_commuting(DiffOp.d(3), 4, window=(-4, 4), eps_degree=0)
+    sol = solve_commuting(DiffOp.d(3), 4)
     assert sol.contains(DiffOp.d(4))
     assert sol.dimension == 4      # 1, D, D^2, D^3
     for h in sol.homogeneous_basis:
@@ -112,16 +113,41 @@ def test_solve_commuting_order9(l1, sol9):
     assert _in_span(ident, _eps_shifts(sol9.homogeneous_basis, 8))
 
 
-def test_solve_commuting_window_edge_warning(l1):
-    # the true support reaches x^18; a window ending exactly there must warn
-    sol = solve_commuting(l1, 9, window=(-12, 18))
-    assert sol.contains(l1)
-    assert any("window edge" in w for w in sol.warnings)
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+def test_solve_commuting_empty_orders_named(l1, order):
+    # 3 and 6 are the genus-2 gaps at the non-Weierstrass point q; 4 and 5
+    # are not multiples of the rank 3
+    with pytest.raises(EmptyCommutant,
+                       match=rf"no monic operator of order {order} .*"
+                             r"commutator coefficient D\^\d+ \(x\^-?\d+ term\) cannot vanish"):
+        solve_commuting(l1, order)
 
 
-def test_solve_commuting_window_too_small(l1):
-    with pytest.raises(PipelineError):
-        solve_commuting(l1, 9, window=(-2, 2))
+def test_solve_commuting_x_inverse_obstruction_names_b_j():
+    # For a monic operator with Laurent coefficients every integrand is an
+    # exact derivative (Schur), so no such operator reaches an obstruction;
+    # the level step is driven directly.  Level b_1 of an order-3 B against
+    # an order-2 A: component 2 is the constant c_2, component 3 the
+    # particular part.  c_2's x^-1 term absorbs the particular one ...
+    parts, rows = _integrate_level({2: XLaurent.monomial(-1), 3: xl({-1: 3, 1: 4})}, 2, 1)
+    assert parts == {3: xl({2: -1})}
+    assert _eliminate(rows, 3).primitive_solution(3) == {2: ep(-3), 3: ep(1)}
+    # ... and without c_2 the family is empty, named by b_1
+    _, rows = _integrate_level({3: xl({-1: 3, 1: 4})}, 2, 1)
+    with pytest.raises(EmptyCommutant, match=r"x\^-1 obstruction of b_1 cannot vanish"):
+        _eliminate(rows, 3)
+
+
+def test_solve_commuting_order15(l1, l2):
+    # homogeneous part 1, L1, L2: the pole orders 0, 3, 4 below 5 at q
+    sol = solve_commuting(l1, 15)
+    assert sol.dimension == 3
+    shifts = _eps_shifts(sol.homogeneous_basis, 8)
+    for op in (DiffOp.identity(XLAURENT_RING), l1, l2):
+        assert _in_span(op, shifts)
+    assert sol.particular.order == 15 and sol.particular.is_monic()
+    assert l1.commutator(sol.particular).is_zero()
+    assert l2.commutator(sol.particular).is_zero()
 
 
 def test_affine_set_sample_and_membership(l1, sol9):
