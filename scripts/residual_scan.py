@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mpmath import mp, nstr
 
-from bcpair import gamma_equation_residual, kn_check
+from bcpair import BranchAssignment, gamma_equation_residual, kn_check
 
 
 def main():
@@ -33,9 +33,7 @@ def main():
     for prec in precisions:
         rep = kn_check(points=points, eps=args.eps, precision=prec)
         gmax = max(gamma_equation_residual(x, args.eps, prec) for x in points)
-        nonprincipal = any([rep.branch.m3_quarter, rep.branch.m3_three_quarter,
-                            rep.branch.c4_quarter, rep.branch.sqrt_3c4,
-                            rep.branch.sqrt_gamma_prime, *rep.branch.w_signs])
+        nonprincipal = rep.branch != BranchAssignment()
         print(f"{prec:>8} | {nstr(rep.max_residual, 5):>14} | "
               f"{nstr(gmax, 5):>18} | "
               f"{'searched' if nonprincipal else 'all principal'}")

@@ -3,16 +3,13 @@ on a genus-2 spectral curve."""
 
 from .exact import (BivarPoly, EpsPoly, ExactError, Rational, XLaurent,
                     XZFraction, XZPoly, ZSeries, ep, fraction_equal,
-                    fraction_to_series, laurent_derive, series_sqrt, xl,
-                    DEFAULT_SERIES_ORDER)
-from .diffop import (DiffOp, XLAURENT_RING, ZSERIES_RING, apply_op, binom,
-                     commutator, compose, eval_poly_at_pair, op_power,
-                     right_reduce, NonCommutingPair, ReductionError,
-                     CoefficientRingMismatch)
+                    fraction_to_series, series_sqrt, xl, DEFAULT_SERIES_ORDER)
+from .diffop import (DiffOp, XLAURENT_RING, ZSERIES_RING, binom,
+                     eval_poly_at_pair, right_reduce, NonCommutingPair,
+                     ReductionError, CoefficientRingMismatch)
 from .curve import (CurveDef, CurveElem, DEFAULT_CURVE, bc_function_identity,
-                    chi, curve_ring, curve_series, lambda_fn, mu_fn)
-from .opdata import (OperatorCatalog, bc_poly, make_l1, make_l2, make_limit_op,
-                     zeta1, zeta2)
+                    chi, curve_series, lambda_fn, mu_fn)
+from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
 from .pipeline import (AffineSolutionSet, PipelineError, Rank3Report,
                        TruncationTooShort, chi_series_triple, derive_L1_coeffs,
                        find_bc_relation, reduce_with_frame, reduction_frame,

@@ -475,7 +475,7 @@ def cmd_verify(args) -> Report:
     if args.suite in ("bc", "all"):
         inputs["variant"] = args.variant
     report = Report(command=f"verify {args.suite}", inputs=inputs)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.suite in ("commute", "all"):
         _suite_commute(report, eps)
     if args.suite in ("bc", "all"):
@@ -488,7 +488,7 @@ def cmd_verify(args) -> Report:
         # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
         kn_eps = eps if (eps is not None and eps < 0) else Fraction(-1)
         _suite_kn(report, kn_eps, args.precision, points)
-    report.wall_time_s = round(time.time() - t0, 3)
+    report.wall_time_s = round(time.perf_counter() - t0, 3)
     return report
 
 
@@ -504,7 +504,7 @@ def cmd_construct(args) -> Report:
     report = Report(
         command=f"construct {args.target}",
         inputs={k: used[k] for k in _CONSTRUCT_INPUTS[args.target]})
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_path = args.out or f"{args.target}_derived.txt"
     if args.target == "l1":
         chis = pipeline.chi_series_triple(args.order)
@@ -512,7 +512,7 @@ def cmd_construct(args) -> Report:
             coeffs = pipeline.derive_L1_coeffs(*chis)
         except pipeline.PipelineError as exc:
             report.add("derivation of the order-9 coefficients", False, str(exc))
-            report.wall_time_s = round(time.time() - t0, 3)
+            report.wall_time_s = round(time.perf_counter() - t0, 3)
             return report
         derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
         report.add("derived coefficients match the catalogued operator",
@@ -552,7 +552,7 @@ def cmd_construct(args) -> Report:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(f"# minimal algebraic relation of the commuting pair\n{q}\n")
             report.findings.append(f"wrote {out_path}")
-    report.wall_time_s = round(time.time() - t0, 3)
+    report.wall_time_s = round(time.perf_counter() - t0, 3)
     return report
 
 
@@ -568,20 +568,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--eps", default="symbolic",
-                       help="'symbolic' or a rational value like -1 or -3/2")
-        p.add_argument("--precision", type=int, default=60,
-                       help="decimal digits for the numeric suite")
         p.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER,
                        help="series truncation (terms beyond the lowest exponent)")
         p.add_argument("--json", dest="json_path", default=None,
                        help="write the machine-readable report to this path")
-        p.add_argument("--seed", type=int, default=20120715,
-                       help="seed for the randomized spot checks")
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=SUITES)
     common(pv)
+    pv.add_argument("--eps", default="symbolic",
+                    help="'symbolic' or a rational value like -1 or -3/2")
+    pv.add_argument("--precision", type=int, default=60,
+                    help="decimal digits for the numeric suite")
     pv.add_argument("--points", default=None,
                     help="comma-separated rational sample points for the numeric suite")
     pv.add_argument("--variant", choices=("default", "eps2"), default="default",
@@ -591,6 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("construct", help="run a construction pipeline")
     pc.add_argument("target", choices=("l1", "l2", "bc"))
     common(pc)
+    pc.add_argument("--seed", type=int, default=20120715,
+                    help="seed for the randomized spot checks")
     pc.add_argument("--out", default=None, help="artifact output path")
     pc.set_defaults(func=cmd_construct)
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XZFraction, XZPoly,
                     ZSeries, ep, fraction_equal, fraction_to_series, series_sqrt)
-from .diffop import RingSpec
 
 
 @dataclass(frozen=True)
@@ -137,10 +136,6 @@ class CurveElem:
 
     def __repr__(self):
         return f"CurveElem(a={self.a!r}, b={self.b!r})"
-
-
-def curve_ring(curve: CurveDef = DEFAULT_CURVE) -> RingSpec:
-    return RingSpec(f"curve-{curve.tag}", CurveElem.zero(curve), CurveElem.one(curve))
 
 
 # ---------------------------------------------------------------------------

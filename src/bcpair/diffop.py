@@ -236,22 +236,6 @@ class DiffOp:
         return "DiffOp(" + " + ".join(parts) + f"; ring={self.ring.name})"
 
 
-def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.compose(b)
-
-
-def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.commutator(b)
-
-
-def op_power(a: DiffOp, k: int) -> DiffOp:
-    return a.op_power(k)
-
-
-def apply_op(a: DiffOp, f):
-    return a.apply(f)
-
-
 class NonCommutingPair(ValueError):
     pass
 

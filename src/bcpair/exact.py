@@ -432,11 +432,6 @@ def xl(coeffs: dict[int, object]) -> XLaurent:
     return XLaurent(c)
 
 
-def laurent_derive(p: XLaurent) -> XLaurent:
-    """d/dx on Laurent polynomials (linear, satisfies the product rule)."""
-    return p.derive()
-
-
 # ---------------------------------------------------------------------------
 # polynomials and fractions in (x, z)
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ through the closed forms of gamma and its derivatives (finite differences
 exist only as a cross-check); the fractional-power constants carry explicit
 branch choices, searched over a finite set when the principal ones fail.
 
+The formulas read (-3)^(3/4), c4^(1/4) and sqrt(gamma') only through
+(-3)^(3/4) / (c4^(1/4) sqrt(gamma')), so rotating them by i^a, i^b and
+(-1)^c rotates every term by the same i^(a - b + 2c): one phase in Z/4.
+With the sign of sqrt(3 c4) that makes eight global choices; the sheet of w
+at each pole pair only moves that pair's equations.
+
 Only eps < 0 is supported; the closed-form solution of the gamma equation
 assumes it, and positive eps is untested territory.
 """
@@ -167,22 +173,21 @@ def gamma_equation_residual(x, eps, precision: int = 60):
 
 @dataclass(frozen=True)
 class BranchAssignment:
-    """Fourth roots rotate the principal value by i^k; square roots by (-1)^k."""
+    """The independent root choices; zero is the principal root.
 
-    m3_quarter: int = 0        # (-3)^(1/4)
-    m3_three_quarter: int = 0  # (-3)^(3/4)
-    c4_quarter: int = 0        # c4^(1/4); c4^(3/4) is its cube
-    sqrt_3c4: int = 0          # sqrt(3 c4)
-    sqrt_gamma_prime: int = 0  # sqrt(gamma'); gamma'^(3/2) is its cube
+    ``phase`` is the i^k on (-3)^(3/4) / (c4^(1/4) sqrt(gamma')): rotating the
+    three roots by i^a, i^b and (-1)^c gives k = a - b + 2c mod 4.
+    """
+
+    phase: int = 0              # Z/4
+    sqrt_3c4: int = 0           # sqrt(3 c4) times (-1)^k
     w_signs: tuple = (0, 0, 0)  # sheet of w at the three finite poles
 
     def describe(self) -> dict:
+        """The choices as text; the phase key is the one factor it rotates."""
         return {
-            "(-3)^(1/4)": f"principal * i^{self.m3_quarter}",
-            "(-3)^(3/4)": f"principal * i^{self.m3_three_quarter}",
-            "c4^(1/4)": f"principal * i^{self.c4_quarter}",
+            "(-3)^(3/4)/(c4^(1/4)*sqrt(gamma'))": f"principal * i^{self.phase}",
             "sqrt(3*c4)": f"principal * (-1)^{self.sqrt_3c4}",
-            "sqrt(gamma')": f"principal * (-1)^{self.sqrt_gamma_prime}",
             "w at poles": [f"principal * (-1)^{s}" for s in self.w_signs],
         }
 
@@ -218,22 +223,19 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         gp = g.derivative()            # gamma', order 3
         gpp = gp.derivative()
         gppp = gpp.derivative()
-        g4 = gppp.derivative()
         ev = mpmathify(eps)
         c4 = -ev**4 / 3888
 
-        r34 = mpc(-3) ** (mpf(3) / 4) * I**branch.m3_three_quarter
-        cq = mpc(c4) ** (mpf(1) / 4) * I**branch.c4_quarter
+        # (-3)^(3/4) / (c4^(1/4) sqrt(gamma')), principal roots times i^phase
+        rho = (I**branch.phase * mpc(-3) ** (mpf(3) / 4) / mpc(c4) ** (mpf(1) / 4)
+               / gp.sqrt_with_value(mp.sqrt(gp.value())))
         sc = mp.sqrt(mpc(3 * c4)) * (-1) ** branch.sqrt_3c4
-        sq = gp.sqrt_with_value(mp.sqrt(gp.value()) * (-1) ** branch.sqrt_gamma_prime)
-        sq3 = sq * sq * sq             # gamma'^(3/2), same branch cubed
-        cq3 = cq**3                    # c4^(3/4), same branch cubed
 
         a = (-1 + mp.sqrt(mpf(3)) * I) / 2
         aa = [mpc(1), a, a.conjugate()]
 
-        h1 = I * r34 / cq * g * sq
-        h0 = I * r34 * (g * gpp - 4 * gp * gp) / (2 * cq * sq)
+        h1 = I * rho * g * gp
+        h0 = I * rho * (g * gpp - 4 * gp * gp) / 2
         h1p = h1.derivative()
         h0p = h0.derivative()
 
@@ -263,15 +265,14 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         if variant == "displayed":
             tau0 = (I * (g3 - 1) * (g3 - 1) / (sc * g3) - 1 / g
                     - I * (g3 - 1) * (g3 - 1) * gpp / (4 * sc * g * g * gp * gp)
-                    - 2 * I * r34 * cq3 * g3 / (27 * sq3)
-                    - I * r34 * (g3 - 1) * (g3 - 1) / (18 * cq * g * sq3)
+                    - 2 * I * rho * c4 * g3 / (27 * gp)
+                    - I * rho * (g3 - 1) * (g3 - 1) / (18 * g * gp)
                     - 3 * gppp / g + 10 * gp * gpp / (g * g) - 4 * gp**3 / g3
-                    + g4 / gp - 5 * gpp * gppp / (2 * gp * gp)
+                    + gppp.derivative() / gp - 5 * gpp * gppp / (2 * gp * gp)
                     + 3 * gpp**3 / (2 * gp**3) - 3 * gpp * gpp / (g * gp))
         else:
             x3 = xjet**3
             tau0 = 20 / ujet + 32 * ev**2 / (ujet * x3) - ujet * x3 / 2916
-            _ = (g4, cq3, sq3)  # displayed variant uses these; resolved does not
 
         # w and dw/dz at the three finite poles z = a_s gamma
         w_jets = []
@@ -416,41 +417,41 @@ def default_tolerance(precision: int):
 
 def find_branch(x, eps, precision: int = 60, tolerance=None,
                 variant: str = "resolved") -> BranchAssignment:
-    """Search the finite branch set for an assignment solving the system.
+    """Search the eight global branch choices for one solving the system.
 
-    Principal choices are tried first; the three w-sheets decouple per pole
-    pair, so they are optimized independently for each global assignment.
+    Principal choices are tried first.  The equations of the poles of
+    ``alphas[s]`` and ``alphas[s + 3]`` read only ``w_signs[s]``, so one
+    evaluation on the principal sheets and one on the flipped sheets give each
+    pole pair's better sheet: two evaluations per global choice.  On failure
+    the error names the equation with the largest residual at the best
+    assignment found.
     """
     if tolerance is None:
         tolerance = default_tolerance(precision)
-    combos = sorted(itertools.product(range(4), range(4), range(4), range(2), range(2)),
-                    key=lambda t: (sum(t), t))
     best = None
-    for i14, i34, ic4, s3, sg in combos:
-        w_signs = []
-        worst = mpf(0)
-        for s in range(3):
-            per_sign = []
-            for ws in (0, 1):
-                signs = [0, 0, 0]
-                signs[s] = ws
-                data = _point_quantities(x, eps, precision,
-                                         BranchAssignment(i14, i34, ic4, s3, sg,
-                                                          tuple(signs)), variant)
-                res = [data.residuals[2 * s], data.residuals[2 * s + 1],
-                       data.residuals[2 * (s + 3)], data.residuals[2 * (s + 3) + 1]]
-                per_sign.append((max(abs(r) for r in res), ws))
-            m, ws = min(per_sign)
-            w_signs.append(ws)
-            worst = max(worst, m)
-        cand = BranchAssignment(i14, i34, ic4, s3, sg, tuple(w_signs))
+    for phase, s3 in sorted(itertools.product(range(4), range(2)),
+                            key=lambda t: (sum(t), t)):
+        sheets = [_point_quantities(x, eps, precision,
+                                    BranchAssignment(phase, s3, (ws,) * 3), variant).residuals
+                  for ws in (0, 1)]
+        # residual r belongs to the pole of alphas[r // 2], on the sheet w_signs[r // 2 % 3]
+        w_signs = tuple(
+            min((0, 1), key=lambda ws: max(abs(sheets[ws][r]) for r in range(12)
+                                           if r // 2 % 3 == s))
+            for s in range(3))
+        residuals = [abs(sheets[w_signs[r // 2 % 3]][r]) for r in range(12)]
+        cand = BranchAssignment(phase, s3, w_signs)
+        worst = max(residuals)
         if worst < tolerance:
             return cand
         if best is None or worst < best[0]:
-            best = (worst, cand)
+            best = (worst, cand, residuals.index(worst))
+    worst, cand, r = best
+    pole, j = r // 2 + 1, r % 2   # KNData.residuals order
     raise ArithmeticError(
         f"no branch assignment reaches tolerance {tolerance}; "
-        f"smallest max-residual achieved was {mp.nstr(best[0], 5)} at {best[1]}")
+        f"smallest max-residual achieved was {mp.nstr(worst, 5)} at {cand}, "
+        f"in Eq[{pole}, {j}] (pole {pole})")
 
 
 def kn_residuals(x, eps, precision: int = 60,

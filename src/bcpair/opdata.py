@@ -10,7 +10,6 @@ satisfied by the pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import BivarPoly, EpsPoly, XLaurent, xl
@@ -214,19 +213,3 @@ def bc_poly() -> BivarPoly:
         (4, 0): EpsPoly.const(-1),
         (3, 0): EpsPoly.const(-1),
     })
-
-
-@dataclass(frozen=True)
-class OperatorCatalog:
-    """All fixed data in one bundle, built once."""
-
-    l1: DiffOp
-    l2: DiffOp
-    limit_op: DiffOp
-    zeta1: XLaurent
-    zeta2: XLaurent
-    bc: BivarPoly
-
-    @classmethod
-    def load(cls) -> "OperatorCatalog":
-        return cls(make_l1(), make_l2(), make_limit_op(), zeta1(), zeta2(), bc_poly())

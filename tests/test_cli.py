@@ -215,6 +215,17 @@ def test_cli_construct_l2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rejects_options_the_command_does_not_read(capsys):
+    # construct reads no eps or precision, verify no seed: they are usage errors
+    for argv in (["construct", "l1", "--eps", "-1"],
+                 ["construct", "l1", "--precision", "30"],
+                 ["verify", "commute", "--seed", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_zero_checks_is_skipped_not_pass(tmp_path, capsys):
     # the limit suite runs only at symbolic eps: nothing applies at eps = 1
     path = tmp_path / "r.json"

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcpair import (EpsPoly, ExactError, XLaurent, XZFraction, XZPoly, ZSeries,
-                    ep, fraction_equal, fraction_to_series, laurent_derive,
-                    series_sqrt, xl)
+                    ep, fraction_equal, fraction_to_series, series_sqrt, xl)
 from bcpair.exact import series_divide
 from conftest import random_xlaurent, rng
 
@@ -23,23 +22,23 @@ def kappa_poly() -> XZPoly:
 # ---------------------------------------------------------------------------
 
 def test_derive_power_rule():
-    assert laurent_derive(xl({2: 1})) == xl({1: 2})
+    assert xl({2: 1}).derive() == xl({1: 2})
 
 
 def test_derive_negative_exponent():
-    assert laurent_derive(xl({-2: 26})) == xl({-3: -52})
+    assert xl({-2: 26}).derive() == xl({-3: -52})
 
 
 def test_derive_constant():
-    assert laurent_derive(xl({0: 7})).is_zero()
+    assert xl({0: 7}).derive().is_zero()
 
 
 def test_product_rule_seeded():
     r = rng(1)
     for _ in range(1000):
         p, q = random_xlaurent(r), random_xlaurent(r)
-        lhs = laurent_derive(p * q)
-        rhs = laurent_derive(p) * q + p * laurent_derive(q)
+        lhs = (p * q).derive()
+        rhs = p.derive() * q + p * q.derive()
         assert lhs == rhs
 
 
@@ -250,5 +249,5 @@ def test_hypothesis_derive_linear(xe, ee, c):
     if c == 0:
         return
     p = XLaurent({xe: EpsPoly({ee: c})})
-    assert laurent_derive(p + p) == laurent_derive(p) + laurent_derive(p)
-    assert laurent_derive(p.scale(3)) == laurent_derive(p).scale(3)
+    assert (p + p).derive() == p.derive() + p.derive()
+    assert p.scale(3).derive() == p.derive().scale(3)

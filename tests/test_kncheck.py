@@ -1,5 +1,6 @@
 """High-precision verification of the pole-data compatibility system."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from mpmath import mp, mpf, workdps
 
 from bcpair import (BranchAssignment, gamma_equation_residual, gamma_eval,
                     kn_check, kn_residuals, pole_data_from_chi)
-from bcpair.kncheck import Jet, _point_quantities, default_tolerance
+from bcpair import kncheck
+from bcpair.kncheck import Jet, _point_quantities, default_tolerance, find_branch
 
 F = Fraction
 
@@ -101,8 +103,33 @@ def test_residue_extraction_cross_check():
 
 
 def test_displayed_variant_fails():
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=r"Eq\[\d, [01]\] \(pole \d\)"):
         kn_residuals(2, -1, 40, variant="displayed")
+
+
+def test_global_branch_choices_are_distinct():
+    # no redundant axis: each of the eight global choices moves the residuals
+    vectors = [_point_quantities(2, -1, 40, BranchAssignment(phase, s3),
+                                 "displayed").residuals
+               for phase, s3 in itertools.product(range(4), range(2))]
+    for u, v in itertools.combinations(vectors, 2):
+        assert max(abs(a - b) for a, b in zip(u, v)) > mpf(10) ** -5
+
+
+def test_find_branch_evaluations(monkeypatch):
+    calls = []
+    inner = kncheck._point_quantities
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])          # the branch assignment evaluated
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(kncheck, "_point_quantities", counting)
+    assert find_branch(2, -1, 60) == BranchAssignment()
+    assert calls == [BranchAssignment(), BranchAssignment(w_signs=(1, 1, 1))]
+    calls.clear()
+    with pytest.raises(ArithmeticError):
+        find_branch(2, -1, 40, variant="displayed")
+    assert len(calls) <= 16
 
 
 def test_kn_check_multipoint():

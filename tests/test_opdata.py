@@ -6,7 +6,7 @@ by name rather than as a distant commutator failure.
 
 from fractions import Fraction
 
-from bcpair import (DiffOp, OperatorCatalog, XLAURENT_RING, bc_poly,
+from bcpair import (DiffOp, XLAURENT_RING, bc_poly,
                     chi_series_triple, curve_series, ep, make_l1, make_l2,
                     make_limit_op, xl, zeta1, zeta2)
 from bcpair.exact import BivarPoly, EpsPoly
@@ -175,13 +175,6 @@ def test_bc_poly_shape():
     assert q.c[(4, 0)] == ep(-1)
     assert q.c[(3, 0)] == ep(-1)
     assert len(q.c) == 4
-
-
-def test_catalog_bundle():
-    cat = OperatorCatalog.load()
-    assert cat.l1 == make_l1()
-    assert cat.bc == bc_poly()
-    assert cat.zeta2 == zeta2()
 
 
 def test_commutation(l1, l2):
