@@ -497,6 +497,17 @@ def cmd_verify(args) -> Report:
 # ---------------------------------------------------------------------------
 
 _CONSTRUCT_INPUTS = {"l1": ("order", "out"), "l2": ("seed", "out"), "bc": ("out",)}
+_CONSTRUCT_DEFAULTS = {"order": DEFAULT_SERIES_ORDER, "seed": 20120715}
+
+
+def _construct_defaults(ap: argparse.ArgumentParser, args) -> None:
+    """Reject an option given to a construct target that does not read it;
+    give the options left out their defaults."""
+    for name, default in _CONSTRUCT_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _CONSTRUCT_INPUTS[args.target]:
+            ap.error(f"construct {args.target} does not read --{name}")
 
 
 def cmd_construct(args) -> Report:
@@ -589,10 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("construct", help="run a construction pipeline")
     pc.add_argument("target", choices=("l1", "l2", "bc"))
     common(pc)
-    pc.add_argument("--seed", type=int, default=20120715,
+    pc.add_argument("--seed", type=int, default=None,
                     help="seed for the randomized spot checks")
     pc.add_argument("--out", default=None, help="artifact output path")
-    pc.set_defaults(func=cmd_construct)
+    pc.set_defaults(func=cmd_construct, order=None)
 
     pp = sub.add_parser("print", help="parse an operator file and re-print it")
     pp.add_argument("path")
@@ -624,6 +635,8 @@ def main(argv=None) -> int:
             return 2
         print(print_op(op, args.format))
         return 0
+    if args.command == "construct":
+        _construct_defaults(ap, args)
     try:
         report = args.func(args)
     except (pipeline.PipelineError, ValueError, ArithmeticError) as exc:

@@ -6,22 +6,23 @@ Four solvers live here, each deterministic:
   column order),
 * sparse forward echelon over a prime field, with primes, CRT and rational
   reconstruction,
-* sparse incremental echelon over the rationals for small column counts
-  (kernel extraction for algebraic-relation discovery),
-* fraction-free echelon over Q[eps] (Bareiss 1968) for the commutant
-  constraints, with primitive solutions over Q[eps].
+* sparse incremental echelon over the rationals for small column counts,
+* fraction-free echelon over Q[eps] (Bareiss 1968), with primitive solutions
+  over Q[eps]: the commutant constraints, commutant membership and
+  algebraic-relation discovery.
 
 Plus Lagrange interpolation.
 
 ``gauss_solve``, ``lagrange_coefficients``, ``ModEchelon``, ``prime_stream``,
-``crt_pair``, ``rational_reconstruct`` and ``fraction_mod`` have no caller in
-the pipeline: ``derive_L1_coeffs`` solves its triangular system by
-back-substitution, and ``solve_commuting`` eliminates over Q[eps] with
-``BareissEchelon``.  They stay, with their own unit tests, until the
-benchmark's per-layer metrics that wrap them (``linsolve.gauss_solve.*``,
-``linsolve.lagrange_s``, ``linsolve.mod_echelon_insert.calls``,
-``linsolve.primes_drawn``, ``linsolve.rational_reconstruct.calls``) are
-retired.
+``crt_pair``, ``rational_reconstruct``, ``fraction_mod`` and
+``FractionEchelon`` have no caller in the pipeline: ``derive_L1_coeffs``
+solves its triangular system by back-substitution, and every other solve
+eliminates over Q[eps] with ``BareissEchelon``.  They stay, with their own
+unit tests, until the benchmark's per-layer metrics that wrap them
+(``linsolve.gauss_solve.*``, ``linsolve.lagrange_s``,
+``linsolve.mod_echelon_insert.calls``, ``linsolve.primes_drawn``,
+``linsolve.rational_reconstruct.calls``, ``linsolve.fraction_echelon_*``,
+``linsolve.echelon_insert_us``) are retired.
 """
 
 from __future__ import annotations
@@ -359,6 +360,9 @@ class BareissEchelon:
             reduced = []
             for label, row in active:
                 f = row.get(col)
+                if f is None and p == prev:
+                    reduced.append((label, row))    # (p * row) / prev is row itself
+                    continue
                 new = {}
                 for c in sorted((row.keys() | prow.keys()) - {col}):
                     v = p * row[c] if c in row else EpsPoly.zero()

@@ -12,7 +12,7 @@ relation from scratch.
   ansatz window bounds the result, and an empty family is named by the
   constraint that cannot hold.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
-  annihilating a commuting pair.
+  annihilating a commuting pair by one fraction-free elimination over Q[eps].
 * ``verify_rank3`` checks the reduction remainder of an operator against its
   expected eigenvalue series.
 
@@ -22,6 +22,7 @@ returned; elimination results are never trusted on their own.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -132,27 +133,29 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     """Recover f_0..f_{order-2} of the monic operator D^order + sum f_n D^n.
 
     The remainder of the operator modulo T must equal (eigen, 0, 0); the
-    unknowns enter linearly, and the z-orders -2..0 of the three remainder
-    components give nine equations for the eight coefficient functions.  The
-    system is triangular with unit pivots (the Burchnall-Chaundy recursion),
-    so it is solved exactly over Q[eps] by back-substitution: a row with one
-    unsolved unknown whose coefficient is a unit fixes that unknown, and a
-    row with none left must reduce to zero.  The result is re-verified
-    symbolically against the reduction remainder over the full series window.
+    unknowns enter linearly, and the z-orders 1 - order//3 .. 0 of the three
+    remainder components give the equations for the order - 1 coefficient
+    functions (nine for eight at order 9).  The system is triangular with
+    unit pivots (the Burchnall-Chaundy recursion), so it is solved exactly
+    over Q[eps] by back-substitution: a row with one unsolved unknown whose
+    coefficient is a unit fixes that unknown, and a row with none left must
+    reduce to zero.  The result is re-verified symbolically against the
+    reduction remainder over the full series window.
     """
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
-        if s.upper != _INF and s.upper - s.lowest < 8:
+        if s.upper != _INF and s.upper - s.lowest < order - 1:
             raise TruncationTooShort(
-                f"{name} carries fewer than 8 terms beyond its lowest exponent")
+                f"{name} carries fewer than {order - 1} terms beyond its lowest exponent")
     if eigen is None:
         span = int(chi0.upper - chi0.lowest) if chi0.upper != _INF else DEFAULT_SERIES_ORDER
         eigen = curve_series(lambda_fn(), span)
 
     n_unknowns = order - 1
+    z_orders = range(1 - order // 3, 1)
     frame = reduction_frame(chi0, chi1, chi2, order)
     top = frame[order]
     rows = []
-    for s in (-2, -1, 0):
+    for s in z_orders:
         for j in range(3):
             try:
                 coeffs = {n: c for n in range(n_unknowns)
@@ -192,7 +195,7 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
                                 + "; ".join(f"Q_{j}, z-order {s}" for (j, s), _, _ in rows))
     missing = [n for n in range(n_unknowns) if n not in solved]
     if missing:
-        raise PipelineError(f"reduction rows at z-orders -2..0 do not determine "
+        raise PipelineError(f"reduction rows at z-orders {z_orders[0]}..0 do not determine "
                             f"f_{', f_'.join(map(str, missing))}")
     coeffs_out = [solved[n] for n in range(n_unknowns)]
 
@@ -212,32 +215,20 @@ class EmptyCommutant(PipelineError):
     """No monic operator of the requested order commutes with the given one."""
 
 
-def _op_vector(op: DiffOp) -> dict[tuple[int, int, int], Fraction]:
-    out = {}
-    for k, c in enumerate(op.coeffs):
-        for xe, epoly in c.c.items():
-            for ee, v in epoly.c.items():
-                out[(k, xe, ee)] = v
-    return out
+def _coefficient_rows(columns: dict[int, Sequence[XLaurent]], orders):
+    """Linear forms over Q[eps], one per monomial D^k x^e with k in ``orders``.
 
-
-def _eps_shifts(ops: list[DiffOp], max_eps: int) -> list[DiffOp]:
-    """All eps^{2j}-multiples of the given operators with eps-degree <= max_eps."""
-    out = []
-    for op in ops:
-        top = max((ee for _, _, ee in op.support()), default=0)
-        j = 0
-        while top + 2 * j <= max_eps:
-            out.append(op if j == 0 else op.scale(EpsPoly.eps_power(2 * j)))
-            j += 1
-    return out
-
-
-def _in_span(target: DiffOp, ops: list[DiffOp]) -> bool:
-    ech = linsolve.FractionEchelon()
-    for op in ops:
-        ech.insert(_op_vector(op))
-    return not ech.reduce_vector(_op_vector(target))
+    ``columns[c]`` lists the D^0, D^1, ... coefficients of the operator in
+    column c; the row labelled ``D^k (x^e term)`` holds each column's
+    x^e coefficient of D^k.  Rows follow ``orders``, then ascending e.
+    """
+    for k in orders:
+        by_x: dict[int, dict[int, EpsPoly]] = {}
+        for col, coeffs in columns.items():
+            if k < len(coeffs):
+                for xe, v in coeffs[k].c.items():
+                    by_x.setdefault(xe, {})[col] = v
+        yield from ((f"D^{k} (x^{xe} term)", row) for xe, row in sorted(by_x.items()))
 
 
 @dataclass
@@ -268,16 +259,20 @@ class AffineSolutionSet:
         return out
 
     def contains(self, op: DiffOp) -> bool:
-        """Exact affine-membership test (eps-polynomial combinations allowed)."""
-        delta = op - self.particular
-        if delta.is_zero():
-            return True
-        if not self.homogeneous_basis:
-            return False
-        max_eps = max((ee for _, _, ee in delta.support()), default=0)
-        for h in self.homogeneous_basis:
-            max_eps = max(max_eps, max((ee for _, _, ee in h.support()), default=0))
-        return _in_span(delta, _eps_shifts(self.homogeneous_basis, max_eps + 8))
+        """Whether op = particular + sum t_i(eps) * basis_i with t_i in Q[eps].
+
+        Solves ``basis . t = op - particular`` fraction-free over Q[eps]
+        (``linsolve.BareissEchelon``), one row per monomial D^k x^e.  The
+        generators are independent, so a consistent system has one solution
+        over Q(eps); it lies in Q[eps] exactly when the primitive solution at
+        the right-hand side has the entry 1 there.  No eps-degree bounds t.
+        """
+        d = self.dimension
+        columns = {i: h.coeffs for i, h in enumerate(self.homogeneous_basis)}
+        columns[d] = (self.particular - op).coeffs
+        top = max(len(c) for c in columns.values())
+        ech = linsolve.BareissEchelon(_coefficient_rows(columns, range(top - 1, -1, -1)), d)
+        return ech.inconsistent is None and ech.primitive_solution(d)[d] == EpsPoly.one()
 
 
 def _integrate_level(integrands: dict[int, XLaurent], n: int, j: int):
@@ -362,13 +357,8 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
         for comp, g in parts.items():
             put(j, comp, g)
         put(j, j, XLaurent.one())
-    for d in range(n - 2, -1, -1):
-        by_x: dict[int, dict[int, EpsPoly]] = {}
-        for comp, acc in comm.items():
-            for xe, v in acc[d].c.items():
-                by_x.setdefault(xe, {})[comp] = v
-        rows.extend((f"commutator coefficient D^{d} (x^{xe} term)", row)
-                    for xe, row in sorted(by_x.items()))
+    rows.extend((f"commutator coefficient {label}", row)
+                for label, row in _coefficient_rows(comm, range(n - 2, -1, -1)))
 
     ech = _eliminate(rows, m)
 
@@ -399,16 +389,18 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
 # discovery of the algebraic relation
 # ---------------------------------------------------------------------------
 
-def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int,
-                     eps_degree: int = 8) -> BivarPoly | None:
+def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | None:
     """Minimal-weight polynomial Q with Q(a, b) = 0, or None within the bound.
 
-    z stands for ``a`` (weight = its order), w for ``b`` (weight = its
-    order).  Among the kernel at the minimal weight, the returned element is
-    the echelon basis row whose leading monomial (by weight, then w-degree,
-    then z-degree, then ascending eps power) carries the lowest eps power,
-    normalized to a unit leading slot; eps-multiples of a relation are kernel
-    vectors too, and monomial count cannot separate them.
+    z stands for ``a`` and w for ``b``, each weighted by its order.  The
+    products z^i w^j of weight <= ``weight_bound`` are the columns of one
+    linear system over Q[eps] (one row per monomial D^k x^e), sorted by
+    weight, then w-degree, then z-degree, and eliminated fraction-free
+    (``linsolve.BareissEchelon``).  The first column without a pivot is the
+    leading monomial of the minimal relation; the relation is the primitive
+    solution there: supported on that monomial and the ones before it,
+    content-free over Q[eps] and monic in eps at its leading monomial.  It is
+    re-verified by exact substitution.  No eps-degree bounds the relation.
     """
     wa, wb = int(a.order), int(b.order)
     if wa <= 0 or wb <= 0:
@@ -418,60 +410,28 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int,
         k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())
         raise PipelineError(f"operators do not commute: W_{k} != 0")
 
-    cands = sorted((za, zb) for za in range(weight_bound // wa + 1)
-                   for zb in range(weight_bound // wb + 1)
-                   if wa * za + wb * zb <= weight_bound)
-    pow_a: dict[int, DiffOp] = {0: DiffOp.identity(a.ring)}
-    pow_b: dict[int, DiffOp] = {0: DiffOp.identity(b.ring)}
-    products: dict[tuple[int, int], DiffOp] = {}
+    monomials = sorted(((i, j) for i in range(weight_bound // wa + 1)
+                        for j in range(weight_bound // wb + 1)
+                        if wa * i + wb * j <= weight_bound),
+                       key=lambda ij: (wa * ij[0] + wb * ij[1], ij[1], ij[0]))
+    pow_a, pow_b = [DiffOp.identity(a.ring)], [DiffOp.identity(b.ring)]
+    while len(pow_a) <= weight_bound // wa:
+        pow_a.append(pow_a[-1].compose(a))
+    while len(pow_b) <= weight_bound // wb:
+        pow_b.append(pow_b[-1].compose(b))
+    products = [pow_a[i].compose(pow_b[j]) for i, j in monomials]
 
-    def product(za: int, zb: int) -> DiffOp:
-        if (za, zb) not in products:
-            for n, (cache, base) in ((za, (pow_a, a)), (zb, (pow_b, b))):
-                while n not in cache:
-                    k = max(cache)
-                    cache[k + 1] = cache[k].compose(base)
-            products[(za, zb)] = pow_a[za].compose(pow_b[zb])
-        return products[(za, zb)]
-
-    weights = sorted({wa * za + wb * zb for za, zb in cands if (za, zb) != (0, 0)})
-    e_values = list(range(0, eps_degree + 1, 2))
-
-    for bound in weights:
-        cset = [c for c in cands if wa * c[0] + wb * c[1] <= bound]
-        if len(cset) < 2:
-            continue
-        cols = [(za, zb, e) for (za, zb) in cset for e in e_values]
-        order_key = sorted(range(len(cols)),
-                           key=lambda i: (-(wa * cols[i][0] + wb * cols[i][1]),
-                                          -cols[i][1], -cols[i][0], cols[i][2]))
-        rank_of = {ci: r for r, ci in enumerate(order_key)}
-        rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-        for ci, (za, zb, e) in enumerate(cols):
-            for k, c in enumerate(product(za, zb).coeffs):
-                for xe, epoly in c.c.items():
-                    for ee, v in epoly.c.items():
-                        rows.setdefault((k, xe, ee + e), {})[rank_of[ci]] = v
-        ech = linsolve.FractionEchelon()
-        for key in sorted(rows):
-            ech.insert(rows[key])
-        kernel = ech.kernel_basis(list(range(len(cols))))
-        if not kernel:
-            continue
-        kech = linsolve.FractionEchelon()
-        for vec in kernel:
-            kech.insert(vec)
-        lead = min(kech.rows)
-        vec = kech.rows[lead]
-        poly: dict[tuple[int, int], EpsPoly] = {}
-        for r, v in vec.items():
-            za, zb, e = cols[order_key[r]]
-            poly[(za, zb)] = poly.get((za, zb), EpsPoly.zero()) + EpsPoly.eps_power(e, v)
-        q = BivarPoly(poly)
-        residual = DiffOp.zero(a.ring)
-        for (za, zb), coeff in sorted(q.c.items()):
-            residual = residual + product(za, zb).scale(coeff)
-        if not residual.is_zero():
-            raise PipelineError("kernel candidate failed exact re-verification")
-        return q
-    return None
+    columns = {c: p.coeffs for c, p in enumerate(products)}
+    ech = linsolve.BareissEchelon(
+        _coefficient_rows(columns, range(weight_bound, -1, -1)), len(monomials))
+    free = ech.free_columns()
+    if not free:
+        return None
+    vec = ech.primitive_solution(free[0])
+    q = BivarPoly({monomials[c]: v for c, v in vec.items()})
+    residual = DiffOp.zero(a.ring)
+    for c, v in sorted(vec.items()):
+        residual = residual + products[c].scale(v)
+    if not residual.is_zero():
+        raise PipelineError("kernel candidate failed exact re-verification")
+    return q

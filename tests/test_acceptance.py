@@ -18,7 +18,6 @@ from bcpair import (BivarPoly, DiffOp, XLAURENT_RING, XLaurent, bc_poly,
                     mu_fn, right_reduce, solve_commuting, verify_rank3, xl)
 from bcpair.cli import parse_op, print_op
 from bcpair.curve import CurveDef
-from bcpair.pipeline import _eps_shifts, _in_span
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -122,8 +121,8 @@ def test_criterion_07_l2_rederivation(ops):
     ident = DiffOp.identity(XLAURENT_RING)
     commute_ok = (l1.commutator(sol.particular).is_zero()
                   and all(l1.commutator(h).is_zero() for h in sol.homogeneous_basis))
-    span_ok = (_in_span(ident, _eps_shifts(sol.homogeneous_basis, 8))
-               and _in_span(l1, _eps_shifts(sol.homogeneous_basis, 8)))
+    span_ok = (sol.contains(sol.particular + ident)
+               and sol.contains(sol.particular + l1))
     ok = (sol.dimension == 2 and commute_ok and sol.contains(l2) and span_ok)
     _line(7, "monic order-12 commutant: affine dimension 2, contains the "
              "catalogued operator, homogeneous basis spans {identity, L1}, "

@@ -224,6 +224,14 @@ def test_cli_rejects_options_the_command_does_not_read(capsys):
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+    # only l1 reads --order and only l2 reads --seed; rejected before any work
+    for argv, option in ((["construct", "l1", "--seed", "3"], "--seed"),
+                         (["construct", "l2", "--order", "5"], "--order"),
+                         (["construct", "bc", "--order", "5"], "--order")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"construct {argv[1]} does not read {option}" in capsys.readouterr().err
 
 
 def test_cli_zero_checks_is_skipped_not_pass(tmp_path, capsys):

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from bcpair import (BivarPoly, DiffOp, PipelineError, TruncationTooShort,
-                    XLAURENT_RING, XLaurent, ZSeries, chi_series_triple,
-                    curve_series, derive_L1_coeffs, ep, find_bc_relation,
-                    lambda_fn, make_l1, make_l2, make_limit_op, mu_fn,
-                    reduce_with_frame, reduction_frame, solve_commuting,
-                    verify_rank3, xl)
-from bcpair.pipeline import (EmptyCommutant, _eliminate, _eps_shifts, _in_span,
-                             _integrate_level)
+from bcpair import (AffineSolutionSet, BivarPoly, DiffOp, EpsPoly, PipelineError,
+                    TruncationTooShort, XLAURENT_RING, XLaurent, ZSeries,
+                    chi_series_triple, curve_series, derive_L1_coeffs, ep,
+                    find_bc_relation, lambda_fn, make_l1, make_l2,
+                    make_limit_op, mu_fn, reduce_with_frame, reduction_frame,
+                    solve_commuting, verify_rank3, xl)
+from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
 from conftest import rng
 
 F = Fraction
@@ -88,6 +87,13 @@ def test_derive_l1_eps_zero_specialization(chis24, limit_op):
         assert coeffs[n].substitute_eps(0) == expect.coefficient(n)
 
 
+def test_derive_order12_matches_l2():
+    # the same triangular system at order 12 with eigen = mu gives L2
+    coeffs = derive_L1_coeffs(*chi_series_triple(20), order=12,
+                              eigen=curve_series(mu_fn(), 20))
+    assert coeffs == [make_l2().coefficient(n) for n in range(11)]
+
+
 def test_derive_l1_truncation_too_short(chis24):
     with pytest.raises(TruncationTooShort):
         derive_L1_coeffs(*(s.truncate(6) for s in chis24))
@@ -109,8 +115,7 @@ def sol9(l1):
 def test_solve_commuting_order9(l1, sol9):
     assert sol9.dimension == 1
     assert sol9.contains(l1)
-    ident = DiffOp.identity(XLAURENT_RING)
-    assert _in_span(ident, _eps_shifts(sol9.homogeneous_basis, 8))
+    assert sol9.contains(sol9.particular + DiffOp.identity(XLAURENT_RING))
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
@@ -142,9 +147,8 @@ def test_solve_commuting_order15(l1, l2):
     # homogeneous part 1, L1, L2: the pole orders 0, 3, 4 below 5 at q
     sol = solve_commuting(l1, 15)
     assert sol.dimension == 3
-    shifts = _eps_shifts(sol.homogeneous_basis, 8)
     for op in (DiffOp.identity(XLAURENT_RING), l1, l2):
-        assert _in_span(op, shifts)
+        assert sol.contains(sol.particular + op)
     assert sol.particular.order == 15 and sol.particular.is_monic()
     assert l1.commutator(sol.particular).is_zero()
     assert l2.commutator(sol.particular).is_zero()
@@ -159,6 +163,27 @@ def test_affine_set_sample_and_membership(l1, sol9):
     assert l1.commutator(member).is_zero()
     assert sol.contains(member)
     assert not sol.contains(sol.particular + DiffOp.d(1, XLAURENT_RING))
+
+
+@pytest.fixture(scope="module")
+def sol12(l1):
+    return solve_commuting(l1, 12)
+
+
+def test_affine_set_contains_odd_eps_multiples(l1, sol12):
+    # the family is a Q[eps]-module: odd eps powers of 1 and L1 belong to it
+    ident = DiffOp.identity(XLAURENT_RING)
+    assert sol12.contains(sol12.particular + ident.scale(EpsPoly.eps_power(1)))
+    assert sol12.contains(sol12.particular + l1.scale(EpsPoly.eps_power(3)))
+
+
+def test_affine_set_contains_needs_polynomial_coefficients():
+    # D^2 + 1 = D^2 + (1/eps) * (eps*1): in the Q(eps)-span, not the Q[eps]-span
+    eps = EpsPoly.eps_power(1)
+    ident = DiffOp.identity(XLAURENT_RING)
+    fam = AffineSolutionSet(DiffOp.d(2), [ident.scale(eps)])
+    assert fam.contains(DiffOp.d(2) + ident.scale(eps * eps))
+    assert not fam.contains(DiffOp.d(2) + ident)
 
 
 def test_find_bc_relation_trivial():
@@ -177,6 +202,16 @@ def test_find_bc_relation_limit_pair(limit_op):
     b = limit_op.op_power(4) - limit_op
     q = find_bc_relation(a, b, 36)
     assert q == BivarPoly({(0, 3): ep(1), (4, 0): ep(-1), (3, 0): ep(-1)})
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_find_bc_relation_eps_dependent_pair(k):
+    # (D^3 + eps^k D)^2 = D^6 + 2 eps^k D^4 + eps^2k D^2: odd eps powers at
+    # k = 1, eps^12 at k = 6; no eps-degree bounds the relation
+    epsk = EpsPoly.eps_power(k)
+    q = find_bc_relation(DiffOp.d(2), DiffOp.d(3) + DiffOp.d(1).scale(epsk), 6)
+    assert q == BivarPoly({(0, 2): ep(1), (3, 0): ep(-1), (2, 0): epsk.scale(-2),
+                           (1, 0): (epsk * epsk).scale(-1)})
 
 
 def test_find_bc_relation_none_within_bound():
