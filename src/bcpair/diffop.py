@@ -240,8 +240,16 @@ class NonCommutingPair(ValueError):
     pass
 
 
-def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp,
-                      powers: dict | None = None) -> DiffOp:
+def _powers(op: DiffOp, n: int) -> list[DiffOp]:
+    """[op^0, op^1, ..., op^n], at least up to op^1."""
+    out = [DiffOp.identity(op.ring), op]
+    while len(out) <= n:
+        # op . op^(k-1): the Leibniz depth is op's order, not the power's
+        out.append(op.compose(out[-1]))
+    return out
+
+
+def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     """Evaluate Q(z, w) at z -> a, w -> b for a commuting pair.
 
     The pair must commute (checked), so the monomial evaluation order is
@@ -252,22 +260,17 @@ def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp,
     if not comm.is_zero():
         k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())
         raise NonCommutingPair(f"operators do not commute: W_{k} != 0")
-    if powers is None:
-        powers = {}
-
-    def pw(op: DiffOp, tag: str, n: int) -> DiffOp:
-        key = (tag, n)
-        if key not in powers:
-            if n == 0:
-                powers[key] = DiffOp.identity(op.ring)
-            else:
-                powers[key] = pw(op, tag, n - 1).compose(op)
-        return powers[key]
-
+    pa = _powers(a, max((ze for ze, _ in q.c), default=0))
+    pb = _powers(b, max((we for _, we in q.c), default=0))
     total = DiffOp.zero(a.ring)
     for (ze, we), coeff in sorted(q.c.items()):
-        term = pw(a, "a", ze).compose(pw(b, "b", we)).scale(coeff)
-        total = total + term
+        if not we:
+            mono = pa[ze]
+        elif not ze:
+            mono = pb[we]
+        else:
+            mono = pa[ze].compose(pb[we])
+        total = total + mono.scale(coeff)
     return total
 
 

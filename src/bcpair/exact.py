@@ -4,7 +4,10 @@ Everything downstream computes over these types:
 
 * ``Rational``     -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals.
-* ``XLaurent``     -- Laurent polynomials in ``x`` with ``EpsPoly`` coefficients.
+* ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
+  coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
+  over one positive ``int`` denominator, reduced once per result; ``.c`` is
+  a lazily built read-only ``{x_exp: EpsPoly}`` view.
 * ``XZPoly``       -- polynomials in ``(x, z)`` over ``EpsPoly`` (non-negative
   exponents only; negative powers of ``x`` live in fraction denominators).
 * ``XZFraction``   -- quotients of ``XZPoly`` with equality by cross
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 Rational = Fraction
 
@@ -51,9 +55,9 @@ class ExactError(ArithmeticError):
 class EpsPoly:
     """Polynomial in ``eps`` with rational coefficients, stored sparsely.
 
-    The coefficient map never stores zeros.  Exponents are non-negative
-    integers; in all operator data only even exponents up to 8 occur, but the
-    arithmetic itself is general.
+    The coefficient map never stores zeros.  Exponents are any non-negative
+    integers: relation discovery admits odd eps powers, and derived operators
+    reach eps-degrees above those of ``L1`` and ``L2``.
     """
 
     __slots__ = ("c",)
@@ -244,23 +248,73 @@ def ep(value) -> EpsPoly:
 # Laurent polynomials in x over EpsPoly
 # ---------------------------------------------------------------------------
 
+def _reduced(num: dict[tuple[int, int], int], den: int) -> "XLaurent":
+    """The XLaurent ``num / den`` (``den > 0``, no zero numerators), in lowest terms.
+
+    One gcd sweep over the numerators, skipped when ``den`` is 1.
+    """
+    if den != 1:
+        if not num:
+            den = 1
+        else:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: v // g for k, v in num.items()}
+    out = XLaurent.__new__(XLaurent)
+    out.num = num
+    out.den = den
+    out._c = None
+    return out
+
+
 class XLaurent:
-    """Laurent polynomial in ``x`` whose coefficients are ``EpsPoly``.
+    """Laurent polynomial in ``x`` whose coefficients are polynomials in ``eps``.
+
+    Stored as integer numerators over one denominator: ``num`` maps
+    ``(x_exp, eps_exp)`` to a nonzero ``int`` and ``den`` is a positive
+    ``int`` coprime to the gcd of the numerators.  The form is canonical, so
+    equality is structural.  Arithmetic runs on plain ints and reduces each
+    result once.  ``c`` is the read-only view ``{x_exp: EpsPoly}``, built on
+    first use and kept.
 
     Exponents may be negative; d/dx maps ``x**n`` to ``n*x**(n-1)`` for every
-    integer ``n``.  No zero coefficients are stored.
+    integer ``n``.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("num", "den", "_c")
 
     def __init__(self, coeffs: dict[int, EpsPoly] | None = None):
-        c: dict[int, EpsPoly] = {}
+        terms: dict[tuple[int, int], Fraction] = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = ep(v) if not isinstance(v, EpsPoly) else v
-                if not v.is_zero():
-                    c[int(e)] = v
-        self.c = c
+                if isinstance(v, EpsPoly):
+                    for ee, r in v.c.items():
+                        terms[(int(e), ee)] = r
+                else:
+                    r = _fr(v)
+                    if r:
+                        terms[(int(e), 0)] = r
+        den = math.lcm(*(r.denominator for r in terms.values()))
+        self.num = {k: r.numerator * (den // r.denominator) for k, r in terms.items()}
+        self.den = den
+        self._c = None
+
+    @property
+    def c(self) -> MappingProxyType:
+        """Read-only ``{x_exp: EpsPoly}`` view of the coefficients."""
+        view = self._c
+        if view is None:
+            rows: dict[int, dict[int, Fraction]] = {}
+            den = self.den
+            for (xe, ee), v in self.num.items():
+                rows.setdefault(xe, {})[ee] = Fraction(v, den)
+            polys = {}
+            for xe, row in rows.items():
+                p = polys[xe] = EpsPoly.__new__(EpsPoly)
+                p.c = row
+            view = self._c = MappingProxyType(polys)
+        return view
 
     @classmethod
     def zero(cls) -> "XLaurent":
@@ -279,139 +333,154 @@ class XLaurent:
         return cls({1: _EP_ONE})
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.num
 
     def is_one(self) -> bool:
-        return set(self.c) == {0} and self.c[0] == _EP_ONE
+        return self.den == 1 and self.num == {(0, 0): 1}
 
     def __add__(self, other: "XLaurent") -> "XLaurent":
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c[e] + v if e in c else v
-            if s.is_zero():
-                del c[e]
+        an, bn = self.num, other.num
+        if not bn:
+            return self
+        if not an:
+            return other
+        # over the lcm of the denominators: scale self by fa and other by fb
+        da, db = self.den, other.den
+        fa = fb = 1
+        if da != db:
+            g = math.gcd(da, db)
+            fa, fb = db // g, da // g
+        num = {k: v * fa for k, v in an.items()} if fa != 1 else dict(an)
+        get = num.get
+        for k, v in bn.items():
+            s = get(k, 0) + v * fb
+            if s:
+                num[k] = s
             else:
-                c[e] = s
-        out = XLaurent.__new__(XLaurent)
-        out.c = c
-        return out
+                del num[k]
+        return _reduced(num, da * fa)
 
     def __sub__(self, other: "XLaurent") -> "XLaurent":
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c[e] - v if e in c else -v
-            if s.is_zero():
-                del c[e]
-            else:
-                c[e] = s
-        out = XLaurent.__new__(XLaurent)
-        out.c = c
-        return out
+        return self + (-other)
 
     def __neg__(self) -> "XLaurent":
         out = XLaurent.__new__(XLaurent)
-        out.c = {e: -v for e, v in self.c.items()}
+        out.num = {k: -v for k, v in self.num.items()}
+        out.den = self.den
+        out._c = None
         return out
 
     def __mul__(self, other) -> "XLaurent":
-        if isinstance(other, (int, Fraction, EpsPoly)):
-            return self.scale(other)
         if not isinstance(other, XLaurent):
+            if isinstance(other, (int, Fraction, EpsPoly)):
+                return self.scale(other)
             return NotImplemented
-        c: dict[int, EpsPoly] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                p = v1 * v2
-                if e in c:
-                    s = c[e] + p
-                    if s.is_zero():
-                        del c[e]
-                    else:
-                        c[e] = s
-                elif not p.is_zero():
-                    c[e] = p
-        out = XLaurent.__new__(XLaurent)
-        out.c = c
-        return out
+        acc: dict[tuple[int, int], int] = {}
+        get = acc.get
+        bitems = list(other.num.items())
+        for (x1, e1), v1 in self.num.items():
+            for (x2, e2), v2 in bitems:
+                k = (x1 + x2, e1 + e2)
+                acc[k] = get(k, 0) + v1 * v2
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _reduced(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "XLaurent":
-        value = ep(value)
-        if value.is_zero():
-            return XLaurent.zero()
-        out = XLaurent.__new__(XLaurent)
-        out.c = {}
-        for e, v in self.c.items():
-            p = v * value
-            if not p.is_zero():
-                out.c[e] = p
-        return out
+        if isinstance(value, EpsPoly):
+            return self * XLaurent({0: value})
+        if isinstance(value, int):
+            p, q = value, 1
+        else:
+            value = _fr(value)
+            p, q = value.numerator, value.denominator
+        if not p:
+            return _XL_ZERO
+        return _reduced({k: v * p for k, v in self.num.items()}, self.den * q)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, EpsPoly)):
-            other = XLaurent({0: ep(other)})
-        return isinstance(other, XLaurent) and self.c == other.c
+            other = XLaurent({0: other})
+        return isinstance(other, XLaurent) and self.den == other.den and self.num == other.num
 
     def derive(self) -> "XLaurent":
-        out = XLaurent.__new__(XLaurent)
-        out.c = {e - 1: v.scale(e) for e, v in self.c.items() if e != 0}
-        return out
+        return _reduced({(xe - 1, ee): v * xe for (xe, ee), v in self.num.items() if xe},
+                        self.den)
 
     def coefficient(self, xexp: int) -> EpsPoly:
         return self.c.get(xexp, _EP_ZERO)
 
     def min_exp(self) -> int:
-        return min(self.c) if self.c else 0
+        return min(xe for xe, _ in self.num) if self.num else 0
 
     def max_exp(self) -> int:
-        return max(self.c) if self.c else 0
+        return max(xe for xe, _ in self.num) if self.num else 0
 
     def substitute_eps(self, value) -> "XLaurent":
-        out = XLaurent.__new__(XLaurent)
-        out.c = {}
-        for e, v in self.c.items():
-            r = v.substitute(value)
-            if r:
-                out.c[e] = EpsPoly.const(r)
-        return out
+        """Set eps to a rational p/q: sum v p^e q^(top-e) over q^top, top the eps-degree."""
+        if not self.num:
+            return self
+        value = _fr(value)
+        top = max(ee for _, ee in self.num)
+        if not top:
+            return self
+        p, q = value.numerator, value.denominator
+        pp = [p**e for e in range(top + 1)]
+        qq = [q**e for e in range(top + 1)]
+        acc: dict[tuple[int, int], int] = {}
+        for (xe, ee), v in self.num.items():
+            k = (xe, 0)
+            acc[k] = acc.get(k, 0) + v * pp[ee] * qq[top - ee]
+        return _reduced({k: v for k, v in acc.items() if v}, self.den * qq[top])
 
     def evaluate_x(self, x0: Fraction) -> EpsPoly:
         """Evaluate at a nonzero rational x."""
         x0 = _fr(x0)
         if not x0:
             raise ExactError("cannot evaluate a Laurent polynomial at x = 0")
-        total = _EP_ZERO
-        for e, v in self.c.items():
-            total = total + v.scale(x0**e)
-        return total
+        if not self.num:
+            return _EP_ZERO
+        # x0^e = p^(e-lo) q^(hi-e) / (p^-lo q^hi) for lo <= e <= hi
+        p, q = x0.numerator, x0.denominator
+        lo, hi = min(0, self.min_exp()), max(0, self.max_exp())
+        acc: dict[int, int] = {}
+        for (xe, ee), v in self.num.items():
+            acc[ee] = acc.get(ee, 0) + v * p**(xe - lo) * q**(hi - xe)
+        den = self.den * p**-lo * q**hi
+        return EpsPoly({ee: Fraction(v, den) for ee, v in acc.items()})
 
     def is_unit(self) -> bool:
-        """A unit is a single x-monomial whose EpsPoly coefficient is a monomial."""
-        return len(self.c) == 1 and next(iter(self.c.values())).is_monomial()
+        """A unit is a single monomial c * x^a * eps^b with c != 0."""
+        return len(self.num) == 1
 
     def divide_unit(self, unit: "XLaurent") -> "XLaurent":
         """Exact division by a unit monomial; used by series inversion."""
         if not unit.is_unit():
             raise ExactError(f"not an invertible coefficient: {unit}")
-        (xe, epoly), = unit.c.items()
-        (ee, ev), = epoly.c.items()
-        out = XLaurent.__new__(XLaurent)
-        out.c = {}
-        for e, v in self.c.items():
-            out.c[e - xe] = v.divide_monomial(ev, ee)
-        return out
+        ((ux, ue), u), = unit.num.items()
+        if u < 0:
+            u, du = -u, -unit.den
+        else:
+            du = unit.den
+        num = {}
+        for (xe, ee), v in self.num.items():
+            if ee < ue:
+                raise ExactError(f"eps^{ee} term not divisible by eps^{ue}")
+            num[(xe - ux, ee - ue)] = v * du
+        return _reduced(num, self.den * u)
 
     def __repr__(self):
         return f"XLaurent({self})"
 
     def __str__(self):
-        if not self.c:
+        c = self.c
+        if not c:
             return "0"
         parts = []
-        for e in sorted(self.c, reverse=True):
-            v = self.c[e]
+        for e in sorted(c, reverse=True):
+            v = c[e]
             body = f"({v})" if len(v.c) > 1 else str(v)
             if e == 0:
                 parts.append(body)
@@ -426,10 +495,7 @@ _XL_ONE = XLaurent.one()
 
 def xl(coeffs: dict[int, object]) -> XLaurent:
     """Shorthand constructor: ``{x_exp: rational or {eps_exp: rational}}``."""
-    c: dict[int, EpsPoly] = {}
-    for e, v in coeffs.items():
-        c[e] = EpsPoly(v) if isinstance(v, dict) else ep(v)
-    return XLaurent(c)
+    return XLaurent({e: EpsPoly(v) if isinstance(v, dict) else v for e, v in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

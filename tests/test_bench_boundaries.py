@@ -7,6 +7,8 @@ test names the missing boundary instead.
 
 import pathlib
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,3 +34,21 @@ def test_micro_benchmark_hook_resolves(path):
     for name in path.split("."):
         assert hasattr(owner, name), path
         owner = getattr(owner, name)
+
+
+def test_coefficient_views_have_the_shape_the_benchmark_reads():
+    # tracing.micro_benchmarks reads XLaurent.c as {x_exp: EpsPoly} and
+    # EpsPoly.c as {eps_exp: Fraction}
+    for c in bcpair.make_l1().coeffs:
+        for xe, epoly in c.c.items():
+            assert type(xe) is int and isinstance(epoly, bcpair.EpsPoly)
+            assert epoly.c and all(type(ee) is int and type(v) is Fraction
+                                   for ee, v in epoly.c.items())
+
+
+def test_micro_benchmarks_run_on_l1():
+    l1 = bcpair.make_l1()
+    lib = SimpleNamespace(bcpair=bcpair, l1=l1, l2=l1, chis=bcpair.chi_series_triple(8))
+    metrics = tracing.micro_benchmarks(lib)
+    assert {"exact.epspoly_mul_us", "exact.xlaurent_mul_us",
+            "linsolve.echelon_insert_us"} <= set(metrics)

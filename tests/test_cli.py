@@ -1,5 +1,6 @@
 """Parser/printer round trips, report schema, exit-code contract."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -122,6 +123,28 @@ def test_json_format():
 def test_tex_format_mentions_derivatives():
     tex = print_op(make_limit_op(), "tex")
     assert r"\frac{d^{3}}{dx^{3}}" in tex and r"\frac{26}{x^{2}}" in tex
+
+
+# sha256 of print_op output: a change in how coefficients are stored must leave
+# the printed text byte-identical
+PRINTED_SHA256 = {
+    ("l1", "text"): "773913d74769356204c2253358cbc0aa16d033f29e4c68c91a3988e76b79cc51",
+    ("l1", "json"): "88cab5379f1097449ab8e75775fda807deba719562b49b90316fcb6504a772d5",
+    ("l1", "tex"): "90ad7e5b95bd4d4e58e13ba3592b5d1c6e5d33d16ca566bc430fb85e13298cb4",
+    ("l2", "text"): "f4904b9a903515a0f9a47f72a3a0eec615193640c38f4ec32f550e8936e23751",
+    ("l2", "json"): "813d4e5760fb5902bdbf03c82105b8b7ab08f8782b354c439141e114aa5b2c83",
+    ("l2", "tex"): "10b9088e5fc7ff352dc0aa153337fa4ed17ebb6b1cc5543df6685d5ceae25635",
+    ("limit", "text"): "aa29931f312454012d3684fcbf9d5b8fef9d10e8ea3cb3c08b261bf5d9950972",
+    ("limit", "json"): "263c01a195881c162e7fce6e80ad24ec96290df5cf5e1efc855f8f79f10b71b5",
+    ("limit", "tex"): "13b43736ffad2311e2aa3d9ee0643971c620876d40ce10bb05ec7015f78f98c5",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(PRINTED_SHA256))
+def test_printer_output_is_pinned(name, fmt):
+    op = {"l1": make_l1, "l2": make_l2, "limit": make_limit_op}[name]()
+    digest = hashlib.sha256(print_op(op, fmt).encode()).hexdigest()
+    assert digest == PRINTED_SHA256[(name, fmt)]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The exact arithmetic layer: scalars, Laurent polynomials, fractions, series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,6 +92,15 @@ def test_xlaurent_unit_division():
     with pytest.raises(ExactError):
         xl({0: 1}).divide_unit(u)  # eps^0 not divisible by eps^2
     assert not xl({0: 1, 1: 1}).is_unit()
+
+
+def test_xlaurent_view_is_read_only_and_built_once():
+    p = xl({-2: 26, 3: {2: F(-1, 5832), 0: F(1, 3)}})
+    assert (p.num, p.den) == ({(-2, 0): 151632, (3, 2): -1, (3, 0): 1944}, 5832)
+    assert p.c is p.c
+    assert p.c[3] == EpsPoly({2: F(-1, 5832), 0: F(1, 3)}) and p.coefficient(-2) == ep(26)
+    with pytest.raises(TypeError):
+        p.c[0] = ep(1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +261,111 @@ def test_hypothesis_derive_linear(xe, ee, c):
     p = XLaurent({xe: EpsPoly({ee: c})})
     assert (p + p).derive() == p.derive() + p.derive()
     assert p.scale(3).derive() == p.derive().scale(3)
+
+
+# ---------------------------------------------------------------------------
+# XLaurent against a plain {x_exp: {eps_exp: Fraction}} reference
+# ---------------------------------------------------------------------------
+
+def _ref_clean(a):
+    return {x: {e: v for e, v in row.items() if v}
+            for x, row in a.items() if any(row.values())}
+
+
+def _ref_add(a, b, sign=1):
+    out = {x: dict(row) for x, row in a.items()}
+    for x, row in b.items():
+        for e, v in row.items():
+            out.setdefault(x, {})[e] = out.get(x, {}).get(e, F(0)) + sign * v
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for x1, r1 in a.items():
+        for e1, v1 in r1.items():
+            for x2, r2 in b.items():
+                for e2, v2 in r2.items():
+                    row = out.setdefault(x1 + x2, {})
+                    row[e1 + e2] = row.get(e1 + e2, F(0)) + v1 * v2
+    return _ref_clean(out)
+
+
+def _ref_derive(a):
+    return _ref_clean({x - 1: {e: v * x for e, v in row.items()} for x, row in a.items()})
+
+
+def _ref_substitute(a, value):
+    return _ref_clean({x: {0: sum((v * value**e for e, v in row.items()), F(0))}
+                       for x, row in a.items()})
+
+
+def _ref_evaluate(a, x0):
+    out = {}
+    for x, row in a.items():
+        for e, v in row.items():
+            out[e] = out.get(e, F(0)) + v * x0**x
+    return {e: v for e, v in out.items() if v}
+
+
+def _as_ref(p: XLaurent):
+    out = {}
+    for (x, e), v in p.num.items():
+        out.setdefault(x, {})[e] = F(v, p.den)
+    return out
+
+
+def _assert_canonical(p: XLaurent):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v != 0 for v in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    if not p.num:
+        assert p.den == 1
+    assert {x: dict(e.c) for x, e in p.c.items()} == _as_ref(p)
+
+
+_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+_ref_laurent = st.dictionaries(
+    st.integers(-3, 3), st.dictionaries(st.integers(0, 3), _fractions, max_size=3),
+    max_size=4)
+
+
+def _checked(p: XLaurent, ref):
+    _assert_canonical(p)
+    assert _as_ref(p) == _ref_clean(ref)
+    return p
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ref_laurent, _ref_laurent, st.integers(-12, 12), _fractions,
+       st.dictionaries(st.integers(0, 2), _fractions, max_size=2), _fractions)
+def test_hypothesis_xlaurent_matches_reference(ra, rb, k, q, rp, value):
+    a, b = _checked(xl(ra), ra), _checked(xl(rb), rb)
+    ra, rb = _ref_clean(ra), _ref_clean(rb)
+    _checked(a + b, _ref_add(ra, rb))
+    _checked(a - b, _ref_add(ra, rb, -1))
+    _checked(-a, _ref_add({}, ra, -1))
+    _checked(a * b, _ref_mul(ra, rb))
+    _checked(a.derive(), _ref_derive(ra))
+    _checked(a.scale(k), _ref_mul(ra, {0: {0: F(k)}}))
+    _checked(a.scale(q), _ref_mul(ra, {0: {0: q}}))
+    _checked(a.scale(EpsPoly(rp)), _ref_mul(ra, {0: rp}))
+    _checked(a.substitute_eps(value), _ref_substitute(ra, value))
+    if value:
+        assert a.evaluate_x(value) == EpsPoly(_ref_evaluate(ra, value))
+    assert (a == b) == (ra == rb)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ref_laurent, st.integers(-3, 3), st.integers(0, 2), _fractions)
+def test_hypothesis_xlaurent_divide_unit_matches_reference(ra, ux, ue, u):
+    if not u:
+        return
+    a, unit = xl(ra), xl({ux: {ue: u}})
+    ra = _ref_clean(ra)
+    if any(e < ue for row in ra.values() for e in row):
+        with pytest.raises(ExactError):
+            a.divide_unit(unit)
+        return
+    _checked(a.divide_unit(unit),
+             {x - ux: {e - ue: v / u for e, v in row.items()} for x, row in ra.items()})
