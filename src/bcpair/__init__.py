@@ -2,8 +2,8 @@
 on a genus-2 spectral curve."""
 
 from .exact import (BivarPoly, EpsPoly, ExactError, Rational, XLaurent,
-                    XZFraction, XZPoly, ZSeries, ep, fraction_equal,
-                    fraction_to_series, series_sqrt, xl, DEFAULT_SERIES_ORDER)
+                    XZFraction, ZSeries, ep, fraction_equal, series_sqrt, xl,
+                    DEFAULT_SERIES_ORDER)
 from .diffop import (DiffOp, XLAURENT_RING, ZSERIES_RING, binom,
                      eval_poly_at_pair, right_reduce, NonCommutingPair,
                      ReductionError, CoefficientRingMismatch)

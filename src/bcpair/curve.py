@@ -2,7 +2,9 @@
 
 The curve is w^2 = W(z) with W(z) = 1 - 2 z^3 - (eps^4/3888) z^4 + z^6 and
 marked point q = (0, 1).  Elements of the quadratic extension of the rational
-function field in (x, z) are ``a + b*w`` with w^2 rewritten via W; the sheet
+function field in (x, z) are ``a + b*w`` with w^2 rewritten via W; ``a`` and
+``b`` are ``XZFraction``s, quotients of exact ``ZSeries`` (polynomials in z
+over ``XLaurent``), so expanding them at q is one series division.  The sheet
 swap ``sigma`` negates the w-part.  The chi functions, the eigenvalue
 functions ``lambda`` (pole order 3 at q) and ``mu`` (pole order 4), and their
 z-expansions all live here.
@@ -17,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XZFraction, XZPoly,
-                    ZSeries, ep, fraction_equal, fraction_to_series, series_sqrt)
+from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XLaurent, XZFraction, ZSeries,
+                    fraction_equal, series_divide, series_sqrt)
 
 
 @dataclass(frozen=True)
@@ -35,25 +37,25 @@ class CurveDef:
     def tag(self) -> str:
         return f"eps{self.w_eps_power}"
 
-    def w_squared(self) -> XZPoly:
-        """W(z) as an (x, z)-polynomial (x-degree zero)."""
-        return XZPoly({
-            (0, 0): ep(1),
-            (0, 3): ep(-2),
-            (0, 4): EpsPoly.eps_power(self.w_eps_power, Fraction(-1, 3888)),
-            (0, 6): ep(1),
+    def w_squared(self) -> ZSeries:
+        """W(z) as an exact z-series (x-degree zero)."""
+        return ZSeries.from_z_coefficients({
+            0: XLaurent.one(),
+            3: XLaurent.monomial(0, -2),
+            4: XLaurent.monomial(0, EpsPoly.eps_power(self.w_eps_power, Fraction(-1, 3888))),
+            6: XLaurent.one(),
         })
 
     def w_series(self, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
         """The branch of w with w(0) = 1, expanded at the marked point."""
-        return series_sqrt(ZSeries.from_xzpoly(self.w_squared()).truncate(order))
+        return series_sqrt(self.w_squared().truncate(order))
 
 
 DEFAULT_CURVE = CurveDef()
 
 # sanity of the fixed model: W(0) = 1 and deg_z W = 6
-assert DEFAULT_CURVE.w_squared().c[(0, 0)] == ep(1)
-assert max(z for (_, z) in DEFAULT_CURVE.w_squared().c) == 6
+assert DEFAULT_CURVE.w_squared().coefficient(0) == XLaurent.one()
+assert len(DEFAULT_CURVE.w_squared().coeffs) == 7
 
 
 class CurveElem:
@@ -74,10 +76,6 @@ class CurveElem:
     @classmethod
     def one(cls, curve: CurveDef = DEFAULT_CURVE) -> "CurveElem":
         return cls(XZFraction.one(), curve=curve)
-
-    @classmethod
-    def w(cls, curve: CurveDef = DEFAULT_CURVE) -> "CurveElem":
-        return cls(XZFraction.zero(), XZFraction.one(), curve)
 
     def _check(self, other: "CurveElem"):
         if self.curve != other.curve:
@@ -142,21 +140,18 @@ class CurveElem:
 # the concrete meromorphic data
 # ---------------------------------------------------------------------------
 
-def _kappa() -> XZPoly:
+def _kappa() -> ZSeries:
     """kappa = (eps^2 + x^3) z^3 - x^3, the common denominator of the chi's."""
-    return XZPoly({
-        (0, 3): EpsPoly.eps_power(2),
-        (3, 3): ep(1),
-        (3, 0): ep(-1),
-    })
+    return _mono(0, 3, EpsPoly.eps_power(2)) + _mono(3, 3) - _mono(3, 0)
 
 
-def _frac(num: XZPoly, den: XZPoly) -> XZFraction:
+def _frac(num: ZSeries, den: ZSeries) -> XZFraction:
     return XZFraction(num, den)
 
 
-def _mono(xe: int, ze: int, coeff=1) -> XZPoly:
-    return XZPoly.monomial(xe, ze, coeff)
+def _mono(xe: int, ze: int, coeff=1) -> ZSeries:
+    """coeff * x^xe * z^ze as an exact z-series."""
+    return ZSeries.from_z_coefficients({ze: XLaurent.monomial(xe, coeff)})
 
 
 def chi(j: int, curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
@@ -170,24 +165,24 @@ def chi(j: int, curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
     kappa = _kappa()
     if j == 2:
         # -3 eps^2 z^3 / (x kappa)
-        num = XZPoly({(0, 3): EpsPoly.eps_power(2, -3)})
+        num = _mono(0, 3, EpsPoly.eps_power(2, -3))
         return CurveElem(_frac(num, _mono(1, 0) * kappa), curve=curve)
     if j == 1:
         # (132 eps^2 z^3 - x^3 (204 - 204 z^3 + 108 w + eps^2 z^2)) / (12 x^2 kappa)
         den = _mono(2, 0, 12) * kappa
-        a_num = (XZPoly({(0, 3): EpsPoly.eps_power(2, 132)})
+        a_num = (_mono(0, 3, EpsPoly.eps_power(2, 132))
                  - _mono(3, 0, 204) + _mono(3, 3, 204)
-                 - XZPoly({(3, 2): EpsPoly.eps_power(2)}))
+                 - _mono(3, 2, EpsPoly.eps_power(2)))
         b_num = _mono(3, 0, -108)
         return CurveElem(_frac(a_num, den), _frac(b_num, den), curve)
     # chi_0, assembled term by term exactly as displayed
     a = _frac(_mono(0, 0), _mono(0, 1, 2))                                   # 1/(2z)
-    a = a - _frac(_mono(3, 0) * (XZPoly({(0, 0): EpsPoly.eps_power(2)}) + _mono(3, 0)),
+    a = a - _frac(_mono(3, 0) * (_mono(0, 0, EpsPoly.eps_power(2)) + _mono(3, 0)),
                   _mono(0, 0, 5832))                                          # -x^3(eps^2+x^3)/5832
     a = a + _frac(_mono(0, 3, 10) - _mono(0, 0, 10), kappa)                   # 10(z^3-1)/kappa
-    a = a + _frac(XZPoly({(3, 1): EpsPoly.eps_power(2)}), kappa * _mono(0, 0, 216))
-    a = a - _frac(XZPoly({(0, 2): EpsPoly.eps_power(2)}), kappa * _mono(0, 0, 6))
-    a = a + _frac(XZPoly({(0, 3): EpsPoly.eps_power(2, 16)}), kappa * _mono(3, 0))
+    a = a + _frac(_mono(3, 1, EpsPoly.eps_power(2)), kappa * _mono(0, 0, 216))
+    a = a - _frac(_mono(0, 2, EpsPoly.eps_power(2)), kappa * _mono(0, 0, 6))
+    a = a + _frac(_mono(0, 3, EpsPoly.eps_power(2, 16)), kappa * _mono(3, 0))
     b = _frac(_mono(0, 0, -108), kappa * _mono(0, 0, 6))                      # -108 w/(6 kappa)
     b = b - _frac(_mono(3, 0), kappa * _mono(0, 1, 2))                        # -x^3 w/(2 kappa z)
     return CurveElem(a, b, curve)
@@ -209,10 +204,10 @@ def mu_fn(curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
 
 def curve_series(e: CurveElem, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
     """Laurent expansion of ``a + b*w`` at the marked point q = (0, 1)."""
-    a = fraction_to_series(e.a, order) if not e.a.is_zero() else ZSeries.zero()
+    a = series_divide(e.a.num, e.a.den, nterms=order) if not e.a.is_zero() else ZSeries.zero()
     if e.b.is_zero():
         return a
-    b = fraction_to_series(e.b, order)
+    b = series_divide(e.b.num, e.b.den, nterms=order)
     w = e.curve.w_series(order)
     return a + b * w
 

@@ -8,12 +8,12 @@ Everything downstream computes over these types:
   coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
   over one positive ``int`` denominator, reduced once per result; ``.c`` is
   a lazily built read-only ``{x_exp: EpsPoly}`` view.
-* ``XZPoly``       -- polynomials in ``(x, z)`` over ``EpsPoly`` (non-negative
-  exponents only; negative powers of ``x`` live in fraction denominators).
-* ``XZFraction``   -- quotients of ``XZPoly`` with equality by cross
-  multiplication.  No canonical form, no multivariate gcd.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
-  ``XLaurent``.  Dense in ``z``, sparse in ``x``.
+  ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
+  truncation) is a polynomial in ``z`` over ``XLaurent``.
+* ``XZFraction``   -- quotients of exact ``ZSeries``: the rational functions in
+  ``(x, z)``, with equality by cross multiplication.  No canonical form, no
+  multivariate gcd.
 * ``BivarPoly``    -- polynomials in two commuting placeholders ``(z, w)`` over
   ``EpsPoly``; used for algebraic relations between a pair of operators.
 
@@ -94,13 +94,6 @@ class EpsPoly:
 
     def is_rational(self) -> bool:
         return not self.c or set(self.c) == {0}
-
-    def as_rational(self) -> Fraction:
-        if not self.c:
-            return Fraction(0)
-        if set(self.c) != {0}:
-            raise ExactError("eps polynomial is not constant")
-        return self.c[0]
 
     def is_monomial(self) -> bool:
         return len(self.c) == 1
@@ -499,152 +492,22 @@ def xl(coeffs: dict[int, object]) -> XLaurent:
 
 
 # ---------------------------------------------------------------------------
-# polynomials and fractions in (x, z)
+# fractions in (x, z): quotients of exact z-series
 # ---------------------------------------------------------------------------
 
-class XZPoly:
-    """Polynomial in ``(x, z)`` over ``EpsPoly``; exponents are non-negative."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], EpsPoly] | None = None):
-        c: dict[tuple[int, int], EpsPoly] = {}
-        if coeffs:
-            for (xe, ze), v in coeffs.items():
-                v = ep(v) if not isinstance(v, EpsPoly) else v
-                if not v.is_zero():
-                    if xe < 0 or ze < 0:
-                        raise ValueError("XZPoly exponents must be non-negative")
-                    c[(xe, ze)] = v
-        self.c = c
-
-    @classmethod
-    def zero(cls) -> "XZPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "XZPoly":
-        return cls({(0, 0): _EP_ONE})
-
-    @classmethod
-    def monomial(cls, xexp: int, zexp: int, coeff=1) -> "XZPoly":
-        return cls({(xexp, zexp): ep(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __add__(self, other: "XZPoly") -> "XZPoly":
-        c = dict(self.c)
-        for k, v in other.c.items():
-            s = c[k] + v if k in c else v
-            if s.is_zero():
-                del c[k]
-            else:
-                c[k] = s
-        out = XZPoly.__new__(XZPoly)
-        out.c = c
-        return out
-
-    def __sub__(self, other: "XZPoly") -> "XZPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "XZPoly":
-        out = XZPoly.__new__(XZPoly)
-        out.c = {k: -v for k, v in self.c.items()}
-        return out
-
-    def __mul__(self, other) -> "XZPoly":
-        if isinstance(other, (int, Fraction, EpsPoly)):
-            return self.scale(other)
-        if not isinstance(other, XZPoly):
-            return NotImplemented
-        c: dict[tuple[int, int], EpsPoly] = {}
-        for (x1, z1), v1 in self.c.items():
-            for (x2, z2), v2 in other.c.items():
-                k = (x1 + x2, z1 + z2)
-                p = v1 * v2
-                if k in c:
-                    s = c[k] + p
-                    if s.is_zero():
-                        del c[k]
-                    else:
-                        c[k] = s
-                elif not p.is_zero():
-                    c[k] = p
-        out = XZPoly.__new__(XZPoly)
-        out.c = c
-        return out
-
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "XZPoly":
-        value = ep(value)
-        out = XZPoly.__new__(XZPoly)
-        out.c = {}
-        if not value.is_zero():
-            for k, v in self.c.items():
-                p = v * value
-                if not p.is_zero():
-                    out.c[k] = p
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XZPoly) and self.c == other.c
-
-    def derive_x(self) -> "XZPoly":
-        out = XZPoly.__new__(XZPoly)
-        out.c = {}
-        for (xe, ze), v in self.c.items():
-            if xe:
-                out.c[(xe - 1, ze)] = v.scale(xe)
-        return out
-
-    def substitute_eps(self, value) -> "XZPoly":
-        out = XZPoly.__new__(XZPoly)
-        out.c = {}
-        for k, v in self.c.items():
-            r = v.substitute(value)
-            if r:
-                out.c[k] = EpsPoly.const(r)
-        return out
-
-    def z_coefficients(self) -> dict[int, XLaurent]:
-        """Regroup as a polynomial in z with XLaurent coefficients."""
-        rows: dict[int, dict[int, EpsPoly]] = {}
-        for (xe, ze), v in self.c.items():
-            rows.setdefault(ze, {})[xe] = v
-        return {ze: XLaurent(d) for ze, d in rows.items()}
-
-    def __repr__(self):
-        return f"XZPoly({self})"
-
-    def __str__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for (xe, ze) in sorted(self.c):
-            v = self.c[(xe, ze)]
-            body = f"({v})" if len(v.c) > 1 else str(v)
-            if xe:
-                body += f"*x^{xe}"
-            if ze:
-                body += f"*z^{ze}"
-            parts.append(body)
-        return " + ".join(parts)
-
-
 class XZFraction:
-    """Quotient of two ``XZPoly``.  Equality is by cross multiplication.
+    """Quotient of two exact ``ZSeries`` (polynomials in ``z`` over ``XLaurent``).
 
-    There is no canonical form: numerator and denominator are kept exactly
-    as arithmetic produced them (no multivariate gcd).
+    Equality is by cross multiplication.  There is no canonical form:
+    numerator and denominator are kept exactly as arithmetic produced them
+    (no multivariate gcd).
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: XZPoly, den: XZPoly | None = None):
+    def __init__(self, num: ZSeries, den: ZSeries | None = None):
         if den is None:
-            den = XZPoly.one()
+            den = ZSeries.one()
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in XZFraction")
         self.num = num
@@ -652,15 +515,11 @@ class XZFraction:
 
     @classmethod
     def zero(cls) -> "XZFraction":
-        return cls(XZPoly.zero())
+        return cls(ZSeries.zero())
 
     @classmethod
     def one(cls) -> "XZFraction":
-        return cls(XZPoly.one())
-
-    @classmethod
-    def from_poly(cls, p: XZPoly) -> "XZFraction":
-        return cls(p)
+        return cls(ZSeries.one())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -689,7 +548,7 @@ class XZFraction:
         return XZFraction(self.num * other.den, self.den * other.num)
 
     def derive_x(self) -> "XZFraction":
-        return XZFraction(self.num.derive_x() * self.den - self.num * self.den.derive_x(),
+        return XZFraction(self.num.derive() * self.den - self.num * self.den.derive(),
                           self.den * self.den)
 
     def substitute_eps(self, value) -> "XZFraction":
@@ -741,7 +600,6 @@ class ZSeries:
                 coeffs = coeffs[:want]
             else:
                 coeffs = coeffs + [_XL_ZERO] * (want - len(coeffs))
-            # drop trailing zeros only in storage; window semantics unchanged
         self.lowest = lowest
         self.coeffs = coeffs
         self.upper = upper
@@ -768,10 +626,6 @@ class ZSeries:
         lo, hi = min(zc), max(zc)
         coeffs = [zc.get(e, _XL_ZERO) for e in range(lo, hi + 1)]
         return cls(lo, coeffs, INF)
-
-    @classmethod
-    def from_xzpoly(cls, p: XZPoly) -> "ZSeries":
-        return cls.from_z_coefficients(p.z_coefficients())
 
     # -- structure ---------------------------------------------------------
 
@@ -850,10 +704,6 @@ class ZSeries:
         value = ep(value)
         return ZSeries(self.lowest, [v.scale(value) for v in self.coeffs], self.upper)
 
-    def z_shift(self, k: int) -> "ZSeries":
-        upper = self.upper if math.isinf(self.upper) else self.upper + k
-        return ZSeries(self.lowest + k, self.coeffs, upper)
-
     def derive(self) -> "ZSeries":
         """d/dx, applied coefficient-wise (z is a spectral parameter)."""
         return ZSeries(self.lowest, [v.derive() for v in self.coeffs], self.upper)
@@ -908,18 +758,6 @@ def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSer
                 acc = acc - dj * out[k - j]
         out.append(acc.divide_unit(d0))
     return ZSeries(lo, out, lo + win)
-
-
-def fraction_to_series(a: XZFraction, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
-    """Expand an (x, z)-fraction as a z-series with ``order`` retained terms.
-
-    The denominator's lowest z-coefficient must be invertible (a single
-    x-monomial whose EpsPoly coefficient is a monomial); eps-content is moved
-    into the numerator by exact monomial division.
-    """
-    num = ZSeries.from_xzpoly(a.num)
-    den = ZSeries.from_xzpoly(a.den)
-    return series_divide(num, den, nterms=order)
 
 
 def series_sqrt(s: ZSeries) -> ZSeries:

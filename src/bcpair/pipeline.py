@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
                     XLaurent, ZSeries, ep)
-from .diffop import DiffOp, XLAURENT_RING, binom
+from .diffop import DiffOp, XLAURENT_RING, _powers
 from .curve import DEFAULT_CURVE, chi, curve_series, lambda_fn
 from . import linsolve
 
@@ -414,12 +414,9 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
                         for j in range(weight_bound // wb + 1)
                         if wa * i + wb * j <= weight_bound),
                        key=lambda ij: (wa * ij[0] + wb * ij[1], ij[1], ij[0]))
-    pow_a, pow_b = [DiffOp.identity(a.ring)], [DiffOp.identity(b.ring)]
-    while len(pow_a) <= weight_bound // wa:
-        pow_a.append(pow_a[-1].compose(a))
-    while len(pow_b) <= weight_bound // wb:
-        pow_b.append(pow_b[-1].compose(b))
-    products = [pow_a[i].compose(pow_b[j]) for i, j in monomials]
+    pow_a, pow_b = _powers(a, weight_bound // wa), _powers(b, weight_bound // wb)
+    products = [pow_b[j] if not i else pow_a[i] if not j else pow_a[i].compose(pow_b[j])
+                for i, j in monomials]
 
     columns = {c: p.coeffs for c, p in enumerate(products)}
     ech = linsolve.BareissEchelon(

@@ -16,6 +16,7 @@ import bcpair
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 BOUNDARIES = tracing.SPANS + tracing.COUNTS + tracing.YIELDS
 # attributes of the package that tracing.micro_benchmarks reaches
@@ -52,3 +53,15 @@ def test_micro_benchmarks_run_on_l1():
     metrics = tracing.micro_benchmarks(lib)
     assert {"exact.epspoly_mul_us", "exact.xlaurent_mul_us",
             "linsolve.echelon_insert_us"} <= set(metrics)
+
+
+@pytest.mark.parametrize("workload", ["verify", "construct"])
+def test_workload_round_passes_its_checks(workload, l1, l2, chis24, lam24, mu24):
+    # the curve, operator and solver API a benchmark round calls, checked the
+    # way the benchmark checks it
+    lib = workloads.Lib(bcpair, l1, l2, chis24, lam24, mu24)
+    inputs = workloads.round_inputs(workload, 1, 0)
+    _, results = workloads.run_round(workload, lib, inputs)
+    checks = workloads.Checks()
+    workloads.check_round(workload, lib, inputs, results, checks)
+    assert checks.attempted and not checks.failures

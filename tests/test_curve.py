@@ -1,12 +1,13 @@
 """The curve, its quadratic extension, the chi/lambda/mu data and expansions."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from bcpair import (CurveDef, CurveElem, EpsPoly, XZFraction, XZPoly,
-                    bc_function_identity, chi, curve_series, ep,
-                    fraction_equal, lambda_fn, mu_fn, xl, zeta1, zeta2)
+from bcpair import (CurveDef, CurveElem, EpsPoly, XLaurent, XZFraction,
+                    bc_function_identity, chi, curve_series, fraction_equal,
+                    lambda_fn, mu_fn, xl, zeta1, zeta2)
 from bcpair.curve import _kappa, _mono
 
 F = Fraction
@@ -15,19 +16,18 @@ F = Fraction
 def test_curve_model():
     c = CurveDef()
     w2 = c.w_squared()
-    assert w2.c[(0, 0)] == ep(1)                      # W(0) = 1
-    assert max(z for _, z in w2.c) == 6               # degree 6
-    assert w2.c[(0, 4)] == EpsPoly.eps_power(4, F(-1, 3888))
+    assert w2.coefficient(0) == XLaurent.one()        # W(0) = 1
+    assert w2.lowest + len(w2.coeffs) - 1 == 6        # degree 6
+    assert w2.coefficient(4) == xl({0: {4: F(-1, 3888)}})
     variant = CurveDef(w_eps_power=2)
-    assert variant.w_squared().c[(0, 4)] == EpsPoly.eps_power(2, F(-1, 3888))
+    assert variant.w_squared().coefficient(4) == xl({0: {2: F(-1, 3888)}})
 
 
 def test_w_series_squares_back():
     c = CurveDef()
     w = c.w_series(12)
     back = w * w
-    from bcpair import ZSeries
-    assert back.eq_known(ZSeries.from_xzpoly(c.w_squared()).truncate(12))
+    assert back.eq_known(c.w_squared().truncate(12))
 
 
 def test_sigma_is_involution_and_fixes_rational_part():
@@ -40,7 +40,7 @@ def test_sigma_is_involution_and_fixes_rational_part():
 def test_chi2_closed_form():
     c2 = chi(2)
     assert c2.b.is_zero()
-    expect = XZFraction(XZPoly({(0, 3): EpsPoly.eps_power(2, -3)}),
+    expect = XZFraction(_mono(0, 3, EpsPoly.eps_power(2, -3)),
                         _mono(1, 0) * _kappa())
     assert fraction_equal(c2.a, expect)
 
@@ -133,7 +133,7 @@ def test_curve_elem_derive():
     c2 = chi(2)
     d = c2.derive()
     num, den = c2.a.num, c2.a.den
-    expect = XZFraction(num.derive_x() * den - num * den.derive_x(), den * den)
+    expect = XZFraction(num.derive() * den - num * den.derive(), den * den)
     assert fraction_equal(d.a, expect)
     assert d.b.is_zero()
 
@@ -143,3 +143,21 @@ def test_mixed_curves_rejected():
         chi(0) * chi(0, CurveDef(w_eps_power=2))
     with pytest.raises(ValueError):
         chi(5)
+
+
+# sha256 of (lowest, upper, numerators, denominator) of every expansion below;
+# a change to any of them, down to the storage of one coefficient, fails here.
+CURVE_SERIES_SHA256 = "1bde7e21977ffc8d73063d10ed9e86d0fd35adee31e088b18e9ecd615e418f97"
+
+
+def test_curve_expansions_are_pinned():
+    def key(s):
+        return (s.lowest, s.upper, [(sorted(c.num.items()), c.den) for c in s.coeffs])
+
+    keys = []
+    for curve in (CurveDef(), CurveDef(w_eps_power=2)):
+        elems = [chi(0, curve), chi(1, curve), chi(2, curve), lambda_fn(curve), mu_fn(curve)]
+        for order in (8, 24):
+            keys += [key(curve_series(e, order)) for e in elems]
+        keys.append(key(curve.w_series(24)))
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == CURVE_SERIES_SHA256

@@ -6,16 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcpair import (EpsPoly, ExactError, XLaurent, XZFraction, XZPoly, ZSeries,
-                    ep, fraction_equal, fraction_to_series, series_sqrt, xl)
+from bcpair import (EpsPoly, ExactError, XLaurent, XZFraction, ZSeries,
+                    ep, fraction_equal, series_sqrt, xl)
 from bcpair.exact import series_divide
 from conftest import random_xlaurent, rng
 
 F = Fraction
 
 
-def kappa_poly() -> XZPoly:
-    return XZPoly({(0, 3): EpsPoly.eps_power(2), (3, 3): ep(1), (3, 0): ep(-1)})
+def mono(xexp: int, zexp: int, coeff=1) -> ZSeries:
+    """coeff * x^xexp * z^zexp as an exact z-series."""
+    return ZSeries.from_z_coefficients({zexp: XLaurent.monomial(xexp, coeff)})
+
+
+def kappa_poly() -> ZSeries:
+    return ZSeries.from_z_coefficients({0: xl({3: -1}), 3: xl({0: {2: 1}, 3: 1})})
 
 
 # ---------------------------------------------------------------------------
@@ -108,73 +113,73 @@ def test_xlaurent_view_is_read_only_and_built_once():
 # ---------------------------------------------------------------------------
 
 def test_fraction_equal_monomials():
-    z3 = XZFraction(XZPoly.monomial(0, 3), XZPoly.monomial(0, 4))
-    inv_z = XZFraction(XZPoly.one(), XZPoly.monomial(0, 1))
+    z3 = XZFraction(mono(0, 3), mono(0, 4))
+    inv_z = XZFraction(ZSeries.one(), mono(0, 1))
     assert fraction_equal(z3, inv_z)
 
 
 def test_fraction_equal_kappa():
     k = kappa_poly()
-    assert fraction_equal(XZFraction(k, k), XZFraction(XZPoly.one(), XZPoly.one()))
+    assert fraction_equal(XZFraction(k, k), XZFraction(ZSeries.one(), ZSeries.one()))
 
 
 def test_fraction_unequal_generic_eps():
-    num = XZPoly({(0, 3): EpsPoly.eps_power(2, 3)})
-    a = XZFraction(num, XZPoly.monomial(1, 0) * kappa_poly())
-    b = XZFraction(num, XZPoly.monomial(1, 0) * XZPoly.monomial(3, 3))
+    num = mono(0, 3, EpsPoly.eps_power(2, 3))
+    a = XZFraction(num, mono(1, 0) * kappa_poly())
+    b = XZFraction(num, mono(1, 0) * mono(3, 3))
     assert not fraction_equal(a, b)
 
 
 def test_fraction_arithmetic_and_derivative():
     # d/dx (x / (x + x^2 z)) has the quotient-rule cross terms
-    f = XZFraction(XZPoly.monomial(1, 0), XZPoly.monomial(1, 0) + XZPoly.monomial(2, 1))
+    f = XZFraction(mono(1, 0), mono(1, 0) + mono(2, 1))
     g = f.derive_x()
     # compare against hand-built result via cross multiplication
-    num = XZPoly.monomial(1, 0)
-    den = XZPoly.monomial(1, 0) + XZPoly.monomial(2, 1)
-    expect = XZFraction(num.derive_x() * den - num * den.derive_x(), den * den)
+    num = mono(1, 0)
+    den = mono(1, 0) + mono(2, 1)
+    expect = XZFraction(num.derive() * den - num * den.derive(), den * den)
     assert fraction_equal(g, expect)
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        XZFraction(XZPoly.one(), XZPoly.zero())
+        XZFraction(ZSeries.one(), ZSeries.zero())
 
 
 # ---------------------------------------------------------------------------
 # series
 # ---------------------------------------------------------------------------
 
-def test_fraction_to_series_geometric():
-    f = XZFraction(XZPoly.one(), XZPoly.one() - XZPoly.monomial(0, 1))
-    s = fraction_to_series(f, 4)
+def test_fraction_expansion_geometric():
+    f = XZFraction(ZSeries.one(), ZSeries.one() - mono(0, 1))
+    s = series_divide(f.num, f.den, nterms=4)
     assert [s.coefficient(k) for k in range(4)] == [XLaurent.one()] * 4
 
 
-def test_fraction_to_series_chi2_shape():
-    num = XZPoly({(0, 3): EpsPoly.eps_power(2, -3)})
-    den = XZPoly.monomial(1, 0) * kappa_poly()
-    s = fraction_to_series(XZFraction(num, den), 8)
+def test_fraction_expansion_chi2_shape():
+    num = mono(0, 3, EpsPoly.eps_power(2, -3))
+    den = mono(1, 0) * kappa_poly()
+    s = series_divide(num, den, nterms=8)
     assert s.coefficient(3) == xl({-4: {2: 3}})
     assert s.coefficient(4).is_zero() and s.coefficient(5).is_zero()
     assert s.coefficient(6) == xl({-7: {4: 3}, -4: {2: 3}})
     # re-multiplication oracle
-    back = s * ZSeries.from_xzpoly(den)
-    assert back.eq_known(ZSeries.from_xzpoly(num))
+    back = s * den
+    assert back.eq_known(num)
 
 
-def test_fraction_to_series_z3_over_kappa():
-    f = XZFraction(XZPoly.monomial(0, 3), kappa_poly())
-    s = fraction_to_series(f, 6)
+def test_fraction_expansion_z3_over_kappa():
+    f = XZFraction(mono(0, 3), kappa_poly())
+    s = series_divide(f.num, f.den, nterms=6)
     assert s.coefficient(3) == xl({-3: -1})
-    back = s * ZSeries.from_xzpoly(kappa_poly())
-    assert back.eq_known(ZSeries.from_xzpoly(XZPoly.monomial(0, 3)))
+    back = s * kappa_poly()
+    assert back.eq_known(mono(0, 3))
 
 
-def test_fraction_to_series_rejects_bad_leading():
-    f = XZFraction(XZPoly.one(), XZPoly.one() + XZPoly.monomial(1, 0))
+def test_fraction_expansion_rejects_bad_leading():
+    f = XZFraction(ZSeries.one(), ZSeries.one() + mono(1, 0))
     with pytest.raises(ExactError):
-        fraction_to_series(f, 4)
+        series_divide(f.num, f.den, nterms=4)
 
 
 def test_series_divide_round_trip_seeded():
