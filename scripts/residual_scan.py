@@ -9,7 +9,7 @@ working precision, point-independently.
 import argparse
 from fractions import Fraction
 
-from mpmath import mp, nstr
+from mpmath import nstr
 
 from bcpair import BranchAssignment, gamma_equation_residual, kn_check
 

@@ -2,8 +2,7 @@
 on a genus-2 spectral curve."""
 
 from .exact import (BivarPoly, EpsPoly, ExactError, Rational, XLaurent,
-                    XZFraction, ZSeries, ep, fraction_equal, series_sqrt, xl,
-                    DEFAULT_SERIES_ORDER)
+                    ZSeries, ep, series_sqrt, xl, DEFAULT_SERIES_ORDER)
 from .diffop import (DiffOp, XLAURENT_RING, ZSERIES_RING, binom,
                      eval_poly_at_pair, right_reduce, NonCommutingPair,
                      ReductionError, CoefficientRingMismatch)

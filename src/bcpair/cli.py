@@ -418,6 +418,11 @@ def _suite_limit(report: Report) -> None:
                l2.substitute_eps(0) == gen.op_power(4) - gen)
 
 
+#: the rank suite asks for 8 verified non-negative z-orders; the mu window
+#: (pole order 4) reaches that from a series order of 12
+MIN_RANK_ORDER = 12
+
+
 def _suite_rank(report: Report, eps, order: int) -> None:
     chis = pipeline.chi_series_triple(order)
     lam = curve_series(lambda_fn(), order)
@@ -464,6 +469,10 @@ def cmd_verify(args) -> Report:
     eps = None if args.eps == "symbolic" else Fraction(args.eps)
     if args.suite == "kn" and eps is not None and eps >= 0:
         raise ValueError(f"the kn suite needs a negative eps, got {args.eps}")
+    if args.suite in ("rank", "all") and args.order < MIN_RANK_ORDER:
+        raise ValueError(f"the rank suite needs --order >= {MIN_RANK_ORDER}, got {args.order}")
+    if args.suite in ("kn", "all"):
+        kncheck.default_tolerance(args.precision)   # rejects too few digits up front
     points = [Fraction(p) for p in args.points.split(",")] if args.points else \
         [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)]
     # list only the inputs that the selected suites read

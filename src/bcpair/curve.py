@@ -2,10 +2,10 @@
 
 The curve is w^2 = W(z) with W(z) = 1 - 2 z^3 - (eps^4/3888) z^4 + z^6 and
 marked point q = (0, 1).  Elements of the quadratic extension of the rational
-function field in (x, z) are ``a + b*w`` with w^2 rewritten via W; ``a`` and
-``b`` are ``XZFraction``s, quotients of exact ``ZSeries`` (polynomials in z
-over ``XLaurent``), so expanding them at q is one series division.  The sheet
-swap ``sigma`` negates the w-part.  The chi functions, the eigenvalue
+function field in (x, z) are single fractions ``(a + b*w)/den`` with w^2
+rewritten via W; ``a``, ``b`` and ``den`` are exact ``ZSeries`` (polynomials
+in z over ``XLaurent``), so expanding one at q is one series division.  The
+sheet swap ``sigma`` negates the w-part.  The chi functions, the eigenvalue
 functions ``lambda`` (pole order 3 at q) and ``mu`` (pole order 4), and their
 z-expansions all live here.
 
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XLaurent, XZFraction, ZSeries,
-                    fraction_equal, series_divide, series_sqrt)
+from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XLaurent, ZSeries,
+                    series_divide, series_sqrt, xl)
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,6 @@ class CurveDef:
     """
 
     w_eps_power: int = 4
-
-    @property
-    def tag(self) -> str:
-        return f"eps{self.w_eps_power}"
 
     def w_squared(self) -> ZSeries:
         """W(z) as an exact z-series (x-degree zero)."""
@@ -59,23 +55,28 @@ assert len(DEFAULT_CURVE.w_squared().coeffs) == 7
 
 
 class CurveElem:
-    """Element a + b*w of the quadratic extension, over a fixed curve."""
+    """Element (a + b*w)/den of the quadratic extension, over a fixed curve.
 
-    __slots__ = ("a", "b", "curve")
+    There is no canonical form: numerators and denominator are kept exactly as
+    arithmetic produced them (no multivariate gcd), and equality is by cross
+    multiplication.
+    """
 
-    def __init__(self, a: XZFraction, b: XZFraction | None = None,
+    __slots__ = ("a", "b", "den", "curve")
+
+    def __init__(self, a: ZSeries, b: ZSeries | None = None, den: ZSeries | None = None,
                  curve: CurveDef = DEFAULT_CURVE):
+        den = ZSeries.one() if den is None else den
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator in CurveElem")
         self.a = a
-        self.b = b if b is not None else XZFraction.zero()
+        self.b = ZSeries.zero() if b is None else b
+        self.den = den
         self.curve = curve
 
     @classmethod
-    def zero(cls, curve: CurveDef = DEFAULT_CURVE) -> "CurveElem":
-        return cls(XZFraction.zero(), curve=curve)
-
-    @classmethod
     def one(cls, curve: CurveDef = DEFAULT_CURVE) -> "CurveElem":
-        return cls(XZFraction.one(), curve=curve)
+        return cls(ZSeries.one(), curve=curve)
 
     def _check(self, other: "CurveElem"):
         if self.curve != other.curve:
@@ -86,29 +87,32 @@ class CurveElem:
 
     def __add__(self, other: "CurveElem") -> "CurveElem":
         self._check(other)
-        return CurveElem(self.a + other.a, self.b + other.b, self.curve)
+        if self.den == other.den:
+            return CurveElem(self.a + other.a, self.b + other.b, self.den, self.curve)
+        return CurveElem(self.a * other.den + other.a * self.den,
+                         self.b * other.den + other.b * self.den,
+                         self.den * other.den, self.curve)
 
     def __sub__(self, other: "CurveElem") -> "CurveElem":
-        self._check(other)
-        return CurveElem(self.a - other.a, self.b - other.b, self.curve)
+        return self + (-other)
 
     def __neg__(self) -> "CurveElem":
-        return CurveElem(-self.a, -self.b, self.curve)
+        return CurveElem(-self.a, -self.b, self.den, self.curve)
 
     def __mul__(self, other) -> "CurveElem":
         if isinstance(other, (int, Fraction, EpsPoly)):
-            return CurveElem(self.a * other, self.b * other, self.curve)
+            return CurveElem(self.a.scale(other), self.b.scale(other), self.den, self.curve)
         self._check(other)
-        wsq = XZFraction(self.curve.w_squared())
-        a = self.a * other.a + (self.b * other.b) * wsq
+        a = self.a * other.a + self.b * other.b * self.curve.w_squared()
         b = self.a * other.b + self.b * other.a
-        return CurveElem(a, b, self.curve)
+        return CurveElem(a, b, self.den * other.den, self.curve)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CurveElem) and self.curve == other.curve
-                and fraction_equal(self.a, other.a) and fraction_equal(self.b, other.b))
+                and (self.a * other.den - other.a * self.den).is_zero()
+                and (self.b * other.den - other.b * self.den).is_zero())
 
     def power(self, k: int) -> "CurveElem":
         out = CurveElem.one(self.curve)
@@ -118,98 +122,92 @@ class CurveElem:
 
     def sigma_conj(self) -> "CurveElem":
         """The hyperelliptic involution (z, w) -> (z, -w): negate the w-part."""
-        return CurveElem(self.a, -self.b, self.curve)
+        return CurveElem(self.a, -self.b, self.den, self.curve)
 
-    def norm(self) -> XZFraction:
-        """(a + bw)(a - bw) = a^2 - b^2 W, a w-free function."""
-        return self.a * self.a - (self.b * self.b) * XZFraction(self.curve.w_squared())
+    def norm(self) -> "CurveElem":
+        """(a + bw)(a - bw)/den^2 = (a^2 - b^2 W)/den^2, a w-free function."""
+        return CurveElem(self.a * self.a - self.b * self.b * self.curve.w_squared(),
+                         den=self.den * self.den, curve=self.curve)
 
     def derive(self) -> "CurveElem":
-        """d/dx; z and w are constants of the derivation."""
-        return CurveElem(self.a.derive_x(), self.b.derive_x(), self.curve)
+        """d/dx by the quotient rule; z and w are constants of the derivation."""
+        dd = self.den.derive()
+        return CurveElem(self.a.derive() * self.den - self.a * dd,
+                         self.b.derive() * self.den - self.b * dd,
+                         self.den * self.den, self.curve)
 
     def substitute_eps(self, value) -> "CurveElem":
+        den = self.den.substitute_eps(value)
+        if den.is_zero():
+            raise ZeroDivisionError("denominator vanishes at this eps value")
         return CurveElem(self.a.substitute_eps(value), self.b.substitute_eps(value),
-                         self.curve)
+                         den, self.curve)
 
     def __repr__(self):
-        return f"CurveElem(a={self.a!r}, b={self.b!r})"
+        return f"CurveElem(a={self.a!r}, b={self.b!r}, den={self.den!r})"
 
 
 # ---------------------------------------------------------------------------
 # the concrete meromorphic data
 # ---------------------------------------------------------------------------
 
+def _zpoly(zc: dict) -> ZSeries:
+    """Polynomial in z from ``{z_exp: {x_exp: rational or {eps_exp: rational}}}``."""
+    return ZSeries.from_z_coefficients({e: xl(c) for e, c in zc.items()})
+
+
 def _kappa() -> ZSeries:
     """kappa = (eps^2 + x^3) z^3 - x^3, the common denominator of the chi's."""
-    return _mono(0, 3, EpsPoly.eps_power(2)) + _mono(3, 3) - _mono(3, 0)
-
-
-def _frac(num: ZSeries, den: ZSeries) -> XZFraction:
-    return XZFraction(num, den)
-
-
-def _mono(xe: int, ze: int, coeff=1) -> ZSeries:
-    """coeff * x^xe * z^ze as an exact z-series."""
-    return ZSeries.from_z_coefficients({ze: XLaurent.monomial(xe, coeff)})
+    return _zpoly({0: {3: -1}, 3: {0: {2: 1}, 3: 1}})
 
 
 def chi(j: int, curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
     """The three ratios chi_0, chi_1, chi_2 steering the rank-3 reduction.
 
-    chi_2 is sigma-invariant (w-part identically zero); chi_0 has the simple
-    pole in z at the marked point.
+    Each is stored over its common denominator, a multiple of kappa.  chi_2 is
+    sigma-invariant (w-part identically zero); chi_0 has the simple pole in z
+    at the marked point.
     """
     if j not in (0, 1, 2):
         raise ValueError("chi index must be 0, 1 or 2")
     kappa = _kappa()
     if j == 2:
         # -3 eps^2 z^3 / (x kappa)
-        num = _mono(0, 3, EpsPoly.eps_power(2, -3))
-        return CurveElem(_frac(num, _mono(1, 0) * kappa), curve=curve)
+        return CurveElem(_zpoly({3: {0: {2: -3}}}), den=_zpoly({0: {1: 1}}) * kappa,
+                         curve=curve)
     if j == 1:
         # (132 eps^2 z^3 - x^3 (204 - 204 z^3 + 108 w + eps^2 z^2)) / (12 x^2 kappa)
-        den = _mono(2, 0, 12) * kappa
-        a_num = (_mono(0, 3, EpsPoly.eps_power(2, 132))
-                 - _mono(3, 0, 204) + _mono(3, 3, 204)
-                 - _mono(3, 2, EpsPoly.eps_power(2)))
-        b_num = _mono(3, 0, -108)
-        return CurveElem(_frac(a_num, den), _frac(b_num, den), curve)
-    # chi_0, assembled term by term exactly as displayed
-    a = _frac(_mono(0, 0), _mono(0, 1, 2))                                   # 1/(2z)
-    a = a - _frac(_mono(3, 0) * (_mono(0, 0, EpsPoly.eps_power(2)) + _mono(3, 0)),
-                  _mono(0, 0, 5832))                                          # -x^3(eps^2+x^3)/5832
-    a = a + _frac(_mono(0, 3, 10) - _mono(0, 0, 10), kappa)                   # 10(z^3-1)/kappa
-    a = a + _frac(_mono(3, 1, EpsPoly.eps_power(2)), kappa * _mono(0, 0, 216))
-    a = a - _frac(_mono(0, 2, EpsPoly.eps_power(2)), kappa * _mono(0, 0, 6))
-    a = a + _frac(_mono(0, 3, EpsPoly.eps_power(2, 16)), kappa * _mono(3, 0))
-    b = _frac(_mono(0, 0, -108), kappa * _mono(0, 0, 6))                      # -108 w/(6 kappa)
-    b = b - _frac(_mono(3, 0), kappa * _mono(0, 1, 2))                        # -x^3 w/(2 kappa z)
-    return CurveElem(a, b, curve)
+        a = _zpoly({0: {3: -204}, 2: {3: {2: -1}}, 3: {0: {2: 132}, 3: 204}})
+        return CurveElem(a, _zpoly({0: {3: -108}}), _zpoly({0: {2: 12}}) * kappa, curve)
+    # the displayed
+    #   1/(2z) - x^3 (eps^2 + x^3)/5832 + 10 (z^3 - 1)/kappa + eps^2 x^3 z/(216 kappa)
+    #   - eps^2 z^2/(6 kappa) + 16 eps^2 z^3/(x^3 kappa) - 18 w/kappa - x^3 w/(2 z kappa)
+    # over 11664 x^3 z kappa
+    a = _zpoly({0: {6: -5832},
+                1: {12: 2, 9: {2: 2}, 3: -116640},
+                2: {6: {2: 54}},
+                3: {6: 5832, 3: {2: 3888}},
+                4: {12: -2, 9: {2: -4}, 6: {4: -2}, 3: 116640, 0: {2: 186624}}})
+    b = _zpoly({0: {6: -5832}, 1: {3: -209952}})
+    return CurveElem(a, b, _zpoly({1: {3: 11664}}) * kappa, curve)
 
 
 def lambda_fn(curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
-    """(1 + w)/(2 z^3) - 1/2: pole of order 3 at the marked point."""
-    den = _mono(0, 3, 2)
-    return CurveElem(_frac(_mono(0, 0), den) - _frac(_mono(0, 0), _mono(0, 0, 2)),
-                     _frac(_mono(0, 0), den), curve)
+    """(1 - z^3 + w)/(2 z^3): pole of order 3 at the marked point."""
+    return CurveElem(_zpoly({0: {0: 1}, 3: {0: -1}}), ZSeries.one(), _zpoly({3: {0: 2}}),
+                     curve)
 
 
 def mu_fn(curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
-    """(1 + w)/(2 z^4) - 1/(2 z): pole of order 4; equals lambda/z."""
-    den = _mono(0, 4, 2)
-    return CurveElem(_frac(_mono(0, 0), den) - _frac(_mono(0, 0), _mono(0, 1, 2)),
-                     _frac(_mono(0, 0), den), curve)
+    """(1 - z^3 + w)/(2 z^4): pole of order 4; equals lambda/z."""
+    return CurveElem(_zpoly({0: {0: 1}, 3: {0: -1}}), ZSeries.one(), _zpoly({4: {0: 2}}),
+                     curve)
 
 
 def curve_series(e: CurveElem, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
-    """Laurent expansion of ``a + b*w`` at the marked point q = (0, 1)."""
-    a = series_divide(e.a.num, e.a.den, nterms=order) if not e.a.is_zero() else ZSeries.zero()
-    if e.b.is_zero():
-        return a
-    b = series_divide(e.b.num, e.b.den, nterms=order)
-    w = e.curve.w_series(order)
-    return a + b * w
+    """Laurent expansion of ``(a + b*w)/den`` at the marked point q = (0, 1)."""
+    num = e.a if e.b.is_zero() else e.a + e.b * e.curve.w_series(order)
+    return series_divide(num, e.den, nterms=order)
 
 
 def bc_function_identity(curve: CurveDef = DEFAULT_CURVE, eps=None) -> bool:

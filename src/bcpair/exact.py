@@ -11,9 +11,6 @@ Everything downstream computes over these types:
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.
-* ``XZFraction``   -- quotients of exact ``ZSeries``: the rational functions in
-  ``(x, z)``, with equality by cross multiplication.  No canonical form, no
-  multivariate gcd.
 * ``BivarPoly``    -- polynomials in two commuting placeholders ``(z, w)`` over
   ``EpsPoly``; used for algebraic relations between a pair of operators.
 
@@ -489,81 +486,6 @@ _XL_ONE = XLaurent.one()
 def xl(coeffs: dict[int, object]) -> XLaurent:
     """Shorthand constructor: ``{x_exp: rational or {eps_exp: rational}}``."""
     return XLaurent({e: EpsPoly(v) if isinstance(v, dict) else v for e, v in coeffs.items()})
-
-
-# ---------------------------------------------------------------------------
-# fractions in (x, z): quotients of exact z-series
-# ---------------------------------------------------------------------------
-
-class XZFraction:
-    """Quotient of two exact ``ZSeries`` (polynomials in ``z`` over ``XLaurent``).
-
-    Equality is by cross multiplication.  There is no canonical form:
-    numerator and denominator are kept exactly as arithmetic produced them
-    (no multivariate gcd).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ZSeries, den: ZSeries | None = None):
-        if den is None:
-            den = ZSeries.one()
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in XZFraction")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def zero(cls) -> "XZFraction":
-        return cls(ZSeries.zero())
-
-    @classmethod
-    def one(cls) -> "XZFraction":
-        return cls(ZSeries.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "XZFraction") -> "XZFraction":
-        return XZFraction(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    def __sub__(self, other: "XZFraction") -> "XZFraction":
-        return XZFraction(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
-
-    def __neg__(self) -> "XZFraction":
-        return XZFraction(-self.num, self.den)
-
-    def __mul__(self, other) -> "XZFraction":
-        if isinstance(other, (int, Fraction, EpsPoly)):
-            return XZFraction(self.num.scale(other), self.den)
-        return XZFraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "XZFraction") -> "XZFraction":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero XZFraction")
-        return XZFraction(self.num * other.den, self.den * other.num)
-
-    def derive_x(self) -> "XZFraction":
-        return XZFraction(self.num.derive() * self.den - self.num * self.den.derive(),
-                          self.den * self.den)
-
-    def substitute_eps(self, value) -> "XZFraction":
-        den = self.den.substitute_eps(value)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at this eps value")
-        return XZFraction(self.num.substitute_eps(value), den)
-
-    def __repr__(self):
-        return f"({self.num}) / ({self.den})"
-
-
-def fraction_equal(a: XZFraction, b: XZFraction) -> bool:
-    """Exact equality of fractions: a.num*b.den - b.num*a.den == 0."""
-    return (a.num * b.den - b.num * a.den).is_zero()
 
 
 # ---------------------------------------------------------------------------

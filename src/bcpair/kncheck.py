@@ -25,6 +25,9 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf, mpmathify
 
+from .curve import DEFAULT_CURVE, chi
+from .exact import XLaurent, ZSeries
+
 GUARD_DIGITS = 10
 
 _BINOM_MAX = 8
@@ -127,7 +130,7 @@ class Jet:
 # gamma and its exact derivatives
 # ---------------------------------------------------------------------------
 
-def _check_domain(x, eps):
+def _check_domain(eps):
     eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
     if eps >= 0:
         raise ValueError("eps must be negative")
@@ -140,7 +143,7 @@ def gamma_eval(x, eps, derivatives: int = 4, precision: int = 60):
     ``x`` must be real with x^3 + eps^2 > 0; returns derivative values
     0..``derivatives`` at the requested decimal precision.
     """
-    eps = _check_domain(x, eps)
+    eps = _check_domain(eps)
     if derivatives < 0 or derivatives > 4:
         raise ValueError("0 to 4 derivatives are available")
     with mp.workdps(precision + GUARD_DIGITS):
@@ -215,7 +218,7 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
     chi_0 and never satisfies the system); ``variant="displayed"`` keeps the
     published forms, for demonstrating that failure.
     """
-    eps = _check_domain(x, eps)
+    eps = _check_domain(eps)
     with mp.workdps(precision + GUARD_DIGITS):
         I = mpc(0, 1)
         gs = gamma_eval(x, eps, 4, precision)
@@ -341,16 +344,30 @@ def _zpoly_dz(coeffs):
     return [k * coeffs[k] for k in range(1, len(coeffs))]
 
 
+def _xlaurent_jet(c: XLaurent, xj: Jet, ev) -> Jet:
+    """The Laurent polynomial ``c`` at the jet ``xj`` of x and at eps = ``ev``."""
+    out = Jet.const(0, xj.order)
+    for (xe, ee), n in c.num.items():
+        out = out + (n * ev**ee / c.den) * (xj**xe if xe >= 0 else (1 / xj) ** -xe)
+    return out
+
+
+def _zpoly_jets(p: ZSeries, xj: Jet, ev) -> list:
+    """The z-coefficients of the exact z-polynomial ``p``, lowest power first, as jets."""
+    return ([Jet.const(0, xj.order)] * p.lowest
+            + [_xlaurent_jet(c, xj, ev) for c in p.coeffs])
+
+
 def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
     """alpha_ij and d_ij extracted from the chi functions at their poles.
 
     This is the defining property of the pole data (residue and constant term
-    of each chi at each of the six poles) computed straight from the verified
-    rational closed forms, with none of the intermediate parameter formulas.  It
-    serves as the independent cross-check of the formula path.  Returns
-    (alphas, ds) with the same indexing as KNData.
+    of each chi at each of the six poles) computed straight from the exact
+    ``curve.chi`` fractions and ``W(z)``, with none of the intermediate
+    parameter formulas.  It serves as the independent cross-check of the
+    formula path.  Returns (alphas, ds) with the same indexing as KNData.
     """
-    eps = _check_domain(x, eps)
+    eps = _check_domain(eps)
     with mp.workdps(precision + GUARD_DIGITS):
         I = mpc(0, 1)
         ev = mpmathify(eps)
@@ -359,31 +376,11 @@ def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
         xj = Jet((mpmathify(x), mpf(1), mpf(0), mpf(0), mpf(0)))
         a = (-1 + mp.sqrt(mpf(3)) * I) / 2
         aa = [mpc(1), a, a.conjugate()]
-        zero, one = Jet.const(0, 4), Jet.const(1, 4)
-        x2 = xj * xj
-        x3 = x2 * xj
-        x6 = x3 * x3
-        u = x3 + ev**2
-        kappa = [-x3, zero, zero, u]
 
-        # chi_j = (Na + Nb w)/D over the common denominators of the displays
-        d0 = [zero] + [11664 * (x3 * c) for c in kappa]
-        na0 = [5832 * (x3 * c) for c in kappa] + [zero]
-        t2 = [zero] + [-2 * (x6 * u * c) for c in kappa]
-        extra = [zero, -116640 * x3, 54 * ev**2 * x6, -1944 * ev**2 * x3,
-                 116640 * x3 + Jet.const(186624 * ev**2, 4)]
-        na0 = [na0[i] + t2[i] + extra[i] for i in range(5)]
-        nb0 = [-5832 * x6, -209952 * x3]
-        d1 = [12 * (x2 * c) for c in kappa]
-        na1 = [-204 * x3, zero, -(ev**2) * x3, Jet.const(132 * ev**2, 4) + 204 * x3]
-        nb1 = [-108 * x3]
-        d2 = [xj * c for c in kappa]
-        na2 = [zero, zero, zero, Jet.const(-3 * ev**2, 4)]
-        nb2 = [zero]
-        chis = [(na0, nb0, d0), (na1, nb1, d1), (na2, nb2, d2)]
-
-        wcoeffs = [one, zero, zero, Jet.const(-2, 4),
-                   Jet.const(-(ev**4) / 3888, 4), zero, one]
+        # chi_j = (Na + Nb w)/D, each a polynomial in z with jet coefficients
+        chis = [[_zpoly_jets(p, xj, ev) for p in (c.a, c.b, c.den)]
+                for c in (chi(j) for j in range(3))]
+        wcoeffs = _zpoly_jets(DEFAULT_CURVE.w_squared(), xj, ev)
         wprime = _zpoly_dz(wcoeffs)
 
         alphas = [[None] * 3 for _ in range(6)]
@@ -397,13 +394,11 @@ def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
             wz = _zpoly_eval(wprime, z0) / (2 * w)
             for j, (na, nb, dd) in enumerate(chis):
                 dp, dpp = _zpoly_dz(dd), _zpoly_dz(_zpoly_dz(dd))
-                nap = _zpoly_dz(na)
-                nbp = _zpoly_dz(nb) if len(nb) > 1 else []
                 dpv = _zpoly_eval(dp, z0)
                 nav, nbv = _zpoly_eval(na, z0), _zpoly_eval(nb, z0)
                 res = (nav + nbv * w) / dpv          # residue at the simple pole
-                const = ((_zpoly_eval(nap, z0)
-                          + (_zpoly_eval(nbp, z0) if nbp else Jet.const(0, 4)) * w
+                const = ((_zpoly_eval(_zpoly_dz(na), z0)
+                          + _zpoly_eval(_zpoly_dz(nb), z0) * w
                           + nbv * wz
                           - res * (_zpoly_eval(dpp, z0) * mpf("0.5"))) / dpv)
                 alphas[i][j] = -res / (aa[s] * gp)
@@ -411,7 +406,15 @@ def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
         return alphas, ds
 
 
+#: below this many digits the default tolerance (10^-10 at 30) proves nothing
+MIN_PRECISION = 30
+
+
 def default_tolerance(precision: int):
+    """10^-(precision - 20); ``precision`` must be at least ``MIN_PRECISION``."""
+    if precision < MIN_PRECISION:
+        raise ValueError(f"the kn check needs precision >= {MIN_PRECISION} digits "
+                         f"(tolerance 1e-10), got {precision}")
     return mpf(10) ** (-(precision - 20))
 
 

@@ -289,3 +289,19 @@ def test_cli_negative_eps_as_separate_argument(tmp_path, capsys):
     assert main(["verify", "commute", "--eps", "-1/2", "--json", str(path)]) == 0
     capsys.readouterr()
     assert json.loads(path.read_text())["inputs"]["eps"] == "-1/2"
+
+
+def test_cli_rank_order_below_minimum_is_usage_error(capsys):
+    # an 11-term window is too short for 8 verified non-negative orders of L2:
+    # a usage error naming the minimum, not a false FAIL of the correct pair
+    for argv in (["verify", "rank", "--order", "11"], ["verify", "all", "--order", "5"]):
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert "--order >= 12" in out.err and "FAIL" not in out.out
+
+
+def test_cli_kn_precision_below_minimum_is_usage_error(capsys):
+    # 5 digits would mean a tolerance of 1e15, a vacuous pass
+    assert main(["verify", "kn", "--eps", "-1", "--precision", "5"]) == 2
+    out = capsys.readouterr()
+    assert "precision >= 30" in out.err and "PASS" not in out.out

@@ -5,12 +5,38 @@ from fractions import Fraction
 
 import pytest
 
-from bcpair import (CurveDef, CurveElem, EpsPoly, XLaurent, XZFraction,
-                    bc_function_identity, chi, curve_series, fraction_equal,
-                    lambda_fn, mu_fn, xl, zeta1, zeta2)
-from bcpair.curve import _kappa, _mono
+from bcpair import (CurveDef, CurveElem, EpsPoly, XLaurent, ZSeries,
+                    bc_function_identity, chi, curve_series, lambda_fn, mu_fn,
+                    xl, zeta1, zeta2)
 
 F = Fraction
+ZERO, ONE = ZSeries.zero(), ZSeries.one()
+E2 = EpsPoly.eps_power(2)
+
+
+def mono(xe: int, ze: int, coeff=1) -> ZSeries:
+    """coeff * x^xe * z^ze as an exact z-series."""
+    return ZSeries.from_z_coefficients({ze: XLaurent.monomial(xe, coeff)})
+
+
+def kappa() -> ZSeries:
+    """(eps^2 + x^3) z^3 - x^3."""
+    return mono(0, 3, E2) + mono(3, 3) - mono(3, 0)
+
+
+def displayed_chi0(curve: CurveDef) -> CurveElem:
+    """chi_0 summed term by term exactly as the paper displays it."""
+    def term(num, den, w=False):
+        return CurveElem(ZERO, num, den, curve) if w else CurveElem(num, den=den, curve=curve)
+    k = kappa()
+    return (term(mono(0, 0), mono(0, 1, 2))                                      # 1/(2z)
+            - term(mono(3, 0) * (mono(0, 0, E2) + mono(3, 0)), mono(0, 0, 5832))
+            + term(mono(0, 3, 10) - mono(0, 0, 10), k)                           # 10(z^3-1)/kappa
+            + term(mono(3, 1, E2), k * mono(0, 0, 216))
+            - term(mono(0, 2, E2), k * mono(0, 0, 6))
+            + term(mono(0, 3, EpsPoly.eps_power(2, 16)), k * mono(3, 0))
+            + term(mono(0, 0, -108), k * mono(0, 0, 6), w=True)                  # -108 w/(6 kappa)
+            - term(mono(3, 0), k * mono(0, 1, 2), w=True))                       # -x^3 w/(2 kappa z)
 
 
 def test_curve_model():
@@ -40,27 +66,31 @@ def test_sigma_is_involution_and_fixes_rational_part():
 def test_chi2_closed_form():
     c2 = chi(2)
     assert c2.b.is_zero()
-    expect = XZFraction(_mono(0, 3, EpsPoly.eps_power(2, -3)),
-                        _mono(1, 0) * _kappa())
-    assert fraction_equal(c2.a, expect)
+    assert c2 == CurveElem(mono(0, 3, EpsPoly.eps_power(2, -3)), den=mono(1, 0) * kappa())
 
 
 def test_chi1_w_part():
     # -108 x^3 / (12 x^2 kappa) simplifies to -9x/kappa
     c1 = chi(1)
-    expect = XZFraction(_mono(1, 0, -9), _kappa())
-    assert fraction_equal(c1.b, expect)
+    assert CurveElem(ZERO, c1.b, c1.den) == CurveElem(ZERO, mono(1, 0, -9), kappa())
+
+
+def test_chi0_equals_displayed_form():
+    for curve in (CurveDef(), CurveDef(w_eps_power=2)):
+        c0 = chi(0, curve)
+        assert c0 == displayed_chi0(curve)
+        assert c0.den == mono(3, 1, 11664) * kappa()
 
 
 def test_lambda_mu_relation():
     lam, mu = lambda_fn(), mu_fn()
-    z = CurveElem(XZFraction(_mono(0, 1)))
+    z = CurveElem(mono(0, 1))
     assert (mu * z - lam).is_zero()
 
 
 def test_sigma_of_lambda():
     lam = lambda_fn()
-    expect = CurveElem(lam.a, -lam.b)
+    expect = CurveElem(lam.a, -lam.b, lam.den)
     assert lam.sigma_conj() == expect
 
 
@@ -69,10 +99,10 @@ def test_norm_is_w_free():
     n = lam.norm()
     # (lambda + 1/2)(sigma(lambda) + 1/2) = (1 - W)/(4 z^6); check the norm
     # of (1+w): norm(1+w) = 1 - W
-    one_plus_w = CurveElem(XZFraction.one(), XZFraction.one())
-    w2 = XZFraction(CurveDef().w_squared())
-    assert fraction_equal(one_plus_w.norm(), XZFraction.one() - w2)
-    assert isinstance(n, XZFraction)
+    one_plus_w = CurveElem(ONE, ONE)
+    assert one_plus_w.norm() == CurveElem(ONE - CurveDef().w_squared())
+    assert isinstance(n, CurveElem) and n.b.is_zero()
+    assert n == lam * lam.sigma_conj()
 
 
 def test_chi0_series_values():
@@ -129,12 +159,21 @@ def test_bc_function_identity_cases():
     assert bc_function_identity(CurveDef(w_eps_power=2), eps=0) is True
 
 
+def test_bc_identity_denominator_stays_small():
+    # + and - multiply denominators only when they differ: mu^3, mu^2, lambda^4
+    # and lambda^3 sit over z^12, z^8, z^12 and z^9, so the sum ends over z^41
+    lam, mu = lambda_fn(), mu_fn()
+    q = (mu.power(3) - mu.power(2) * EpsPoly.eps_power(4, F(1, 15552))
+         - lam.power(4) - lam.power(3))
+    assert q.is_zero()
+    assert q.den.lowest + len(q.den.coeffs) - 1 <= 41
+
+
 def test_curve_elem_derive():
     c2 = chi(2)
     d = c2.derive()
-    num, den = c2.a.num, c2.a.den
-    expect = XZFraction(num.derive() * den - num * den.derive(), den * den)
-    assert fraction_equal(d.a, expect)
+    num, den = c2.a, c2.den
+    assert d == CurveElem(num.derive() * den - num * den.derive(), den=den * den)
     assert d.b.is_zero()
 
 

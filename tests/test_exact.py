@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcpair import (EpsPoly, ExactError, XLaurent, XZFraction, ZSeries,
-                    ep, fraction_equal, series_sqrt, xl)
+from bcpair import (CurveElem, EpsPoly, ExactError, XLaurent, ZSeries, ep,
+                    series_sqrt, xl)
 from bcpair.exact import series_divide
 from conftest import random_xlaurent, rng
 
@@ -109,41 +109,53 @@ def test_xlaurent_view_is_read_only_and_built_once():
 
 
 # ---------------------------------------------------------------------------
-# fractions
+# fractions (a + b*w)/den on the curve
 # ---------------------------------------------------------------------------
 
+ZERO, ONE = ZSeries.zero(), ZSeries.one()
+
+
 def test_fraction_equal_monomials():
-    z3 = XZFraction(mono(0, 3), mono(0, 4))
-    inv_z = XZFraction(ZSeries.one(), mono(0, 1))
-    assert fraction_equal(z3, inv_z)
+    # z^3/z^4 == 1/z, in the rational part and in the w-part alike
+    assert CurveElem(mono(0, 3), den=mono(0, 4)) == CurveElem(ONE, den=mono(0, 1))
+    assert CurveElem(ZERO, mono(0, 3), mono(0, 4)) == CurveElem(ZERO, ONE, mono(0, 1))
+    assert CurveElem(mono(0, 3), den=mono(0, 4)) != CurveElem(ZERO, ONE, mono(0, 1))
 
 
 def test_fraction_equal_kappa():
     k = kappa_poly()
-    assert fraction_equal(XZFraction(k, k), XZFraction(ZSeries.one(), ZSeries.one()))
+    assert CurveElem(k, den=k) == CurveElem.one()
+    assert CurveElem(k, k, k) == CurveElem(ONE, ONE)       # (1 + w) kappa / kappa
 
 
 def test_fraction_unequal_generic_eps():
     num = mono(0, 3, EpsPoly.eps_power(2, 3))
-    a = XZFraction(num, mono(1, 0) * kappa_poly())
-    b = XZFraction(num, mono(1, 0) * mono(3, 3))
-    assert not fraction_equal(a, b)
+    a = CurveElem(num, den=mono(1, 0) * kappa_poly())
+    b = CurveElem(num, den=mono(1, 0) * mono(3, 3))
+    assert a != b
+    assert CurveElem(ZERO, num, a.den) != CurveElem(ZERO, num, b.den)
 
 
 def test_fraction_arithmetic_and_derivative():
-    # d/dx (x / (x + x^2 z)) has the quotient-rule cross terms
-    f = XZFraction(mono(1, 0), mono(1, 0) + mono(2, 1))
-    g = f.derive_x()
-    # compare against hand-built result via cross multiplication
-    num = mono(1, 0)
+    # d/dx ((x + x^2 w) / (x + x^2 z)) has the quotient-rule cross terms
+    num_a, num_b = mono(1, 0), mono(2, 0)
     den = mono(1, 0) + mono(2, 1)
-    expect = XZFraction(num.derive() * den - num * den.derive(), den * den)
-    assert fraction_equal(g, expect)
+    f = CurveElem(num_a, num_b, den)
+    expect = CurveElem(num_a.derive() * den - num_a * den.derive(),
+                       num_b.derive() * den - num_b * den.derive(), den * den)
+    assert f.derive() == expect
+    assert f.derive() != CurveElem(num_a.derive(), num_b.derive(), den)
+    # an x-free denominator leaves the numerators' derivative: d/dx (x^2 + x w)/z = (2x + w)/z
+    assert CurveElem(mono(2, 0), mono(1, 0), mono(0, 1)).derive() == \
+        CurveElem(mono(1, 0, 2), ONE, mono(0, 1))
+    assert f + f == f * 2 and (f - f).is_zero()
 
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        XZFraction(ZSeries.one(), ZSeries.zero())
+        CurveElem(ONE, den=ZERO)
+    with pytest.raises(ZeroDivisionError):
+        CurveElem(ONE, ONE, mono(1, 2, EpsPoly.eps_power(2))).substitute_eps(0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +163,7 @@ def test_zero_denominator_rejected():
 # ---------------------------------------------------------------------------
 
 def test_fraction_expansion_geometric():
-    f = XZFraction(ZSeries.one(), ZSeries.one() - mono(0, 1))
-    s = series_divide(f.num, f.den, nterms=4)
+    s = series_divide(ZSeries.one(), ZSeries.one() - mono(0, 1), nterms=4)
     assert [s.coefficient(k) for k in range(4)] == [XLaurent.one()] * 4
 
 
@@ -169,17 +180,15 @@ def test_fraction_expansion_chi2_shape():
 
 
 def test_fraction_expansion_z3_over_kappa():
-    f = XZFraction(mono(0, 3), kappa_poly())
-    s = series_divide(f.num, f.den, nterms=6)
+    s = series_divide(mono(0, 3), kappa_poly(), nterms=6)
     assert s.coefficient(3) == xl({-3: -1})
     back = s * kappa_poly()
     assert back.eq_known(mono(0, 3))
 
 
 def test_fraction_expansion_rejects_bad_leading():
-    f = XZFraction(ZSeries.one(), ZSeries.one() + mono(1, 0))
     with pytest.raises(ExactError):
-        series_divide(f.num, f.den, nterms=4)
+        series_divide(ZSeries.one(), ZSeries.one() + mono(1, 0), nterms=4)
 
 
 def test_series_divide_round_trip_seeded():

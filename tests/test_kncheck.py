@@ -1,7 +1,11 @@
 """High-precision verification of the pole-data compatibility system."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, workdps
@@ -139,6 +143,29 @@ def test_kn_check_multipoint():
     assert rep.max_gamma_residual < mpf(10) ** -50
 
 
+def test_default_tolerance_rejects_vacuous_precision():
+    assert default_tolerance(30) == mpf(10) ** -10
+    for precision in (29, 5, -1):
+        with pytest.raises(ValueError, match="precision >= 30"):
+            default_tolerance(precision)
+    with pytest.raises(ValueError, match="precision >= 30"):
+        kn_check(points=(2,), eps=-1, precision=5)
+
+
 def test_kn_residuals_other_eps():
     data = kn_residuals(3, F(-1, 2), 60)
     assert data.max_residual < default_tolerance(60)
+
+
+def test_residual_scan_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "residual_scan.py"),
+         "--precisions", "30", "--points", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    row = proc.stdout.splitlines()[-1]
+    assert row.split("|")[0].strip() == "30" and "principal" in row
