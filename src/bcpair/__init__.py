@@ -16,6 +16,15 @@ from .pipeline import (AffineSolutionSet, PipelineError, Rank3Report,
 from .kncheck import (BranchAssignment, KNData, KNReport, gamma_eval,
                       gamma_equation_residual, kn_check, kn_residuals,
                       pole_data_from_chi)
-from .cli import main, parse_op, print_op
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("main", "parse_op", "print_op")
+
+
+def __getattr__(name):
+    # the command-line module (argparse, reports) loads on first use only
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

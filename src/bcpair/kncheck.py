@@ -10,8 +10,12 @@ branch choices, searched over a finite set when the principal ones fail.
 The formulas read (-3)^(3/4), c4^(1/4) and sqrt(gamma') only through
 (-3)^(3/4) / (c4^(1/4) sqrt(gamma')), so rotating them by i^a, i^b and
 (-1)^c rotates every term by the same i^(a - b + 2c): one phase in Z/4.
-With the sign of sqrt(3 c4) that makes eight global choices; the sheet of w
-at each pole pair only moves that pair's equations.
+With the sign of sqrt(3 c4) that makes eight global choices, searched with
+one evaluation each.  The sheet of w at a pole pair is a pole labelling:
+taking the other sheet at pole s gives exactly the equations of pole s + 3,
+so the search keeps w principal.  The residuals read the alphas to order 1
+and the ds to order 0, so the jets are truncated to order 1 once the higher
+derivatives of gamma are taken.
 
 Only eps < 0 is supported; the closed-form solution of the gamma equation
 assumes it, and positive eps is untested territory.
@@ -65,30 +69,40 @@ class Jet:
             raise ValueError("jet order too low for a derivative")
         return Jet(self.d[1:])
 
+    def truncate(self, order: int) -> "Jet":
+        """The same jet without the derivatives above ``order``."""
+        return Jet(self.d[:order + 1])
+
+    # A scalar operand acts on the entries directly.  That is bit-identical to
+    # promoting it through ``Jet.const``: the padded zeros only add exact zeros.
+
     def _pair(self, other):
-        if not isinstance(other, Jet):
-            other = Jet.const(other, self.order)
         n = min(len(self.d), len(other.d))
         return self.d[:n], other.d[:n], n
 
     def __add__(self, other):
+        if not isinstance(other, Jet):
+            return Jet((self.d[0] + other,) + self.d[1:])
         a, b, n = self._pair(other)
         return Jet(tuple(a[k] + b[k] for k in range(n)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            return Jet((self.d[0] - other,) + self.d[1:])
         a, b, n = self._pair(other)
         return Jet(tuple(a[k] - b[k] for k in range(n)))
 
     def __rsub__(self, other):
-        a, b, n = self._pair(other)
-        return Jet(tuple(b[k] - a[k] for k in range(n)))
+        return -self + other
 
     def __neg__(self):
         return Jet(tuple(-v for v in self.d))
 
     def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(tuple(v * other for v in self.d))
         a, b, n = self._pair(other)
         return Jet(tuple(
             sum(_binom(k, i) * a[i] * b[k - i] for i in range(k + 1))
@@ -97,6 +111,8 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(tuple(v / other for v in self.d))
         a, b, n = self._pair(other)
         out = []
         for k in range(n):
@@ -110,8 +126,10 @@ class Jet:
         return Jet.const(other, self.order) / self
 
     def __pow__(self, n: int):
-        out = Jet.const(1, self.order)
-        for _ in range(n):
+        if n == 0:
+            return Jet.const(1, self.order)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -153,20 +171,20 @@ def gamma_eval(x, eps, derivatives: int = 4, precision: int = 60):
         if u <= 0:
             raise ValueError("outside the domain: x^3 + eps^2 must be positive")
         ur = lambda p: u ** (mpf(-p) / 3)
-        vals = [
-            xv * ur(1),
-            e2 * ur(4),
-            -4 * e2 * xv**2 * ur(7),
-            e2 * (-8 * xv * ur(7) + 28 * xv**4 * ur(10)),
-            e2 * (-8 * ur(7) + 168 * xv**3 * ur(10) - 280 * xv**6 * ur(13)),
-        ]
-        return vals[:derivatives + 1]
+        terms = (
+            lambda: xv * ur(1),
+            lambda: e2 * ur(4),
+            lambda: -4 * e2 * xv**2 * ur(7),
+            lambda: e2 * (-8 * xv * ur(7) + 28 * xv**4 * ur(10)),
+            lambda: e2 * (-8 * ur(7) + 168 * xv**3 * ur(10) - 280 * xv**6 * ur(13)),
+        )
+        return [term() for term in terms[:derivatives + 1]]
 
 
 def gamma_equation_residual(x, eps, precision: int = 60):
     """|1 - 2 gamma^3 + gamma^6 + eps * gamma'^(3/2)| on the real branch."""
     with mp.workdps(precision + GUARD_DIGITS):
-        g, gp = gamma_eval(x, eps, 1, precision + GUARD_DIGITS)[:2]
+        g, gp = gamma_eval(x, eps, 1, precision + GUARD_DIGITS)
         return abs(1 - 2 * g**3 + g**6 + mpmathify(eps) * gp ** mpf(1.5))
 
 
@@ -221,11 +239,10 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
     eps = _check_domain(eps)
     with mp.workdps(precision + GUARD_DIGITS):
         I = mpc(0, 1)
-        gs = gamma_eval(x, eps, 4, precision)
-        g = Jet(gs)                    # gamma, order 4
+        g = Jet(gamma_eval(x, eps, 4, precision))    # gamma, order 4
         gp = g.derivative()            # gamma', order 3
         gpp = gp.derivative()
-        gppp = gpp.derivative()
+        gppp = gpp.derivative()        # order 1
         ev = mpmathify(eps)
         c4 = -ev**4 / 3888
 
@@ -240,9 +257,14 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         h1 = I * rho * g * gp
         h0 = I * rho * (g * gpp - 4 * gp * gp) / 2
         h1p = h1.derivative()
-        h0p = h0.derivative()
+        h0p = h0.derivative()          # order 1
 
-        xjet = Jet((mpmathify(x), mpf(1), mpf(0), mpf(0), mpf(0)))
+        # The residuals read the alphas to order 1 and the ds to order 0, and
+        # jet arithmetic is triangular, so order 1 suffices from here on.  Two
+        # derivatives are still taken: of gppp in the displayed tau_0, and of
+        # the alphas in the residuals.
+        g, gp, gpp, h1, h0, h1p = (j.truncate(1) for j in (g, gp, gpp, h1, h0, h1p))
+        xjet = Jet((mpmathify(x), mpf(1)))
         ujet = xjet**3 + ev**2
         u13 = xjet / g                 # (x^3 + eps^2)^(1/3), real branch
         u23 = u13 * u13
@@ -366,14 +388,17 @@ def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
     ``curve.chi`` fractions and ``W(z)``, with none of the intermediate
     parameter formulas.  It serves as the independent cross-check of the
     formula path.  Returns (alphas, ds) with the same indexing as KNData.
+    ``w_signs[s] = 1`` takes w on the other sheet at the pole pair s, which
+    only relabels pole ``s`` as pole ``s + 3``.
     """
     eps = _check_domain(eps)
     with mp.workdps(precision + GUARD_DIGITS):
         I = mpc(0, 1)
         ev = mpmathify(eps)
-        g = Jet(gamma_eval(x, eps, 4, precision))
+        # gamma' is the only derivative read, so order 1 suffices
+        g = Jet(gamma_eval(x, eps, 1, precision))
         gp = g.derivative()
-        xj = Jet((mpmathify(x), mpf(1), mpf(0), mpf(0), mpf(0)))
+        xj = Jet((mpmathify(x), mpf(1)))
         a = (-1 + mp.sqrt(mpf(3)) * I) / 2
         aa = [mpc(1), a, a.conjugate()]
 
@@ -419,42 +444,32 @@ def default_tolerance(precision: int):
 
 
 def find_branch(x, eps, precision: int = 60, tolerance=None,
-                variant: str = "resolved") -> BranchAssignment:
+                variant: str = "resolved") -> KNData:
     """Search the eight global branch choices for one solving the system.
 
-    Principal choices are tried first.  The equations of the poles of
-    ``alphas[s]`` and ``alphas[s + 3]`` read only ``w_signs[s]``, so one
-    evaluation on the principal sheets and one on the flipped sheets give each
-    pole pair's better sheet: two evaluations per global choice.  On failure
-    the error names the equation with the largest residual at the best
-    assignment found.
+    Principal choices are tried first, one evaluation each, and the accepted
+    evaluation is returned (its ``branch`` is the assignment).  Flipping
+    ``w_signs[s]`` only relabels pole ``s`` as pole ``s + 3``, which permutes
+    the same twelve residuals, so the search keeps the principal sheets.  On
+    failure the error names the equation with the largest residual at the
+    best assignment found.
     """
     if tolerance is None:
         tolerance = default_tolerance(precision)
     best = None
     for phase, s3 in sorted(itertools.product(range(4), range(2)),
                             key=lambda t: (sum(t), t)):
-        sheets = [_point_quantities(x, eps, precision,
-                                    BranchAssignment(phase, s3, (ws,) * 3), variant).residuals
-                  for ws in (0, 1)]
-        # residual r belongs to the pole of alphas[r // 2], on the sheet w_signs[r // 2 % 3]
-        w_signs = tuple(
-            min((0, 1), key=lambda ws: max(abs(sheets[ws][r]) for r in range(12)
-                                           if r // 2 % 3 == s))
-            for s in range(3))
-        residuals = [abs(sheets[w_signs[r // 2 % 3]][r]) for r in range(12)]
-        cand = BranchAssignment(phase, s3, w_signs)
-        worst = max(residuals)
-        if worst < tolerance:
-            return cand
-        if best is None or worst < best[0]:
-            best = (worst, cand, residuals.index(worst))
-    worst, cand, r = best
+        data = _point_quantities(x, eps, precision, BranchAssignment(phase, s3), variant)
+        if data.max_residual < tolerance:
+            return data
+        if best is None or data.max_residual < best.max_residual:
+            best = data
+    r = max(range(12), key=lambda k: abs(best.residuals[k]))
     pole, j = r // 2 + 1, r % 2   # KNData.residuals order
     raise ArithmeticError(
         f"no branch assignment reaches tolerance {tolerance}; "
-        f"smallest max-residual achieved was {mp.nstr(worst, 5)} at {cand}, "
-        f"in Eq[{pole}, {j}] (pole {pole})")
+        f"smallest max-residual achieved was {mp.nstr(best.max_residual, 5)} at "
+        f"{best.branch}, in Eq[{pole}, {j}] (pole {pole})")
 
 
 def kn_residuals(x, eps, precision: int = 60,
@@ -468,7 +483,7 @@ def kn_residuals(x, eps, precision: int = 60,
     if x == 0:
         raise ValueError("x = 0 is excluded: gamma vanishes")
     if branch is None:
-        branch = find_branch(x, eps, precision, variant=variant)
+        return find_branch(x, eps, precision, variant=variant)
     return _point_quantities(x, eps, precision, branch, variant)
 
 
@@ -500,13 +515,11 @@ def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
     pts = list(points)
     if tolerance is None:
         tolerance = default_tolerance(precision)
-    branch = find_branch(pts[0], eps, precision, tolerance, variant)
-    max_residuals = []
-    gamma_residuals = []
-    for x in pts:
-        data = _point_quantities(x, eps, precision, branch, variant)
-        max_residuals.append(data.max_residual)
-        gamma_residuals.append(gamma_equation_residual(x, eps, precision))
+    first = find_branch(pts[0], eps, precision, tolerance, variant)
+    evaluations = [first] + [_point_quantities(x, eps, precision, first.branch, variant)
+                             for x in pts[1:]]
+    max_residuals = [data.max_residual for data in evaluations]
+    gamma_residuals = [gamma_equation_residual(x, eps, precision) for x in pts]
     passed = all(r < tolerance for r in max_residuals)
-    return KNReport(eps, precision, tolerance, branch, pts,
+    return KNReport(eps, precision, tolerance, first.branch, pts,
                     max_residuals, gamma_residuals, passed)

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +309,18 @@ def test_cli_kn_precision_below_minimum_is_usage_error(capsys):
     assert main(["verify", "kn", "--eps", "-1", "--precision", "5"]) == 2
     out = capsys.readouterr()
     assert "precision >= 30" in out.err and "PASS" not in out.out
+
+
+def test_package_import_leaves_cli_unloaded():
+    # bcpair.main, parse_op and print_op load the command-line module on first use
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, bcpair\n"
+            "assert 'bcpair.cli' not in sys.modules\n"
+            "assert bcpair.print_op is bcpair.cli.print_op\n"
+            "assert bcpair.main is bcpair.cli.main and bcpair.parse_op is bcpair.cli.parse_op\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
