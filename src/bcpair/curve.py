@@ -85,16 +85,20 @@ class CurveElem:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
-    def __add__(self, other: "CurveElem") -> "CurveElem":
+    def _add(self, other: "CurveElem", sign: int = 1) -> "CurveElem":
+        """``self + sign * other`` for ``sign`` in (1, -1)."""
         self._check(other)
         if self.den == other.den:
-            return CurveElem(self.a + other.a, self.b + other.b, self.den, self.curve)
-        return CurveElem(self.a * other.den + other.a * self.den,
-                         self.b * other.den + other.b * self.den,
+            return CurveElem(self.a._add(other.a, sign), self.b._add(other.b, sign),
+                             self.den, self.curve)
+        return CurveElem((self.a * other.den)._add(other.a * self.den, sign),
+                         (self.b * other.den)._add(other.b * self.den, sign),
                          self.den * other.den, self.curve)
 
+    __add__ = _add
+
     def __sub__(self, other: "CurveElem") -> "CurveElem":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self) -> "CurveElem":
         return CurveElem(-self.a, -self.b, self.den, self.curve)

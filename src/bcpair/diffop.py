@@ -3,12 +3,13 @@
 An operator is a finite sum ``sum_k c_k D^k`` with ``D = d/dx``.  Composition
 uses the Leibniz rule ``D^n . a = sum_k binom(n, k) a^(k) D^(n-k)``; the same
 code runs over any coefficient type providing ``+``, ``-``, ``*``, unary
-minus, ``derive()`` and ``is_zero()`` (XLaurent, ZSeries, CurveElem, ...).
+minus, ``derive()`` and ``is_zero()`` (XLaurent, ZSeries), given a ``RingSpec``
+that names its 0, 1 and how it sums a list of products.
 """
 
 from __future__ import annotations
 
-from .exact import BivarPoly, XLaurent, ZSeries
+from .exact import BivarPoly, XLaurent, ZSeries, sum_of_products
 
 NEG_INF = float("-inf")
 
@@ -25,15 +26,28 @@ def binom(n: int, k: int) -> int:
     return _pascal[n][k]
 
 
+def _fold_products(terms):
+    """``sum c * a * b`` over a non-empty list of ``(int c, a, b)`` triples, one term at a time."""
+    total = None
+    for c, a, b in terms:
+        term = a * b
+        if c != 1:
+            term = term * c
+        total = term if total is None else total + term
+    return total
+
+
 class RingSpec:
-    """Adapter naming a coefficient ring and providing its 0 and 1."""
+    """Adapter naming a coefficient ring: its 0 and 1, and ``sum_of_products``,
+    which sums a non-empty list of ``(int c, a, b)`` triples ``c * a * b``."""
 
-    __slots__ = ("name", "zero", "one")
+    __slots__ = ("name", "zero", "one", "sum_of_products")
 
-    def __init__(self, name: str, zero, one):
+    def __init__(self, name: str, zero, one, sum_of_products):
         self.name = name
         self.zero = zero
         self.one = one
+        self.sum_of_products = sum_of_products
 
     def __eq__(self, other):
         return isinstance(other, RingSpec) and self.name == other.name
@@ -42,8 +56,8 @@ class RingSpec:
         return f"RingSpec({self.name})"
 
 
-XLAURENT_RING = RingSpec("xlaurent", XLaurent.zero(), XLaurent.one())
-ZSERIES_RING = RingSpec("zseries", ZSeries.zero(), ZSeries.one())
+XLAURENT_RING = RingSpec("xlaurent", XLaurent.zero(), XLaurent.one(), sum_of_products)
+ZSERIES_RING = RingSpec("zseries", ZSeries.zero(), ZSeries.one(), _fold_products)
 
 
 class CoefficientRingMismatch(TypeError):
@@ -147,7 +161,13 @@ class DiffOp:
     # -- ring operations ----------------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator product self . other (apply ``other`` first)."""
+        """Operator product self . other (apply ``other`` first).
+
+        The Leibniz terms ``binom(i, k) a_i b_j^(k)`` are listed one output
+        coefficient ``D^(i+j-k)`` at a time, and each list is summed once by the
+        ring's ``sum_of_products`` (over XLaurent: one common denominator, one
+        reduction per coefficient).
+        """
         self._check(other)
         if self.is_zero() or other.is_zero():
             return DiffOp.zero(self.ring)
@@ -160,23 +180,21 @@ class DiffOp:
             for _ in range(max_d):
                 row.append(row[-1].derive())
             derivs.append(row)
-        out = [self.ring.zero] * (na + nb - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(nb):
-                row = derivs[j]
-                for k in range(i + 1):
-                    bk = row[k]
-                    if bk.is_zero():
-                        continue
-                    term = a * bk
-                    c = binom(i, k)
-                    if c != 1:
-                        term = term * c
-                    idx = i + j - k
-                    out[idx] = out[idx] + term
-        return DiffOp(out, self.ring)
+        ring = self.ring
+        out = []
+        for idx in range(na + nb - 1):
+            # the terms of D^idx: i + j - k = idx with 0 <= k <= i and 0 <= j < nb
+            terms = []
+            for i in range(max(0, idx - nb + 1), na):
+                a = self.coeffs[i]
+                if a.is_zero():
+                    continue
+                for k in range(max(0, i - idx), min(i, nb - 1 - idx + i) + 1):
+                    bk = derivs[idx - i + k][k]
+                    if not bk.is_zero():
+                        terms.append((binom(i, k), a, bk))
+            out.append(ring.sum_of_products(terms) if terms else ring.zero)
+        return DiffOp(out, ring)
 
     def __matmul__(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other)

@@ -6,8 +6,13 @@ Everything downstream computes over these types:
 * ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals.
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
   coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
-  over one positive ``int`` denominator, reduced once per result; ``.c`` is
-  a lazily built read-only ``{x_exp: EpsPoly}`` view.
+  over one positive ``int`` denominator in lowest terms; ``.c`` is a lazily
+  built read-only ``{x_exp: EpsPoly}`` view.  A single ``+``, ``-`` or
+  ``*`` reduces its result once.  ``sum_of_products`` computes a whole sum
+  ``sum c * a * b`` in one integer dict over a common denominator and
+  reduces only the sum: operator composition, ``ZSeries`` products, series
+  division and square roots, and the rank-3 reduction add their products
+  through it.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.
@@ -328,18 +333,19 @@ class XLaurent:
     def is_one(self) -> bool:
         return self.den == 1 and self.num == {(0, 0): 1}
 
-    def __add__(self, other: "XLaurent") -> "XLaurent":
+    def _add(self, other: "XLaurent", sign: int = 1) -> "XLaurent":
+        """``self + sign * other`` for ``sign`` in (1, -1)."""
         an, bn = self.num, other.num
         if not bn:
             return self
         if not an:
-            return other
+            return other if sign == 1 else -other
         # over the lcm of the denominators: scale self by fa and other by fb
         da, db = self.den, other.den
-        fa = fb = 1
+        fa, fb = 1, sign
         if da != db:
             g = math.gcd(da, db)
-            fa, fb = db // g, da // g
+            fa, fb = db // g, sign * (da // g)
         num = {k: v * fa for k, v in an.items()} if fa != 1 else dict(an)
         get = num.get
         for k, v in bn.items():
@@ -350,8 +356,10 @@ class XLaurent:
                 del num[k]
         return _reduced(num, da * fa)
 
+    __add__ = _add
+
     def __sub__(self, other: "XLaurent") -> "XLaurent":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self) -> "XLaurent":
         out = XLaurent.__new__(XLaurent)
@@ -483,6 +491,57 @@ _XL_ZERO = XLaurent()
 _XL_ONE = XLaurent.one()
 
 
+def sum_of_products(terms) -> XLaurent:
+    """``sum c * a * b`` over ``(int c, XLaurent a, XLaurent b)`` triples.
+
+    Every product is brought onto one common denominator, the integer
+    numerators accumulate in one dict, and the sum is reduced once; no
+    intermediate ``XLaurent`` is built.  Consecutive triples that share the
+    same ``a`` object are multiplied once, as ``a * (sum c * b)``: operator
+    composition lists its Leibniz terms that way.  The form is canonical, so
+    the result equals the fold ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
+    """
+    groups: list[tuple[XLaurent, list]] = []
+    last = None
+    for c, a, b in terms:
+        if c and a.num and b.num:
+            if a is last:
+                groups[-1][1].append((c, b))
+            else:
+                groups.append((a, [(c, b)]))
+                last = a
+    # (c, a's numerators, b-side numerators, denominator of the product)
+    prods = []
+    for a, cbs in groups:
+        if len(cbs) == 1:
+            (c, b), = cbs
+            prods.append((c, a.num.items(), b.num.items(), a.den * b.den))
+            continue
+        bden = math.lcm(*[b.den for _, b in cbs])
+        comb: dict[tuple[int, int], int] = {}
+        get = comb.get
+        for c, b in cbs:
+            f = c * (bden // b.den)
+            for k, v in b.num.items():
+                comb[k] = get(k, 0) + v * f
+        prods.append((1, a.num.items(), [kv for kv in comb.items() if kv[1]], a.den * bden))
+    den = math.lcm(*[p[3] for p in prods])
+    acc: dict[tuple[int, int], int] = {}
+    get = acc.get
+    for c, aitems, bitems, d in prods:
+        f = c * (den // d)
+        if len(aitems) > len(bitems):
+            aitems, bitems = bitems, aitems
+        for (x1, e1), v1 in aitems:
+            v1 *= f
+            for (x2, e2), v2 in bitems:
+                k = (x1 + x2, e1 + e2)
+                acc[k] = get(k, 0) + v1 * v2
+    if 0 in acc.values():
+        acc = {k: v for k, v in acc.items() if v}
+    return _reduced(acc, den)
+
+
 def xl(coeffs: dict[int, object]) -> XLaurent:
     """Shorthand constructor: ``{x_exp: rational or {eps_exp: rational}}``."""
     return XLaurent({e: EpsPoly(v) if isinstance(v, dict) else v for e, v in coeffs.items()})
@@ -578,7 +637,8 @@ class ZSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "ZSeries") -> "ZSeries":
+    def _add(self, other: "ZSeries", sign: int = 1) -> "ZSeries":
+        """``self + sign * other`` for ``sign`` in (1, -1)."""
         upper = min(self.upper, other.upper)
         lo = min(self.lowest, other.lowest)
         if math.isinf(upper):
@@ -587,11 +647,13 @@ class ZSeries:
             hi = upper
         coeffs = []
         for e in range(lo, hi):
-            coeffs.append(self.coefficient(e) + other.coefficient(e))
+            coeffs.append(self.coefficient(e)._add(other.coefficient(e), sign))
         return ZSeries(lo, coeffs, upper)
 
+    __add__ = _add
+
     def __sub__(self, other: "ZSeries") -> "ZSeries":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self) -> "ZSeries":
         return ZSeries(self.lowest, [-v for v in self.coeffs], self.upper)
@@ -607,16 +669,16 @@ class ZSeries:
         else:
             hi = upper
         n = max(0, int(hi - lo))
-        acc: list[XLaurent] = [_XL_ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            jmax = min(len(other.coeffs), n - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    acc[i + j] = acc[i + j] + a * b
-        return ZSeries(lo, acc, upper)
+        # the products of each output coefficient, summed in one pass apiece
+        terms: list[list] = [[] for _ in range(n)]
+        bnz = [(j, b) for j, b in enumerate(other.coeffs[:n]) if b.num]
+        for i, a in enumerate(self.coeffs[:n]):
+            if a.num:
+                for j, b in bnz:
+                    if i + j >= n:
+                        break
+                    terms[i + j].append((1, a, b))
+        return ZSeries(lo, [sum_of_products(t) if t else _XL_ZERO for t in terms], upper)
 
     __rmul__ = __mul__
 
@@ -673,11 +735,9 @@ def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSer
     dshift = [den.coefficient(ld + j) for j in range(win)]
     out: list[XLaurent] = []
     for k in range(win):
-        acc = num.coefficient(num.lowest + k)
-        for j in range(1, k + 1):
-            dj = dshift[j]
-            if not dj.is_zero() and not out[k - j].is_zero():
-                acc = acc - dj * out[k - j]
+        # num_k - sum_j d_j out_{k-j}, over one denominator
+        acc = sum_of_products([(1, num.coefficient(num.lowest + k), _XL_ONE)]
+                              + [(-1, dshift[j], out[k - j]) for j in range(1, k + 1)])
         out.append(acc.divide_unit(d0))
     return ZSeries(lo, out, lo + win)
 
@@ -697,10 +757,12 @@ def series_sqrt(s: ZSeries) -> ZSeries:
     half = Fraction(1, 2)
     out: list[XLaurent] = [_XL_ONE]
     for k in range(1, win):
-        acc = s.coefficient(k)
-        for j in range(1, k):
-            acc = acc - out[j] * out[k - j]
-        out.append(acc.scale(half))
+        # s_k - sum_{0<j<k} out_j out_{k-j}: each pair j < k - j twice, the square once
+        terms = [(1, s.coefficient(k), _XL_ONE)]
+        terms += [(-2, out[j], out[k - j]) for j in range(1, (k + 1) // 2)]
+        if k % 2 == 0:
+            terms.append((-1, out[k // 2], out[k // 2]))
+        out.append(sum_of_products(terms).scale(half))
     return ZSeries(0, out, s.upper if not math.isinf(s.upper) else win)
 
 

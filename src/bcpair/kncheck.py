@@ -170,7 +170,14 @@ def gamma_eval(x, eps, derivatives: int = 4, precision: int = 60):
         u = xv**3 + e2
         if u <= 0:
             raise ValueError("outside the domain: x^3 + eps^2 must be positive")
-        ur = lambda p: u ** (mpf(-p) / 3)
+        powers: dict[int, mpf] = {}
+
+        def ur(p):
+            # u^(-p/3), each distinct power computed once
+            if p not in powers:
+                powers[p] = u ** (mpf(-p) / 3)
+            return powers[p]
+
         terms = (
             lambda: xv * ur(1),
             lambda: e2 * ur(4),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
-                    XLaurent, ZSeries, ep)
+                    XLaurent, ZSeries, ep, sum_of_products)
 from .diffop import DiffOp, XLAURENT_RING, _powers
 from .curve import DEFAULT_CURVE, chi, curve_series, lambda_fn
 from . import linsolve
@@ -69,16 +69,29 @@ def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
 
 
 def reduce_with_frame(op: DiffOp, frame):
-    """Remainder (Q0, Q1, Q2) of an XLaurent-coefficient operator mod T."""
+    """Remainder (Q0, Q1, Q2) of an XLaurent-coefficient operator mod T.
+
+    ``Q_j = sum_n frame[n][j] * c_n``; each z-coefficient of ``Q_j`` is one
+    ``sum_of_products`` over the operator's nonzero coefficients ``c_n``.
+    """
     if op.order >= len(frame):
         raise PipelineError("frame too short for this operator order")
-    q = [ZSeries.zero(), ZSeries.zero(), ZSeries.zero()]
-    for n, c in enumerate(op.coeffs):
-        if c.is_zero():
-            continue
-        rn = frame[n]
-        q = [q[j] + rn[j] * c for j in range(3)]
-    return tuple(q)
+    used = [(frame[n], c) for n, c in enumerate(op.coeffs) if not c.is_zero()]
+    return tuple(_series_combination([(rn[j], c) for rn, c in used]) for j in range(3))
+
+
+def _series_combination(pairs) -> ZSeries:
+    """``sum s * c`` over ``(ZSeries s, XLaurent c)`` pairs, known below the smallest ``upper``."""
+    if not pairs:
+        return ZSeries.zero()
+    upper = min(s.upper for s, _ in pairs)
+    lo = min(s.lowest for s, _ in pairs)
+    hi = upper if upper != _INF else max(s.lowest + len(s.coeffs) for s, _ in pairs)
+    coeffs = []
+    for e in range(lo, int(hi)):
+        coeffs.append(sum_of_products([(1, s.coeffs[e - s.lowest], c) for s, c in pairs
+                                       if 0 <= e - s.lowest < len(s.coeffs)]))
+    return ZSeries(lo, coeffs, upper)
 
 
 @dataclass(frozen=True)

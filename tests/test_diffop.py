@@ -1,5 +1,6 @@
 """Operator ring: composition, commutators, powers, application, reduction."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from bcpair import (BivarPoly, CoefficientRingMismatch, DiffOp,
                     NonCommutingPair, ReductionError, XLAURENT_RING,
                     ZSERIES_RING, XLaurent, ZSeries, ep, eval_poly_at_pair,
-                    right_reduce, xl)
+                    make_l1, make_l2, right_reduce, xl)
 from bcpair.diffop import binom
 from conftest import random_xlaurent, rng
 
@@ -66,6 +67,36 @@ def test_order_and_leading_coefficient_multiplicative():
         assert prod.order == a.order + b.order
         assert prod.leading_coefficient() == \
             a.leading_coefficient() * b.leading_coefficient()
+
+
+def test_compose_kernel_matches_zseries_fold():
+    # XLAURENT_RING sums each coefficient with exact.sum_of_products,
+    # ZSERIES_RING with a plain fold of products
+    def lift(op):
+        return DiffOp([ZSeries.constant(c) for c in op.coeffs], ZSERIES_RING)
+
+    r = rng(16)
+    for _ in range(60):
+        a, b = random_op(r), random_op(r)
+        assert lift(a.compose(b)) == lift(a).compose(lift(b))
+
+
+def test_compose_builds_no_intermediate_xlaurent(monkeypatch):
+    l1, l2 = make_l1(), make_l2()
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(XLaurent, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("__add__", "__sub__", "__mul__"):
+        monkeypatch.setattr(XLaurent, name, counted(name))
+    l1.compose(l2)
+    assert not calls
 
 
 def test_mixed_rings_rejected():

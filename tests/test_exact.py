@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcpair import (CurveElem, EpsPoly, ExactError, XLaurent, ZSeries, ep,
                     series_sqrt, xl)
-from bcpair.exact import series_divide
+from bcpair.exact import series_divide, sum_of_products
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -191,6 +191,19 @@ def test_fraction_expansion_rejects_bad_leading():
         series_divide(ZSeries.one(), ZSeries.one() + mono(1, 0), nterms=4)
 
 
+def test_sum_of_products_signs_denominators_cancellation():
+    a, b, c = xl({1: F(1, 2), 0: {1: F(2, 3)}}), xl({-1: F(3, 4)}), xl({2: {2: F(5, 9)}})
+    assert sum_of_products([(-3, a, b), (2, c, b), (1, b, c)]) == \
+        (a * b).scale(-3) + (c * b).scale(2) + b * c
+    # a shared first factor, then a different one: a*(2b - 5c) + c*c
+    assert sum_of_products([(2, a, b), (-5, a, c), (1, c, c)]) == \
+        a * (b.scale(2) - c.scale(5)) + c * c
+    zero = sum_of_products([(4, a, b), (-2, b, a), (-1, a, b.scale(2))])
+    assert zero.is_zero() and zero.den == 1 and zero == XLaurent.zero()
+    assert sum_of_products([]) == XLaurent.zero()
+    assert sum_of_products([(0, a, b), (3, XLaurent.zero(), a)]).den == 1
+
+
 def test_series_divide_round_trip_seeded():
     r = rng(4)
     for _ in range(300):
@@ -350,12 +363,24 @@ def _checked(p: XLaurent, ref):
     return p
 
 
+def _ref_sum_of_products(terms):
+    out = {}
+    for c, a, b in terms:
+        out = _ref_add(out, _ref_mul({0: {0: F(c)}}, _ref_mul(a, b)))
+    return out
+
+
 @settings(deadline=None, max_examples=200)
 @given(_ref_laurent, _ref_laurent, st.integers(-12, 12), _fractions,
-       st.dictionaries(st.integers(0, 2), _fractions, max_size=2), _fractions)
-def test_hypothesis_xlaurent_matches_reference(ra, rb, k, q, rp, value):
+       st.dictionaries(st.integers(0, 2), _fractions, max_size=2), _fractions,
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_hypothesis_xlaurent_matches_reference(ra, rb, k, q, rp, value, cs):
     a, b = _checked(xl(ra), ra), _checked(xl(rb), rb)
     ra, rb = _ref_clean(ra), _ref_clean(rb)
+    # the first two triples share `a`, so the kernel multiplies it once
+    _checked(sum_of_products([(cs[0], a, b), (cs[1], a, a), (cs[2], b, a)]),
+             _ref_sum_of_products([(cs[0], ra, rb), (cs[1], ra, ra), (cs[2], rb, ra)]))
+    _checked(sum_of_products([(k, a, b), (-k, b, a)]), {})
     _checked(a + b, _ref_add(ra, rb))
     _checked(a - b, _ref_add(ra, rb, -1))
     _checked(-a, _ref_add({}, ra, -1))
