@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mpmath import nstr
 
-from bcpair import BranchAssignment, gamma_equation_residual, kn_check
+from bcpair import BranchAssignment, kn_check
 
 
 def main():
@@ -32,10 +32,9 @@ def main():
     print("-" * len(header))
     for prec in precisions:
         rep = kn_check(points=points, eps=args.eps, precision=prec)
-        gmax = max(gamma_equation_residual(x, args.eps, prec) for x in points)
         nonprincipal = rep.branch != BranchAssignment()
         print(f"{prec:>8} | {nstr(rep.max_residual, 5):>14} | "
-              f"{nstr(gmax, 5):>18} | "
+              f"{nstr(rep.max_gamma_residual, 5):>18} | "
               f"{'searched' if nonprincipal else 'all principal'}")
 
 

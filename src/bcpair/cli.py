@@ -202,103 +202,74 @@ def read_op_file(path: str) -> DiffOp:
 # printer
 # ---------------------------------------------------------------------------
 
-def _monomial_pieces(c: XLaurent):
-    """Yield (sign, text) canonical monomial renderings of a coefficient."""
-    for xe in sorted(c.c, reverse=True):
-        epoly = c.c[xe]
-        for ee in sorted(epoly.c):
-            v = epoly.c[ee]
-            sign = "-" if v < 0 else "+"
-            v = abs(v)
-            parts = []
-            if v != 1 or (xe == 0 and ee == 0):
-                parts.append(str(v))
-            if xe != 0:
-                parts.append("x" if xe == 1 else f"x^{xe}")
-            if ee != 0:
-                parts.append("eps" if ee == 1 else f"eps^{ee}")
-            yield sign, "*".join(parts)
+def _monomials(op: DiffOp):
+    """The one walk every print format reads: each nonzero D^k coefficient,
+    k descending, as (k, whether it is 1, its monomials (x-exponent,
+    eps-exponent, value) by descending x- then ascending eps-exponent)."""
+    for k in range(int(op.order), -1, -1) if not op.is_zero() else ():
+        c = op.coefficient(k)
+        if not c.is_zero():
+            yield k, c.is_one(), [(xe, ee, v) for xe in sorted(c.c, reverse=True)
+                                  for ee, v in sorted(c.c[xe].c.items())]
 
 
-def _coeff_text(c: XLaurent) -> str:
-    out = []
-    for sign, body in _monomial_pieces(c):
-        if not out:
-            out.append(body if sign == "+" else f"-{body}")
-        else:
-            out.append(f" {sign} {body}")
-    return "".join(out) or "0"
+def _join_signed(pieces) -> str:
+    """'a + b - c' from (negative, text) pieces; a leading minus is attached."""
+    out = ""
+    for i, (negative, text) in enumerate(pieces):
+        out += (" - " if negative else " + ") if i else ("-" if negative else "")
+        out += text
+    return out
+
+
+def _text_monomial(xe: int, ee: int, v: Fraction) -> str:
+    parts = []
+    if v != 1 or (xe == 0 and ee == 0):
+        parts.append(str(v))
+    if xe != 0:
+        parts.append("x" if xe == 1 else f"x^{xe}")
+    if ee != 0:
+        parts.append("eps" if ee == 1 else f"eps^{ee}")
+    return "*".join(parts)
+
+
+def _tex_monomial(xe: int, ee: int, v: Fraction) -> str:
+    mono = (f"x^{{{xe}}}" if xe > 0 else "") + (rf"\epsilon^{{{ee}}}" if ee > 0 else "")
+    core = f"{v.numerator}{mono}" if v.numerator != 1 or not mono else mono
+    if xe < 0:
+        den = f"x^{{{-xe}}}" if v.denominator == 1 else rf"{v.denominator}\,x^{{{-xe}}}"
+        return rf"\frac{{{core}}}{{{den}}}"
+    return rf"\frac{{{core}}}{{{v.denominator}}}" if v.denominator != 1 else core
 
 
 def print_op(op: DiffOp, fmt: str = "text") -> str:
     """Render an operator; 'text' output re-parses to an equal operator."""
+    walk = list(_monomials(op))
     if fmt == "text":
-        if op.is_zero():
-            return "0"
         terms = []
-        for k in range(int(op.order), -1, -1):
-            c = op.coefficient(k)
-            if c.is_zero():
-                continue
+        for k, one, monos in walk:
             dpart = "D" if k == 1 else (f"D^{k}" if k else "")
-            if c.is_one() and k:
-                body = dpart
-            elif k:
-                body = f"({_coeff_text(c)})*{dpart}"
-            else:
-                body = f"({_coeff_text(c)})"
-            terms.append(body)
-        return " + ".join(terms)
-    if fmt == "json":
-        coeffs = {}
-        for k in range(int(op.order) + 1 if not op.is_zero() else 0):
-            c = op.coefficient(k)
-            if c.is_zero():
+            if one and k:
+                terms.append(dpart)
                 continue
-            coeffs[str(k)] = [
-                {"x": xe, "eps": ee, "value": str(c.c[xe].c[ee])}
-                for xe in sorted(c.c) for ee in sorted(c.c[xe].c)]
+            coeff = _join_signed((v < 0, _text_monomial(xe, ee, abs(v))) for xe, ee, v in monos)
+            terms.append(f"({coeff})*{dpart}" if k else f"({coeff})")
+        return " + ".join(terms) or "0"
+    if fmt == "json":
+        coeffs = {str(k): [{"x": xe, "eps": ee, "value": str(v)} for xe, ee, v in sorted(monos)]
+                  for k, _, monos in walk}
         return json.dumps({"order": None if op.is_zero() else int(op.order),
                            "coefficients": coeffs}, sort_keys=True)
     if fmt == "tex":
-        if op.is_zero():
-            return "0"
         chunks = []
-        for k in range(int(op.order), -1, -1):
-            c = op.coefficient(k)
-            if c.is_zero():
-                continue
+        for k, one, monos in walk:
             dtex = rf"\frac{{d^{{{k}}}}}{{dx^{{{k}}}}}" if k else ""
-            body = []
-            for xe in sorted(c.c, reverse=True):
-                for ee in sorted(c.c[xe].c):
-                    v = c.c[xe].c[ee]
-                    s = "-" if v < 0 else "+"
-                    v = abs(v)
-                    num = f"{v.numerator}"
-                    mono = ""
-                    if xe > 0:
-                        mono += f"x^{{{xe}}}"
-                    if ee > 0:
-                        mono += rf"\epsilon^{{{ee}}}"
-                    core = num + mono if v.numerator != 1 or not mono else mono
-                    if xe < 0:
-                        frac = rf"\frac{{{core}}}{{x^{{{-xe}}}}}" if v.denominator == 1 \
-                            else rf"\frac{{{core}}}{{{v.denominator}\,x^{{{-xe}}}}}"
-                    elif v.denominator != 1:
-                        frac = rf"\frac{{{core}}}{{{v.denominator}}}"
-                    else:
-                        frac = core
-                    body.append((s, frac))
-            if c.is_one() and k:
-                chunks.append(("+", dtex))
+            if one and k:
+                chunks.append((False, dtex))
             else:
-                for s, frac in body:
-                    chunks.append((s, frac + dtex))
-        out = ""
-        for i, (s, frag) in enumerate(chunks):
-            out += frag if i == 0 and s == "+" else (f" {s} " if i else "-") + frag
-        return out
+                chunks.extend((v < 0, _tex_monomial(xe, ee, abs(v)) + dtex)
+                              for xe, ee, v in monos)
+        return _join_signed(chunks) or "0"
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -352,7 +323,8 @@ class Report:
             "findings": self.findings,
             "wall_time_s": self.wall_time_s,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # rationals (the kn points) are written as text
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
 
 
 _COLOR = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
@@ -378,7 +350,7 @@ def _emit(report: Report) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the verification suites
+# the verification suites; eps is None (symbolic) or a Fraction
 # ---------------------------------------------------------------------------
 
 def _maybe_eps(op_or_val, eps):
@@ -393,22 +365,22 @@ def _suite_commute(report: Report, eps) -> None:
 
 
 def _suite_bc(report: Report, eps, variant: str) -> None:
-    curve = CurveDef(w_eps_power=2) if variant == "eps2" else CurveDef()
     if variant == "eps2":
         report.add("function-field relation on the eps^2-variant curve",
-                   bc_function_identity(curve, eps),
+                   bc_function_identity(CurveDef(w_eps_power=2), eps),
                    "expected to fail: the variant curve breaks the relation")
         return
     l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
-    q = bc_poly() if eps is None else bc_poly().substitute_eps(eps)
-    res = eval_poly_at_pair(q, l1, l2)
+    res = eval_poly_at_pair(_maybe_eps(bc_poly(), eps), l1, l2)
     report.add("algebraic relation Q(L1, L2) = 0", res.is_zero(),
                "w^3 - 1/15552*eps^4*w^2 - z^4 - z^3 at (z, w) = (L1, L2)")
     report.add("function-field shadow Q(lambda, mu) = 0 on the curve",
                bc_function_identity(CurveDef(), eps))
 
 
-def _suite_limit(report: Report) -> None:
+def _suite_limit(report: Report, eps) -> None:
+    if eps is not None:
+        return          # the eps -> 0 limits are statements at symbolic eps
     l1, l2 = make_l1(), make_l2()
     gen = make_limit_op()
     ident = DiffOp.identity(XLAURENT_RING)
@@ -423,7 +395,13 @@ def _suite_limit(report: Report) -> None:
 MIN_RANK_ORDER = 12
 
 
+def _check_rank_order(order: int) -> None:
+    if order < MIN_RANK_ORDER:
+        raise ValueError(f"the rank suite needs --order >= {MIN_RANK_ORDER}, got {order}")
+
+
 def _suite_rank(report: Report, eps, order: int) -> None:
+    _check_rank_order(order)
     chis = pipeline.chi_series_triple(order)
     lam = curve_series(lambda_fn(), order)
     mu = curve_series(mu_fn(), order)
@@ -441,7 +419,8 @@ def _suite_rank(report: Report, eps, order: int) -> None:
     rep3 = pipeline.verify_rank3(l1 + DiffOp.d(1, XLAURENT_RING), chis, lam)
     report.add("perturbed operator L1 + D is rejected", not rep3.passed, str(rep3))
     if eps is None:
-        c0, c1, c2 = pipeline.chi_series_triple(8)
+        # the z^0 coefficients do not depend on the window (order >= 12 here)
+        c0, c1, _ = chis
         report.add("chi_1 constant term is 26/x^2", c1.coefficient(0) == zeta2())
         report.add("chi_0 z^0 term matches the corrected expansion constant",
                    c0.coefficient(0) == zeta1(),
@@ -449,7 +428,10 @@ def _suite_rank(report: Report, eps, order: int) -> None:
                    "28/x^2, which the reduction refutes")
 
 
-def _suite_kn(report: Report, eps: Fraction, precision: int, points) -> None:
+def _suite_kn(report: Report, eps, precision: int, points) -> None:
+    if eps is not None and eps >= 0:
+        raise ValueError(f"the kn suite needs a negative eps, got {eps}")
+    eps = Fraction(-1) if eps is None else eps
     rep = kncheck.kn_check(points=points, eps=eps, precision=precision)
     from mpmath import nstr
     report.add("compatibility residuals below tolerance at all points", rep.passed,
@@ -462,123 +444,122 @@ def _suite_kn(report: Report, eps: Fraction, precision: int, points) -> None:
         "branch assignment: " + json.dumps(rep.branch.describe(), sort_keys=True))
 
 
-SUITES = ("all", "commute", "bc", "limit", "rank", "kn")
-
-
-def cmd_verify(args) -> Report:
-    eps = None if args.eps == "symbolic" else Fraction(args.eps)
-    if args.suite == "kn" and eps is not None and eps >= 0:
-        raise ValueError(f"the kn suite needs a negative eps, got {args.eps}")
-    if args.suite in ("rank", "all") and args.order < MIN_RANK_ORDER:
-        raise ValueError(f"the rank suite needs --order >= {MIN_RANK_ORDER}, got {args.order}")
-    if args.suite in ("kn", "all"):
-        kncheck.default_tolerance(args.precision)   # rejects too few digits up front
-    points = [Fraction(p) for p in args.points.split(",")] if args.points else \
-        [Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(5)]
-    # list only the inputs that the selected suites read
-    inputs = {"eps": args.eps}
-    if args.suite in ("rank", "all"):
-        inputs["order"] = args.order
-    if args.suite in ("kn", "all"):
-        inputs.update(precision=args.precision, points=[str(p) for p in points])
-    if args.suite in ("bc", "all"):
-        inputs["variant"] = args.variant
-    report = Report(command=f"verify {args.suite}", inputs=inputs)
-    t0 = time.perf_counter()
-    if args.suite in ("commute", "all"):
-        _suite_commute(report, eps)
-    if args.suite in ("bc", "all"):
-        _suite_bc(report, eps, args.variant)
-    if args.suite in ("limit", "all") and eps is None:
-        _suite_limit(report)
-    if args.suite in ("rank", "all"):
-        _suite_rank(report, eps, args.order)
-    if args.suite in ("kn", "all"):
-        # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
-        kn_eps = eps if (eps is not None and eps < 0) else Fraction(-1)
-        _suite_kn(report, kn_eps, args.precision, points)
-    report.wall_time_s = round(time.perf_counter() - t0, 3)
-    return report
+def _suite_all(report: Report, eps, order: int, precision: int, points, variant: str) -> None:
+    _check_rank_order(order)                 # both before any suite runs
+    kncheck.default_tolerance(precision)
+    _suite_commute(report, eps)
+    _suite_bc(report, eps, variant)
+    _suite_limit(report, eps)
+    _suite_rank(report, eps, order)
+    # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
+    _suite_kn(report, eps if eps is not None and eps < 0 else None, precision, points)
 
 
 # ---------------------------------------------------------------------------
-# the construction commands
+# the construction targets
 # ---------------------------------------------------------------------------
 
-_CONSTRUCT_INPUTS = {"l1": ("order", "out"), "l2": ("seed", "out"), "bc": ("out",)}
-_CONSTRUCT_DEFAULTS = {"order": DEFAULT_SERIES_ORDER, "seed": 20120715}
+def _write_artifact(report: Report, path: str, header: str, body: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {header}\n{body}\n")
+    report.findings.append(f"wrote {path}")
 
 
-def _construct_defaults(ap: argparse.ArgumentParser, args) -> None:
-    """Reject an option given to a construct target that does not read it;
-    give the options left out their defaults."""
-    for name, default in _CONSTRUCT_DEFAULTS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif name not in _CONSTRUCT_INPUTS[args.target]:
-            ap.error(f"construct {args.target} does not read --{name}")
+def _construct_l1(report: Report, order: int, out: str) -> None:
+    try:
+        coeffs = pipeline.derive_L1_coeffs(*pipeline.chi_series_triple(order))
+    except pipeline.PipelineError as exc:
+        report.add("derivation of the order-9 coefficients", False, str(exc))
+        return
+    derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
+    report.add("derived coefficients match the catalogued operator", derived == make_l1())
+    _write_artifact(report, out or "l1_derived.txt",
+                    "order-9 operator re-derived from the chi expansions", print_op(derived))
 
 
-def cmd_construct(args) -> Report:
-    used = {"order": args.order, "seed": args.seed, "out": args.out or ""}
-    report = Report(
-        command=f"construct {args.target}",
-        inputs={k: used[k] for k in _CONSTRUCT_INPUTS[args.target]})
-    t0 = time.perf_counter()
-    out_path = args.out or f"{args.target}_derived.txt"
-    if args.target == "l1":
-        chis = pipeline.chi_series_triple(args.order)
-        try:
-            coeffs = pipeline.derive_L1_coeffs(*chis)
-        except pipeline.PipelineError as exc:
-            report.add("derivation of the order-9 coefficients", False, str(exc))
-            report.wall_time_s = round(time.perf_counter() - t0, 3)
-            return report
-        derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
-        report.add("derived coefficients match the catalogued operator",
-                   derived == make_l1())
-        write_op_file(out_path, derived, "order-9 operator re-derived from the chi expansions")
-        report.findings.append(f"wrote {out_path}")
-    elif args.target == "l2":
-        l1 = make_l1()
-        sol = pipeline.solve_commuting(l1, 12)
-        report.add("affine solution set has dimension 2", sol.dimension == 2,
-                   f"dimension {sol.dimension}: rank {sol.rank} of {sol.constraints} "
-                   "constraints on 12 integration constants")
-        report.add("solution set contains the catalogued order-12 operator",
-                   sol.contains(make_l2()))
-        ident = DiffOp.identity(XLAURENT_RING)
-        report.add("homogeneous basis spans {identity, L1}",
-                   sol.contains(sol.particular + ident) and
-                   sol.contains(sol.particular + l1))
-        import random
-        rng = random.Random(args.seed)
-        params = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in sol.homogeneous_basis]
-        member = sol.sample(params)
-        report.add("random member of the family commutes exactly",
-                   l1.commutator(member).is_zero(), f"parameters {params}")
-        write_op_file(out_path, sol.particular,
-                      "order-12 commuting operator (particular solution; "
-                      "add rational multiples of 1 and of the order-9 operator)")
-        report.findings.append(f"wrote {out_path}")
-    elif args.target == "bc":
-        q = pipeline.find_bc_relation(make_l1(), make_l2(), 36)
-        if q is None:
-            report.add("algebraic relation found within weight 36", False,
-                       "no relation within bound")
-        else:
-            report.add("discovered relation matches w^3 - 1/15552*eps^4*w^2 - z^4 - z^3",
-                       q == bc_poly(), str(q))
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(f"# minimal algebraic relation of the commuting pair\n{q}\n")
-            report.findings.append(f"wrote {out_path}")
-    report.wall_time_s = round(time.perf_counter() - t0, 3)
-    return report
+def _construct_l2(report: Report, seed: int, out: str) -> None:
+    l1 = make_l1()
+    sol = pipeline.solve_commuting(l1, 12)
+    report.add("affine solution set has dimension 2", sol.dimension == 2,
+               f"dimension {sol.dimension}: rank {sol.rank} of {sol.constraints} "
+               "constraints on 12 integration constants")
+    report.add("solution set contains the catalogued order-12 operator",
+               sol.contains(make_l2()))
+    ident = DiffOp.identity(XLAURENT_RING)
+    report.add("homogeneous basis spans {identity, L1}",
+               sol.contains(sol.particular + ident) and
+               sol.contains(sol.particular + l1))
+    import random
+    rng = random.Random(seed)
+    params = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in sol.homogeneous_basis]
+    member = sol.sample(params)
+    report.add("random member of the family commutes exactly",
+               l1.commutator(member).is_zero(), f"parameters {params}")
+    _write_artifact(report, out or "l2_derived.txt",
+                    "order-12 commuting operator (particular solution; "
+                    "add rational multiples of 1 and of the order-9 operator)",
+                    print_op(sol.particular))
+
+
+def _construct_bc(report: Report, out: str) -> None:
+    q = pipeline.find_bc_relation(make_l1(), make_l2(), 36)
+    if q is None:
+        report.add("algebraic relation found within weight 36", False,
+                   "no relation within bound")
+        return
+    report.add("discovered relation matches w^3 - 1/15552*eps^4*w^2 - z^4 - z^3",
+               q == bc_poly(), str(q))
+    _write_artifact(report, out or "bc_derived.txt",
+                    "minimal algebraic relation of the commuting pair", str(q))
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _eps(text: str) -> Fraction | None:
+    return None if text == "symbolic" else Fraction(text)
+
+
+def _rationals(text: str) -> list[Fraction]:
+    return [Fraction(p) for p in text.split(",")]
+
+
+#: the argparse settings of every option a sub-command may read
+_OPTIONS = {
+    "eps": dict(default="symbolic",
+                help="'symbolic' or a rational value like -1 or -3/2"),
+    "order": dict(type=int, default=DEFAULT_SERIES_ORDER,
+                  help="series truncation (terms beyond the lowest exponent)"),
+    "precision": dict(type=int, default=60, help="decimal digits for the numeric suite"),
+    "points": dict(type=_rationals, default="1,3/2,2,3,5",
+                   help="comma-separated rational sample points for the numeric suite"),
+    "variant": dict(choices=("default", "eps2"), default="default",
+                    help="eps2 selects the variant curve (expected to fail the bc suite)"),
+    "seed": dict(type=int, default=20120715, help="seed for the randomized spot checks"),
+    "out": dict(default="", help="artifact output path"),
+}
+
+#: Every verify suite and construct target, declared once: the function that
+#: runs it and the options that function reads (its keyword parameters).  The
+#: sub-command's parser accepts just these options (and --json), and its
+#: report lists just these inputs.
+_COMMANDS = {
+    "verify": ("suite", "run a verification suite", {
+        "all": (_suite_all, ("eps", "order", "precision", "points", "variant")),
+        "commute": (_suite_commute, ("eps",)),
+        "bc": (_suite_bc, ("eps", "variant")),
+        "limit": (_suite_limit, ("eps",)),
+        "rank": (_suite_rank, ("eps", "order")),
+        "kn": (_suite_kn, ("eps", "precision", "points")),
+    }),
+    "construct": ("target", "run a construction pipeline", {
+        "l1": (_construct_l1, ("order", "out")),
+        "l2": (_construct_l2, ("seed", "out")),
+        "bc": (_construct_bc, ("out",)),
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -586,38 +567,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for a rank-3 commuting pair of "
                     "differential operators on a genus-2 spectral curve.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER,
-                       help="series truncation (terms beyond the lowest exponent)")
-        p.add_argument("--json", dest="json_path", default=None,
-                       help="write the machine-readable report to this path")
-
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=SUITES)
-    common(pv)
-    pv.add_argument("--eps", default="symbolic",
-                    help="'symbolic' or a rational value like -1 or -3/2")
-    pv.add_argument("--precision", type=int, default=60,
-                    help="decimal digits for the numeric suite")
-    pv.add_argument("--points", default=None,
-                    help="comma-separated rational sample points for the numeric suite")
-    pv.add_argument("--variant", choices=("default", "eps2"), default="default",
-                    help="eps2 selects the variant curve (expected to fail the bc suite)")
-    pv.set_defaults(func=cmd_verify)
-
-    pc = sub.add_parser("construct", help="run a construction pipeline")
-    pc.add_argument("target", choices=("l1", "l2", "bc"))
-    common(pc)
-    pc.add_argument("--seed", type=int, default=None,
-                    help="seed for the randomized spot checks")
-    pc.add_argument("--out", default=None, help="artifact output path")
-    pc.set_defaults(func=cmd_construct, order=None)
-
+    for command, (positional, help_text, targets) in _COMMANDS.items():
+        group = sub.add_parser(command, help=help_text).add_subparsers(
+            dest=positional, required=True)
+        for target, (run, reads) in targets.items():
+            p = group.add_parser(target)
+            for name in reads:
+                p.add_argument(f"--{name}", **_OPTIONS[name])
+            p.add_argument("--json", dest="json_path", default=None,
+                           help="write the machine-readable report to this path")
+            p.set_defaults(parser=p, run=run, reads=reads)
     pp = sub.add_parser("print", help="parse an operator file and re-print it")
     pp.add_argument("path")
     pp.add_argument("--format", choices=("text", "json", "tex"), default="text")
-    pp.set_defaults(func=None)
+    pp.set_defaults(parser=pp)
     return ap
 
 
@@ -634,8 +597,11 @@ def _join_negative_eps(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(_join_negative_eps(sys.argv[1:] if argv is None else list(argv)))
+    args, unread = build_parser().parse_known_args(
+        _join_negative_eps(sys.argv[1:] if argv is None else list(argv)))
+    name = args.parser.prog.removeprefix("bcpair ")      # "verify commute", "print"
+    if unread:
+        args.parser.error(f"{name} does not read {' '.join(unread)}")
     if args.command == "print":
         try:
             op = read_op_file(args.path)
@@ -644,13 +610,15 @@ def main(argv=None) -> int:
             return 2
         print(print_op(op, args.format))
         return 0
-    if args.command == "construct":
-        _construct_defaults(ap, args)
+    report = Report(command=name, inputs={k: getattr(args, k) for k in args.reads})
+    t0 = time.perf_counter()
     try:
-        report = args.func(args)
+        # the report keeps eps as given; the suites read None (symbolic) or its value
+        args.run(report, **{k: _eps(v) if k == "eps" else v for k, v in report.inputs.items()})
     except (pipeline.PipelineError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report.wall_time_s = round(time.perf_counter() - t0, 3)
     _emit(report)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:

@@ -9,21 +9,13 @@ that names its 0, 1 and how it sums a list of products.
 
 from __future__ import annotations
 
+import math
+
 from .exact import BivarPoly, XLaurent, ZSeries, sum_of_products
 
 NEG_INF = float("-inf")
 
-_pascal: list[list[int]] = [[1]]
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient from a growing Pascal-triangle cache."""
-    if k < 0 or k > n:
-        return 0
-    while len(_pascal) <= n:
-        prev = _pascal[-1]
-        _pascal.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return _pascal[n][k]
+binom = math.comb
 
 
 def _fold_products(terms):

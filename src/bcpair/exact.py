@@ -588,8 +588,8 @@ class ZSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, upper=INF) -> "ZSeries":
-        return cls(0, [], upper)
+    def zero(cls) -> "ZSeries":
+        return cls(0, [], INF)
 
     @classmethod
     def one(cls) -> "ZSeries":

@@ -24,6 +24,7 @@ assumes it, and positive eps is untested territory.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,16 +34,6 @@ from .curve import DEFAULT_CURVE, chi
 from .exact import XLaurent, ZSeries
 
 GUARD_DIGITS = 10
-
-_BINOM_MAX = 8
-_binom_rows = [[1]]
-for _n in range(1, _BINOM_MAX + 1):
-    _prev = _binom_rows[-1]
-    _binom_rows.append([1] + [_prev[i] + _prev[i + 1] for i in range(_n - 1)] + [1])
-
-
-def _binom(n, k):
-    return _binom_rows[n][k]
 
 
 class Jet:
@@ -105,7 +96,7 @@ class Jet:
             return Jet(tuple(v * other for v in self.d))
         a, b, n = self._pair(other)
         return Jet(tuple(
-            sum(_binom(k, i) * a[i] * b[k - i] for i in range(k + 1))
+            sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
             for k in range(n)))
 
     __rmul__ = __mul__
@@ -118,7 +109,7 @@ class Jet:
         for k in range(n):
             acc = a[k]
             for i in range(k):
-                acc -= _binom(k, i) * out[i] * b[k - i]
+                acc -= math.comb(k, i) * out[i] * b[k - i]
             out.append(acc / b[0])
         return Jet(tuple(out))
 
@@ -139,7 +130,7 @@ class Jet:
         for k in range(1, len(self.d)):
             acc = self.d[k]
             for i in range(1, k):
-                acc -= _binom(k, i) * out[i] * out[k - i]
+                acc -= math.comb(k, i) * out[i] * out[k - i]
             out.append(acc / (2 * out[0]))
         return Jet(tuple(out))
 
@@ -387,16 +378,16 @@ def _zpoly_jets(p: ZSeries, xj: Jet, ev) -> list:
             + [_xlaurent_jet(c, xj, ev) for c in p.coeffs])
 
 
-def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
+def pole_data_from_chi(x, eps, precision: int = 60):
     """alpha_ij and d_ij extracted from the chi functions at their poles.
 
     This is the defining property of the pole data (residue and constant term
     of each chi at each of the six poles) computed straight from the exact
     ``curve.chi`` fractions and ``W(z)``, with none of the intermediate
     parameter formulas.  It serves as the independent cross-check of the
-    formula path.  Returns (alphas, ds) with the same indexing as KNData.
-    ``w_signs[s] = 1`` takes w on the other sheet at the pole pair s, which
-    only relabels pole ``s`` as pole ``s + 3``.
+    formula path.  Returns (alphas, ds) with the same indexing as KNData,
+    with w on its principal sheet (the other sheet at the pole pair s only
+    relabels pole ``s`` as pole ``s + 3``).
     """
     eps = _check_domain(eps)
     with mp.workdps(precision + GUARD_DIGITS):
@@ -422,7 +413,7 @@ def pole_data_from_chi(x, eps, precision: int = 60, w_signs=(0, 0, 0)):
             sigma = -1 if i >= 3 else 1
             z0 = aa[s] * g
             wsq = _zpoly_eval(wcoeffs, z0)
-            w = wsq.sqrt_with_value(mp.sqrt(wsq.value()) * (-1) ** w_signs[s]) * sigma
+            w = wsq.sqrt_with_value(mp.sqrt(wsq.value())) * sigma
             wz = _zpoly_eval(wprime, z0) / (2 * w)
             for j, (na, nb, dd) in enumerate(chis):
                 dp, dpp = _zpoly_dz(dd), _zpoly_dz(_zpoly_dz(dd))
@@ -450,19 +441,18 @@ def default_tolerance(precision: int):
     return mpf(10) ** (-(precision - 20))
 
 
-def find_branch(x, eps, precision: int = 60, tolerance=None,
-                variant: str = "resolved") -> KNData:
+def find_branch(x, eps, precision: int = 60, variant: str = "resolved") -> KNData:
     """Search the eight global branch choices for one solving the system.
 
     Principal choices are tried first, one evaluation each, and the accepted
     evaluation is returned (its ``branch`` is the assignment).  Flipping
     ``w_signs[s]`` only relabels pole ``s`` as pole ``s + 3``, which permutes
-    the same twelve residuals, so the search keeps the principal sheets.  On
-    failure the error names the equation with the largest residual at the
-    best assignment found.
+    the same twelve residuals, so the search keeps the principal sheets.  A
+    choice is accepted when every residual is below
+    ``default_tolerance(precision)``.  On failure the error names the equation
+    with the largest residual at the best assignment found.
     """
-    if tolerance is None:
-        tolerance = default_tolerance(precision)
+    tolerance = default_tolerance(precision)
     best = None
     for phase, s3 in sorted(itertools.product(range(4), range(2)),
                             key=lambda t: (sum(t), t)):
@@ -517,12 +507,16 @@ class KNReport:
 
 
 def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
-             tolerance=None, variant: str = "resolved") -> KNReport:
-    """Discover the branch at the first point, verify all points with it."""
+             variant: str = "resolved") -> KNReport:
+    """Discover the branch at the first point, verify all points with it.
+
+    Every point must keep all twelve residuals below
+    ``default_tolerance(precision)``, which the report records as
+    ``tolerance``; too few digits raise ``ValueError`` before any evaluation.
+    """
     pts = list(points)
-    if tolerance is None:
-        tolerance = default_tolerance(precision)
-    first = find_branch(pts[0], eps, precision, tolerance, variant)
+    tolerance = default_tolerance(precision)
+    first = find_branch(pts[0], eps, precision, variant)
     evaluations = [first] + [_point_quantities(x, eps, precision, first.branch, variant)
                              for x in pts[1:]]
     max_residuals = [data.max_residual for data in evaluations]

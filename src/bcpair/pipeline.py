@@ -29,7 +29,7 @@ from fractions import Fraction
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
                     XLaurent, ZSeries, ep, sum_of_products)
 from .diffop import DiffOp, XLAURENT_RING, _powers
-from .curve import DEFAULT_CURVE, chi, curve_series, lambda_fn
+from .curve import chi, curve_series, lambda_fn
 from . import linsolve
 
 _INF = float("inf")
@@ -47,9 +47,9 @@ class TruncationTooShort(PipelineError):
 # the rank-3 reduction frame
 # ---------------------------------------------------------------------------
 
-def chi_series_triple(order: int = DEFAULT_SERIES_ORDER, curve=DEFAULT_CURVE):
+def chi_series_triple(order: int = DEFAULT_SERIES_ORDER):
     """The three chi expansions at the marked point, ready for reduction."""
-    return tuple(curve_series(chi(j, curve), order) for j in range(3))
+    return tuple(curve_series(chi(j), order) for j in range(3))
 
 
 def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
@@ -111,8 +111,7 @@ class Rank3Report:
         return f"rank-3 reduction FAILED at component Q_{j}, z-order {s}"
 
 
-def verify_rank3(op: DiffOp, chis, eigen: ZSeries,
-                 check_order: int | None = None) -> Rank3Report:
+def verify_rank3(op: DiffOp, chis, eigen: ZSeries) -> Rank3Report:
     """Check remainder(op mod T) = (eigen, 0, 0) through the series window."""
     chi0, chi1, chi2 = chis
     frame = reduction_frame(chi0, chi1, chi2, max(op.order, 3))
@@ -122,8 +121,6 @@ def verify_rank3(op: DiffOp, chis, eigen: ZSeries,
     uppers = []
     for j, res in enumerate(residuals):
         upper = res.upper if res.upper != _INF else res.lowest + len(res.coeffs)
-        if check_order is not None:
-            upper = min(upper, check_order + 1)
         uppers.append(int(upper))
         for e in range(res.lowest, int(upper)):
             if not res.coefficient(e).is_zero():
@@ -141,8 +138,7 @@ def verify_rank3(op: DiffOp, chis, eigen: ZSeries,
 # ---------------------------------------------------------------------------
 
 def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
-                     order: int = 9, *, eigen: ZSeries | None = None,
-                     verify: bool = True) -> list[XLaurent]:
+                     order: int = 9, *, eigen: ZSeries | None = None) -> list[XLaurent]:
     """Recover f_0..f_{order-2} of the monic operator D^order + sum f_n D^n.
 
     The remainder of the operator modulo T must equal (eigen, 0, 0); the
@@ -152,8 +148,9 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     unit pivots (the Burchnall-Chaundy recursion), so it is solved exactly
     over Q[eps] by back-substitution: a row with one unsolved unknown whose
     coefficient is a unit fixes that unknown, and a row with none left must
-    reduce to zero.  The result is re-verified symbolically against the
-    reduction remainder over the full series window.
+    reduce to zero.  Every result is re-verified symbolically against the
+    reduction remainder over the full series window (``verify_rank3``) and
+    raises ``PipelineError`` if it fails there.
     """
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
         if s.upper != _INF and s.upper - s.lowest < order - 1:
@@ -212,11 +209,10 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
                             f"f_{', f_'.join(map(str, missing))}")
     coeffs_out = [solved[n] for n in range(n_unknowns)]
 
-    if verify:
-        op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
-        report = verify_rank3(op, (chi0, chi1, chi2), eigen)
-        if not report.passed:
-            raise PipelineError(f"derived coefficients fail re-verification: {report}")
+    op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
+    report = verify_rank3(op, (chi0, chi1, chi2), eigen)
+    if not report.passed:
+        raise PipelineError(f"derived coefficients fail re-verification: {report}")
     return coeffs_out
 
 

@@ -1,5 +1,6 @@
 """Parser/printer round trips, report schema, exit-code contract."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from bcpair import DiffOp, XLAURENT_RING, make_l1, make_l2, make_limit_op
-from bcpair.cli import (OpSyntaxError, main, parse_op, print_op, read_op_file,
-                        write_op_file)
+from bcpair.cli import (OpSyntaxError, build_parser, main, parse_op, print_op,
+                        read_op_file, write_op_file)
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -250,7 +251,7 @@ def test_cli_rejects_options_the_command_does_not_read(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert f"{argv[0]} {argv[1]} does not read {argv[2]}" in capsys.readouterr().err
     # only l1 reads --order and only l2 reads --seed; rejected before any work
     for argv, option in ((["construct", "l1", "--seed", "3"], "--seed"),
                          (["construct", "l2", "--order", "5"], "--order"),
@@ -259,6 +260,65 @@ def test_cli_rejects_options_the_command_does_not_read(capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"construct {argv[1]} does not read {option}" in capsys.readouterr().err
+
+
+# the options each sub-command reads; every other one is a usage error
+READS = {
+    ("verify", "all"): {"eps", "order", "precision", "points", "variant"},
+    ("verify", "commute"): {"eps"},
+    ("verify", "bc"): {"eps", "variant"},
+    ("verify", "limit"): {"eps"},
+    ("verify", "rank"): {"eps", "order"},
+    ("verify", "kn"): {"eps", "precision", "points"},
+    ("construct", "l1"): {"order", "out"},
+    ("construct", "l2"): {"seed", "out"},
+    ("construct", "bc"): {"out"},
+}
+OPTION_VALUES = {"eps": "-1", "order": "12", "precision": "60", "points": "1,2",
+                 "variant": "eps2", "seed": "3", "out": "artifact.txt"}
+
+
+@pytest.mark.parametrize("command, target, option", [
+    (command, target, option) for (command, target), reads in READS.items()
+    for option in sorted(OPTION_VALUES) if option not in reads])
+def test_cli_every_subcommand_rejects_each_option_it_does_not_read(
+        tmp_path, capsys, monkeypatch, command, target, option):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, target, f"--{option}", OPTION_VALUES[option], "--json", "r.json"])
+    assert exc.value.code == 2
+    assert f"{command} {target} does not read --{option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []      # rejected before any work: no report
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# a cheap run of every verify suite, and construct l1
+CHEAP_RUNS = {
+    ("verify", "all"): ["--eps", "2", "--order", "12", "--precision", "30", "--points", "2"],
+    ("verify", "commute"): ["--eps", "2"],
+    ("verify", "bc"): ["--eps", "2"],
+    ("verify", "limit"): [],
+    ("verify", "rank"): ["--eps", "2", "--order", "12"],
+    ("verify", "kn"): ["--precision", "30", "--points", "2"],
+    ("construct", "l1"): ["--order", "16", "--out", "l1.txt"],
+}
+
+
+@pytest.mark.parametrize("command, target", sorted(CHEAP_RUNS))
+def test_cli_report_inputs_are_the_options_the_parser_accepts(
+        tmp_path, capsys, monkeypatch, command, target):
+    parser = _subcommands(_subcommands(build_parser())[command])[target]
+    accepted = {s[2:] for a in parser._actions for s in a.option_strings
+                if s.startswith("--") and s not in ("--help", "--json")}
+    assert accepted == READS[(command, target)]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, target, *CHEAP_RUNS[(command, target)], "--json", "r.json"]) == 0
+    capsys.readouterr()
+    assert set(json.loads((tmp_path / "r.json").read_text())["inputs"]) == accepted
 
 
 def test_cli_zero_checks_is_skipped_not_pass(tmp_path, capsys):

@@ -74,13 +74,13 @@ def test_derive_l1_matches_catalog(chis24, l1):
 
 
 def test_derive_l1_truncation_independent(chis24):
-    a = derive_L1_coeffs(*(s.truncate(14) for s in chis24), verify=False)
-    b = derive_L1_coeffs(*(s.truncate(18) for s in chis24), verify=False)
+    a = derive_L1_coeffs(*(s.truncate(14) for s in chis24))
+    b = derive_L1_coeffs(*(s.truncate(18) for s in chis24))
     assert a == b
 
 
 def test_derive_l1_eps_zero_specialization(chis24, limit_op):
-    coeffs = derive_L1_coeffs(*(s.truncate(16) for s in chis24), verify=False)
+    coeffs = derive_L1_coeffs(*(s.truncate(16) for s in chis24))
     ident = DiffOp.identity(XLAURENT_RING)
     expect = limit_op.op_power(3) - ident
     for n in range(8):
