@@ -1,8 +1,8 @@
 """Exact construction and verification of a rank-3 commuting operator pair
 on a genus-2 spectral curve."""
 
-from .exact import (BivarPoly, EpsPoly, ExactError, Rational, XLaurent,
-                    ZSeries, ep, series_sqrt, xl, DEFAULT_SERIES_ORDER)
+from .exact import (BivarPoly, EpsPoly, ExactError, XLaurent, ZSeries, ep,
+                    series_sqrt, xl, DEFAULT_SERIES_ORDER)
 from .diffop import (DiffOp, XLAURENT_RING, ZSERIES_RING, binom,
                      eval_poly_at_pair, right_reduce, NonCommutingPair,
                      ReductionError, CoefficientRingMismatch)

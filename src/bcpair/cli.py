@@ -273,14 +273,6 @@ def print_op(op: DiffOp, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def write_op_file(path: str, op: DiffOp, header: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for ln in header.splitlines():
-                fh.write(f"# {ln}\n")
-        fh.write(print_op(op, "text") + "\n")
-
-
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------

@@ -147,9 +147,6 @@ class DiffOp:
     def scale(self, value) -> "DiffOp":
         return DiffOp([c * value for c in self.coeffs], self.ring)
 
-    def map_coeffs(self, fn) -> "DiffOp":
-        return DiffOp([fn(c) for c in self.coeffs], self.ring)
-
     # -- ring operations ----------------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
@@ -194,15 +191,7 @@ class DiffOp:
     def op_power(self, k: int) -> "DiffOp":
         if k < 0:
             raise ValueError("operator powers need k >= 0")
-        result = DiffOp.identity(self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            k >>= 1
-            if k:
-                base = base.compose(base)
-        return result
+        return _powers(self, k)[k]
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
@@ -223,7 +212,7 @@ class DiffOp:
         return total if total is not None else f - f
 
     def substitute_eps(self, value) -> "DiffOp":
-        return self.map_coeffs(lambda c: c.substitute_eps(value))
+        return DiffOp([c.substitute_eps(value) for c in self.coeffs], self.ring)
 
     def support(self):
         """Sorted (k, x_exp, eps_exp) triples of nonzero monomials (XLaurent ring)."""
@@ -259,6 +248,22 @@ def _powers(op: DiffOp, n: int) -> list[DiffOp]:
     return out
 
 
+def _require_commuting(a: DiffOp, b: DiffOp, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first nonzero coefficient W_k of [a, b], if any."""
+    comm = a.commutator(b)
+    if not comm.is_zero():
+        k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())
+        raise error(f"operators do not commute: W_{k} != 0")
+
+
+def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
+    """The products a^i . b^j for the ``(i, j)`` in ``exponents``, in that order."""
+    pa = _powers(a, max((i for i, _ in exponents), default=0))
+    pb = _powers(b, max((j for _, j in exponents), default=0))
+    return [pb[j] if not i else pa[i] if not j else pa[i].compose(pb[j])
+            for i, j in exponents]
+
+
 def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     """Evaluate Q(z, w) at z -> a, w -> b for a commuting pair.
 
@@ -266,20 +271,10 @@ def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     irrelevant; a non-commuting pair is rejected with the first nonzero
     commutator coefficient named.
     """
-    comm = a.commutator(b)
-    if not comm.is_zero():
-        k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())
-        raise NonCommutingPair(f"operators do not commute: W_{k} != 0")
-    pa = _powers(a, max((ze for ze, _ in q.c), default=0))
-    pb = _powers(b, max((we for _, we in q.c), default=0))
+    _require_commuting(a, b, NonCommutingPair)
+    terms = sorted(q.c.items())
     total = DiffOp.zero(a.ring)
-    for (ze, we), coeff in sorted(q.c.items()):
-        if not we:
-            mono = pa[ze]
-        elif not ze:
-            mono = pb[we]
-        else:
-            mono = pa[ze].compose(pb[we])
+    for mono, (_, coeff) in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms):
         total = total + mono.scale(coeff)
     return total
 

@@ -2,7 +2,6 @@
 
 Everything downstream computes over these types:
 
-* ``Rational``     -- arbitrary-precision rationals (``fractions.Fraction``).
 * ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals.
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
   coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
@@ -29,8 +28,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-
-Rational = Fraction
 
 INF = float("inf")
 
@@ -94,19 +91,17 @@ class EpsPoly:
     def is_zero(self) -> bool:
         return not self.c
 
-    def is_rational(self) -> bool:
-        return not self.c or set(self.c) == {0}
-
     def is_monomial(self) -> bool:
         return len(self.c) == 1
 
     def degree(self) -> int:
         return max(self.c) if self.c else -1
 
-    def __add__(self, other: "EpsPoly") -> "EpsPoly":
+    def _add(self, other: "EpsPoly", sign: int = 1) -> "EpsPoly":
+        """``self + sign * other`` for ``sign`` in (1, -1)."""
         c = dict(self.c)
         for e, v in other.c.items():
-            s = c.get(e, _ZERO) + v
+            s = c.get(e, _ZERO) + (v if sign == 1 else -v)
             if s:
                 c[e] = s
             else:
@@ -115,17 +110,10 @@ class EpsPoly:
         out.c = c
         return out
 
+    __add__ = _add
+
     def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c.get(e, _ZERO) - v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = c
-        return out
+        return self._add(other, -1)
 
     def __neg__(self) -> "EpsPoly":
         out = EpsPoly.__new__(EpsPoly)
@@ -181,21 +169,15 @@ class EpsPoly:
         out.c = c
         return out
 
-    def divexact(self, other: "EpsPoly") -> "EpsPoly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
+    def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
+        """Long division ``self = q * other + r`` with ``r.degree() < other.degree()``."""
         if other.is_zero():
             raise ExactError("division by zero eps polynomial")
-        if other.is_monomial():
-            (e, v), = other.c.items()
-            return self.divide_monomial(v, e)
         rem = dict(self.c)
         de = other.degree()
         dl = other.c[de]
         q: dict[int, Fraction] = {}
-        while rem:
-            e = max(rem)
-            if e < de:
-                raise ExactError("inexact eps-polynomial division")
+        while rem and (e := max(rem)) >= de:
             qe, qv = e - de, rem[e] / dl
             q[qe] = qv
             for oe, ov in other.c.items():
@@ -205,9 +187,19 @@ class EpsPoly:
                     rem[t] = s
                 else:
                     rem.pop(t, None)
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = q
-        return out
+        quo, r = EpsPoly.__new__(EpsPoly), EpsPoly.__new__(EpsPoly)
+        quo.c, r.c = q, rem
+        return quo, r
+
+    def divexact(self, other: "EpsPoly") -> "EpsPoly":
+        """Exact polynomial division; raises if the remainder is nonzero."""
+        if other.is_monomial():
+            (e, v), = other.c.items()
+            return self.divide_monomial(v, e)
+        q, r = divmod(self, other)
+        if r.c:
+            raise ExactError("inexact eps-polynomial division")
+        return q
 
     def __repr__(self):
         return f"EpsPoly({self})"
@@ -410,12 +402,6 @@ class XLaurent:
     def coefficient(self, xexp: int) -> EpsPoly:
         return self.c.get(xexp, _EP_ZERO)
 
-    def min_exp(self) -> int:
-        return min(xe for xe, _ in self.num) if self.num else 0
-
-    def max_exp(self) -> int:
-        return max(xe for xe, _ in self.num) if self.num else 0
-
     def substitute_eps(self, value) -> "XLaurent":
         """Set eps to a rational p/q: sum v p^e q^(top-e) over q^top, top the eps-degree."""
         if not self.num:
@@ -432,22 +418,6 @@ class XLaurent:
             k = (xe, 0)
             acc[k] = acc.get(k, 0) + v * pp[ee] * qq[top - ee]
         return _reduced({k: v for k, v in acc.items() if v}, self.den * qq[top])
-
-    def evaluate_x(self, x0: Fraction) -> EpsPoly:
-        """Evaluate at a nonzero rational x."""
-        x0 = _fr(x0)
-        if not x0:
-            raise ExactError("cannot evaluate a Laurent polynomial at x = 0")
-        if not self.num:
-            return _EP_ZERO
-        # x0^e = p^(e-lo) q^(hi-e) / (p^-lo q^hi) for lo <= e <= hi
-        p, q = x0.numerator, x0.denominator
-        lo, hi = min(0, self.min_exp()), max(0, self.max_exp())
-        acc: dict[int, int] = {}
-        for (xe, ee), v in self.num.items():
-            acc[ee] = acc.get(ee, 0) + v * p**(xe - lo) * q**(hi - xe)
-        den = self.den * p**-lo * q**hi
-        return EpsPoly({ee: Fraction(v, den) for ee, v in acc.items()})
 
     def is_unit(self) -> bool:
         """A unit is a single monomial c * x^a * eps^b with c != 0."""
@@ -793,30 +763,6 @@ class BivarPoly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BivarPoly) and self.c == other.c
-
-    def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        c = dict(self.c)
-        for k, v in other.c.items():
-            s = c[k] + v if k in c else v
-            if s.is_zero():
-                del c[k]
-            else:
-                c[k] = s
-        return BivarPoly(c)
-
-    def __sub__(self, other: "BivarPoly") -> "BivarPoly":
-        c = dict(self.c)
-        for k, v in other.c.items():
-            s = c[k] - v if k in c else -v
-            if s.is_zero():
-                del c[k]
-            else:
-                c[k] = s
-        return BivarPoly(c)
-
-    def scale(self, value) -> "BivarPoly":
-        value = ep(value)
-        return BivarPoly({k: v * value for k, v in self.c.items()})
 
     def substitute_eps(self, value) -> "BivarPoly":
         out: dict[tuple[int, int], EpsPoly] = {}

@@ -469,6 +469,11 @@ def find_branch(x, eps, precision: int = 60, variant: str = "resolved") -> KNDat
         f"{best.branch}, in Eq[{pole}, {j}] (pole {pole})")
 
 
+def _check_point(x) -> None:
+    if x == 0:
+        raise ValueError("x = 0 is excluded: gamma vanishes")
+
+
 def kn_residuals(x, eps, precision: int = 60,
                  branch: BranchAssignment | None = None,
                  variant: str = "resolved") -> KNData:
@@ -477,8 +482,7 @@ def kn_residuals(x, eps, precision: int = 60,
     With ``branch=None`` the branch assignment is discovered at this point.
     x = 0 is excluded (gamma vanishes there).
     """
-    if x == 0:
-        raise ValueError("x = 0 is excluded: gamma vanishes")
+    _check_point(x)
     if branch is None:
         return find_branch(x, eps, precision, variant=variant)
     return _point_quantities(x, eps, precision, branch, variant)
@@ -512,10 +516,15 @@ def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
 
     Every point must keep all twelve residuals below
     ``default_tolerance(precision)``, which the report records as
-    ``tolerance``; too few digits raise ``ValueError`` before any evaluation.
+    ``tolerance``.  Too few digits, no points or a point x = 0 raise
+    ``ValueError`` before any evaluation.
     """
     pts = list(points)
     tolerance = default_tolerance(precision)
+    if not pts:
+        raise ValueError("the kn check needs at least one sample point")
+    for x in pts:
+        _check_point(x)
     first = find_branch(pts[0], eps, precision, variant)
     evaluations = [first] + [_point_quantities(x, eps, precision, first.branch, variant)
                              for x in pts[1:]]

@@ -294,27 +294,10 @@ class FractionEchelon:
 # fraction-free echelon over Q[eps]
 # ---------------------------------------------------------------------------
 
-def _eps_rem(a: EpsPoly, b: EpsPoly) -> EpsPoly:
-    rem = dict(a.c)
-    db = b.degree()
-    lead = b.c[db]
-    while rem and max(rem) >= db:
-        e = max(rem)
-        q = rem[e] / lead
-        for be, bv in b.c.items():
-            t = be + e - db
-            s = rem.get(t, Fraction(0)) - q * bv
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-    return EpsPoly(rem)
-
-
 def eps_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     """Monic greatest common divisor over Q (zero only when both are zero)."""
     while not b.is_zero():
-        a, b = b, _eps_rem(a, b)
+        a, b = b, divmod(a, b)[1]
     return a.scale(1 / a.c[a.degree()]) if not a.is_zero() else a
 
 

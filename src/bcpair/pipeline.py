@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
                     XLaurent, ZSeries, ep, sum_of_products)
-from .diffop import DiffOp, XLAURENT_RING, _powers
+from .diffop import DiffOp, XLAURENT_RING, _pair_monomials, _require_commuting
 from .curve import chi, curve_series, lambda_fn
 from . import linsolve
 
@@ -100,8 +100,12 @@ class Rank3Report:
 
     passed: bool
     max_verified_order: int                 # highest z-exponent confirmed zero
-    verified_nonneg_orders: int             # count of confirmed orders >= 0
     first_failure: tuple[int, int] | None   # (component j, z-order), if any
+
+    @property
+    def verified_nonneg_orders(self) -> int:
+        """Count of confirmed orders >= 0."""
+        return max(0, self.max_verified_order + 1)
 
     def __str__(self):
         if self.passed:
@@ -114,7 +118,11 @@ class Rank3Report:
 def verify_rank3(op: DiffOp, chis, eigen: ZSeries) -> Rank3Report:
     """Check remainder(op mod T) = (eigen, 0, 0) through the series window."""
     chi0, chi1, chi2 = chis
-    frame = reduction_frame(chi0, chi1, chi2, max(op.order, 3))
+    return _rank3_report(op, reduction_frame(chi0, chi1, chi2, max(op.order, 3)), eigen)
+
+
+def _rank3_report(op: DiffOp, frame, eigen: ZSeries) -> Rank3Report:
+    """``verify_rank3`` on a frame already built to at least ``op``'s order."""
     q0, q1, q2 = reduce_with_frame(op, frame)
     residuals = [q0 - eigen, q1, q2]
     failures = []
@@ -128,9 +136,8 @@ def verify_rank3(op: DiffOp, chis, eigen: ZSeries) -> Rank3Report:
                 break
     if failures:
         e, j = min(failures)
-        return Rank3Report(False, e - 1, max(0, e), (j, e))
-    max_ok = min(uppers) - 1
-    return Rank3Report(True, max_ok, max(0, max_ok + 1), None)
+        return Rank3Report(False, e - 1, (j, e))
+    return Rank3Report(True, min(uppers) - 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +156,8 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     over Q[eps] by back-substitution: a row with one unsolved unknown whose
     coefficient is a unit fixes that unknown, and a row with none left must
     reduce to zero.  Every result is re-verified symbolically against the
-    reduction remainder over the full series window (``verify_rank3``) and
-    raises ``PipelineError`` if it fails there.
+    reduction remainder over the full series window, on the frame that set up
+    the system, and raises ``PipelineError`` if it fails there.
     """
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
         if s.upper != _INF and s.upper - s.lowest < order - 1:
@@ -210,7 +217,7 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     coeffs_out = [solved[n] for n in range(n_unknowns)]
 
     op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
-    report = verify_rank3(op, (chi0, chi1, chi2), eigen)
+    report = _rank3_report(op, frame, eigen)
     if not report.passed:
         raise PipelineError(f"derived coefficients fail re-verification: {report}")
     return coeffs_out
@@ -414,18 +421,13 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
     wa, wb = int(a.order), int(b.order)
     if wa <= 0 or wb <= 0:
         raise ValueError("operators must have positive order")
-    comm = a.commutator(b)
-    if not comm.is_zero():
-        k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())
-        raise PipelineError(f"operators do not commute: W_{k} != 0")
+    _require_commuting(a, b, PipelineError)
 
     monomials = sorted(((i, j) for i in range(weight_bound // wa + 1)
                         for j in range(weight_bound // wb + 1)
                         if wa * i + wb * j <= weight_bound),
                        key=lambda ij: (wa * ij[0] + wb * ij[1], ij[1], ij[0]))
-    pow_a, pow_b = _powers(a, weight_bound // wa), _powers(b, weight_bound // wb)
-    products = [pow_b[j] if not i else pow_a[i] if not j else pow_a[i].compose(pow_b[j])
-                for i, j in monomials]
+    products = _pair_monomials(a, b, monomials)
 
     columns = {c: p.coeffs for c, p in enumerate(products)}
     ech = linsolve.BareissEchelon(

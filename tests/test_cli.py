@@ -14,7 +14,7 @@ import pytest
 
 from bcpair import DiffOp, XLAURENT_RING, make_l1, make_l2, make_limit_op
 from bcpair.cli import (OpSyntaxError, build_parser, main, parse_op, print_op,
-                        read_op_file, write_op_file)
+                        read_op_file)
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -113,10 +113,8 @@ def test_division_restrictions():
 
 def test_op_file_io(tmp_path):
     path = tmp_path / "op.txt"
-    write_op_file(str(path), make_limit_op(), "limit operator")
+    path.write_text(f"# limit operator\n{print_op(make_limit_op())}  # trailing note\n")
     assert read_op_file(str(path)) == make_limit_op()
-    raw = path.read_text()
-    assert raw.startswith("# limit operator")
 
 
 def test_json_format():
@@ -362,6 +360,12 @@ def test_cli_rank_order_below_minimum_is_usage_error(capsys):
         assert main(argv) == 2
         out = capsys.readouterr()
         assert "--order >= 12" in out.err and "FAIL" not in out.out
+
+
+def test_cli_kn_point_zero_is_usage_error(capsys):
+    assert main(["verify", "kn", "--points", "1,0"]) == 2
+    out = capsys.readouterr()
+    assert "error: x = 0 is excluded" in out.err and "PASS" not in out.out
 
 
 def test_cli_kn_precision_below_minimum_is_usage_error(capsys):

@@ -225,6 +225,21 @@ def test_find_branch_evaluations(monkeypatch):
     assert len(calls) == 2
 
 
+def test_kn_check_validates_points_before_evaluating(monkeypatch):
+    calls = []
+    inner = kncheck.gamma_eval
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(kncheck, "gamma_eval", counting)
+    with pytest.raises(ValueError, match="x = 0 is excluded"):
+        kn_check(points=[1, 0], eps=-1, precision=60)
+    with pytest.raises(ValueError, match="at least one sample point"):
+        kn_check(points=[], eps=-1, precision=60)
+    assert calls == []
+
+
 def test_kn_check_multipoint():
     rep = kn_check(points=(1, F(3, 2), 2, 3, 5), eps=-1, precision=60)
     assert rep.passed

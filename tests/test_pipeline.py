@@ -10,6 +10,7 @@ from bcpair import (AffineSolutionSet, BivarPoly, DiffOp, EpsPoly, PipelineError
                     find_bc_relation, lambda_fn, make_l1, make_l2,
                     make_limit_op, mu_fn, reduce_with_frame, reduction_frame,
                     solve_commuting, verify_rank3, xl)
+from bcpair import pipeline
 from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
 from conftest import rng
 
@@ -253,3 +254,16 @@ def test_derive_l1_wrong_eigenvalue_fails_reverification(chis24):
     with pytest.raises(PipelineError,
                        match=r"re-verification.*component Q_0, z-order 1"):
         derive_L1_coeffs(*chis, eigen=eigen)
+
+
+def test_derive_l1_reverifies_on_its_own_frame(monkeypatch, chis24, l1):
+    calls = []
+    inner = pipeline.reduction_frame
+
+    def counting(*args):
+        calls.append(args[3])          # the frame's top order
+        return inner(*args)
+    monkeypatch.setattr(pipeline, "reduction_frame", counting)
+    coeffs = derive_L1_coeffs(*(s.truncate(16) for s in chis24))
+    assert list(l1.coeffs[:8]) == coeffs
+    assert calls == [9]
