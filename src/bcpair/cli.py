@@ -437,14 +437,16 @@ def _suite_kn(report: Report, eps, precision: int, points) -> None:
 
 
 def _suite_all(report: Report, eps, order: int, precision: int, points, variant: str) -> None:
-    _check_rank_order(order)                 # both before any suite runs
+    # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
+    kn_eps = eps if eps is not None and eps < 0 else Fraction(-1)
+    _check_rank_order(order)                 # all three before any suite runs
     kncheck.default_tolerance(precision)
+    kncheck.check_points(points, kn_eps)
     _suite_commute(report, eps)
     _suite_bc(report, eps, variant)
     _suite_limit(report, eps)
     _suite_rank(report, eps, order)
-    # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
-    _suite_kn(report, eps if eps is not None and eps < 0 else None, precision, points)
+    _suite_kn(report, kn_eps, precision, points)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,16 @@ so the search keeps w principal.  The residuals read the alphas to order 1
 and the ds to order 0, so the jets are truncated to order 1 once the higher
 derivatives of gamma are taken.
 
+Each jet product and quotient has one body, which starts each Leibniz sum
+from its first term and skips binomial factors equal to 1; both steps are
+exact, so the bits are those of the plain convolution.  An evaluation
+computes each quantity a pole pair shares once, and pole s + 3 takes the
+terms linear in w from pole s with their signs flipped, which is exact
+under round-to-nearest.
+
+`check_points` rejects eps >= 0, x = 0 and x^3 + eps^2 <= 0, exactly over
+the rationals, before any evaluation.
+
 Only eps < 0 is supported; the closed-form solution of the gamma equation
 assumes it, and positive eps is untested territory.
 """
@@ -91,13 +101,23 @@ class Jet:
     def __neg__(self):
         return Jet(tuple(-v for v in self.d))
 
+    # The Leibniz sums start from their first term and skip the binomial
+    # factor where it is 1.  Both are exact at the working precision (0 + v
+    # and 1 * v round nothing), so the entries keep the bits of the plain
+    # convolution summed from 0.
+
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(tuple(v * other for v in self.d))
         a, b, n = self._pair(other)
-        return Jet(tuple(
-            sum(math.comb(k, i) * a[i] * b[k - i] for i in range(k + 1))
-            for k in range(n)))
+        out = []
+        for k in range(n):
+            acc = a[0] * b[k]
+            for i in range(1, k + 1):
+                c = math.comb(k, i)
+                acc += a[i] * b[k - i] if c == 1 else c * a[i] * b[k - i]
+            out.append(acc)
+        return Jet(tuple(out))
 
     __rmul__ = __mul__
 
@@ -109,7 +129,8 @@ class Jet:
         for k in range(n):
             acc = a[k]
             for i in range(k):
-                acc -= math.comb(k, i) * out[i] * b[k - i]
+                c = math.comb(k, i)
+                acc -= out[i] * b[k - i] if c == 1 else c * out[i] * b[k - i]
             out.append(acc / b[0])
         return Jet(tuple(out))
 
@@ -242,7 +263,8 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         gpp = gp.derivative()
         gppp = gpp.derivative()        # order 1
         ev = mpmathify(eps)
-        c4 = -ev**4 / 3888
+        e4 = ev**4
+        c4 = -e4 / 3888
 
         # (-3)^(3/4) / (c4^(1/4) sqrt(gamma')), principal roots times i^phase
         rho = (I**branch.phase * mpc(-3) ** (mpf(3) / 4) / mpc(c4) ** (mpf(1) / 4)
@@ -251,6 +273,7 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
 
         a = (-1 + mp.sqrt(mpf(3)) * I) / 2
         aa = [mpc(1), a, a.conjugate()]
+        aa2 = [a_s**2 for a_s in aa]
 
         h1 = I * rho * g * gp
         h0 = I * rho * (g * gpp - 4 * gp * gp) / 2
@@ -267,19 +290,23 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         u13 = xjet / g                 # (x^3 + eps^2)^(1/3), real branch
         u23 = u13 * u13
 
-        G = []
-        H = []
-        for s in range(3):
-            ag2 = (aa[s] * g) * (aa[s] * g)
-            P = h0 + ag2
-            G.append((h1p - h0 - ag2) / (2 * h1) + gp / (2 * g) - gpp / (2 * gp))
-            if variant == "displayed":
-                H.append((P * h1p - 2 * h0p - 7 * aa[s] ** 2 * g * gp) / (2 * h1)
-                         - P * P / (2 * h1 * h1) - h0 * gp / (2 * h1 * g)
-                         + P * gpp / (2 * h1 * gp))
-            else:
-                H.append(-2 / (xjet * xjet) + aa[s] ** 2 * u13 / 18
-                         - aa[s] * xjet * xjet * u23 / 648)
+        # Each quantity below is computed once and read at several poles.
+        # Every expression keeps the operand order of the formula it serves,
+        # so sharing it changes no bit.
+        two_g, three_g, two_h1 = 2 * g, 3 * g, 2 * h1
+        ag = [a_s * g for a_s in aa]   # the finite poles z = a_s gamma
+        ag2 = [z * z for z in ag]
+        P = [h0 + z2 for z2 in ag2]
+        gp_2g, gpp_2gp = gp / two_g, gpp / (2 * gp)
+        G = [(h1p - h0 - z2) / two_h1 + gp_2g - gpp_2gp for z2 in ag2]
+        if variant == "displayed":
+            H = [(P[s] * h1p - 2 * h0p - 7 * aa2[s] * g * gp) / two_h1
+                 - P[s] * P[s] / (two_h1 * h1) - h0 * gp / (two_h1 * g)
+                 + P[s] * gpp / (two_h1 * gp) for s in range(3)]
+        else:
+            m2_xx = -2 / (xjet * xjet)
+            H = [m2_xx + aa2[s] * u13 / 18 - aa[s] * xjet * xjet * u23 / 648
+                 for s in range(3)]
 
         g3 = g**3
         tau1 = ((4 * gp * gp - 9 * g * gpp) / (2 * g * g)
@@ -296,51 +323,44 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         else:
             x3 = xjet**3
             tau0 = 20 / ujet + 32 * ev**2 / (ujet * x3) - ujet * x3 / 2916
+        half_tau0 = tau0 / 2
+        six_ggg_p, six_gp, six_g3 = 6 * g * g * gp, 6 * gp, 6 * g3
+        e4_3888, e4_972 = e4 / 3888, e4 / 972
+        one = Jet.const(1, g.order)
+        d2 = -2 * gp / g
 
-        # w and dw/dz at the three finite poles z = a_s gamma
-        w_jets = []
-        wz_jets = []
+        alphas = [None] * 6
+        ds = [None] * 6
         for s in range(3):
-            zeta = aa[s] * g
-            wsq = 1 - 2 * zeta**3 - (ev**4 / 3888) * zeta**4 + zeta**6
+            s1, s2 = (s + 1) % 3, (s + 2) % 3
+            # w and dw/dz at z = a_s gamma, from one chain of powers of z
+            z, z2 = ag[s], ag2[s]
+            z3 = z2 * z
+            z4 = z3 * z
+            z5 = z4 * z
+            wsq = 1 - 2 * z3 - e4_3888 * z4 + z5 * z
             root0 = mp.sqrt(wsq.value()) * (-1) ** branch.w_signs[s]
             w = wsq.sqrt_with_value(root0)
-            wz = (-6 * zeta * zeta - (ev**4 / 972) * zeta**3 + 6 * zeta**5) / (2 * w)
-            w_jets.append(w)
-            wz_jets.append(wz)
+            wz = (-6 * z * z - e4_972 * z3 + 6 * z5) / (2 * w)
 
-        alphas = [[None] * 3 for _ in range(6)]
-        ds = [[None] * 3 for _ in range(6)]
-        one = Jet.const(1, g.order)
-        for i in range(6):
-            s = i % 3
-            sigma = -1 if i >= 3 else 1
-            w = w_jets[s] * sigma
-            wz = wz_jets[s] * sigma
-            ag = aa[s] * g
-            ag2 = ag * ag
-            alphas[i][0] = H[s] + w * h0 / (6 * g * g * gp) + aa[s] ** 2 * w / (6 * gp)
-            alphas[i][1] = G[s] - w * h1 / (6 * g * g * gp)
-            alphas[i][2] = one
-            hsum = Jet.const(0, g.order)
-            for m_ in (1, 2):
-                hsum = hsum + (1 - aa[s] ** 2 * aa[(s + m_) % 3]) * H[(s + m_) % 3]
-            ds[i][0] = (tau0 / 2 + aa[s] ** 2 / (2 * g) + gp * hsum / (3 * g)
-                        + ((h0 + 2 * ag2) * w - (h0 + ag2) * ag * wz) / (6 * g3))
+            hsum = (1 - aa2[s] * aa[s1]) * H[s1] + (1 - aa2[s] * aa[s2]) * H[s2]
+            d0 = half_tau0 + aa2[s] / two_g + gp * hsum / three_g
             if variant == "displayed":
-                ds[i][1] = (tau1
-                            - G[(s + 1) % 3] * gp / ((aa[s] - aa[(s + 1) % 3]) * g)
-                            - G[(s + 2) % 3] * gp / ((aa[s] - aa[(s + 2) % 3]) * g)
-                            + (ag * wz - w) * h1 / (6 * g3))
+                d1 = (tau1 - G[s1] * gp / ((aa[s] - aa[s1]) * g)
+                      - G[s2] * gp / ((aa[s] - aa[s2]) * g))
             else:
                 # the gamma'_m = a_m gamma' factors of the pole expansion
-                ds[i][1] = (tau1
-                            - aa[(s + 1) % 3] * G[(s + 1) % 3] * gp
-                            / ((aa[s] - aa[(s + 1) % 3]) * g)
-                            - aa[(s + 2) % 3] * G[(s + 2) % 3] * gp
-                            / ((aa[s] - aa[(s + 2) % 3]) * g)
-                            + (ag * wz - w) * h1 / (6 * g3))
-            ds[i][2] = -2 * gp / g
+                d1 = (tau1 - aa[s1] * G[s1] * gp / ((aa[s] - aa[s1]) * g)
+                      - aa[s2] * G[s2] * gp / ((aa[s] - aa[s2]) * g))
+            # The terms linear in w.  Pole s + 3 has w on the other sheet,
+            # which negates each of them exactly: round-to-nearest is
+            # symmetric under a change of sign.
+            wt = (w * h0 / six_ggg_p, aa2[s] * w / six_gp, w * h1 / six_ggg_p,
+                  ((h0 + 2 * z2) * w - P[s] * z * wz) / six_g3,
+                  (z * wz - w) * h1 / six_g3)
+            for i, t in ((s, wt), (s + 3, [-term for term in wt])):
+                alphas[i] = [H[s] + t[0] + t[1], G[s] - t[2], one]
+                ds[i] = [d0 + t[3], d1 + t[4], d2]
 
         residuals = []
         for i in range(6):
@@ -469,9 +489,20 @@ def find_branch(x, eps, precision: int = 60, variant: str = "resolved") -> KNDat
         f"{best.branch}, in Eq[{pole}, {j}] (pole {pole})")
 
 
-def _check_point(x) -> None:
-    if x == 0:
-        raise ValueError("x = 0 is excluded: gamma vanishes")
+def check_points(points, eps) -> None:
+    """Reject inputs the kn check cannot evaluate, before any evaluation.
+
+    ``eps`` must be negative, and every point x nonzero (gamma vanishes at
+    0) with x^3 + eps^2 > 0 (the real cube root); decided exactly over the
+    rationals, so each x must be a rational number.
+    """
+    e2 = _check_domain(eps) ** 2
+    for x in points:
+        q = Fraction(x)
+        if q == 0:
+            raise ValueError("x = 0 is excluded: gamma vanishes")
+        if q**3 + e2 <= 0:
+            raise ValueError(f"x = {x} is outside the domain: x^3 + eps^2 must be positive")
 
 
 def kn_residuals(x, eps, precision: int = 60,
@@ -480,9 +511,9 @@ def kn_residuals(x, eps, precision: int = 60,
     """The 12 compatibility residuals at one sample point.
 
     With ``branch=None`` the branch assignment is discovered at this point.
-    x = 0 is excluded (gamma vanishes there).
+    ``check_points`` rejects x and eps before any evaluation.
     """
-    _check_point(x)
+    check_points([x], eps)
     if branch is None:
         return find_branch(x, eps, precision, variant=variant)
     return _point_quantities(x, eps, precision, branch, variant)
@@ -516,15 +547,14 @@ def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
 
     Every point must keep all twelve residuals below
     ``default_tolerance(precision)``, which the report records as
-    ``tolerance``.  Too few digits, no points or a point x = 0 raise
-    ``ValueError`` before any evaluation.
+    ``tolerance``.  Too few digits, no points or a point that
+    ``check_points`` rejects raise ``ValueError`` before any evaluation.
     """
     pts = list(points)
     tolerance = default_tolerance(precision)
     if not pts:
         raise ValueError("the kn check needs at least one sample point")
-    for x in pts:
-        _check_point(x)
+    check_points(pts, eps)
     first = find_branch(pts[0], eps, precision, variant)
     evaluations = [first] + [_point_quantities(x, eps, precision, first.branch, variant)
                              for x in pts[1:]]

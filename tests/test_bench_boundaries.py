@@ -55,7 +55,7 @@ def test_micro_benchmarks_run_on_l1():
             "linsolve.echelon_insert_us"} <= set(metrics)
 
 
-@pytest.mark.parametrize("workload", ["verify", "construct"])
+@pytest.mark.parametrize("workload", ["verify", "construct", "kn"])
 def test_workload_round_passes_its_checks(workload, l1, l2, chis24, lam24, mu24):
     # the curve, operator and solver API a benchmark round calls, checked the
     # way the benchmark checks it

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bcpair import DiffOp, XLAURENT_RING, make_l1, make_l2, make_limit_op
+from bcpair import DiffOp, XLAURENT_RING, cli, make_l1, make_l2, make_limit_op
 from bcpair.cli import (OpSyntaxError, build_parser, main, parse_op, print_op,
                         read_op_file)
 from conftest import random_xlaurent, rng
@@ -366,6 +366,21 @@ def test_cli_kn_point_zero_is_usage_error(capsys):
     assert main(["verify", "kn", "--points", "1,0"]) == 2
     out = capsys.readouterr()
     assert "error: x = 0 is excluded" in out.err and "PASS" not in out.out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--points", "1,0"], "x = 0 is excluded"),
+    (["--eps", "-1", "--points", "1,-2"], "x = -2 is outside the domain"),
+    (["--eps", "1", "--points", "1,-1"], "x = -1 is outside the domain"),
+])
+def test_cli_all_checks_points_before_any_suite(capsys, monkeypatch, args, message):
+    # verify all checks the kn points with the eps its kn suite will use
+    def no_suite(*_):
+        raise AssertionError("a suite ran")
+    monkeypatch.setattr(cli, "_suite_commute", no_suite)
+    assert main(["verify", "all"] + args) == 2
+    out = capsys.readouterr()
+    assert f"error: {message}" in out.err and "PASS" not in out.out
 
 
 def test_cli_kn_precision_below_minimum_is_usage_error(capsys):

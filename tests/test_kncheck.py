@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -52,6 +54,42 @@ def test_jet_scalar_paths_match_const_convolution():
                     # convolution itself rounds entry 0 and the later entries
                     # by different mpmath routines; the kernel never divides so
                     assert _bits(jet / c) == _bits(jet / const)
+
+
+def _ref_mul(a, b):
+    # the binomial convolution summed from int 0, every term scaled by C(k, i)
+    n = min(len(a.d), len(b.d))
+    return Jet(tuple(sum(math.comb(k, i) * a.d[i] * b.d[k - i] for i in range(k + 1))
+                     for k in range(n)))
+
+
+def _ref_div(a, b):
+    n = min(len(a.d), len(b.d))
+    out = []
+    for k in range(n):
+        acc = a.d[k]
+        for i in range(k):
+            acc -= math.comb(k, i) * out[i] * b.d[k - i]
+        out.append(acc / b.d[0])
+    return Jet(tuple(out))
+
+
+def test_jet_product_and_quotient_match_reference_convolution():
+    rng = random.Random(16)
+    with workdps(50):
+        def jet(n, complex_):
+            def entry():
+                v = mpf(rng.randint(-10**6, 10**6)) / rng.randint(1, 10**4)
+                return mpc(v, mpf(rng.randint(-10**6, 10**6)) / 7) if complex_ else v
+            return Jet(tuple(entry() for _ in range(n)))
+        for _ in range(40):
+            for n, m in itertools.product(range(1, 6), repeat=2):
+                a = jet(n, rng.random() < 0.5)
+                b = jet(m, rng.random() < 0.5)
+                while b.d[0] == 0:
+                    b = jet(m, rng.random() < 0.5)
+                assert _bits(a * b) == _bits(_ref_mul(a, b))
+                assert _bits(a / b) == _bits(_ref_div(a, b))
 
 
 def test_jet_powers_and_truncation():
@@ -190,6 +228,25 @@ def test_point_residuals_bit_identical(x, eps, precision, variant):
     assert _residual_digest(data.residuals) == RESIDUAL_SHA256[x, eps, precision, variant]
 
 
+POLE_DATA_SHA256 = {
+    (2, -1, 60, "resolved"):
+        "9b9df9d8dacfa7ddc96a3201ed74c2dbf4ee7a36880408ede0e72c4aa6975935",
+    (F(4, 3), F(-3, 2), 240, "resolved"):
+        "3760491f2070389b4e6c0819501e7d833987da3684ea5baa26f26cc32f5795f4",
+    (2, -1, 40, "displayed"):
+        "ad2c9000c32cdf9857c741f1e941ec8d407d09398e78e6be67d32f704cc8803b",
+}
+
+
+@pytest.mark.parametrize("x, eps, precision, variant", list(POLE_DATA_SHA256))
+def test_pole_data_jets_bit_identical(x, eps, precision, variant):
+    # every entry of every alphas and ds jet, not only the residuals read from them
+    data = _point_quantities(x, eps, precision, BranchAssignment(), variant)
+    entries = [v for rows in (data.alphas, data.ds) for row in rows for jet in row
+               for v in jet.d]
+    assert _residual_digest(entries) == POLE_DATA_SHA256[x, eps, precision, variant]
+
+
 @pytest.mark.parametrize("variant", ["resolved", "displayed"])
 def test_sheet_flip_is_pole_relabelling(variant):
     # w on the other sheet at every pole gives pole i the equations of pole i+3
@@ -237,6 +294,13 @@ def test_kn_check_validates_points_before_evaluating(monkeypatch):
         kn_check(points=[1, 0], eps=-1, precision=60)
     with pytest.raises(ValueError, match="at least one sample point"):
         kn_check(points=[], eps=-1, precision=60)
+    # x^3 + eps^2 = -7 at the second point: rejected before x = 1 is evaluated
+    with pytest.raises(ValueError, match="x = -2 is outside the domain"):
+        kn_check(points=[1, -2], eps=-1, precision=60)
+    with pytest.raises(ValueError, match="outside the domain"):
+        kn_residuals(-2, -1, 60)
+    with pytest.raises(ValueError, match="eps must be negative"):
+        kn_check(points=[1, 2], eps=1, precision=60)
     assert calls == []
 
 
