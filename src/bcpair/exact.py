@@ -235,22 +235,6 @@ def ep(value) -> EpsPoly:
 # Laurent polynomials in x over EpsPoly
 # ---------------------------------------------------------------------------
 
-def _product(a: "XLaurent", b: "XLaurent", c: int = 1) -> "XLaurent":
-    """``c * a * b`` for an ``int`` ``c``, reduced once."""
-    acc: dict[tuple[int, int], int] = {}
-    get = acc.get
-    bitems = list(b.num.items())
-    for (x1, e1), v1 in a.num.items():
-        if c != 1:
-            v1 *= c
-        for (x2, e2), v2 in bitems:
-            k = (x1 + x2, e1 + e2)
-            acc[k] = get(k, 0) + v1 * v2
-    if 0 in acc.values():
-        acc = {k: v for k, v in acc.items() if v}
-    return _reduced(acc, a.den * b.den)
-
-
 def _reduced(num: dict[tuple[int, int], int], den: int) -> "XLaurent":
     """The XLaurent ``num / den`` (``den > 0``, no zero numerators), in lowest terms.
 
@@ -381,7 +365,16 @@ class XLaurent:
             if isinstance(other, (int, Fraction, EpsPoly)):
                 return self.scale(other)
             return NotImplemented
-        return _product(self, other)
+        acc: dict[tuple[int, int], int] = {}
+        get = acc.get
+        bitems = list(other.num.items())
+        for (x1, e1), v1 in self.num.items():
+            for (x2, e2), v2 in bitems:
+                k = (x1 + x2, e1 + e2)
+                acc[k] = get(k, 0) + v1 * v2
+        if 0 in acc.values():
+            acc = {k: v for k, v in acc.items() if v}
+        return _reduced(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -478,9 +471,6 @@ def sum_of_products(terms) -> XLaurent:
     composition lists its Leibniz terms that way.  The form is canonical, so
     the result equals the fold ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
     """
-    if len(terms) == 1:
-        (c, a, b), = terms
-        return _product(a, b, c)
     groups: list[tuple[XLaurent, list]] = []
     last = None
     for c, a, b in terms:

@@ -264,7 +264,8 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
         gppp = gpp.derivative()        # order 1
         ev = mpmathify(eps)
         e4 = ev**4
-        c4 = -e4 / 3888
+        e4_3888 = e4 / 3888
+        c4 = -e4_3888
 
         # (-3)^(3/4) / (c4^(1/4) sqrt(gamma')), principal roots times i^phase
         rho = (I**branch.phase * mpc(-3) ** (mpf(3) / 4) / mpc(c4) ** (mpf(1) / 4)
@@ -325,7 +326,7 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
             tau0 = 20 / ujet + 32 * ev**2 / (ujet * x3) - ujet * x3 / 2916
         half_tau0 = tau0 / 2
         six_ggg_p, six_gp, six_g3 = 6 * g * g * gp, 6 * gp, 6 * g3
-        e4_3888, e4_972 = e4 / 3888, e4 / 972
+        e4_972 = e4 / 972
         one = Jet.const(1, g.order)
         d2 = -2 * gp / g
 
@@ -494,11 +495,15 @@ def check_points(points, eps) -> None:
 
     ``eps`` must be negative, and every point x nonzero (gamma vanishes at
     0) with x^3 + eps^2 > 0 (the real cube root); decided exactly over the
-    rationals, so each x must be a rational number.
+    rationals, so each x must be an ``int``, ``Fraction`` or finite ``float``
+    (anything else, an mpmath number too, is a ``ValueError``).
     """
     e2 = _check_domain(eps) ** 2
     for x in points:
-        q = Fraction(x)
+        try:
+            q = Fraction(x)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"x = {x!r} is not a rational number") from None
         if q == 0:
             raise ValueError("x = 0 is excluded: gamma vanishes")
         if q**3 + e2 <= 0:
@@ -511,7 +516,9 @@ def kn_residuals(x, eps, precision: int = 60,
     """The 12 compatibility residuals at one sample point.
 
     With ``branch=None`` the branch assignment is discovered at this point.
-    ``check_points`` rejects x and eps before any evaluation.
+    ``x`` must be rational (``int``, ``Fraction`` or ``float``);
+    ``check_points`` rejects x and eps with ``ValueError`` before any
+    evaluation.
     """
     check_points([x], eps)
     if branch is None:
@@ -547,8 +554,9 @@ def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
 
     Every point must keep all twelve residuals below
     ``default_tolerance(precision)``, which the report records as
-    ``tolerance``.  Too few digits, no points or a point that
-    ``check_points`` rejects raise ``ValueError`` before any evaluation.
+    ``tolerance``.  Each point must be rational (``int``, ``Fraction`` or
+    ``float``).  Too few digits, no points or a point that ``check_points``
+    rejects raise ``ValueError`` before any evaluation.
     """
     pts = list(points)
     tolerance = default_tolerance(precision)

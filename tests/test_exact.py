@@ -219,20 +219,6 @@ def test_sum_of_products_signs_denominators_cancellation():
     assert sum_of_products([(0, a, b), (3, XLaurent.zero(), a)]).den == 1
 
 
-def test_sum_of_products_single_triple_matches_general_path():
-    # one triple returns a * b (scaled); a second, zero triple forces the
-    # general path without changing the sum
-    r = rng(16)
-    zero = XLaurent.zero()
-    for _ in range(300):
-        a, b = random_xlaurent(r, terms=4), random_xlaurent(r, terms=4)
-        for c in (0, 1, -1, r.randint(-9, 9)):
-            for u, v in ((a, b), (zero, b), (a, zero)):
-                fast = sum_of_products([(c, u, v)])
-                assert fast == sum_of_products([(c, u, v), (0, v, u)])
-                assert fast == sum_of_products([(c, u, v), (2, zero, u)])
-
-
 def test_series_divide_round_trip_seeded():
     r = rng(4)
     for _ in range(300):

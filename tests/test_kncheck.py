@@ -299,6 +299,11 @@ def test_kn_check_validates_points_before_evaluating(monkeypatch):
         kn_check(points=[1, -2], eps=-1, precision=60)
     with pytest.raises(ValueError, match="outside the domain"):
         kn_residuals(-2, -1, 60)
+    # the domain is decided over the rationals: an mpmath point is refused
+    with pytest.raises(ValueError, match="is not a rational number"):
+        kn_residuals(mpf(2), -1, 60)
+    with pytest.raises(ValueError, match="is not a rational number"):
+        kn_check(points=[1, float("nan")], eps=-1, precision=60)
     with pytest.raises(ValueError, match="eps must be negative"):
         kn_check(points=[1, 2], eps=1, precision=60)
     assert calls == []
