@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import DEFAULT_SERIES_ORDER, EpsPoly, XLaurent
-from .diffop import DiffOp, XLAURENT_RING, eval_poly_at_pair
+from .diffop import DiffOp, eval_poly_at_pair
 from .curve import CurveDef, bc_function_identity, curve_series, lambda_fn, mu_fn
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
 from . import kncheck, pipeline
@@ -153,15 +153,14 @@ class _Parser:
     def atom(self) -> DiffOp:
         tok = self.next()
         if tok[0] == "int":
-            return DiffOp.from_coeff(XLaurent.monomial(0, tok[1]), XLAURENT_RING)
+            return DiffOp.from_coeff(XLaurent.monomial(0, tok[1]))
         if tok[0] == "name":
             if tok[1] == "x":
-                return DiffOp.from_coeff(XLaurent.var(), XLAURENT_RING)
+                return DiffOp.from_coeff(XLaurent.var())
             if tok[1] == "eps":
-                return DiffOp.from_coeff(
-                    XLaurent({0: EpsPoly.eps_power(1)}), XLAURENT_RING)
+                return DiffOp.from_coeff(XLaurent({0: EpsPoly.eps_power(1)}))
             if tok[1] == "D":
-                return DiffOp.d(1, XLAURENT_RING)
+                return DiffOp.d(1)
             self.error(f"unknown symbol {tok[1]!r}", tok)
         if tok[:2] == ("op", "("):
             inner = self.expr()
@@ -182,7 +181,7 @@ def _inverse_unit_op(op: DiffOp, parser: _Parser, tok) -> DiffOp:
     (ee, val), = epoly.c.items()
     if ee != 0:
         parser.error("division by eps powers is not representable", tok)
-    return DiffOp.from_coeff(XLaurent.monomial(-xe, Fraction(1) / val), XLAURENT_RING)
+    return DiffOp.from_coeff(XLaurent.monomial(-xe, Fraction(1) / val))
 
 
 def parse_op(text: str) -> DiffOp:
@@ -375,7 +374,7 @@ def _suite_limit(report: Report, eps) -> None:
         return          # the eps -> 0 limits are statements at symbolic eps
     l1, l2 = make_l1(), make_l2()
     gen = make_limit_op()
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     report.add("eps->0 of L1 equals (limit op)^3 - 1",
                l1.substitute_eps(0) == gen.op_power(3) - ident)
     report.add("eps->0 of L2 equals (limit op)^4 - limit op",
@@ -408,7 +407,7 @@ def _suite_rank(report: Report, eps, order: int) -> None:
     rep2 = pipeline.verify_rank3(l2, chis, mu)
     report.add("reduction of L2 equals (mu, 0, 0)",
                rep2.passed and rep2.verified_nonneg_orders >= 8, str(rep2))
-    rep3 = pipeline.verify_rank3(l1 + DiffOp.d(1, XLAURENT_RING), chis, lam)
+    rep3 = pipeline.verify_rank3(l1 + DiffOp.d(1), chis, lam)
     report.add("perturbed operator L1 + D is rejected", not rep3.passed, str(rep3))
     if eps is None:
         # the z^0 coefficients do not depend on the window (order >= 12 here)
@@ -465,7 +464,7 @@ def _construct_l1(report: Report, order: int, out: str) -> None:
     except pipeline.PipelineError as exc:
         report.add("derivation of the order-9 coefficients", False, str(exc))
         return
-    derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
+    derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()])
     report.add("derived coefficients match the catalogued operator", derived == make_l1())
     _write_artifact(report, out or "l1_derived.txt",
                     "order-9 operator re-derived from the chi expansions", print_op(derived))
@@ -479,7 +478,7 @@ def _construct_l2(report: Report, seed: int, out: str) -> None:
                "constraints on 12 integration constants")
     report.add("solution set contains the catalogued order-12 operator",
                sol.contains(make_l2()))
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     report.add("homogeneous basis spans {identity, L1}",
                sol.contains(sol.particular + ident) and
                sol.contains(sol.particular + l1))

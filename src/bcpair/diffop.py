@@ -1,59 +1,35 @@
-"""Ordinary differential operators over a differential coefficient ring.
+"""Ordinary differential operators with Laurent-polynomial coefficients.
 
-An operator is a finite sum ``sum_k c_k D^k`` with ``D = d/dx``.  Composition
-uses the Leibniz rule ``D^n . a = sum_k binom(n, k) a^(k) D^(n-k)``; the same
-code runs over any coefficient type providing ``+``, ``-``, ``*``, unary
-minus, ``derive()`` and ``is_zero()`` (XLaurent, ZSeries), given a ``RingSpec``
-that names its 0, 1 and how it sums a list of products.
+An operator is a finite sum ``sum_k c_k D^k`` with ``D = d/dx`` and every
+``c_k`` an ``XLaurent`` (a Laurent polynomial in x over Q[eps]): the
+coefficients of ``L1``, ``L2``, the limit operator and every commutant member.
+Composition uses the Leibniz rule ``D^n . a = sum_k binom(n, k) a^(k) D^(n-k)``
+and sums each output coefficient once with ``exact.sum_of_products``.  Series
+in z never become operator coefficients: they enter only through the rank-3
+reduction frame, which ``pipeline.reduction_frame`` builds by its own
+recurrence.
+
+``XLAURENT_RING`` names that one coefficient ring.  It remains importable, and
+``DiffOp(coeffs, ring)``, ``DiffOp.identity(ring)`` and ``DiffOp.d(k, ring)``
+accept it as an optional last argument, only because the benchmark workloads
+(``perfbench/workloads.py``) still pass it; any other value raises
+``TypeError``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .exact import BivarPoly, XLaurent, ZSeries, sum_of_products
+from .exact import BivarPoly, XLaurent, sum_of_products
 
 NEG_INF = float("-inf")
 
 binom = math.comb
 
+XLAURENT_RING = "xlaurent"
 
-def _fold_products(terms):
-    """``sum c * a * b`` over a non-empty list of ``(int c, a, b)`` triples, one term at a time."""
-    total = None
-    for c, a, b in terms:
-        term = a * b
-        if c != 1:
-            term = term * c
-        total = term if total is None else total + term
-    return total
-
-
-class RingSpec:
-    """Adapter naming a coefficient ring: its 0 and 1, and ``sum_of_products``,
-    which sums a non-empty list of ``(int c, a, b)`` triples ``c * a * b``."""
-
-    __slots__ = ("name", "zero", "one", "sum_of_products")
-
-    def __init__(self, name: str, zero, one, sum_of_products):
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.sum_of_products = sum_of_products
-
-    def __eq__(self, other):
-        return isinstance(other, RingSpec) and self.name == other.name
-
-    def __repr__(self):
-        return f"RingSpec({self.name})"
-
-
-XLAURENT_RING = RingSpec("xlaurent", XLaurent.zero(), XLaurent.one(), sum_of_products)
-ZSERIES_RING = RingSpec("zseries", ZSeries.zero(), ZSeries.one(), _fold_products)
-
-
-class CoefficientRingMismatch(TypeError):
-    pass
+_ZERO = XLaurent.zero()
+_ONE = XLaurent.one()
 
 
 class DiffOp:
@@ -63,38 +39,40 @@ class DiffOp:
     arithmetic (``ord(A.B) = ord A + ord B``) needs no special cases.
     """
 
-    __slots__ = ("coeffs", "ring")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, ring: RingSpec):
+    def __init__(self, coeffs, ring=XLAURENT_RING):
+        if ring is not XLAURENT_RING:
+            raise TypeError(f"operator coefficients are XLaurent; the optional ring "
+                            f"argument must be XLAURENT_RING, got {ring!r}")
         coeffs = list(coeffs)
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-        self.ring = ring
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring: RingSpec = XLAURENT_RING) -> "DiffOp":
-        return cls((), ring)
+    def zero(cls) -> "DiffOp":
+        return cls(())
 
     @classmethod
-    def identity(cls, ring: RingSpec = XLAURENT_RING) -> "DiffOp":
-        return cls((ring.one,), ring)
+    def identity(cls, ring=XLAURENT_RING) -> "DiffOp":
+        return cls((_ONE,), ring)
 
     @classmethod
-    def d(cls, k: int = 1, ring: RingSpec = XLAURENT_RING) -> "DiffOp":
+    def d(cls, k: int = 1, ring=XLAURENT_RING) -> "DiffOp":
         """The pure derivative ``D^k``."""
-        return cls([ring.zero] * k + [ring.one], ring)
+        return cls([_ZERO] * k + [_ONE], ring)
 
     @classmethod
-    def from_coeff(cls, c, ring: RingSpec = XLAURENT_RING) -> "DiffOp":
-        """Multiplication operator by a ring element."""
-        return cls((c,), ring)
+    def from_coeff(cls, c: XLaurent) -> "DiffOp":
+        """Multiplication operator by a coefficient."""
+        return cls((c,))
 
     @classmethod
-    def monomial(cls, c, k: int, ring: RingSpec = XLAURENT_RING) -> "DiffOp":
-        return cls([ring.zero] * k + [c], ring)
+    def monomial(cls, c: XLaurent, k: int) -> "DiffOp":
+        return cls([_ZERO] * k + [c])
 
     # -- structure ---------------------------------------------------------
 
@@ -108,7 +86,7 @@ class DiffOp:
     def coefficient(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.ring.zero
+        return _ZERO
 
     def leading_coefficient(self):
         if not self.coeffs:
@@ -116,36 +94,26 @@ class DiffOp:
         return self.coeffs[-1]
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.one
+        return bool(self.coeffs) and self.coeffs[-1] == _ONE
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, DiffOp) and self.ring == other.ring
-                and self.coeffs == other.coeffs)
-
-    def _check(self, other: "DiffOp"):
-        if self.ring != other.ring:
-            raise CoefficientRingMismatch(
-                f"mixed coefficient rings: {self.ring.name} vs {other.ring.name}")
+        return isinstance(other, DiffOp) and self.coeffs == other.coeffs
 
     # -- linear operations --------------------------------------------------
 
     def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self.coefficient(k) + other.coefficient(k) for k in range(n)],
-                      self.ring)
+        return DiffOp([self.coefficient(k) + other.coefficient(k) for k in range(n)])
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self.coefficient(k) - other.coefficient(k) for k in range(n)],
-                      self.ring)
+        return DiffOp([self.coefficient(k) - other.coefficient(k) for k in range(n)])
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp([-c for c in self.coeffs], self.ring)
+        return DiffOp([-c for c in self.coeffs])
 
     def scale(self, value) -> "DiffOp":
-        return DiffOp([c * value for c in self.coeffs], self.ring)
+        return DiffOp([c * value for c in self.coeffs])
 
     # -- ring operations ----------------------------------------------------
 
@@ -153,13 +121,12 @@ class DiffOp:
         """Operator product self . other (apply ``other`` first).
 
         The Leibniz terms ``binom(i, k) a_i b_j^(k)`` are listed one output
-        coefficient ``D^(i+j-k)`` at a time, and each list is summed once by the
-        ring's ``sum_of_products`` (over XLaurent: one common denominator, one
-        reduction per coefficient).
+        coefficient ``D^(i+j-k)`` at a time, and each list is summed once by
+        ``exact.sum_of_products`` (one common denominator, one reduction per
+        coefficient).
         """
-        self._check(other)
         if self.is_zero() or other.is_zero():
-            return DiffOp.zero(self.ring)
+            return DiffOp.zero()
         na, nb = len(self.coeffs), len(other.coeffs)
         # derivative table for other's coefficients, up to the max Leibniz depth
         max_d = na - 1
@@ -169,7 +136,6 @@ class DiffOp:
             for _ in range(max_d):
                 row.append(row[-1].derive())
             derivs.append(row)
-        ring = self.ring
         out = []
         for idx in range(na + nb - 1):
             # the terms of D^idx: i + j - k = idx with 0 <= k <= i and 0 <= j < nb
@@ -182,11 +148,8 @@ class DiffOp:
                     bk = derivs[idx - i + k][k]
                     if not bk.is_zero():
                         terms.append((binom(i, k), a, bk))
-            out.append(ring.sum_of_products(terms) if terms else ring.zero)
-        return DiffOp(out, ring)
-
-    def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other)
+            out.append(sum_of_products(terms) if terms else _ZERO)
+        return DiffOp(out)
 
     def op_power(self, k: int) -> "DiffOp":
         if k < 0:
@@ -212,10 +175,10 @@ class DiffOp:
         return total if total is not None else f - f
 
     def substitute_eps(self, value) -> "DiffOp":
-        return DiffOp([c.substitute_eps(value) for c in self.coeffs], self.ring)
+        return DiffOp([c.substitute_eps(value) for c in self.coeffs])
 
     def support(self):
-        """Sorted (k, x_exp, eps_exp) triples of nonzero monomials (XLaurent ring)."""
+        """Sorted (k, x_exp, eps_exp) triples of nonzero monomials."""
         out = []
         for k, c in enumerate(self.coeffs):
             for xe, epoly in c.c.items():
@@ -232,7 +195,7 @@ class DiffOp:
             if c.is_zero():
                 continue
             parts.append(f"({c})*D^{k}" if k else f"({c})")
-        return "DiffOp(" + " + ".join(parts) + f"; ring={self.ring.name})"
+        return "DiffOp(" + " + ".join(parts) + ")"
 
 
 class NonCommutingPair(ValueError):
@@ -241,7 +204,7 @@ class NonCommutingPair(ValueError):
 
 def _powers(op: DiffOp, n: int) -> list[DiffOp]:
     """[op^0, op^1, ..., op^n], at least up to op^1."""
-    out = [DiffOp.identity(op.ring), op]
+    out = [DiffOp.identity(), op]
     while len(out) <= n:
         # op . op^(k-1): the Leibniz depth is op's order, not the power's
         out.append(op.compose(out[-1]))
@@ -273,7 +236,7 @@ def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     """
     _require_commuting(a, b, NonCommutingPair)
     terms = sorted(q.c.items())
-    total = DiffOp.zero(a.ring)
+    total = DiffOp.zero()
     for mono, (_, coeff) in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms):
         total = total + mono.scale(coeff)
     return total
@@ -287,20 +250,19 @@ def right_reduce(a: DiffOp, t: DiffOp) -> tuple[DiffOp, DiffOp]:
     """Division a = quotient . t + remainder with ord(remainder) < ord(t).
 
     ``t`` must be monic; the loop then needs no coefficient inversion at all,
-    so it runs over any coefficient ring.
+    which XLaurent, having no general inverse, could not supply.
     """
-    a._check(t)
     if t.is_zero() or t.order < 0:
         raise ReductionError("cannot reduce by the zero operator")
     if not t.is_monic():
         raise ReductionError("right_reduce requires a monic divisor")
     m = t.order
-    quotient = DiffOp.zero(a.ring)
+    quotient = DiffOp.zero()
     rem = a
     while not rem.is_zero() and rem.order >= m:
         k = rem.order - m
         lead = rem.leading_coefficient()
-        mono = DiffOp.monomial(lead, k, a.ring)
+        mono = DiffOp.monomial(lead, k)
         quotient = quotient + mono
         rem = rem - mono.compose(t)
     return quotient, rem

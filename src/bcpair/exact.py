@@ -540,9 +540,8 @@ class ZSeries:
         while i < n and coeffs[i].is_zero():
             i += 1
         if i == n:
-            lowest, coeffs = 0, []
-            if not math.isinf(upper):
-                upper = max(upper, 0)
+            # every known term vanishes: keep the window, even below z^0
+            lowest, coeffs = min(0, upper), []
         else:
             lowest, coeffs = lowest + i, list(coeffs[i:])
         if not math.isinf(upper):
@@ -564,10 +563,6 @@ class ZSeries:
     @classmethod
     def one(cls) -> "ZSeries":
         return cls(0, [_XL_ONE], INF)
-
-    @classmethod
-    def constant(cls, value: XLaurent) -> "ZSeries":
-        return cls(0, [value], INF)
 
     @classmethod
     def from_z_coefficients(cls, zc: dict[int, XLaurent]) -> "ZSeries":

@@ -548,11 +548,12 @@ class KNReport:
         return max(self.gamma_residuals)
 
 
-def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
-             variant: str = "resolved") -> KNReport:
+def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60) -> KNReport:
     """Discover the branch at the first point, verify all points with it.
 
-    Every point must keep all twelve residuals below
+    The check evaluates the resolved closed forms; the displayed variant,
+    which never satisfies the system, is reachable through ``find_branch``
+    and ``kn_residuals``.  Every point must keep all twelve residuals below
     ``default_tolerance(precision)``, which the report records as
     ``tolerance``.  Each point must be rational (``int``, ``Fraction`` or
     ``float``).  Too few digits, no points or a point that ``check_points``
@@ -563,8 +564,8 @@ def kn_check(points=(1, Fraction(3, 2), 2, 3, 5), eps=-1, precision: int = 60,
     if not pts:
         raise ValueError("the kn check needs at least one sample point")
     check_points(pts, eps)
-    first = find_branch(pts[0], eps, precision, variant)
-    evaluations = [first] + [_point_quantities(x, eps, precision, first.branch, variant)
+    first = find_branch(pts[0], eps, precision)
+    evaluations = [first] + [_point_quantities(x, eps, precision, first.branch)
                              for x in pts[1:]]
     max_residuals = [data.max_residual for data in evaluations]
     gamma_residuals = [gamma_equation_residual(x, eps, precision) for x in pts]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import BivarPoly, EpsPoly, XLaurent, xl
-from .diffop import XLAURENT_RING, DiffOp
+from .diffop import DiffOp
 
 F = Fraction
 
@@ -72,8 +72,7 @@ def make_l1() -> DiffOp:
     })
     f7 = xl({-2: -78})
     f8 = XLaurent.zero()
-    return DiffOp([f0, f1, f2, f3, f4, f5, f6, f7, f8, XLaurent.one()],
-                  XLAURENT_RING)
+    return DiffOp([f0, f1, f2, f3, f4, f5, f6, f7, f8, XLaurent.one()])
 
 
 def make_l2() -> DiffOp:
@@ -174,7 +173,7 @@ def make_l2() -> DiffOp:
     g10 = xl({-2: -104})
     g11 = XLaurent.zero()
     return DiffOp([g0, g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11,
-                   XLaurent.one()], XLAURENT_RING)
+                   XLaurent.one()])
 
 
 def make_limit_op() -> DiffOp:
@@ -184,7 +183,7 @@ def make_limit_op() -> DiffOp:
         xl({-2: -26}),
         XLaurent.zero(),
         XLaurent.one(),
-    ], XLAURENT_RING)
+    ])
 
 
 def zeta1() -> XLaurent:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
                     XLaurent, ZSeries, ep, sum_of_products)
-from .diffop import DiffOp, XLAURENT_RING, _pair_monomials, _require_commuting
+from .diffop import DiffOp, _pair_monomials, _require_commuting
 from .curve import chi, curve_series, lambda_fn
 from . import linsolve
 
@@ -216,7 +216,7 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
                             f"f_{', f_'.join(map(str, missing))}")
     coeffs_out = [solved[n] for n in range(n_unknowns)]
 
-    op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()], XLAURENT_RING)
+    op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()])
     report = _rank3_report(op, frame, eigen)
     if not report.passed:
         raise PipelineError(f"derived coefficients fail re-verification: {report}")
@@ -386,7 +386,7 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
                 if comp in vec:
                     c = c + g.scale(vec[comp])
             coeffs.append(c)
-        return DiffOp(coeffs, XLAURENT_RING)
+        return DiffOp(coeffs)
 
     part_vec = ech.primitive_solution(m)
     if part_vec[m] != EpsPoly.one():
@@ -437,7 +437,7 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
         return None
     vec = ech.primitive_solution(free[0])
     q = BivarPoly({monomials[c]: v for c, v in vec.items()})
-    residual = DiffOp.zero(a.ring)
+    residual = DiffOp.zero()
     for c, v in sorted(vec.items()):
         residual = residual + products[c].scale(v)
     if not residual.is_zero():

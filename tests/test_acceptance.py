@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from bcpair import (BivarPoly, DiffOp, XLAURENT_RING, XLaurent, bc_poly,
+from bcpair import (BivarPoly, DiffOp, XLaurent, bc_poly,
                     bc_function_identity, chi_series_triple, curve_series,
                     derive_L1_coeffs, ep, eval_poly_at_pair, find_bc_relation,
                     kn_check, lambda_fn, make_l1, make_l2, make_limit_op,
@@ -61,7 +61,7 @@ def test_criterion_02_algebraic_relation(ops):
 def test_criterion_03_eps_zero_degeneration(ops):
     l1, l2 = ops
     gen = make_limit_op()
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     ok = (l1.substitute_eps(0) == gen.op_power(3) - ident
           and l2.substitute_eps(0) == gen.op_power(4) - gen)
     _line(3, "eps -> 0 factorizations: L1 = G^3 - 1 and L2 = G^4 - G exactly", ok)
@@ -91,7 +91,7 @@ def test_criterion_05_rank3_reduction(ops, chis28):
     mu = curve_series(mu_fn(), 28)
     rep1 = verify_rank3(l1, chis28, lam)
     rep2 = verify_rank3(l2, chis28, mu)
-    rep3 = verify_rank3(l1 + DiffOp.d(1, XLAURENT_RING), chis28, lam)
+    rep3 = verify_rank3(l1 + DiffOp.d(1), chis28, lam)
     ok = (rep1.passed and rep1.verified_nonneg_orders >= 8
           and rep2.passed and rep2.verified_nonneg_orders >= 8
           and not rep3.passed)
@@ -118,7 +118,7 @@ def test_criterion_07_l2_rederivation(ops):
     l1, l2 = ops
     t0 = time.time()
     sol = solve_commuting(l1, 12)
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     commute_ok = (l1.commutator(sol.particular).is_zero()
                   and all(l1.commutator(h).is_zero() for h in sol.homogeneous_basis))
     span_ok = (sol.contains(sol.particular + ident)
@@ -183,7 +183,7 @@ def test_criterion_11_property_suites():
     op_ok = True
     for _ in range(cases):
         ops_ = [DiffOp([random_xlaurent(r, 2, 2)
-                        for _ in range(r.randint(1, 4))], XLAURENT_RING)
+                        for _ in range(r.randint(1, 4))])
                 for _ in range(3)]
         a, b, c = ops_
         op_ok &= a.compose(b).compose(c) == a.compose(b.compose(c))
@@ -196,9 +196,9 @@ def test_criterion_11_property_suites():
     red_ok = True
     for _ in range(cases):
         a = DiffOp([random_xlaurent(r, 2, 2)
-                    for _ in range(r.randint(1, 6))], XLAURENT_RING)
+                    for _ in range(r.randint(1, 6))])
         t = DiffOp([random_xlaurent(r, 2, 2) for _ in range(3)]
-                   + [XLaurent.one()], XLAURENT_RING)
+                   + [XLaurent.one()])
         q, rem = right_reduce(a, t)
         red_ok &= q.compose(t) + rem == a
         red_ok &= rem.is_zero() or rem.order < 3
@@ -207,7 +207,7 @@ def test_criterion_11_property_suites():
     parse_ok = True
     for _ in range(cases):
         op = DiffOp([random_xlaurent(r, 4, 3)
-                     for _ in range(r.randint(1, 5))], XLAURENT_RING)
+                     for _ in range(r.randint(1, 5))])
         printed = print_op(op)
         parse_ok &= parse_op(printed) == op
         parse_ok &= print_op(parse_op(printed)) == printed

@@ -274,6 +274,20 @@ def test_series_window_bookkeeping():
     assert (a + b).upper == 2
 
 
+def test_zero_series_keeps_its_window():
+    # a difference that cancels is known no further than its operands
+    a = ZSeries(-10, [xl({0: 1})] * 5, -5)
+    diff = a - a
+    assert diff.upper == -5 and diff.is_zero()
+    assert diff.coefficient(-6).is_zero()
+    with pytest.raises(ExactError):
+        diff.coefficient(-3)
+    with pytest.raises(ExactError):
+        (diff * ZSeries.one()).coefficient(-5)
+    assert (a.truncate(-7) - a.truncate(-7)).upper == -7
+    assert ZSeries(0, [], 3).upper == 3 and ZSeries.zero().upper == float("inf")
+
+
 def test_series_sqrt_round_trip_seeded():
     r = rng(5)
     for _ in range(200):

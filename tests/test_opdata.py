@@ -6,7 +6,7 @@ by name rather than as a distant commutator failure.
 
 from fractions import Fraction
 
-from bcpair import (DiffOp, XLAURENT_RING, bc_poly,
+from bcpair import (DiffOp, bc_poly,
                     chi_series_triple, curve_series, ep, make_l1, make_l2,
                     make_limit_op, xl, zeta1, zeta2)
 from bcpair.exact import BivarPoly, EpsPoly
@@ -144,7 +144,7 @@ def test_limit_op():
 
 
 def test_eps_zero_factorizations(l1, l2, limit_op):
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     assert l1.substitute_eps(0) == limit_op.op_power(3) - ident
     assert l2.substitute_eps(0) == limit_op.op_power(4) - limit_op
 

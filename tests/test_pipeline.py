@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from bcpair import (AffineSolutionSet, BivarPoly, DiffOp, EpsPoly, PipelineError,
-                    TruncationTooShort, XLAURENT_RING, XLaurent, ZSeries,
-                    chi_series_triple, curve_series, derive_L1_coeffs, ep,
-                    find_bc_relation, lambda_fn, make_l1, make_l2,
-                    make_limit_op, mu_fn, reduce_with_frame, reduction_frame,
+                    TruncationTooShort, XLaurent, ZSeries, chi_series_triple,
+                    curve_series, derive_L1_coeffs, ep, find_bc_relation,
+                    lambda_fn, make_l1, make_l2, make_limit_op, mu_fn,
+                    reduce_with_frame, reduction_frame, right_reduce,
                     solve_commuting, verify_rank3, xl)
 from bcpair import pipeline
 from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
@@ -17,28 +17,54 @@ from conftest import rng
 F = Fraction
 
 
+#: rational values of z at which the frame is checked against operator division
+Z_VALUES = (F(1, 2), F(-3), F(2, 7))
+
+
+def chi_polynomials(chis24, below: int = 8):
+    """The chi expansions cut to exact z-polynomials of the terms below z^below."""
+    return tuple(ZSeries.from_z_coefficients({e: s.coefficient(e)
+                                              for e in range(s.lowest, below)})
+                 for s in chis24)
+
+
+def at_z(s: ZSeries, r: Fraction) -> XLaurent:
+    """The exact z-polynomial ``s`` at z = r."""
+    assert s.upper == float("inf")
+    total = XLaurent.zero()
+    for i, c in enumerate(s.coeffs):
+        total = total + c * r ** (s.lowest + i)
+    return total
+
+
+def divisor_at_z(chi_polys, r: Fraction) -> DiffOp:
+    """T = D^3 - chi2 D^2 - chi1 D - chi0 with the chi polynomials at z = r."""
+    return DiffOp([-at_z(p, r) for p in chi_polys] + [XLaurent.one()])
+
+
 def test_reduction_frame_matches_right_reduce(chis24):
-    # the frame must agree with generic operator division for a small case
-    from bcpair import right_reduce, ZSERIES_RING
-    chi0, chi1, chi2 = (s.truncate(8) for s in chis24)
-    frame = reduction_frame(chi0, chi1, chi2, 5)
-    t = DiffOp([-chi0, -chi1, -chi2, ZSeries.one()], ZSERIES_RING)
-    d5 = DiffOp.d(5, ZSERIES_RING)
-    _, rem = right_reduce(d5, t)
-    for j in range(3):
-        assert rem.coefficient(j).eq_known(frame[5][j])
+    # z is a constant for D, so evaluating at z = r commutes with the frame
+    # recurrence; operator division over XLaurent must give frame[k] at r
+    chi_polys = chi_polynomials(chis24)
+    frame = reduction_frame(*chi_polys, 5)
+    for r in Z_VALUES:
+        q, rem = right_reduce(DiffOp.d(5), divisor_at_z(chi_polys, r))
+        assert q.order == 2
+        assert [rem.coefficient(j) for j in range(3)] == \
+            [at_z(frame[5][j], r) for j in range(3)]
 
 
-def test_right_reduce_l1_by_rank3_divisor(chis24, lam24, l1):
-    # generic division route: quotient order 6, remainder (lambda)*D^0
-    from bcpair import right_reduce, ZSERIES_RING
-    chi0, chi1, chi2 = (s.truncate(12) for s in chis24)
-    t = DiffOp([-chi0, -chi1, -chi2, ZSeries.one()], ZSERIES_RING)
-    l1s = DiffOp([ZSeries.constant(c) for c in l1.coeffs], ZSERIES_RING)
-    q, rem = right_reduce(l1s, t)
-    assert q.order == 6
-    assert rem.coefficient(0).eq_known(lam24.truncate(int(rem.coefficient(0).upper)))
-    assert rem.coefficient(1).is_zero() and rem.coefficient(2).is_zero()
+def test_right_reduce_l1_matches_frame_at_rational_z(chis24, l1):
+    # division of L1 by T has quotient order 6 and the remainder that
+    # reduce_with_frame reads off the frame (verify_rank3 checks that this
+    # remainder is (lambda, 0, 0))
+    chi_polys = chi_polynomials(chis24)
+    remainder = reduce_with_frame(l1, reduction_frame(*chi_polys, 9))
+    for r in Z_VALUES:
+        q, rem = right_reduce(l1, divisor_at_z(chi_polys, r))
+        assert q.order == 6
+        assert [rem.coefficient(j) for j in range(3)] == \
+            [at_z(qj, r) for qj in remainder]
 
 
 def test_verify_rank3_l1(chis24, lam24, l1):
@@ -55,14 +81,25 @@ def test_verify_rank3_l2(chis24, mu24, l2):
 
 
 def test_verify_rank3_perturbation_fails(chis24, lam24, l1):
-    rep = verify_rank3(l1 + DiffOp.d(1, XLAURENT_RING), chis24, lam24)
+    rep = verify_rank3(l1 + DiffOp.d(1), chis24, lam24)
     assert not rep.passed
     assert rep.first_failure[0] == 1      # the Q_1 component breaks first
 
 
+def test_verify_rank3_short_window_claims_only_known_orders(l1):
+    # at series order 2, Q_0 and lambda are known only below z^-1, so their
+    # cancelling difference must not be reported beyond z^-2
+    chis, lam = chi_series_triple(2), curve_series(lambda_fn(), 2)
+    q0 = reduce_with_frame(l1, reduction_frame(*chis, 9))[0]
+    assert q0.upper == lam.upper == -1
+    rep = verify_rank3(l1, chis, lam)
+    assert rep.passed and rep.max_verified_order == -2
+    assert str(rep).startswith("rank-3 reduction verified through z^-2")
+
+
 def test_verify_rank3_wrong_eigenvalue(chis24, l2, mu24):
     # the eigenvalue of L2 is mu exactly; shifting it must fail at z^0
-    shifted = mu24 + ZSeries.constant(xl({0: {4: F(1, 9)}}))
+    shifted = mu24 + ZSeries.from_z_coefficients({0: xl({0: {4: F(1, 9)}})})
     rep = verify_rank3(l2, chis24, shifted)
     assert not rep.passed and rep.first_failure == (0, 0)
 
@@ -82,7 +119,7 @@ def test_derive_l1_truncation_independent(chis24):
 
 def test_derive_l1_eps_zero_specialization(chis24, limit_op):
     coeffs = derive_L1_coeffs(*(s.truncate(16) for s in chis24))
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     expect = limit_op.op_power(3) - ident
     for n in range(8):
         assert coeffs[n].substitute_eps(0) == expect.coefficient(n)
@@ -116,7 +153,7 @@ def sol9(l1):
 def test_solve_commuting_order9(l1, sol9):
     assert sol9.dimension == 1
     assert sol9.contains(l1)
-    assert sol9.contains(sol9.particular + DiffOp.identity(XLAURENT_RING))
+    assert sol9.contains(sol9.particular + DiffOp.identity())
 
 
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
@@ -148,7 +185,7 @@ def test_solve_commuting_order15(l1, l2):
     # homogeneous part 1, L1, L2: the pole orders 0, 3, 4 below 5 at q
     sol = solve_commuting(l1, 15)
     assert sol.dimension == 3
-    for op in (DiffOp.identity(XLAURENT_RING), l1, l2):
+    for op in (DiffOp.identity(), l1, l2):
         assert sol.contains(sol.particular + op)
     assert sol.particular.order == 15 and sol.particular.is_monic()
     assert l1.commutator(sol.particular).is_zero()
@@ -163,7 +200,7 @@ def test_affine_set_sample_and_membership(l1, sol9):
     member = sol.sample(params)
     assert l1.commutator(member).is_zero()
     assert sol.contains(member)
-    assert not sol.contains(sol.particular + DiffOp.d(1, XLAURENT_RING))
+    assert not sol.contains(sol.particular + DiffOp.d(1))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +210,7 @@ def sol12(l1):
 
 def test_affine_set_contains_odd_eps_multiples(l1, sol12):
     # the family is a Q[eps]-module: odd eps powers of 1 and L1 belong to it
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     assert sol12.contains(sol12.particular + ident.scale(EpsPoly.eps_power(1)))
     assert sol12.contains(sol12.particular + l1.scale(EpsPoly.eps_power(3)))
 
@@ -181,7 +218,7 @@ def test_affine_set_contains_odd_eps_multiples(l1, sol12):
 def test_affine_set_contains_needs_polynomial_coefficients():
     # D^2 + 1 = D^2 + (1/eps) * (eps*1): in the Q(eps)-span, not the Q[eps]-span
     eps = EpsPoly.eps_power(1)
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     fam = AffineSolutionSet(DiffOp.d(2), [ident.scale(eps)])
     assert fam.contains(DiffOp.d(2) + ident.scale(eps * eps))
     assert not fam.contains(DiffOp.d(2) + ident)
@@ -198,7 +235,7 @@ def test_find_bc_relation_d3_d4():
 
 
 def test_find_bc_relation_limit_pair(limit_op):
-    ident = DiffOp.identity(XLAURENT_RING)
+    ident = DiffOp.identity()
     a = limit_op.op_power(3) - ident
     b = limit_op.op_power(4) - limit_op
     q = find_bc_relation(a, b, 36)
@@ -220,7 +257,7 @@ def test_find_bc_relation_none_within_bound():
 
 
 def test_find_bc_relation_rejects_noncommuting():
-    x_op = DiffOp.from_coeff(XLaurent.var(), XLAURENT_RING).compose(DiffOp.d(1))
+    x_op = DiffOp.from_coeff(XLaurent.var()).compose(DiffOp.d(1))
     with pytest.raises(PipelineError):
         find_bc_relation(DiffOp.d(1) + x_op, DiffOp.d(2), 6)
 
