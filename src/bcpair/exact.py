@@ -670,7 +670,8 @@ class ZSeries:
             hi = int(upper)
         return all(self.coefficient(e) == other.coefficient(e) for e in range(lo, hi))
 
-    __eq__ = eq_known
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ZSeries) and self.eq_known(other)
 
     def __repr__(self):
         inside = ", ".join(f"z^{self.lowest + i}: {v}" for i, v in enumerate(self.coeffs)

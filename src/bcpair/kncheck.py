@@ -253,8 +253,11 @@ def _point_quantities(x, eps, precision, branch: BranchAssignment,
     ``variant="resolved"`` uses the H_s and tau_0 closed forms forced by the
     verified chi_0 (the published display of those two is inconsistent with
     chi_0 and never satisfies the system); ``variant="displayed"`` keeps the
-    published forms, for demonstrating that failure.
+    published forms, for demonstrating that failure.  Any other ``variant``
+    is a ``ValueError``.
     """
+    if variant not in ("resolved", "displayed"):
+        raise ValueError(f"unknown kn variant {variant!r}: 'resolved' or 'displayed'")
     eps = _check_domain(eps)
     with mp.workdps(precision + GUARD_DIGITS):
         I = mpc(0, 1)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bcpair import DiffOp, cli, make_l1, make_l2, make_limit_op
+from bcpair import DiffOp, cli, make_l1, make_l2, make_limit_op, xl
 from bcpair.cli import (OpSyntaxError, build_parser, main, parse_op, print_op,
                         read_op_file)
 from conftest import random_xlaurent, rng
@@ -150,14 +150,59 @@ def test_printer_output_is_pinned(name, fmt):
     assert digest == PRINTED_SHA256[(name, fmt)]
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def printed_l2() -> DiffOp:
+    """L2 as its published table prints it, without the x^0 constant of D^0."""
+    return make_l2() - DiffOp.from_coeff(xl({0: {4: F(1541, 11337408)}}))
+
+
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["verify", "limit"]) == 0
-    capsys.readouterr()
-    assert main(["verify", "bc", "--variant", "eps2"]) == 1
     capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+    # a failed check is exit 1: the printed L2 still commutes with L1 (a
+    # constant shift always does) but breaks the relation
+    monkeypatch.setattr(cli, "make_l2", printed_l2)
+    assert main(["verify", "bc"]) == 1
+    assert "[FAIL] algebraic relation Q(L1, L2) = 0" in capsys.readouterr().out
+    assert main(["verify", "commute"]) == 0
+    capsys.readouterr()
+
+
+SUITES = ("all", "commute", "bc", "limit", "rank", "kn")
+
+
+@pytest.mark.parametrize("eps", ["symbolic", "-1", "0", "1", "2", "-3/2"])
+def test_cli_no_suite_fails_on_the_shipped_data(capsys, eps):
+    # exit 2 only where no check applies (limit) or the input is refused (kn)
+    for suite in SUITES:
+        usage = ((suite == "limit" and eps != "symbolic")
+                 or (suite == "kn" and eps != "symbolic" and F(eps) >= 0))
+        assert main(["verify", suite, "--eps", eps]) == (2 if usage else 0), suite
+        assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_cli_bc_checks_the_eps2_erratum(capsys, monkeypatch):
+    variant_row = "[PASS] the eps^2-variant curve breaks the function-field relation"
+    for eps in ("symbolic", "2", "-3/2"):
+        assert main(["verify", "bc", "--eps", eps]) == 0
+        out = capsys.readouterr().out
+        assert variant_row in out and "[note]" not in out
+    # where eps^2 = eps^4 the two curves coincide: a note, never a pass
+    for eps in ("1", "-1", "0"):
+        assert main(["verify", "bc", "--eps", eps]) == 0
+        out = capsys.readouterr().out
+        assert "breaks the function-field relation" not in out
+        assert f"[note] at eps = {eps} the eps^2-variant curve is the standard curve" in out
+        assert "verify bc: pass (2 checks" in out
+    assert main(["verify", "all", "--eps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] algebraic relation Q(L1, L2) = 0" in out and variant_row not in out
+    # the identity decides the row: a variant curve that satisfied it would fail
+    monkeypatch.setattr(cli, "bc_function_identity", lambda curve, eps: True)
+    assert main(["verify", "bc"]) == 1
+    assert "[FAIL] the eps^2-variant curve breaks" in capsys.readouterr().out
 
 
 def test_cli_json_deterministic(tmp_path, capsys):
@@ -189,10 +234,10 @@ def test_cli_verify_reports_only_inputs_its_suites_read(tmp_path, capsys):
     path = tmp_path / "r.json"
     assert main(["verify", "bc", "--eps", "2", "--json", str(path)]) == 0
     capsys.readouterr()
-    assert set(json.loads(path.read_text())["inputs"]) == {"eps", "variant"}
-    assert main(["verify", "rank", "--eps", "2", "--order", "12", "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["inputs"] == {"eps": "2"}
+    assert main(["verify", "rank", "--eps", "2", "--json", str(path)]) == 0
     capsys.readouterr()
-    assert json.loads(path.read_text())["inputs"] == {"eps": "2", "order": 12}
+    assert json.loads(path.read_text())["inputs"] == {"eps": "2"}
 
 
 def test_cli_print_command(tmp_path, capsys):
@@ -233,7 +278,7 @@ def test_cli_construct_l2(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads(report.read_text())
     assert payload["outcome"] == "pass"
-    assert set(payload["inputs"]) == {"seed", "out"}
+    assert payload["inputs"] == {"out": str(out)}
     derived = read_op_file(str(out))
     assert derived.order == 12 and make_l1().commutator(derived).is_zero()
     with pytest.raises(SystemExit):
@@ -250,7 +295,7 @@ def test_cli_rejects_options_the_command_does_not_read(capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"{argv[0]} {argv[1]} does not read {argv[2]}" in capsys.readouterr().err
-    # only l1 reads --order and only l2 reads --seed; rejected before any work
+    # no command reads --order or --seed; rejected before any work
     for argv, option in ((["construct", "l1", "--seed", "3"], "--seed"),
                          (["construct", "l2", "--order", "5"], "--order"),
                          (["construct", "bc", "--order", "5"], "--order")):
@@ -262,16 +307,17 @@ def test_cli_rejects_options_the_command_does_not_read(capsys):
 
 # the options each sub-command reads; every other one is a usage error
 READS = {
-    ("verify", "all"): {"eps", "order", "precision", "points", "variant"},
+    ("verify", "all"): {"eps", "precision", "points"},
     ("verify", "commute"): {"eps"},
-    ("verify", "bc"): {"eps", "variant"},
+    ("verify", "bc"): {"eps"},
     ("verify", "limit"): {"eps"},
-    ("verify", "rank"): {"eps", "order"},
+    ("verify", "rank"): {"eps"},
     ("verify", "kn"): {"eps", "precision", "points"},
-    ("construct", "l1"): {"order", "out"},
-    ("construct", "l2"): {"seed", "out"},
+    ("construct", "l1"): {"out"},
+    ("construct", "l2"): {"out"},
     ("construct", "bc"): {"out"},
 }
+# order, variant and seed were options once; every sub-command now rejects them
 OPTION_VALUES = {"eps": "-1", "order": "12", "precision": "60", "points": "1,2",
                  "variant": "eps2", "seed": "3", "out": "artifact.txt"}
 
@@ -296,13 +342,13 @@ def _subcommands(parser):
 
 # a cheap run of every verify suite, and construct l1
 CHEAP_RUNS = {
-    ("verify", "all"): ["--eps", "2", "--order", "12", "--precision", "30", "--points", "2"],
+    ("verify", "all"): ["--eps", "2", "--precision", "30", "--points", "2"],
     ("verify", "commute"): ["--eps", "2"],
     ("verify", "bc"): ["--eps", "2"],
     ("verify", "limit"): [],
-    ("verify", "rank"): ["--eps", "2", "--order", "12"],
+    ("verify", "rank"): ["--eps", "2"],
     ("verify", "kn"): ["--precision", "30", "--points", "2"],
-    ("construct", "l1"): ["--order", "16", "--out", "l1.txt"],
+    ("construct", "l1"): ["--out", "l1.txt"],
 }
 
 
@@ -351,15 +397,6 @@ def test_cli_negative_eps_as_separate_argument(tmp_path, capsys):
     assert main(["verify", "commute", "--eps", "-1/2", "--json", str(path)]) == 0
     capsys.readouterr()
     assert json.loads(path.read_text())["inputs"]["eps"] == "-1/2"
-
-
-def test_cli_rank_order_below_minimum_is_usage_error(capsys):
-    # an 11-term window is too short for 8 verified non-negative orders of L2:
-    # a usage error naming the minimum, not a false FAIL of the correct pair
-    for argv in (["verify", "rank", "--order", "11"], ["verify", "all", "--order", "5"]):
-        assert main(argv) == 2
-        out = capsys.readouterr()
-        assert "--order >= 12" in out.err and "FAIL" not in out.out
 
 
 def test_cli_kn_point_zero_is_usage_error(capsys):

@@ -288,6 +288,16 @@ def test_zero_series_keeps_its_window():
     assert ZSeries(0, [], 3).upper == 3 and ZSeries.zero().upper == float("inf")
 
 
+def test_series_equality_with_other_types_is_false():
+    # like XLaurent and DiffOp, a series compares unequal to a non-series
+    one = ZSeries.one()
+    assert not one == 1 and one != 1
+    assert not one == XLaurent.one() and one != XLaurent.one()
+    assert one == ZSeries.from_z_coefficients({0: XLaurent.one()})
+    # within the known windows, as before
+    assert ZSeries(0, [XLaurent.one()], 1) == ZSeries(0, [XLaurent.one(), xl({1: 5})], 2)
+
+
 def test_series_sqrt_round_trip_seeded():
     r = rng(5)
     for _ in range(200):

@@ -309,6 +309,24 @@ def test_kn_check_validates_points_before_evaluating(monkeypatch):
     assert calls == []
 
 
+def test_unknown_variant_is_rejected_before_evaluating(monkeypatch):
+    calls = []
+    inner = kncheck.gamma_eval
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(kncheck, "gamma_eval", counting)
+    for variant in ("displayd", "Resolved", "", None):
+        with pytest.raises(ValueError, match="unknown kn variant"):
+            kn_residuals(2, -1, 60, variant=variant)
+        with pytest.raises(ValueError, match="unknown kn variant"):
+            kn_residuals(2, -1, 60, branch=BranchAssignment(), variant=variant)
+        with pytest.raises(ValueError, match="unknown kn variant"):
+            find_branch(2, -1, 60, variant=variant)
+    assert calls == []
+
+
 def test_kn_check_multipoint():
     rep = kn_check(points=(1, F(3, 2), 2, 3, 5), eps=-1, precision=60)
     assert rep.passed
