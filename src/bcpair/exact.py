@@ -11,7 +11,10 @@ Everything downstream computes over these types:
   ``sum c * a * b`` in one integer dict over a common denominator and
   reduces only the sum: operator composition, ``ZSeries`` products, series
   division and square roots, and the rank-3 reduction add their products
-  through it.
+  through it.  It multiplies on packed int keys ``x_exp * 2**20 + eps_exp``,
+  read from ``.packed``, a second view built on first use and kept, and
+  unpacks each sum once.  Building that view raises ``ExactError`` for an
+  eps exponent of ``2**19`` or more, so two packed keys add without a carry.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.
@@ -33,6 +36,12 @@ INF = float("inf")
 
 #: default number of retained series terms beyond the lowest exponent
 DEFAULT_SERIES_ORDER = 16
+
+#: ``XLaurent.packed`` keys are ``x_exp * 2**_EPS_BITS + eps_exp`` with
+#: ``eps_exp < _EPS_CAP``, so the sum of two keys unpacks exactly
+_EPS_BITS = 20
+_EPS_CAP = 1 << (_EPS_BITS - 1)
+_EPS_MASK = (1 << _EPS_BITS) - 1
 
 
 def _fr(value) -> Fraction:
@@ -252,6 +261,7 @@ def _reduced(num: dict[tuple[int, int], int], den: int) -> "XLaurent":
     out.num = num
     out.den = den
     out._c = None
+    out._packed = None
     return out
 
 
@@ -269,7 +279,7 @@ class XLaurent:
     integer ``n``.
     """
 
-    __slots__ = ("num", "den", "_c")
+    __slots__ = ("num", "den", "_c", "_packed")
 
     def __init__(self, coeffs: dict[int, EpsPoly] | None = None):
         terms: dict[tuple[int, int], Fraction] = {}
@@ -286,6 +296,7 @@ class XLaurent:
         self.num = {k: r.numerator * (den // r.denominator) for k, r in terms.items()}
         self.den = den
         self._c = None
+        self._packed = None
 
     @property
     def c(self) -> MappingProxyType:
@@ -301,6 +312,20 @@ class XLaurent:
                 p = polys[xe] = EpsPoly.__new__(EpsPoly)
                 p.c = row
             view = self._c = MappingProxyType(polys)
+        return view
+
+    @property
+    def packed(self) -> tuple[tuple[int, int], ...]:
+        """``(x_exp * 2**20 + eps_exp, numerator)`` pairs, built on first use and kept.
+
+        Raises ``ExactError`` for an eps exponent of ``2**19`` or more, so
+        that the eps parts of two packed keys always add without a carry.
+        """
+        view = self._packed
+        if view is None:
+            view = self._packed = tuple([((xe << _EPS_BITS) + ee, v) if ee < _EPS_CAP
+                                         else _beyond_cap(ee)
+                                         for (xe, ee), v in self.num.items()])
         return view
 
     @classmethod
@@ -358,6 +383,7 @@ class XLaurent:
         out.num = {k: -v for k, v in self.num.items()}
         out.den = self.den
         out._c = None
+        out._packed = None
         return out
 
     def __mul__(self, other) -> "XLaurent":
@@ -461,15 +487,21 @@ _XL_ZERO = XLaurent()
 _XL_ONE = XLaurent.one()
 
 
+def _beyond_cap(ee: int):
+    """Raise the ``ExactError`` of an eps exponent that ``XLaurent.packed`` cannot hold."""
+    raise ExactError(f"eps^{ee} is beyond the packed-key cap eps^{_EPS_CAP - 1}")
+
+
 def sum_of_products(terms) -> XLaurent:
     """``sum c * a * b`` over ``(int c, XLaurent a, XLaurent b)`` triples.
 
     Every product is brought onto one common denominator, the integer
-    numerators accumulate in one dict, and the sum is reduced once; no
-    intermediate ``XLaurent`` is built.  Consecutive triples that share the
-    same ``a`` object are multiplied once, as ``a * (sum c * b)``: operator
-    composition lists its Leibniz terms that way.  The form is canonical, so
-    the result equals the fold ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
+    numerators accumulate in one dict keyed by packed ints (``.packed``), and
+    the sum is unpacked and reduced once; no intermediate ``XLaurent`` is
+    built.  Consecutive triples that share the same ``a`` object are
+    multiplied once, as ``a * (sum c * b)``: operator composition lists its
+    Leibniz terms that way.  The form is canonical, so the result equals the
+    fold ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
     """
     groups: list[tuple[XLaurent, list]] = []
     last = None
@@ -480,36 +512,36 @@ def sum_of_products(terms) -> XLaurent:
             else:
                 groups.append((a, [(c, b)]))
                 last = a
-    # (c, a's numerators, b-side numerators, denominator of the product)
+    # (c, a's packed numerators, b-side packed numerators, denominator of the
+    # product); ``x._packed or x.packed`` reads a built view without a property call
     prods = []
     for a, cbs in groups:
         if len(cbs) == 1:
             (c, b), = cbs
-            prods.append((c, a.num.items(), b.num.items(), a.den * b.den))
+            prods.append((c, a._packed or a.packed, b._packed or b.packed, a.den * b.den))
             continue
         bden = math.lcm(*[b.den for _, b in cbs])
-        comb: dict[tuple[int, int], int] = {}
+        comb: dict[int, int] = {}
         get = comb.get
         for c, b in cbs:
             f = c * (bden // b.den)
-            for k, v in b.num.items():
+            for k, v in b._packed or b.packed:
                 comb[k] = get(k, 0) + v * f
-        prods.append((1, a.num.items(), [kv for kv in comb.items() if kv[1]], a.den * bden))
+        prods.append((1, a._packed or a.packed, [kv for kv in comb.items() if kv[1]],
+                      a.den * bden))
     den = math.lcm(*[p[3] for p in prods])
-    acc: dict[tuple[int, int], int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for c, aitems, bitems, d in prods:
         f = c * (den // d)
         if len(aitems) > len(bitems):
             aitems, bitems = bitems, aitems
-        for (x1, e1), v1 in aitems:
+        for k1, v1 in aitems:
             v1 *= f
-            for (x2, e2), v2 in bitems:
-                k = (x1 + x2, e1 + e2)
+            for k2, v2 in bitems:
+                k = k1 + k2
                 acc[k] = get(k, 0) + v1 * v2
-    if 0 in acc.values():
-        acc = {k: v for k, v in acc.items() if v}
-    return _reduced(acc, den)
+    return _reduced({(k >> _EPS_BITS, k & _EPS_MASK): v for k, v in acc.items() if v}, den)
 
 
 def xl(coeffs: dict[int, object]) -> XLaurent:
@@ -531,7 +563,7 @@ class ZSeries:
     reported window never overstates what is actually known.
     """
 
-    __slots__ = ("lowest", "coeffs", "upper")
+    __slots__ = ("lowest", "coeffs", "upper", "__weakref__")
 
     def __init__(self, lowest: int, coeffs: list[XLaurent], upper=INF):
         # trim known-zero leading terms; they stay implicitly known

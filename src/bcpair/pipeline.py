@@ -14,7 +14,9 @@ relation from scratch.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
   annihilating a commuting pair by one fraction-free elimination over Q[eps].
 * ``verify_rank3`` checks the reduction remainder of an operator against its
-  expected eigenvalue series.
+  expected eigenvalue series.  It reuses the frame of the last chi triple
+  while that triple's series live, so ``verify rank`` (L1, L2, then L1 + D
+  on one triple) builds two frames, not three.
 
 Every solver's output is re-verified by exact substitution before it is
 returned; elimination results are never trusted on their own.
@@ -22,6 +24,7 @@ returned; elimination results are never trusted on their own.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -116,9 +119,45 @@ class Rank3Report:
 
 
 def verify_rank3(op: DiffOp, chis, eigen: ZSeries) -> Rank3Report:
-    """Check remainder(op mod T) = (eigen, 0, 0) through the series window."""
+    """Check remainder(op mod T) = (eigen, 0, 0) through the series window.
+
+    The frame of the last chi triple is reused while that triple's series
+    live (``_frame_for``).
+    """
     chi0, chi1, chi2 = chis
-    return _rank3_report(op, reduction_frame(chi0, chi1, chi2, max(op.order, 3)), eigen)
+    return _rank3_report(op, _frame_for((chi0, chi1, chi2), max(op.order, 3)), eigen)
+
+
+# (weakrefs to chi0, chi1, chi2, their frame) of the last verify_rank3 call, or None
+_last_frame = None
+
+
+def _frame_for(chis: tuple[ZSeries, ZSeries, ZSeries], n_max: int):
+    """``reduction_frame(*chis, n_max)``, or a longer one built before for these very series.
+
+    One entry, keyed by the identity of the three series: equal series that
+    are distinct objects get their own frame.  The entry is one immutable
+    tuple, read once, so a concurrent call never pairs a triple with another
+    triple's frame; it holds its series by weak reference and is dropped
+    when one of them dies.
+    """
+    global _last_frame
+    memo = _last_frame
+    if memo is not None:
+        *refs, frame = memo
+        if len(frame) > n_max and all(r() is s for r, s in zip(refs, chis)):
+            return frame
+    frame = reduction_frame(*chis, n_max)
+    _last_frame = (*(weakref.ref(s, _forget_frame) for s in chis), frame)
+    return frame
+
+
+def _forget_frame(dead: weakref.ref) -> None:
+    """Weakref callback: drop the memo entry if it was keyed by the dead series."""
+    global _last_frame
+    memo = _last_frame
+    if memo is not None and any(r is dead for r in memo[:3]):
+        _last_frame = None
 
 
 def _rank3_report(op: DiffOp, frame, eigen: ZSeries) -> Rank3Report:

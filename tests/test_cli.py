@@ -295,14 +295,6 @@ def test_cli_rejects_options_the_command_does_not_read(capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"{argv[0]} {argv[1]} does not read {argv[2]}" in capsys.readouterr().err
-    # no command reads --order or --seed; rejected before any work
-    for argv, option in ((["construct", "l1", "--seed", "3"], "--seed"),
-                         (["construct", "l2", "--order", "5"], "--order"),
-                         (["construct", "bc", "--order", "5"], "--order")):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"construct {argv[1]} does not read {option}" in capsys.readouterr().err
 
 
 # the options each sub-command reads; every other one is a usage error

@@ -119,6 +119,8 @@ def test_xlaurent_view_is_read_only_and_built_once():
     assert (p.num, p.den) == ({(-2, 0): 151632, (3, 2): -1, (3, 0): 1944}, 5832)
     assert p.c is p.c
     assert p.c[3] == EpsPoly({2: F(-1, 5832), 0: F(1, 3)}) and p.coefficient(-2) == ep(26)
+    assert p.packed is p.packed
+    assert p.packed == ((-2 * 2**20, 151632), (3 * 2**20 + 2, -1), (3 * 2**20, 1944))
     with pytest.raises(TypeError):
         p.c[0] = ep(1)
 
@@ -217,6 +219,13 @@ def test_sum_of_products_signs_denominators_cancellation():
     assert zero.is_zero() and zero.den == 1 and zero == XLaurent.zero()
     assert sum_of_products([]) == XLaurent.zero()
     assert sum_of_products([(0, a, b), (3, XLaurent.zero(), a)]).den == 1
+
+
+def test_sum_of_products_rejects_an_eps_exponent_at_the_packed_cap():
+    below, at = xl({-5: {2**19 - 1: 3}, 2: 1}), xl({1: {2**19: F(1, 2)}})
+    assert sum_of_products([(1, below, below)]) == below * below
+    with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
+        sum_of_products([(1, below, at)])
 
 
 def test_series_divide_round_trip_seeded():
@@ -422,6 +431,26 @@ def test_hypothesis_xlaurent_matches_reference(ra, rb, k, q, rp, value, cs):
     _checked(a.scale(EpsPoly(rp)), _ref_mul(ra, {0: rp}))
     _checked(a.substitute_eps(value), _ref_substitute(ra, value))
     assert (a == b) == (ra == rb)
+
+
+_CAP = 2**19
+_wide_laurent = st.dictionaries(
+    st.integers(-40, 5),
+    st.dictionaries(st.integers(0, 3) | st.integers(_CAP - 3, _CAP - 1), _fractions, max_size=3),
+    max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_wide_laurent, _wide_laurent, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+def test_hypothesis_sum_of_products_packed_keys_match_reference(ra, rb, cs):
+    # negative x exponents and eps exponents just below the cap, whose
+    # products reach eps^(2**20 - 2); a run of three triples shares `a`,
+    # and `a` comes back after `b` as a group of its own
+    a, b = xl(ra), xl(rb)
+    ra, rb = _ref_clean(ra), _ref_clean(rb)
+    pairs = [(a, b, ra, rb), (a, a, ra, ra), (a, b, ra, rb), (b, a, rb, ra), (a, a, ra, ra)]
+    _checked(sum_of_products([(c, u, v) for c, (u, v, _, _) in zip(cs, pairs)]),
+             _ref_sum_of_products([(c, ru, rv) for c, (_, _, ru, rv) in zip(cs, pairs)]))
 
 
 @settings(deadline=None, max_examples=200)

@@ -1,5 +1,6 @@
 """Constructive pipeline: reduction frame, derivation, commutant, relation."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,79 @@ def test_verify_rank3_wrong_eigenvalue(chis24, l2, mu24):
     shifted = mu24 + ZSeries.from_z_coefficients({0: xl({0: {4: F(1, 9)}})})
     rep = verify_rank3(l2, chis24, shifted)
     assert not rep.passed and rep.first_failure == (0, 0)
+
+
+def _fresh_chis(chis24, upper: int = 24):
+    """New series objects equal to the chi expansions below z^upper."""
+    return tuple(s.truncate(upper) for s in chis24)
+
+
+@pytest.fixture
+def frame_orders(monkeypatch):
+    """The top order of every frame that ``reduction_frame`` builds during the test."""
+    orders = []
+    inner = pipeline.reduction_frame
+
+    def counting(*args):
+        orders.append(args[3])
+        return inner(*args)
+    monkeypatch.setattr(pipeline, "reduction_frame", counting)
+    return orders
+
+
+def test_verify_rank3_builds_one_frame_per_chi_triple(frame_orders, chis24, lam24, mu24,
+                                                      l1, l2):
+    # the order of `verify rank`: L1, then L2 needs a longer frame, then
+    # L1 + D reads the order-12 one
+    chis = _fresh_chis(chis24, 10)
+    assert verify_rank3(l1, chis, lam24).passed
+    assert verify_rank3(l2, chis, mu24).passed
+    assert not verify_rank3(l1 + DiffOp.d(1), chis, lam24).passed
+    assert frame_orders == [9, 12]
+    # the specialised suite's order: L2 first, so L1 + D builds nothing
+    special = tuple(s.substitute_eps(F(7, 3)) for s in chis)
+    verify_rank3(l2.substitute_eps(F(7, 3)), special, mu24.substitute_eps(F(7, 3)))
+    verify_rank3(l1.substitute_eps(F(7, 3)) + DiffOp.d(1), special,
+                 lam24.substitute_eps(F(7, 3)))
+    assert frame_orders == [9, 12, 12]
+    # a longer order builds again
+    verify_rank3(DiffOp.d(13), special, lam24)
+    assert frame_orders == [9, 12, 12, 13]
+
+
+def test_verify_rank3_keys_its_frame_by_identity(frame_orders, chis24, lam24, l1):
+    a, b = _fresh_chis(chis24, 10), _fresh_chis(chis24, 10)
+    assert a == b
+    for chis in (a, b, (a[0], a[1], b[2]), a):
+        assert verify_rank3(l1, chis, lam24).passed
+    assert frame_orders == [9, 9, 9, 9]
+
+
+def test_verify_rank3_holds_no_frame_once_its_chi_series_die(monkeypatch, chis24, lam24, l1):
+    tops = []
+    inner = pipeline.reduction_frame
+
+    def recording(*args):
+        frame = inner(*args)
+        tops.append(weakref.ref(frame[-1][0]))
+        return frame
+    monkeypatch.setattr(pipeline, "reduction_frame", recording)
+    chis = _fresh_chis(chis24, 10)
+    assert verify_rank3(l1, chis, lam24).passed
+    assert tops[0]() is not None
+    del chis
+    assert tops[0]() is None
+
+
+@pytest.mark.parametrize("eps", [None, F(7, 3)], ids=["symbolic", "7/3"])
+def test_verify_rank3_reports_equal_those_of_a_fresh_frame(eps, chis24, lam24, mu24, l1, l2):
+    chis, lam, mu = _fresh_chis(chis24), lam24, mu24
+    if eps is not None:
+        chis = tuple(s.substitute_eps(eps) for s in chis)
+        l1, l2, lam, mu = (v.substitute_eps(eps) for v in (l1, l2, lam, mu))
+    for op, eigen in ((l1, lam), (l2, mu), (l1 + DiffOp.d(1), lam)):
+        fresh = reduction_frame(*chis, max(op.order, 3))
+        assert verify_rank3(op, chis, eigen) == pipeline._rank3_report(op, fresh, eigen)
 
 
 def test_derive_l1_matches_catalog(chis24, l1):
@@ -293,14 +367,7 @@ def test_derive_l1_wrong_eigenvalue_fails_reverification(chis24):
         derive_L1_coeffs(*chis, eigen=eigen)
 
 
-def test_derive_l1_reverifies_on_its_own_frame(monkeypatch, chis24, l1):
-    calls = []
-    inner = pipeline.reduction_frame
-
-    def counting(*args):
-        calls.append(args[3])          # the frame's top order
-        return inner(*args)
-    monkeypatch.setattr(pipeline, "reduction_frame", counting)
+def test_derive_l1_reverifies_on_its_own_frame(frame_orders, chis24, l1):
     coeffs = derive_L1_coeffs(*(s.truncate(16) for s in chis24))
     assert list(l1.coeffs[:8]) == coeffs
-    assert calls == [9]
+    assert frame_orders == [9]
