@@ -577,6 +577,12 @@ def _join_negative_eps(argv: list[str]) -> list[str]:
     return out
 
 
+def _error(message) -> int:
+    """Print ``error: message`` to stderr; the exit code of a refused input (2)."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args, unread = build_parser().parse_known_args(
         _join_negative_eps(sys.argv[1:] if argv is None else list(argv)))
@@ -587,27 +593,27 @@ def main(argv=None) -> int:
         try:
             op = read_op_file(args.path)
         except (OpSyntaxError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
         print(print_op(op, args.format))
         return 0
     report = Report(command=name, inputs={k: getattr(args, k) for k in args.reads})
     t0 = time.perf_counter()
     try:
-        # the report keeps eps as given; the suites read None (symbolic) or its value
+        # the report keeps eps as given; the suites read None (symbolic) or its
+        # value.  OSError: a construct target's --out path cannot be written.
         args.run(report, **{k: _eps(v) if k == "eps" else v for k, v in report.inputs.items()})
-    except (pipeline.PipelineError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (pipeline.PipelineError, ValueError, ArithmeticError, OSError) as exc:
+        return _error(exc)
     report.wall_time_s = round(time.perf_counter() - t0, 3)
     _emit(report)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as exc:
+            return _error(exc)
     if report.outcome == "skipped":
-        print(f"error: no check of '{report.command}' applies to these inputs",
-              file=sys.stderr)
-        return 2
+        return _error(f"no check of '{report.command}' applies to these inputs")
     return 1 if report.outcome == "fail" else 0
 
 

@@ -4,10 +4,12 @@ An operator is a finite sum ``sum_k c_k D^k`` with ``D = d/dx`` and every
 ``c_k`` an ``XLaurent`` (a Laurent polynomial in x over Q[eps]): the
 coefficients of ``L1``, ``L2``, the limit operator and every commutant member.
 Composition uses the Leibniz rule ``D^n . a = sum_k binom(n, k) a^(k) D^(n-k)``
-and sums each output coefficient once with ``exact.sum_of_products``.  Series
-in z never become operator coefficients: they enter only through the rank-3
-reduction frame, which ``pipeline.reduction_frame`` builds by its own
-recurrence.
+and sums each output coefficient once with ``exact.sum_of_products``.  A
+commutator ``[A, B]`` sums only the Leibniz terms of ``A.B`` and ``B.A`` that
+do not cancel (those with k >= 1), one ``sum_of_products`` per coefficient,
+and builds neither product.  Series in z never become operator coefficients:
+they enter only through the rank-3 reduction frame, which
+``pipeline.reduction_frame`` builds by its own recurrence.
 
 ``XLAURENT_RING`` names that one coefficient ring.  It remains importable, and
 ``DiffOp(coeffs, ring)``, ``DiffOp.identity(ring)`` and ``DiffOp.d(k, ring)``
@@ -128,26 +130,11 @@ class DiffOp:
         if self.is_zero() or other.is_zero():
             return DiffOp.zero()
         na, nb = len(self.coeffs), len(other.coeffs)
-        # derivative table for other's coefficients, up to the max Leibniz depth
-        max_d = na - 1
-        derivs: list[list] = []
-        for b in other.coeffs:
-            row = [b]
-            for _ in range(max_d):
-                row.append(row[-1].derive())
-            derivs.append(row)
+        derivs = _derivatives(other.coeffs, na - 1)
         out = []
         for idx in range(na + nb - 1):
-            # the terms of D^idx: i + j - k = idx with 0 <= k <= i and 0 <= j < nb
             terms = []
-            for i in range(max(0, idx - nb + 1), na):
-                a = self.coeffs[i]
-                if a.is_zero():
-                    continue
-                for k in range(max(0, i - idx), min(i, nb - 1 - idx + i) + 1):
-                    bk = derivs[idx - i + k][k]
-                    if not bk.is_zero():
-                        terms.append((binom(i, k), a, bk))
+            _leibniz_terms(terms, self.coeffs, derivs, idx, 0, 1)
             out.append(sum_of_products(terms) if terms else _ZERO)
         return DiffOp(out)
 
@@ -157,7 +144,26 @@ class DiffOp:
         return _powers(self, k)[k]
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other) - other.compose(self)
+        """``[self, other] = self . other - other . self``, one sum per coefficient.
+
+        The k = 0 Leibniz terms ``a_i b_j D^(i+j)`` of the two products cancel
+        identically, the top coefficient with them.  So the ``D^idx``
+        coefficient sums only the k >= 1 terms: those of ``self . other`` at
+        ``+binom(i, k)`` and those of ``other . self`` at ``-binom(j, k)``.
+        Neither product is built.
+        """
+        if self.is_zero() or other.is_zero():
+            return DiffOp.zero()
+        na, nb = len(self.coeffs), len(other.coeffs)
+        da = _derivatives(self.coeffs, nb - 1)
+        db = _derivatives(other.coeffs, na - 1)
+        out = []
+        for idx in range(na + nb - 2):
+            terms = []
+            _leibniz_terms(terms, self.coeffs, db, idx, 1, 1)
+            _leibniz_terms(terms, other.coeffs, da, idx, 1, -1)
+            out.append(sum_of_products(terms) if terms else _ZERO)
+        return DiffOp(out)
 
     def apply(self, f):
         """Apply to a function-like value with ``derive()`` (XLaurent, ZSeries)."""
@@ -196,6 +202,33 @@ class DiffOp:
                 continue
             parts.append(f"({c})*D^{k}" if k else f"({c})")
         return "DiffOp(" + " + ".join(parts) + ")"
+
+
+def _derivatives(coeffs, depth: int) -> list[list]:
+    """``[[c, c', ..., c^(depth)] for c in coeffs]``."""
+    table = []
+    for c in coeffs:
+        row = [c]
+        for _ in range(depth):
+            row.append(row[-1].derive())
+        table.append(row)
+    return table
+
+
+def _leibniz_terms(terms: list, a, derivs, idx: int, k_min: int, sign: int) -> None:
+    """Append the terms ``(sign * binom(i, k), a_i, b_j^(k))`` with k >= k_min
+    of the ``D^idx`` coefficient of ``a . b``, where ``derivs`` is b's
+    derivative table (``_derivatives``) and ``idx = i + j - k``."""
+    nb = len(derivs)
+    for i in range(max(k_min, idx - nb + 1), len(a)):
+        ai = a[i]
+        if ai.is_zero():
+            continue
+        # 0 <= j = idx - i + k < nb and k_min <= k <= i
+        for k in range(max(k_min, i - idx), min(i, nb - 1 - idx + i) + 1):
+            bk = derivs[idx - i + k][k]
+            if not bk.is_zero():
+                terms.append((sign * binom(i, k), ai, bk))
 
 
 class NonCommutingPair(ValueError):

@@ -316,7 +316,11 @@ class BareissEchelon:
     ties) and replaces every other remaining row r by
     ``(p * r - r[col] * pivot_row) / p_prev`` (Bareiss 1968).  Every entry is
     then a minor of the input, so the division by the previous pivot is exact
-    (``EpsPoly.divexact``) and no gcd is taken during elimination.
+    (``EpsPoly.divexact``) and no gcd is taken during elimination.  Where the
+    pivot equals the previous one (as along a run of unit pivots), the step is
+    ``r - r[col] * pivot_row / p``: ``p * r_c - f * q_c`` is divisible by
+    ``p``, so ``f * q_c`` is too.  A row without an entry in the pivot column
+    is then kept as it is, and for ``p == 1`` nothing is divided.
 
     ``inconsistent`` is the label of the first row reduced to a nonzero
     constant term alone (the system has no solution), else None.
@@ -331,7 +335,8 @@ class BareissEchelon:
             row = {c: v for c, v in row.items() if not v.is_zero()}
             if row:
                 active.append((label, row))
-        prev = EpsPoly.one()
+        zero, one = EpsPoly.zero(), EpsPoly.one()
+        prev = one
         for col in range(rhs):
             if self._find_inconsistent(active):
                 return
@@ -340,19 +345,27 @@ class BareissEchelon:
                 continue
             _, prow = active.pop(min(hits, key=lambda i: _entry_size(active[i][1][col])))
             p = prow[col]
+            same = p == prev
+            unit = same and p == one
             reduced = []
             for label, row in active:
                 f = row.get(col)
-                if f is None and p == prev:
+                if f is None and same:
                     reduced.append((label, row))    # (p * row) / prev is row itself
                     continue
                 new = {}
                 for c in sorted((row.keys() | prow.keys()) - {col}):
-                    v = p * row[c] if c in row else EpsPoly.zero()
-                    if f is not None and c in prow:
-                        v = v - f * prow[c]
+                    if same:
+                        v = row.get(c, zero)
+                        if c in prow:
+                            fq = f * prow[c]
+                            v = v - (fq if unit else fq.divexact(p))
+                    else:
+                        v = p * row[c] if c in row else zero
+                        if f is not None and c in prow:
+                            v = v - f * prow[c]
                     if not v.is_zero():
-                        new[c] = v.divexact(prev)
+                        new[c] = v if same else v.divexact(prev)
                 if new:
                     reduced.append((label, new))
             active = reduced

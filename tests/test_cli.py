@@ -286,15 +286,17 @@ def test_cli_construct_l2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_rejects_options_the_command_does_not_read(capsys):
-    # construct reads no eps or precision, verify no seed: they are usage errors
-    for argv in (["construct", "l1", "--eps", "-1"],
-                 ["construct", "l1", "--precision", "30"],
-                 ["verify", "commute", "--seed", "3"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert f"{argv[0]} {argv[1]} does not read {argv[2]}" in capsys.readouterr().err
+def test_cli_unwritable_out_or_json_path_is_usage_error(tmp_path, capsys):
+    # a directory, or a file in a missing directory, cannot be written: exit 2
+    # with the path named, not a traceback with the exit code of a failed check
+    for argv, path in ((["construct", "l1", "--out", str(tmp_path)], tmp_path),
+                       (["construct", "l1", "--out", str(tmp_path / "no" / "l1.txt")],
+                        tmp_path / "no" / "l1.txt"),
+                       (["verify", "commute", "--json", str(tmp_path)], tmp_path)):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # the options each sub-command reads; every other one is a usage error

@@ -7,7 +7,7 @@ import pytest
 
 from bcpair import (BivarPoly, DiffOp, NonCommutingPair, ReductionError,
                     XLAURENT_RING, XLaurent, ZSeries, ep, eval_poly_at_pair,
-                    make_l1, make_l2, right_reduce, xl)
+                    make_l1, make_l2, make_limit_op, right_reduce, xl)
 from bcpair.diffop import binom
 from conftest import random_xlaurent, rng
 
@@ -105,6 +105,7 @@ def test_compose_builds_no_intermediate_xlaurent(monkeypatch):
     for name in ("__add__", "__sub__", "__mul__"):
         monkeypatch.setattr(XLaurent, name, counted(name))
     l1.compose(l2)
+    l1.commutator(l2)
     assert not calls
 
 
@@ -125,6 +126,29 @@ def test_ring_argument_accepts_only_xlaurent():
 def test_commutator_weyl():
     x_op = coeff_op(XLaurent.var())
     assert D.commutator(x_op) == I
+
+
+def test_commutator_matches_the_difference_of_products():
+    # [a, b] sums the k >= 1 Leibniz terms of both products; the reference
+    # builds both products whole
+    r = rng(20)
+    ops = [DiffOp.zero(), I, coeff_op(random_xlaurent(r))] + \
+        [random_op(r, 4) for _ in range(60)]
+    for a in ops:
+        for b in ops[:3] + [random_op(r, 4) for _ in range(3)]:
+            assert a.commutator(b) == a.compose(b) - b.compose(a)
+            assert b.commutator(a) == b.compose(a) - a.compose(b)
+    # the monomials g D^j that solve_commuting commutes with its operator
+    g_op = make_limit_op()
+    for j in range(13):
+        m = DiffOp.monomial(random_xlaurent(r), j)
+        assert g_op.commutator(m) == g_op.compose(m) - m.compose(g_op)
+    l1, l2 = make_l1(), make_l2()
+    for eps in (None, F(7, 3)):
+        a, b = (l1, l2) if eps is None else (l1.substitute_eps(eps), l2.substitute_eps(eps))
+        assert a.commutator(b) == a.compose(b) - b.compose(a)
+        assert a.commutator(b + D) == a.compose(b + D) - (b + D).compose(a)
+        assert not a.commutator(b + D).is_zero()
 
 
 def test_commutator_antisymmetry_and_self():

@@ -168,6 +168,101 @@ def test_bareiss_primitive_generators():
     assert ech.primitive_solution(1) == {0: _eps({1: -1}), 1: EpsPoly.one()}
 
 
+def reference_bareiss(rows, rhs):
+    """(pivots, inconsistent label) of ``BareissEchelon`` computed by the
+    generic Bareiss step alone: every updated entry is ``(p * r_c - f * q_c)
+    / prev``, also where the pivot ``p`` equals ``prev``."""
+    active = []
+    for label, row in rows:
+        row = {c: v for c, v in row.items() if not v.is_zero()}
+        if row:
+            active.append((label, row))
+
+    def inconsistent():
+        return next((label for label, row in active if set(row) == {rhs}), None)
+
+    pivots, prev = [], EpsPoly.one()
+    for col in range(rhs):
+        if inconsistent() is not None:
+            return pivots, inconsistent()
+        hits = [i for i, (_, row) in enumerate(active) if col in row]
+        if not hits:
+            continue
+        _, prow = active.pop(min(hits, key=lambda i: linsolve._entry_size(active[i][1][col])))
+        p = prow[col]
+        reduced = []
+        for label, row in active:
+            f = row.get(col)
+            if f is None and p == prev:
+                reduced.append((label, row))
+                continue
+            new = {}
+            for c in sorted((row.keys() | prow.keys()) - {col}):
+                v = p * row[c] if c in row else EpsPoly.zero()
+                if f is not None and c in prow:
+                    v = v - f * prow[c]
+                if not v.is_zero():
+                    new[c] = v.divexact(prev)
+            if new:
+                reduced.append((label, new))
+        active = reduced
+        pivots.append((col, prow))
+        prev = p
+    return pivots, inconsistent()
+
+
+def _repeated_pivot_system(r, d):
+    """Rows over n + 2 unknowns whose pivots in columns 0..n-1 all equal ``d``.
+
+    Row i < n has ``d`` (row 0) or 1 (the others) in column i, zeros to its
+    left and random entries to its right.  Bareiss multiplies rows 1.. by d
+    in the first step, so every later pivot repeats it.  The random rows
+    after them are multiples of d and stay so: none of their entries is
+    smaller than d (eps-degree, then term count), and a tie goes to the
+    earlier, triangular row.  They hold the pivots of the last two columns,
+    or are left inconsistent.
+    """
+    n = r.randint(1, 4)
+    m = n + 2
+    rows = [(i, {i: d if i == 0 else EpsPoly.one(),
+                 **{c: random_epspoly(r, 2) for c in range(i + 1, m + 1)}})
+            for i in range(n)]
+    rows += [(n + i, {c: random_epspoly(r, 2) * d for c in range(m + 1)})
+             for i in range(r.randint(1, 3))]
+    return n, m, rows
+
+
+def _random_system(r):
+    m = r.randint(1, 4)
+    return 0, m, [(i, {c: random_epspoly(r, 2) for c in range(m + 1)})
+                  for i in range(r.randint(1, m + 2))]
+
+
+def test_bareiss_matches_the_generic_step_on_every_kind_of_pivot():
+    # unit pivots, repeated pivots 2 and eps (p == prev), and changing pivots
+    r = rng(34)
+    for d in (EpsPoly.one(), _eps({0: 2}), _eps({1: 1}), None):
+        repeated = changed = 0
+        for _ in range(40):
+            n, m, rows = _random_system(r) if d is None else _repeated_pivot_system(r, d)
+            pivots, inconsistent = reference_bareiss(rows, m)
+            values = [row[col] for col, row in pivots]
+            assert values[:n] == [d] * len(values[:n])
+            repeated += sum(a == b for a, b in zip(values[:n], values[1:n]))
+            changed += sum(a != b for a, b in zip(values, values[1:]))
+            ech = linsolve.BareissEchelon(rows, m)
+            assert [(col, list(row.items())) for col, row in ech.pivots] == \
+                [(col, list(row.items())) for col, row in pivots]
+            assert ech.inconsistent == inconsistent
+            ref = linsolve.BareissEchelon([], m)
+            ref.pivots = pivots
+            assert ech.free_columns() == ref.free_columns()
+            if inconsistent is None:
+                for f in ech.free_columns() + [m]:
+                    assert ech.primitive_solution(f) == ref.primitive_solution(f)
+        assert (changed if d is None else repeated) >= 20
+
+
 def test_lagrange_interpolation():
     # p(t) = t^2 - 3/2 t + 2
     pts = [(F(0), F(2)), (F(1), F(3, 2)), (F(2), F(3))]
