@@ -3,8 +3,8 @@ on a genus-2 spectral curve."""
 
 from .exact import (BivarPoly, EpsPoly, ExactError, XLaurent, ZSeries, ep,
                     series_sqrt, xl, DEFAULT_SERIES_ORDER)
-from .diffop import (DiffOp, XLAURENT_RING, binom, eval_poly_at_pair,
-                     right_reduce, NonCommutingPair, ReductionError)
+from .diffop import (DiffOp, XLAURENT_RING, eval_poly_at_pair, right_reduce,
+                     NonCommutingPair, ReductionError)
 from .curve import (CurveDef, CurveElem, DEFAULT_CURVE, bc_function_identity,
                     chi, curve_series, lambda_fn, mu_fn)
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2

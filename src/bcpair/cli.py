@@ -503,12 +503,19 @@ def _construct_bc(report: Report, out: str) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--{option}: {text!r} is not a rational number") from None
+
+
 def _eps(text: str) -> Fraction | None:
-    return None if text == "symbolic" else Fraction(text)
+    return None if text == "symbolic" else _rational(text, "eps")
 
 
 def _rationals(text: str) -> list[Fraction]:
-    return [Fraction(p) for p in text.split(",")]
+    return [_rational(p, "points") for p in text.split(",")]
 
 
 #: the argparse settings of every option a sub-command may read
@@ -594,6 +601,8 @@ def main(argv=None) -> int:
             op = read_op_file(args.path)
         except (OpSyntaxError, OSError) as exc:
             return _error(exc)
+        except UnicodeDecodeError as exc:
+            return _error(f"{args.path} is not UTF-8 text: {exc}")
         print(print_op(op, args.format))
         return 0
     report = Report(command=name, inputs={k: getattr(args, k) for k in args.reads})

@@ -3,12 +3,11 @@
 An operator is a finite sum ``sum_k c_k D^k`` with ``D = d/dx`` and every
 ``c_k`` an ``XLaurent`` (a Laurent polynomial in x over Q[eps]): the
 coefficients of ``L1``, ``L2``, the limit operator and every commutant member.
-Composition uses the Leibniz rule ``D^n . a = sum_k binom(n, k) a^(k) D^(n-k)``
-and sums each output coefficient once with ``exact.sum_of_products``.  A
-commutator ``[A, B]`` sums only the Leibniz terms of ``A.B`` and ``B.A`` that
-do not cancel (those with k >= 1), one ``sum_of_products`` per coefficient,
-and builds neither product.  Series in z never become operator coefficients:
-they enter only through the rank-3 reduction frame, which
+A product ``A . B = sum_i a_i D^i . B`` and a commutator are sums over the
+recurrence ``D^i . B = D . (D^(i-1) . B)``, run in ``exact`` on integer
+numerators over one denominator with no derivative table and no binomials,
+one reduction per output coefficient.  Series in z never become operator
+coefficients: they enter only through the rank-3 reduction frame, which
 ``pipeline.reduction_frame`` builds by its own recurrence.
 
 ``XLAURENT_RING`` names that one coefficient ring.  It remains importable, and
@@ -20,13 +19,9 @@ accept it as an optional last argument, only because the benchmark workloads
 
 from __future__ import annotations
 
-import math
-
-from .exact import BivarPoly, XLaurent, sum_of_products
+from .exact import BivarPoly, XLaurent, commutator_coefficients, compose_coefficients
 
 NEG_INF = float("-inf")
-
-binom = math.comb
 
 XLAURENT_RING = "xlaurent"
 
@@ -120,50 +115,27 @@ class DiffOp:
     # -- ring operations ----------------------------------------------------
 
     def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator product self . other (apply ``other`` first).
-
-        The Leibniz terms ``binom(i, k) a_i b_j^(k)`` are listed one output
-        coefficient ``D^(i+j-k)`` at a time, and each list is summed once by
-        ``exact.sum_of_products`` (one common denominator, one reduction per
-        coefficient).
-        """
-        if self.is_zero() or other.is_zero():
+        """Operator product self . other (apply ``other`` first): ``sum_i a_i S_i``
+        with ``S_i = D^i . B``, whose ``D^n`` coefficient is
+        ``S_(i-1)[n]' + S_(i-1)[n-1]`` (``exact.compose_coefficients``)."""
+        if not self.coeffs or not other.coeffs:
             return DiffOp.zero()
-        na, nb = len(self.coeffs), len(other.coeffs)
-        derivs = _derivatives(other.coeffs, na - 1)
-        out = []
-        for idx in range(na + nb - 1):
-            terms = []
-            _leibniz_terms(terms, self.coeffs, derivs, idx, 0, 1)
-            out.append(sum_of_products(terms) if terms else _ZERO)
-        return DiffOp(out)
+        return DiffOp(compose_coefficients(self.coeffs, other.coeffs))
 
     def op_power(self, k: int) -> "DiffOp":
         if k < 0:
             raise ValueError("operator powers need k >= 0")
-        return _powers(self, k)[k]
+        return _pair_monomials(self, self, [(k, 0)])[0]
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        """``[self, other] = self . other - other . self``, one sum per coefficient.
-
-        The k = 0 Leibniz terms ``a_i b_j D^(i+j)`` of the two products cancel
-        identically, the top coefficient with them.  So the ``D^idx``
-        coefficient sums only the k >= 1 terms: those of ``self . other`` at
-        ``+binom(i, k)`` and those of ``other . self`` at ``-binom(j, k)``.
-        Neither product is built.
-        """
-        if self.is_zero() or other.is_zero():
+        """``[A, B] = sum_i a_i T^B_i - sum_j b_j T^A_j`` with ``T^B_0 = 0`` and
+        ``T^B_i = D^i . B - B . D^i = D . T^B_(i-1) + B' . D^(i-1)`` (``B'``: B's
+        coefficients differentiated): the Leibniz terms of ``A . B`` and
+        ``B . A`` that do not cancel, with neither product built
+        (``exact.commutator_coefficients``)."""
+        if self.order + other.order < 1:  # a zero operand, or two functions
             return DiffOp.zero()
-        na, nb = len(self.coeffs), len(other.coeffs)
-        da = _derivatives(self.coeffs, nb - 1)
-        db = _derivatives(other.coeffs, na - 1)
-        out = []
-        for idx in range(na + nb - 2):
-            terms = []
-            _leibniz_terms(terms, self.coeffs, db, idx, 1, 1)
-            _leibniz_terms(terms, other.coeffs, da, idx, 1, -1)
-            out.append(sum_of_products(terms) if terms else _ZERO)
-        return DiffOp(out)
+        return DiffOp(commutator_coefficients(self.coeffs, other.coeffs))
 
     def apply(self, f):
         """Apply to a function-like value with ``derive()`` (XLaurent, ZSeries)."""
@@ -204,44 +176,8 @@ class DiffOp:
         return "DiffOp(" + " + ".join(parts) + ")"
 
 
-def _derivatives(coeffs, depth: int) -> list[list]:
-    """``[[c, c', ..., c^(depth)] for c in coeffs]``."""
-    table = []
-    for c in coeffs:
-        row = [c]
-        for _ in range(depth):
-            row.append(row[-1].derive())
-        table.append(row)
-    return table
-
-
-def _leibniz_terms(terms: list, a, derivs, idx: int, k_min: int, sign: int) -> None:
-    """Append the terms ``(sign * binom(i, k), a_i, b_j^(k))`` with k >= k_min
-    of the ``D^idx`` coefficient of ``a . b``, where ``derivs`` is b's
-    derivative table (``_derivatives``) and ``idx = i + j - k``."""
-    nb = len(derivs)
-    for i in range(max(k_min, idx - nb + 1), len(a)):
-        ai = a[i]
-        if ai.is_zero():
-            continue
-        # 0 <= j = idx - i + k < nb and k_min <= k <= i
-        for k in range(max(k_min, i - idx), min(i, nb - 1 - idx + i) + 1):
-            bk = derivs[idx - i + k][k]
-            if not bk.is_zero():
-                terms.append((sign * binom(i, k), ai, bk))
-
-
 class NonCommutingPair(ValueError):
     pass
-
-
-def _powers(op: DiffOp, n: int) -> list[DiffOp]:
-    """[op^0, op^1, ..., op^n], at least up to op^1."""
-    out = [DiffOp.identity(), op]
-    while len(out) <= n:
-        # op . op^(k-1): the Leibniz depth is op's order, not the power's
-        out.append(op.compose(out[-1]))
-    return out
 
 
 def _require_commuting(a: DiffOp, b: DiffOp, error: type[Exception]) -> None:
@@ -253,11 +189,24 @@ def _require_commuting(a: DiffOp, b: DiffOp, error: type[Exception]) -> None:
 
 
 def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
-    """The products a^i . b^j for the ``(i, j)`` in ``exponents``, in that order."""
-    pa = _powers(a, max((i for i, _ in exponents), default=0))
-    pb = _powers(b, max((j for _, j in exponents), default=0))
-    return [pb[j] if not i else pa[i] if not j else pa[i].compose(pb[j])
-            for i, j in exponents]
+    """The products a^i . b^j for the ``(i, j)`` in ``exponents``, in that order.
+
+    The pair must commute (the callers check): each monomial is built from a
+    smaller one with the lower-order factor on the left, where ``compose``
+    takes fewer steps (``a^2 b = a . (a b)`` when ``ord a <= ord b``).
+    """
+    memo = {(0, 0): DiffOp.identity(), (1, 0): a, (0, 1): b}
+    for key in exponents:
+        chain = []
+        while key not in memo:
+            i, j = key
+            left_a = i and (not j or a.order <= b.order)
+            chain.append((key, a if left_a else b))
+            key = (i - 1, j) if left_a else (i, j - 1)
+        for bigger, left in reversed(chain):
+            memo[bigger] = left.compose(memo[key])
+            key = bigger
+    return [memo[key] for key in exponents]
 
 
 def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:

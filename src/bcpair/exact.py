@@ -7,14 +7,13 @@ Everything downstream computes over these types:
   coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
   over one positive ``int`` denominator in lowest terms; ``.c`` is a lazily
   built read-only ``{x_exp: EpsPoly}`` view.  A single ``+``, ``-`` or
-  ``*`` reduces its result once.  ``sum_of_products`` computes a whole sum
-  ``sum c * a * b`` in one integer dict over a common denominator and
-  reduces only the sum: operator composition, ``ZSeries`` products, series
-  division and square roots, and the rank-3 reduction add their products
-  through it.  It multiplies on packed int keys ``x_exp * 2**20 + eps_exp``,
-  read from ``.packed``, a second view built on first use and kept, and
-  unpacks each sum once.  Building that view raises ``ExactError`` for an
-  eps exponent of ``2**19`` or more, so two packed keys add without a carry.
+  ``*`` reduces its result once.  ``sum_of_products`` (``ZSeries`` products,
+  series division and square roots, the rank-3 reduction) and the operator
+  products ``compose_coefficients`` and ``commutator_coefficients`` sum in
+  one int dict per result over a common denominator, on packed keys
+  ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first use and
+  kept, raising ``ExactError`` for an eps exponent of ``2**19`` or more, so
+  that two packed keys add without a carry), and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.
@@ -42,6 +41,7 @@ DEFAULT_SERIES_ORDER = 16
 _EPS_BITS = 20
 _EPS_CAP = 1 << (_EPS_BITS - 1)
 _EPS_MASK = (1 << _EPS_BITS) - 1
+_X_UNIT = 1 << _EPS_BITS
 
 
 def _fr(value) -> Fraction:
@@ -498,50 +498,88 @@ def sum_of_products(terms) -> XLaurent:
     Every product is brought onto one common denominator, the integer
     numerators accumulate in one dict keyed by packed ints (``.packed``), and
     the sum is unpacked and reduced once; no intermediate ``XLaurent`` is
-    built.  Consecutive triples that share the same ``a`` object are
-    multiplied once, as ``a * (sum c * b)``: operator composition lists its
-    Leibniz terms that way.  The form is canonical, so the result equals the
-    fold ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
+    built.  The form is canonical, so the result equals the fold
+    ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
     """
-    groups: list[tuple[XLaurent, list]] = []
-    last = None
-    for c, a, b in terms:
-        if c and a.num and b.num:
-            if a is last:
-                groups[-1][1].append((c, b))
-            else:
-                groups.append((a, [(c, b)]))
-                last = a
-    # (c, a's packed numerators, b-side packed numerators, denominator of the
-    # product); ``x._packed or x.packed`` reads a built view without a property call
-    prods = []
-    for a, cbs in groups:
-        if len(cbs) == 1:
-            (c, b), = cbs
-            prods.append((c, a._packed or a.packed, b._packed or b.packed, a.den * b.den))
-            continue
-        bden = math.lcm(*[b.den for _, b in cbs])
-        comb: dict[int, int] = {}
-        get = comb.get
-        for c, b in cbs:
-            f = c * (bden // b.den)
-            for k, v in b._packed or b.packed:
-                comb[k] = get(k, 0) + v * f
-        prods.append((1, a._packed or a.packed, [kv for kv in comb.items() if kv[1]],
-                      a.den * bden))
+    # ``x._packed or x.packed`` reads a built view without a property call
+    prods = [(c, a._packed or a.packed, b._packed or b.packed, a.den * b.den)
+             for c, a, b in terms if c and a.num and b.num]
     den = math.lcm(*[p[3] for p in prods])
     acc: dict[int, int] = {}
-    get = acc.get
     for c, aitems, bitems, d in prods:
-        f = c * (den // d)
-        if len(aitems) > len(bitems):
-            aitems, bitems = bitems, aitems
-        for k1, v1 in aitems:
-            v1 *= f
-            for k2, v2 in bitems:
-                k = k1 + k2
-                acc[k] = get(k, 0) + v1 * v2
+        _add_products(acc, aitems, bitems, c * (den // d))
+    return _unpacked(acc, den)
+
+
+def _add_products(acc: dict[int, int], aitems, bitems, f: int) -> None:
+    """``acc += f * a * b`` for ``a`` and ``b`` given as ``(packed key, numerator)`` pairs."""
+    if len(aitems) > len(bitems):
+        aitems, bitems = bitems, aitems
+    get = acc.get
+    for k1, v1 in aitems:
+        v1 *= f
+        for k2, v2 in bitems:
+            k = k1 + k2
+            acc[k] = get(k, 0) + v1 * v2
+
+
+def _unpacked(acc: dict[int, int], den: int) -> XLaurent:
+    """The XLaurent of the packed-key numerators ``acc`` over ``den``, reduced once."""
     return _reduced({(k >> _EPS_BITS, k & _EPS_MASK): v for k, v in acc.items() if v}, den)
+
+
+def _packed_rows(values) -> tuple[list[dict[int, int]], int]:
+    """``values`` over their lcm denominator: operator rows ``{packed key: numerator}``."""
+    den = math.lcm(*[v.den for v in values])
+    return [{k: n * (den // v.den) for k, n in v._packed or v.packed} for v in values], den
+
+
+def _derive_row(row: dict[int, int]) -> dict[int, int]:
+    """d/dx on packed keys: ``k`` becomes ``k - 2**20``, its numerator times ``k >> 20``."""
+    return {k - _X_UNIT: v * x for k, v in row.items() if (x := k >> _EPS_BITS)}
+
+
+def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: int) -> None:
+    """``acc[n] += sign * lden * sum_i left[i] * R_i[n]`` for XLaurents ``left``
+    whose denominators divide ``lden``, with ``R_0 = rows`` and
+    ``R_i = D . R_(i-1) + L' . D^(i-1)`` (``L'``: the rows ``lift``
+    differentiated).  Row ``n`` of ``R_i`` is
+    ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros."""
+    lift = [_derive_row(r) for r in lift] if len(left) > 1 else ()
+    for i, a in enumerate(left):
+        if i:
+            step = [_derive_row(r) for r in rows]
+            step.append({})
+            for n, add in [*enumerate(rows, 1), *enumerate(lift, i - 1)]:
+                out = step[n]
+                get = out.get
+                for k, v in add.items():
+                    out[k] = get(k, 0) + v
+            rows = step
+        if a.num:
+            items, f = a._packed or a.packed, sign * (lden // a.den)
+            for acc_n, r in zip(acc, rows):
+                _add_products(acc_n, items, r.items(), f)
+
+
+def compose_coefficients(a, b) -> list[XLaurent]:
+    """The coefficients of ``A . B`` (``DiffOp.compose``) for those of nonzero ``A`` and ``B``."""
+    da = math.lcm(*[v.den for v in a])
+    rb, db = _packed_rows(b)
+    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
+    _d_power_sum(acc, a, da, rb, (), 1)
+    return [_unpacked(r, da * db) for r in acc]
+
+
+def commutator_coefficients(a, b) -> list[XLaurent]:
+    """The coefficients of ``[A, B]`` (``DiffOp.commutator``) for those of nonzero
+    ``A`` and ``B``; ``T_0 = 0`` is ``len(b) - 1`` empty rows, so that ``T_i`` has
+    ``len(b) + i - 1``."""
+    (ra, da), (rb, db) = _packed_rows(a), _packed_rows(b)
+    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 2)]
+    _d_power_sum(acc, a, da, [{}] * (len(b) - 1), rb, 1)
+    _d_power_sum(acc, b, db, [{}] * (len(a) - 1), ra, -1)
+    return [_unpacked(r, da * db) for r in acc]
 
 
 def xl(coeffs: dict[int, object]) -> XLaurent:

@@ -247,6 +247,9 @@ def test_cli_print_command(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert parse_op(out) == parse_op("D^2 - x")
     assert main(["print", str(tmp_path / "missing.txt")]) == 2
+    path.write_bytes(b"D^2 - \xff\n")
+    assert main(["print", str(path)]) == 2
+    assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_construct_l1(tmp_path, capsys):
@@ -403,6 +406,8 @@ def test_cli_kn_point_zero_is_usage_error(capsys):
     (["--points", "1,0"], "x = 0 is excluded"),
     (["--eps", "-1", "--points", "1,-2"], "x = -2 is outside the domain"),
     (["--eps", "1", "--points", "1,-1"], "x = -1 is outside the domain"),
+    (["--eps", "1/0"], "--eps: '1/0' is not a rational number"),
+    (["--eps", "1/x"], "--eps: '1/x' is not a rational number"),
 ])
 def test_cli_all_checks_points_before_any_suite(capsys, monkeypatch, args, message):
     # verify all checks the kn points with the eps its kn suite will use
@@ -412,6 +417,16 @@ def test_cli_all_checks_points_before_any_suite(capsys, monkeypatch, args, messa
     assert main(["verify", "all"] + args) == 2
     out = capsys.readouterr()
     assert f"error: {message}" in out.err and "PASS" not in out.out
+
+
+def test_cli_points_that_are_not_rational_are_usage_errors(capsys):
+    # a zero denominator is a ValueError naming the value, so argparse names the option
+    with pytest.raises(ValueError, match="'1/0' is not a rational number"):
+        cli._rationals("1,1/0")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kn", "--points", "1,1/0"])
+    assert exc.value.code == 2
+    assert "argument --points: invalid _rationals value: '1,1/0'" in capsys.readouterr().err
 
 
 def test_cli_kn_precision_below_minimum_is_usage_error(capsys):

@@ -1,14 +1,15 @@
 """Operator ring: composition, commutators, powers, application, reduction."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from bcpair import (BivarPoly, DiffOp, NonCommutingPair, ReductionError,
+from bcpair import (BivarPoly, DiffOp, ExactError, NonCommutingPair, ReductionError,
                     XLAURENT_RING, XLaurent, ZSeries, ep, eval_poly_at_pair,
                     make_l1, make_l2, make_limit_op, right_reduce, xl)
-from bcpair.diffop import binom
+from bcpair.diffop import _pair_monomials
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -23,13 +24,6 @@ def coeff_op(c: XLaurent) -> DiffOp:
 def random_op(r, max_order=3) -> DiffOp:
     return DiffOp([random_xlaurent(r, xspan=2, terms=2)
                    for _ in range(r.randint(1, max_order + 1))])
-
-
-def test_binomials():
-    import math
-    assert binom(9, 2) == 36
-    assert binom(48, 24) == math.comb(48, 24)
-    assert binom(3, 5) == 0
 
 
 def test_compose_first_order_leibniz():
@@ -75,13 +69,26 @@ def fold_compose(a: DiffOp, b: DiffOp) -> DiffOp:
         for j, bj in enumerate(b.coeffs):
             deriv = bj
             for k in range(i + 1):
-                out[i + j - k] = out[i + j - k] + ai * deriv * binom(i, k)
+                out[i + j - k] = out[i + j - k] + ai * deriv * math.comb(i, k)
                 deriv = deriv.derive()
     return DiffOp(out)
 
 
+def canonical(op: DiffOp) -> list:
+    """Each coefficient's canonical form: its denominator and numerator map."""
+    return [(c.den, c.num) for c in op.coeffs]
+
+
+def edge_ops(r) -> list[DiffOp]:
+    """Zero, identity, order 0, pure D^k, a monomial, then seeded operators;
+    x-exponents reach below zero."""
+    return [DiffOp.zero(), I, coeff_op(xl({-3: {0: 2, 1: F(1, 5)}, 2: F(-7, 3)})), D,
+            DiffOp.d(4), DiffOp.monomial(xl({-2: F(3, 2), 1: {2: -1}}), 3)] + \
+        [random_op(r, 4) for _ in range(8)]
+
+
 def test_compose_kernel_matches_xlaurent_fold():
-    # compose sums each coefficient once with exact.sum_of_products
+    # compose runs the D^i . B recurrence on packed integer rows
     r = rng(16)
     for _ in range(60):
         a, b = random_op(r), random_op(r)
@@ -129,26 +136,69 @@ def test_commutator_weyl():
 
 
 def test_commutator_matches_the_difference_of_products():
-    # [a, b] sums the k >= 1 Leibniz terms of both products; the reference
-    # builds both products whole
+    # [a, b] runs the T_i = D^i . b - b . D^i recurrence on packed rows; the
+    # reference folds both products term by term
     r = rng(20)
     ops = [DiffOp.zero(), I, coeff_op(random_xlaurent(r))] + \
         [random_op(r, 4) for _ in range(60)]
     for a in ops:
         for b in ops[:3] + [random_op(r, 4) for _ in range(3)]:
-            assert a.commutator(b) == a.compose(b) - b.compose(a)
-            assert b.commutator(a) == b.compose(a) - a.compose(b)
+            assert a.commutator(b) == fold_compose(a, b) - fold_compose(b, a)
+            assert b.commutator(a) == fold_compose(b, a) - fold_compose(a, b)
     # the monomials g D^j that solve_commuting commutes with its operator
     g_op = make_limit_op()
     for j in range(13):
         m = DiffOp.monomial(random_xlaurent(r), j)
-        assert g_op.commutator(m) == g_op.compose(m) - m.compose(g_op)
+        assert g_op.commutator(m) == fold_compose(g_op, m) - fold_compose(m, g_op)
     l1, l2 = make_l1(), make_l2()
     for eps in (None, F(7, 3)):
         a, b = (l1, l2) if eps is None else (l1.substitute_eps(eps), l2.substitute_eps(eps))
-        assert a.commutator(b) == a.compose(b) - b.compose(a)
-        assert a.commutator(b + D) == a.compose(b + D) - (b + D).compose(a)
+        assert a.commutator(b) == fold_compose(a, b) - fold_compose(b, a)
+        assert a.commutator(b + D) == fold_compose(a, b + D) - fold_compose(b + D, a)
         assert not a.commutator(b + D).is_zero()
+
+
+def test_products_match_the_leibniz_fold_on_edge_operands():
+    # every pair of zero, identity, order-0, D^k and seeded operators, compared
+    # by denominator and numerator map of each coefficient
+    ops = edge_ops(rng(21))
+    for a in ops:
+        for b in ops:
+            ab, ba = fold_compose(a, b), fold_compose(b, a)
+            assert canonical(a.compose(b)) == canonical(ab)
+            assert canonical(a.commutator(b)) == canonical(ab - ba)
+
+
+def test_products_at_the_packed_eps_cap():
+    top = 2**19 - 1
+    a = DiffOp([xl({-1: {top: 1}}), xl({2: F(1, 3)}), xl({0: {top: F(-5, 2)}})])
+    b = DiffOp([xl({1: {0: 2, top: 1}}), xl({-2: {top: F(-1, 2)}})])
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert canonical(x.compose(y)) == canonical(fold_compose(x, y))
+        assert canonical(x.commutator(y)) == \
+            canonical(fold_compose(x, y) - fold_compose(y, x))
+    over = DiffOp([xl({1: 1}), xl({0: {2**19: 1}})])
+    for x, y in ((over, b), (b, over)):
+        with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
+            x.compose(y)
+        with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
+            x.commutator(y)
+
+
+def test_pair_monomials_match_left_to_right_products():
+    # a commuting pair of orders 3 and 6; each monomial a^i b^j equals the plain
+    # product a . a ... b . b folded from the left, whichever factor is lower
+    g = make_limit_op()
+    h = fold_compose(g, g) + g.scale(F(2, 3))
+    exponents = [(2, 1), (0, 3), (1, 2), (3, 0), (0, 0), (1, 1), (0, 1), (1, 0)]
+    for a, b in ((g, h), (h, g)):
+        plain = []
+        for i, j in exponents:
+            out = I
+            for factor in [a] * i + [b] * j:
+                out = out.compose(factor)
+            plain.append(canonical(out))
+        assert [canonical(m) for m in _pair_monomials(a, b, exponents)] == plain
 
 
 def test_commutator_antisymmetry_and_self():
