@@ -17,10 +17,10 @@ only for order-0 single-monomial operands without eps content, so '26/x^2'
 and 'x^-2' both work but '1/(D+x)' does not.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error or no
-check applied to the given inputs.  No command fails by design: on the
-shipped data every check passes, and a published erratum is a check that
-the erratum's form fails (the eps^2 curve in ``verify bc``).  Every option
-changes an input that a check reads.
+check applied to the given inputs, 141 stdout closed early by its reader.
+No command fails by design: on the shipped data every check passes, and a
+published erratum is a check that the erratum's form fails (the eps^2 curve
+in ``verify bc``).  Every option changes an input that a check reads.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
 from . import kncheck, pipeline
 
 SCHEMA = "bcpair-report/1"
+#: the exit code when the reader closes stdout early: 128 + SIGPIPE, as a shell reports it
+EXIT_CLOSED_STDOUT = 141
 
 
 class OpSyntaxError(ValueError):
@@ -388,13 +390,9 @@ def _suite_limit(report: Report, eps) -> None:
 
 
 def _suite_rank(report: Report, eps) -> None:
-    chis = pipeline.chi_series_triple()
-    lam, mu = curve_series(lambda_fn()), curve_series(mu_fn())
-    l1, l2 = make_l1(), make_l2()
-    if eps is not None:
-        chis = tuple(s.substitute_eps(eps) for s in chis)
-        lam, mu = lam.substitute_eps(eps), mu.substitute_eps(eps)
-        l1, l2 = l1.substitute_eps(eps), l2.substitute_eps(eps)
+    chis = tuple(_maybe_eps(s, eps) for s in pipeline.chi_series_triple())
+    lam, mu = (_maybe_eps(curve_series(f()), eps) for f in (lambda_fn, mu_fn))
+    l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
     rep1 = pipeline.verify_rank3(l1, chis, lam)
     report.add("reduction of L1 equals (lambda, 0, 0)",
                rep1.passed and rep1.verified_nonneg_orders >= 8, str(rep1))
@@ -503,19 +501,22 @@ def _construct_bc(report: Report, out: str) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _rational(text: str, option: str) -> Fraction:
+def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--{option}: {text!r} is not a rational number") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
 
 
 def _eps(text: str) -> Fraction | None:
-    return None if text == "symbolic" else _rational(text, "eps")
+    try:
+        return None if text == "symbolic" else _rational(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--eps: {exc}") from None
 
 
 def _rationals(text: str) -> list[Fraction]:
-    return [_rational(p, "points") for p in text.split(",")]
+    return [_rational(p) for p in text.split(",")]
 
 
 #: the argparse settings of every option a sub-command may read
@@ -591,6 +592,17 @@ def _error(message) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as the Python signal docs show: devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_STDOUT
+    return code
+
+
+def _main(argv) -> int:
     args, unread = build_parser().parse_known_args(
         _join_negative_eps(sys.argv[1:] if argv is None else list(argv)))
     name = args.parser.prog.removeprefix("bcpair ")      # "verify commute", "print"

@@ -2,10 +2,10 @@
 
 The curve is w^2 = W(z) with W(z) = 1 - 2 z^3 - (eps^4/3888) z^4 + z^6 and
 marked point q = (0, 1).  Elements of the quadratic extension of the rational
-function field in (x, z) are single fractions ``(a + b*w)/den`` with w^2
-rewritten via W; ``a``, ``b`` and ``den`` are exact ``ZSeries`` (polynomials
-in z over ``XLaurent``), so expanding one at q is one series division.  The
-sheet swap ``sigma`` negates the w-part.  The chi functions, the eigenvalue
+function field in (x, z) are ``(a + b*w)/kappa^m``, w^2 rewritten via W, over
+the chis' one pole divisor kappa = (eps^2 + x^3) z^3 - x^3 = 0 (z = a_s gamma).
+Since kappa(0) = -x^3 is a unit, expanding one at q is one series division.
+The sheet swap ``sigma`` negates the w-part.  The chi functions, the eigenvalue
 functions ``lambda`` (pole order 3 at q) and ``mu`` (pole order 4), and their
 z-expansions all live here.
 
@@ -49,34 +49,47 @@ class CurveDef:
 
 DEFAULT_CURVE = CurveDef()
 
-# sanity of the fixed model: W(0) = 1 and deg_z W = 6
-assert DEFAULT_CURVE.w_squared().coefficient(0) == XLaurent.one()
-assert len(DEFAULT_CURVE.w_squared().coeffs) == 7
+
+def _zpoly(zc: dict) -> ZSeries:
+    """Laurent polynomial in z from ``{z_exp: {x_exp: rational or {eps_exp: rational}}}``."""
+    return ZSeries.from_z_coefficients({e: xl(c) for e, c in zc.items()})
+
+
+#: kappa = (eps^2 + x^3) z^3 - x^3, the one denominator of the function field
+_KAPPA = _zpoly({0: {3: -1}, 3: {0: {2: 1}, 3: 1}})
+
+
+def _kappa_power(m: int) -> ZSeries:
+    return ZSeries.one() if m == 0 else _kappa_power(m - 1) * _KAPPA
 
 
 class CurveElem:
-    """Element (a + b*w)/den of the quadratic extension, over a fixed curve.
+    """Element (a + b*w)/kappa^m of the quadratic extension, over a fixed curve.
 
-    There is no canonical form: numerators and denominator are kept exactly as
-    arithmetic produced them (no multivariate gcd), and equality is by cross
-    multiplication.
+    ``a``, ``b``: exact ``ZSeries`` Laurent polynomials in z over ``XLaurent``,
+    holding every monomial unit of a denominator; ``m >= 0``.  Sums lift to
+    the larger m, so equality is a zero test with no cross-multiplication.
     """
 
-    __slots__ = ("a", "b", "den", "curve")
+    __slots__ = ("a", "b", "m", "curve")
 
-    def __init__(self, a: ZSeries, b: ZSeries | None = None, den: ZSeries | None = None,
+    def __init__(self, a: ZSeries, b: ZSeries | None = None, m: int = 0,
                  curve: CurveDef = DEFAULT_CURVE):
-        den = ZSeries.one() if den is None else den
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator in CurveElem")
+        if not isinstance(m, int) or m < 0:
+            raise ValueError(f"the power of kappa must be an int >= 0, got {m!r}")
         self.a = a
         self.b = ZSeries.zero() if b is None else b
-        self.den = den
+        self.m = m
         self.curve = curve
 
     @classmethod
     def one(cls, curve: CurveDef = DEFAULT_CURVE) -> "CurveElem":
         return cls(ZSeries.one(), curve=curve)
+
+    @property
+    def den(self) -> ZSeries:
+        """kappa^m."""
+        return _kappa_power(self.m)
 
     def _check(self, other: "CurveElem"):
         if self.curve != other.curve:
@@ -85,38 +98,36 @@ class CurveElem:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
+    def _lift(self, m: int) -> tuple[ZSeries, ZSeries]:
+        """The numerators of ``self`` over kappa^m, for m >= self.m."""
+        k = _kappa_power(m - self.m)
+        return (self.a, self.b) if m == self.m else (self.a * k, self.b * k)
+
     def _add(self, other: "CurveElem", sign: int = 1) -> "CurveElem":
         """``self + sign * other`` for ``sign`` in (1, -1)."""
         self._check(other)
-        if self.den == other.den:
-            return CurveElem(self.a._add(other.a, sign), self.b._add(other.b, sign),
-                             self.den, self.curve)
-        return CurveElem((self.a * other.den)._add(other.a * self.den, sign),
-                         (self.b * other.den)._add(other.b * self.den, sign),
-                         self.den * other.den, self.curve)
+        m = max(self.m, other.m)
+        (a1, b1), (a2, b2) = self._lift(m), other._lift(m)
+        return CurveElem(a1._add(a2, sign), b1._add(b2, sign), m, self.curve)
 
     __add__ = _add
 
     def __sub__(self, other: "CurveElem") -> "CurveElem":
         return self._add(other, -1)
 
-    def __neg__(self) -> "CurveElem":
-        return CurveElem(-self.a, -self.b, self.den, self.curve)
-
     def __mul__(self, other) -> "CurveElem":
         if isinstance(other, (int, Fraction, EpsPoly)):
-            return CurveElem(self.a.scale(other), self.b.scale(other), self.den, self.curve)
+            return CurveElem(self.a.scale(other), self.b.scale(other), self.m, self.curve)
         self._check(other)
         a = self.a * other.a + self.b * other.b * self.curve.w_squared()
         b = self.a * other.b + self.b * other.a
-        return CurveElem(a, b, self.den * other.den, self.curve)
+        return CurveElem(a, b, self.m + other.m, self.curve)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CurveElem) and self.curve == other.curve
-                and (self.a * other.den - other.a * self.den).is_zero()
-                and (self.b * other.den - other.b * self.den).is_zero())
+                and (self - other).is_zero())
 
     def power(self, k: int) -> "CurveElem":
         out = CurveElem.one(self.curve)
@@ -126,90 +137,68 @@ class CurveElem:
 
     def sigma_conj(self) -> "CurveElem":
         """The hyperelliptic involution (z, w) -> (z, -w): negate the w-part."""
-        return CurveElem(self.a, -self.b, self.den, self.curve)
+        return CurveElem(self.a, -self.b, self.m, self.curve)
 
     def norm(self) -> "CurveElem":
-        """(a + bw)(a - bw)/den^2 = (a^2 - b^2 W)/den^2, a w-free function."""
+        """(a + bw)(a - bw)/kappa^(2m) = (a^2 - b^2 W)/kappa^(2m), a w-free function."""
         return CurveElem(self.a * self.a - self.b * self.b * self.curve.w_squared(),
-                         den=self.den * self.den, curve=self.curve)
+                         m=2 * self.m, curve=self.curve)
 
     def derive(self) -> "CurveElem":
-        """d/dx by the quotient rule; z and w are constants of the derivation."""
-        dd = self.den.derive()
-        return CurveElem(self.a.derive() * self.den - self.a * dd,
-                         self.b.derive() * self.den - self.b * dd,
-                         self.den * self.den, self.curve)
-
-    def substitute_eps(self, value) -> "CurveElem":
-        den = self.den.substitute_eps(value)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes at this eps value")
-        return CurveElem(self.a.substitute_eps(value), self.b.substitute_eps(value),
-                         den, self.curve)
+        """d/dx of N/kappa^m is (N' kappa - m N kappa')/kappa^(m+1), N = a + bw;
+        z and w are constants of the derivation."""
+        dk = _KAPPA.derive().scale(-self.m)
+        return CurveElem(self.a.derive() * _KAPPA + self.a * dk,
+                         self.b.derive() * _KAPPA + self.b * dk, self.m + 1, self.curve)
 
     def __repr__(self):
-        return f"CurveElem(a={self.a!r}, b={self.b!r}, den={self.den!r})"
+        return f"CurveElem(a={self.a!r}, b={self.b!r}, m={self.m})"
 
 
 # ---------------------------------------------------------------------------
-# the concrete meromorphic data
+# the concrete meromorphic data, written as displayed
 # ---------------------------------------------------------------------------
-
-def _zpoly(zc: dict) -> ZSeries:
-    """Polynomial in z from ``{z_exp: {x_exp: rational or {eps_exp: rational}}}``."""
-    return ZSeries.from_z_coefficients({e: xl(c) for e, c in zc.items()})
-
-
-def _kappa() -> ZSeries:
-    """kappa = (eps^2 + x^3) z^3 - x^3, the common denominator of the chi's."""
-    return _zpoly({0: {3: -1}, 3: {0: {2: 1}, 3: 1}})
-
 
 def chi(j: int, curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
     """The three ratios chi_0, chi_1, chi_2 steering the rank-3 reduction.
 
-    Each is stored over its common denominator, a multiple of kappa.  chi_2 is
-    sigma-invariant (w-part identically zero); chi_0 has the simple pole in z
-    at the marked point.
+    All three have the one simple pole divisor kappa = 0 (m = 1) away from q.
+    chi_2 is sigma-invariant (w-part identically zero); chi_0 has the simple
+    pole in z at the marked point.
     """
     if j not in (0, 1, 2):
         raise ValueError("chi index must be 0, 1 or 2")
-    kappa = _kappa()
     if j == 2:
         # -3 eps^2 z^3 / (x kappa)
-        return CurveElem(_zpoly({3: {0: {2: -3}}}), den=_zpoly({0: {1: 1}}) * kappa,
-                         curve=curve)
+        return CurveElem(_zpoly({3: {-1: {2: -3}}}), m=1, curve=curve)
     if j == 1:
-        # (132 eps^2 z^3 - x^3 (204 - 204 z^3 + 108 w + eps^2 z^2)) / (12 x^2 kappa)
-        a = _zpoly({0: {3: -204}, 2: {3: {2: -1}}, 3: {0: {2: 132}, 3: 204}})
-        return CurveElem(a, _zpoly({0: {3: -108}}), _zpoly({0: {2: 12}}) * kappa, curve)
-    # the displayed
-    #   1/(2z) - x^3 (eps^2 + x^3)/5832 + 10 (z^3 - 1)/kappa + eps^2 x^3 z/(216 kappa)
-    #   - eps^2 z^2/(6 kappa) + 16 eps^2 z^3/(x^3 kappa) - 18 w/kappa - x^3 w/(2 z kappa)
-    # over 11664 x^3 z kappa
-    a = _zpoly({0: {6: -5832},
-                1: {12: 2, 9: {2: 2}, 3: -116640},
-                2: {6: {2: 54}},
-                3: {6: 5832, 3: {2: 3888}},
-                4: {12: -2, 9: {2: -4}, 6: {4: -2}, 3: 116640, 0: {2: 186624}}})
-    b = _zpoly({0: {6: -5832}, 1: {3: -209952}})
-    return CurveElem(a, b, _zpoly({1: {3: 11664}}) * kappa, curve)
+        # (11 eps^2 z^3/x^2 - x (17 - 17 z^3 + eps^2 z^2/12) - 9 x w) / kappa
+        a = _zpoly({0: {1: -17}, 2: {1: {2: Fraction(-1, 12)}}, 3: {-2: {2: 11}, 1: 17}})
+        return CurveElem(a, _zpoly({0: {1: -9}}), 1, curve)
+    # 1/(2z) - x^3 (eps^2 + x^3)/5832 + (10 (z^3 - 1) + eps^2 x^3 z/216 - eps^2 z^2/6
+    #   + 16 eps^2 z^3/x^3 - (18 + x^3/(2z)) w) / kappa
+    a = (_zpoly({-1: {0: Fraction(1, 2)}, 0: {3: {2: Fraction(-1, 5832)}, 6: Fraction(-1, 5832)}})
+         * _KAPPA
+         + _zpoly({0: {0: -10}, 1: {3: {2: Fraction(1, 216)}}, 2: {0: {2: Fraction(-1, 6)}},
+                   3: {0: 10, -3: {2: 16}}}))
+    return CurveElem(a, _zpoly({-1: {3: Fraction(-1, 2)}, 0: {0: -18}}), 1, curve)
 
 
 def lambda_fn(curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
-    """(1 - z^3 + w)/(2 z^3): pole of order 3 at the marked point."""
-    return CurveElem(_zpoly({0: {0: 1}, 3: {0: -1}}), ZSeries.one(), _zpoly({3: {0: 2}}),
-                     curve)
+    """((z^-3 - 1) + z^-3 w)/2: pole of order 3 at the marked point."""
+    half = Fraction(1, 2)
+    return CurveElem(_zpoly({-3: {0: half}, 0: {0: -half}}), _zpoly({-3: {0: half}}), 0, curve)
 
 
 def mu_fn(curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
-    """(1 - z^3 + w)/(2 z^4): pole of order 4; equals lambda/z."""
-    return CurveElem(_zpoly({0: {0: 1}, 3: {0: -1}}), ZSeries.one(), _zpoly({4: {0: 2}}),
-                     curve)
+    """((z^-4 - z^-1) + z^-4 w)/2: pole of order 4; equals lambda/z."""
+    half = Fraction(1, 2)
+    return CurveElem(_zpoly({-4: {0: half}, -1: {0: -half}}), _zpoly({-4: {0: half}}), 0, curve)
 
 
 def curve_series(e: CurveElem, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
-    """Laurent expansion of ``(a + b*w)/den`` at the marked point q = (0, 1)."""
+    """Laurent expansion of ``(a + b*w)/kappa^m`` at the marked point q = (0, 1),
+    one series division since kappa(0) = -x^3 is a unit."""
     num = e.a if e.b.is_zero() else e.a + e.b * e.curve.w_series(order)
     return series_divide(num, e.den, nterms=order)
 
@@ -223,10 +212,8 @@ def bc_function_identity(curve: CurveDef = DEFAULT_CURVE, eps=None) -> bool:
     the parameter after the exact arithmetic (eps = 0 reduces the identity to
     mu^3 = lambda^4 + lambda^3).
     """
-    lam = lambda_fn(curve)
-    mu = mu_fn(curve)
+    lam, mu = lambda_fn(curve), mu_fn(curve)
     coeff = EpsPoly.eps_power(4, Fraction(1, 15552))
     q = mu.power(3) - mu.power(2) * coeff - lam.power(4) - lam.power(3)
-    if eps is not None:
-        q = q.substitute_eps(eps)
-    return q.is_zero()
+    parts = (q.a, q.b) if eps is None else (q.a.substitute_eps(eps), q.b.substitute_eps(eps))
+    return all(p.is_zero() for p in parts)

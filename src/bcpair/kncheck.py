@@ -424,9 +424,12 @@ def pole_data_from_chi(x, eps, precision: int = 60):
         a = (-1 + mp.sqrt(mpf(3)) * I) / 2
         aa = [mpc(1), a, a.conjugate()]
 
-        # chi_j = (Na + Nb w)/D, each a polynomial in z with jet coefficients
-        chis = [[_zpoly_jets(p, xj, ev) for p in (c.a, c.b, c.den)]
-                for c in (chi(j) for j in range(3))]
+        # chi_j = (Na + Nb w)/D, each a polynomial in z with jet coefficients: (a, b,
+        # kappa^m) times one z^s, which clears the poles at q (z = a_s gamma != 0)
+        chis = []
+        for c in (chi(j) for j in range(3)):
+            zs = ZSeries(-min(c.a.lowest, c.b.lowest, 0), [XLaurent.one()])
+            chis.append([_zpoly_jets(p * zs, xj, ev) for p in (c.a, c.b, c.den)])
         wcoeffs = _zpoly_jets(DEFAULT_CURVE.w_squared(), xj, ev)
         wprime = _zpoly_dz(wcoeffs)
 

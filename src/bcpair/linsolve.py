@@ -193,9 +193,6 @@ class ModEchelon:
         if rhs:
             self.inconsistent = True
 
-    def pivot_columns(self) -> set[int]:
-        return set(self.rows)
-
     def _back_substitute(self, columns: list[int], free_values: dict[int, int],
                          use_rhs: bool) -> dict[int, int]:
         p = self.p

@@ -420,13 +420,38 @@ def test_cli_all_checks_points_before_any_suite(capsys, monkeypatch, args, messa
 
 
 def test_cli_points_that_are_not_rational_are_usage_errors(capsys):
-    # a zero denominator is a ValueError naming the value, so argparse names the option
-    with pytest.raises(ValueError, match="'1/0' is not a rational number"):
+    # the type error names the bad entry, and argparse names the option before it
+    with pytest.raises(argparse.ArgumentTypeError, match="'1/0' is not a rational number"):
         cli._rationals("1,1/0")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "kn", "--points", "1,1/0"])
-    assert exc.value.code == 2
-    assert "argument --points: invalid _rationals value: '1,1/0'" in capsys.readouterr().err
+    for points, bad in (("1,1/0", "1/0"), ("2,x,3", "x")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "kn", "--points", points])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --points: '{bad}' is not a rational number" in err
+        assert "_rationals" not in err
+
+
+@pytest.mark.parametrize("args", [["print", "{op}", "--format", "tex"], ["verify", "limit"]])
+def test_cli_closed_stdout_ends_quietly(tmp_path, args):
+    # the reader closes the pipe before the child writes: no traceback, and the
+    # exit code says so (1 would mean a failed check)
+    op = tmp_path / "op.txt"
+    op.write_text("D^3 + x*D + 26/x^2\n", encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.Popen([sys.executable, "-m", "bcpair"] + [a.format(op=op) for a in args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == cli.EXIT_CLOSED_STDOUT == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_cli_kn_precision_below_minimum_is_usage_error(capsys):

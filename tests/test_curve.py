@@ -25,18 +25,18 @@ def kappa() -> ZSeries:
 
 
 def displayed_chi0(curve: CurveDef) -> CurveElem:
-    """chi_0 summed term by term exactly as the paper displays it."""
-    def term(num, den, w=False):
-        return CurveElem(ZERO, num, den, curve) if w else CurveElem(num, den=den, curve=curve)
-    k = kappa()
-    return (term(mono(0, 0), mono(0, 1, 2))                                      # 1/(2z)
-            - term(mono(3, 0) * (mono(0, 0, E2) + mono(3, 0)), mono(0, 0, 5832))
-            + term(mono(0, 3, 10) - mono(0, 0, 10), k)                           # 10(z^3-1)/kappa
-            + term(mono(3, 1, E2), k * mono(0, 0, 216))
-            - term(mono(0, 2, E2), k * mono(0, 0, 6))
-            + term(mono(0, 3, EpsPoly.eps_power(2, 16)), k * mono(3, 0))
-            + term(mono(0, 0, -108), k * mono(0, 0, 6), w=True)                  # -108 w/(6 kappa)
-            - term(mono(3, 0), k * mono(0, 1, 2), w=True))                       # -x^3 w/(2 kappa z)
+    """chi_0 summed term by term exactly as the paper displays it; the monomial
+    factors of each displayed denominator are written into its numerator."""
+    def term(num, m=1, w=False):
+        return CurveElem(ZERO, num, m, curve) if w else CurveElem(num, m=m, curve=curve)
+    return (term(mono(0, -1, F(1, 2)), m=0)                                     # 1/(2z)
+            - term(mono(3, 0, F(1, 5832)) * (mono(0, 0, E2) + mono(3, 0)), m=0)
+            + term(mono(0, 3, 10) - mono(0, 0, 10))                              # 10(z^3-1)/kappa
+            + term(mono(3, 1, EpsPoly.eps_power(2, F(1, 216))))
+            - term(mono(0, 2, EpsPoly.eps_power(2, F(1, 6))))
+            + term(mono(-3, 3, EpsPoly.eps_power(2, 16)))
+            + term(mono(0, 0, -18), w=True)                                      # -18 w/kappa
+            - term(mono(3, -1, F(1, 2)), w=True))                                # -x^3 w/(2 z kappa)
 
 
 def test_curve_model():
@@ -65,21 +65,42 @@ def test_sigma_is_involution_and_fixes_rational_part():
 
 def test_chi2_closed_form():
     c2 = chi(2)
-    assert c2.b.is_zero()
-    assert c2 == CurveElem(mono(0, 3, EpsPoly.eps_power(2, -3)), den=mono(1, 0) * kappa())
+    assert c2.b.is_zero() and c2.m == 1
+    assert c2 == CurveElem(mono(-1, 3, EpsPoly.eps_power(2, -3)), m=1)
 
 
 def test_chi1_w_part():
     # -108 x^3 / (12 x^2 kappa) simplifies to -9x/kappa
     c1 = chi(1)
-    assert CurveElem(ZERO, c1.b, c1.den) == CurveElem(ZERO, mono(1, 0, -9), kappa())
+    assert c1.m == 1
+    assert CurveElem(ZERO, c1.b, c1.m) == CurveElem(ZERO, mono(1, 0, -9), 1)
 
 
 def test_chi0_equals_displayed_form():
     for curve in (CurveDef(), CurveDef(w_eps_power=2)):
         c0 = chi(0, curve)
         assert c0 == displayed_chi0(curve)
-        assert c0.den == mono(3, 1, 11664) * kappa()
+        assert c0.m == 1 and c0.den == kappa()
+
+
+def test_chis_equal_their_multiplied_out_numerators():
+    # the chis over their old common denominators 11664 x^3 z kappa, 12 x^2 kappa
+    # and x kappa: the same functions, with the monomial unit moved into a and b
+    k = kappa()
+    a0 = (mono(6, 0, -5832) + mono(12, 1, 2) + mono(9, 1, EpsPoly.eps_power(2, 2))
+          + mono(3, 1, -116640) + mono(6, 2, EpsPoly.eps_power(2, 54)) + mono(6, 3, 5832)
+          + mono(3, 3, EpsPoly.eps_power(2, 3888)) + mono(12, 4, -2)
+          + mono(9, 4, EpsPoly.eps_power(2, -4)) + mono(6, 4, EpsPoly.eps_power(4, -2))
+          + mono(3, 4, 116640) + mono(0, 4, EpsPoly.eps_power(2, 186624)))
+    b0 = mono(6, 0, -5832) + mono(3, 1, -209952)
+    a1 = (mono(3, 0, -204) + mono(3, 2, EpsPoly.eps_power(2, -1))
+          + mono(0, 3, EpsPoly.eps_power(2, 132)) + mono(3, 3, 204))
+    for (a, b, unit), j in (((a0, b0, mono(3, 1, 11664)), 0),
+                            ((a1, mono(3, 0, -108), mono(2, 0, 12)), 1),
+                            ((mono(0, 3, EpsPoly.eps_power(2, -3)), ZERO, mono(1, 0)), 2)):
+        c = chi(j)
+        assert (c.a * unit).eq_known(a) and (c.b * unit).eq_known(b)
+        assert c.den == k
 
 
 def test_lambda_mu_relation():
@@ -89,9 +110,12 @@ def test_lambda_mu_relation():
 
 
 def test_sigma_of_lambda():
+    # sigma(lambda) = (1 - z^3 - w)/(2 z^3), and lambda + sigma(lambda) = (1 - z^3)/z^3
     lam = lambda_fn()
-    expect = CurveElem(lam.a, -lam.b, lam.den)
-    assert lam.sigma_conj() == expect
+    expect = CurveElem(mono(0, -3, F(1, 2)) - mono(0, 0, F(1, 2)), mono(0, -3, F(-1, 2)))
+    assert lam.sigma_conj() == expect and lam.sigma_conj().m == 0
+    assert lam + lam.sigma_conj() == CurveElem(mono(0, -3) - ONE)
+    assert lam.sigma_conj() != lam
 
 
 def test_norm_is_w_free():
@@ -143,6 +167,8 @@ def test_lambda_series():
     assert s.coefficient(0) == xl({0: -1})
     assert s.coefficient(1) == xl({0: {4: F(-1, 15552)}})
     assert s.coefficient(2).is_zero()
+    # eps is specialised in the expansion: -2^4/15552 at z^1
+    assert s.substitute_eps(2).coefficient(1) == xl({0: F(-1, 972)})
 
 
 def test_pole_orders():
@@ -160,21 +186,23 @@ def test_bc_function_identity_cases():
 
 
 def test_bc_identity_denominator_stays_small():
-    # + and - multiply denominators only when they differ: mu^3, mu^2, lambda^4
-    # and lambda^3 sit over z^12, z^8, z^12 and z^9, so the sum ends over z^41
+    # lambda and mu have their poles at q only, so Q(lambda, mu) sits over kappa^0
     lam, mu = lambda_fn(), mu_fn()
     q = (mu.power(3) - mu.power(2) * EpsPoly.eps_power(4, F(1, 15552))
          - lam.power(4) - lam.power(3))
-    assert q.is_zero()
-    assert q.den.lowest + len(q.den.coeffs) - 1 <= 41
+    assert q.is_zero() and q.m == 0
 
 
 def test_curve_elem_derive():
-    c2 = chi(2)
-    d = c2.derive()
-    num, den = c2.a, c2.den
-    assert d == CurveElem(num.derive() * den - num * den.derive(), den=den * den)
-    assert d.b.is_zero()
+    # d/dx raises the power of kappa by one; expanding commutes with it
+    elems = [chi(0), chi(1), chi(2), lambda_fn(), mu_fn(), chi(0) * chi(1)]
+    assert [e.m for e in elems] == [1, 1, 1, 0, 0, 2]
+    for e in elems:
+        d = e.derive()
+        assert d.m == e.m + 1
+        for n in (8, 16):
+            assert curve_series(d, n) == curve_series(e, n).derive()
+    assert chi(2).derive().b.is_zero()
 
 
 def test_mixed_curves_rejected():

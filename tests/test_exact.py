@@ -126,53 +126,64 @@ def test_xlaurent_view_is_read_only_and_built_once():
 
 
 # ---------------------------------------------------------------------------
-# fractions (a + b*w)/den on the curve
+# fractions (a + b*w)/kappa^m on the curve
 # ---------------------------------------------------------------------------
 
 ZERO, ONE = ZSeries.zero(), ZSeries.one()
 
 
 def test_fraction_equal_monomials():
-    # z^3/z^4 == 1/z, in the rational part and in the w-part alike
-    assert CurveElem(mono(0, 3), den=mono(0, 4)) == CurveElem(ONE, den=mono(0, 1))
-    assert CurveElem(ZERO, mono(0, 3), mono(0, 4)) == CurveElem(ZERO, ONE, mono(0, 1))
-    assert CurveElem(mono(0, 3), den=mono(0, 4)) != CurveElem(ZERO, ONE, mono(0, 1))
+    # monomial units live in the numerators: z^3 * z^-4 == z^-1, in the rational
+    # part and in the w-part alike, and the two parts are told apart
+    assert CurveElem(mono(0, 3) * mono(0, -4)) == CurveElem(mono(0, -1))
+    assert CurveElem(ZERO, mono(0, 3) * mono(0, -4), 1) == CurveElem(ZERO, mono(0, -1), 1)
+    assert CurveElem(mono(0, -1)) != CurveElem(ZERO, mono(0, -1))
+    assert CurveElem(mono(0, -1), m=1) != CurveElem(mono(0, -1))
 
 
 def test_fraction_equal_kappa():
+    # (kappa a + kappa b w)/kappa == a + b w: sums and == lift to the larger m
     k = kappa_poly()
-    assert CurveElem(k, den=k) == CurveElem.one()
-    assert CurveElem(k, k, k) == CurveElem(ONE, ONE)       # (1 + w) kappa / kappa
+    a, b = mono(2, -1, F(1, 3)) + mono(-1, 2), mono(0, 1, EpsPoly.eps_power(2, 5))
+    assert CurveElem(k * a, k * b, 1) == CurveElem(a, b, 0)
+    assert CurveElem(k * k * a, k * k * b, 2) == CurveElem(a, b, 0)
+    assert CurveElem(k * a, k * b, 2) != CurveElem(a, b, 0)
+    assert CurveElem(k, m=1) == CurveElem.one()
+    assert CurveElem(k, k, 1) == CurveElem(ONE, ONE)       # (1 + w) kappa / kappa
+    assert (CurveElem(k, m=1) - CurveElem.one()).is_zero()
 
 
 def test_fraction_unequal_generic_eps():
-    num = mono(0, 3, EpsPoly.eps_power(2, 3))
-    a = CurveElem(num, den=mono(1, 0) * kappa_poly())
-    b = CurveElem(num, den=mono(1, 0) * mono(3, 3))
+    num = mono(-1, 3, EpsPoly.eps_power(2, 3))
+    a = CurveElem(num, m=1)                                # 3 eps^2 z^3/(x kappa)
+    b = CurveElem(num * mono(-3, -3))                      # 3 eps^2 z^3/(x x^3 z^3)
     assert a != b
-    assert CurveElem(ZERO, num, a.den) != CurveElem(ZERO, num, b.den)
+    assert CurveElem(ZERO, num, 1) != CurveElem(ZERO, num * mono(-3, -3))
 
 
 def test_fraction_arithmetic_and_derivative():
-    # d/dx ((x + x^2 w) / (x + x^2 z)) has the quotient-rule cross terms
-    num_a, num_b = mono(1, 0), mono(2, 0)
-    den = mono(1, 0) + mono(2, 1)
-    f = CurveElem(num_a, num_b, den)
-    expect = CurveElem(num_a.derive() * den - num_a * den.derive(),
-                       num_b.derive() * den - num_b * den.derive(), den * den)
-    assert f.derive() == expect
-    assert f.derive() != CurveElem(num_a.derive(), num_b.derive(), den)
-    # an x-free denominator leaves the numerators' derivative: d/dx (x^2 + x w)/z = (2x + w)/z
-    assert CurveElem(mono(2, 0), mono(1, 0), mono(0, 1)).derive() == \
-        CurveElem(mono(1, 0, 2), ONE, mono(0, 1))
+    # d/dx ((x + x^2 w)/kappa) = ((1 + 2x w) kappa - (x + x^2 w) kappa')/kappa^2
+    # with kappa' = 3x^2 z^3 - 3x^2
+    k, dk = kappa_poly(), mono(2, 3, 3) - mono(2, 0, 3)
+    f = CurveElem(mono(1, 0), mono(2, 0), 1)
+    expect = CurveElem(k - mono(1, 0) * dk, mono(1, 0, 2) * k - mono(2, 0) * dk, 2)
+    assert f.derive() == expect and f.derive().m == 2
+    assert f.derive() != CurveElem(ONE, mono(1, 0, 2), 1)
+    # over kappa^0 the derivative is the numerators': d/dx (x^2 + x w)/z = (2x + w)/z
+    assert CurveElem(mono(2, -1), mono(1, -1)).derive() == CurveElem(mono(1, -1, 2), mono(0, -1))
     assert f + f == f * 2 and (f - f).is_zero()
+    # products add the powers of kappa; the norm doubles it
+    assert (f * f).m == 2 and f.norm().m == 2 and f.norm() == f * f.sigma_conj()
 
 
-def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        CurveElem(ONE, den=ZERO)
-    with pytest.raises(ZeroDivisionError):
-        CurveElem(ONE, ONE, mono(1, 2, EpsPoly.eps_power(2))).substitute_eps(0)
+def test_kappa_power_is_a_natural_number():
+    for m in (-1, 1.0, F(1, 2)):
+        with pytest.raises(ValueError):
+            CurveElem(ONE, ONE, m)
+    f = CurveElem(ONE, m=3)
+    assert f.den == kappa_poly() * kappa_poly() * kappa_poly()
+    with pytest.raises(AttributeError):
+        f.den = ONE
 
 
 # ---------------------------------------------------------------------------
