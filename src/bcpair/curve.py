@@ -5,9 +5,8 @@ marked point q = (0, 1).  Elements of the quadratic extension of the rational
 function field in (x, z) are ``(a + b*w)/kappa^m``, w^2 rewritten via W, over
 the chis' one pole divisor kappa = (eps^2 + x^3) z^3 - x^3 = 0 (z = a_s gamma).
 Since kappa(0) = -x^3 is a unit, expanding one at q is one series division.
-The sheet swap ``sigma`` negates the w-part.  The chi functions, the eigenvalue
-functions ``lambda`` (pole order 3 at q) and ``mu`` (pole order 4), and their
-z-expansions all live here.
+The chi functions, the eigenvalue functions ``lambda`` (pole order 3 at q) and
+``mu`` (pole order 4), and their z-expansions all live here.
 
 A widely-copied display of w(z) carries eps^2 where the defining equation has
 eps^4; the constructor keeps eps^4 by default and exposes the variant so the
@@ -135,15 +134,6 @@ class CurveElem:
             out = out * self
         return out
 
-    def sigma_conj(self) -> "CurveElem":
-        """The hyperelliptic involution (z, w) -> (z, -w): negate the w-part."""
-        return CurveElem(self.a, -self.b, self.m, self.curve)
-
-    def norm(self) -> "CurveElem":
-        """(a + bw)(a - bw)/kappa^(2m) = (a^2 - b^2 W)/kappa^(2m), a w-free function."""
-        return CurveElem(self.a * self.a - self.b * self.b * self.curve.w_squared(),
-                         m=2 * self.m, curve=self.curve)
-
     def derive(self) -> "CurveElem":
         """d/dx of N/kappa^m is (N' kappa - m N kappa')/kappa^(m+1), N = a + bw;
         z and w are constants of the derivation."""
@@ -163,8 +153,8 @@ def chi(j: int, curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
     """The three ratios chi_0, chi_1, chi_2 steering the rank-3 reduction.
 
     All three have the one simple pole divisor kappa = 0 (m = 1) away from q.
-    chi_2 is sigma-invariant (w-part identically zero); chi_0 has the simple
-    pole in z at the marked point.
+    chi_2 has no w-part (the sheet swap w -> -w fixes it); chi_0 has the
+    simple pole in z at the marked point.
     """
     if j not in (0, 1, 2):
         raise ValueError("chi index must be 0, 1 or 2")

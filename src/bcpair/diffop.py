@@ -155,15 +155,6 @@ class DiffOp:
     def substitute_eps(self, value) -> "DiffOp":
         return DiffOp([c.substitute_eps(value) for c in self.coeffs])
 
-    def support(self):
-        """Sorted (k, x_exp, eps_exp) triples of nonzero monomials."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            for xe, epoly in c.c.items():
-                for ee in epoly.c:
-                    out.append((k, xe, ee))
-        return sorted(out)
-
     def __repr__(self):
         if not self.coeffs:
             return "DiffOp(0)"

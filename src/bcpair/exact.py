@@ -7,16 +7,19 @@ Everything downstream computes over these types:
   coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
   over one positive ``int`` denominator in lowest terms; ``.c`` is a lazily
   built read-only ``{x_exp: EpsPoly}`` view.  A single ``+``, ``-`` or
-  ``*`` reduces its result once.  ``sum_of_products`` (``ZSeries`` products,
-  series division and square roots, the rank-3 reduction) and the operator
-  products ``compose_coefficients`` and ``commutator_coefficients`` sum in
-  one int dict per result over a common denominator, on packed keys
+  ``*`` reduces its result once.  ``sum_of_products`` (``*`` itself,
+  ``ZSeries`` products, series division and square roots, and
+  ``series_combination``, the rank-3 reduction's ``sum s * c``) and the
+  operator products ``compose_coefficients`` and ``commutator_coefficients``
+  sum in one int dict per result over a common denominator, on packed keys
   ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first use and
   kept, raising ``ExactError`` for an eps exponent of ``2**19`` or more, so
   that two packed keys add without a carry), and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
-  truncation) is a polynomial in ``z`` over ``XLaurent``.
+  truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
+  stores exactly its window, so its stored terms end (``end``) where its
+  knowledge does (``upper``).
 * ``BivarPoly``    -- polynomials in two commuting placeholders ``(z, w)`` over
   ``EpsPoly``; used for algebraic relations between a pair of operators.
 
@@ -391,16 +394,7 @@ class XLaurent:
             if isinstance(other, (int, Fraction, EpsPoly)):
                 return self.scale(other)
             return NotImplemented
-        acc: dict[tuple[int, int], int] = {}
-        get = acc.get
-        bitems = list(other.num.items())
-        for (x1, e1), v1 in self.num.items():
-            for (x2, e2), v2 in bitems:
-                k = (x1 + x2, e1 + e2)
-                acc[k] = get(k, 0) + v1 * v2
-        if 0 in acc.values():
-            acc = {k: v for k, v in acc.items() if v}
-        return _reduced(acc, self.den * other.den)
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -597,8 +591,11 @@ class ZSeries:
     ``coeffs[i]`` is the ``XLaurent`` coefficient of ``z**(lowest+i)``.  The
     series is known exactly for all exponents below ``upper`` (and is zero
     below ``lowest``); ``upper == INF`` marks an exact finite expansion.
-    Arithmetic propagates the smallest valid window of its inputs, so the
-    reported window never overstates what is actually known.
+    One window rule: the stored terms run from ``lowest`` to ``end``, and a
+    truncated series stores exactly its window, so ``end == upper`` (with
+    ``lowest <= upper``).  Arithmetic computes the terms below the smaller of
+    its inputs' windows and its inputs' ``end``s, so the reported window
+    never overstates what is actually known.
     """
 
     __slots__ = ("lowest", "coeffs", "upper", "__weakref__")
@@ -613,13 +610,11 @@ class ZSeries:
             # every known term vanishes: keep the window, even below z^0
             lowest, coeffs = min(0, upper), []
         else:
-            lowest, coeffs = lowest + i, list(coeffs[i:])
-        if not math.isinf(upper):
+            lowest, coeffs = min(lowest + i, upper), list(coeffs[i:])
+        if upper != INF:
+            # store exactly the window: nothing at or beyond upper, zeros up to it
             want = upper - lowest
-            if want < len(coeffs):
-                coeffs = coeffs[:want]
-            else:
-                coeffs = coeffs + [_XL_ZERO] * (want - len(coeffs))
+            coeffs = coeffs[:want] + [_XL_ZERO] * (want - len(coeffs))
         self.lowest = lowest
         self.coeffs = coeffs
         self.upper = upper
@@ -645,11 +640,16 @@ class ZSeries:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def end(self) -> int:
+        """One past the last stored exponent; ``upper`` for a truncated series."""
+        return self.lowest + len(self.coeffs)
+
     def known_len(self) -> float:
-        return self.upper - self.lowest if not math.isinf(self.upper) else INF
+        return self.upper - self.lowest
 
     def coefficient(self, zexp: int) -> XLaurent:
-        if not math.isinf(self.upper) and zexp >= self.upper:
+        if zexp >= self.upper:
             raise ExactError(f"z^{zexp} is beyond the truncation window (< {self.upper})")
         i = zexp - self.lowest
         if i < 0 or i >= len(self.coeffs):
@@ -667,8 +667,7 @@ class ZSeries:
         return None
 
     def truncate(self, upper: int) -> "ZSeries":
-        new_upper = upper if math.isinf(self.upper) else min(self.upper, upper)
-        return ZSeries(self.lowest, self.coeffs, new_upper)
+        return ZSeries(self.lowest, self.coeffs, min(self.upper, upper))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -676,13 +675,8 @@ class ZSeries:
         """``self + sign * other`` for ``sign`` in (1, -1)."""
         upper = min(self.upper, other.upper)
         lo = min(self.lowest, other.lowest)
-        if math.isinf(upper):
-            hi = max(self.lowest + len(self.coeffs), other.lowest + len(other.coeffs))
-        else:
-            hi = upper
-        coeffs = []
-        for e in range(lo, hi):
-            coeffs.append(self.coefficient(e)._add(other.coefficient(e), sign))
+        coeffs = [self.coefficient(e)._add(other.coefficient(e), sign)
+                  for e in range(lo, min(upper, max(self.end, other.end)))]
         return ZSeries(lo, coeffs, upper)
 
     __add__ = _add
@@ -699,11 +693,7 @@ class ZSeries:
         la, lb = self.lowest, other.lowest
         lo = la + lb
         upper = min(self.upper + lb, other.upper + la)
-        if math.isinf(upper):
-            hi = lo + len(self.coeffs) + len(other.coeffs) - 1 if self.coeffs and other.coeffs else lo
-        else:
-            hi = upper
-        n = max(0, int(hi - lo))
+        n = max(0, min(upper, self.end + other.end - 1) - lo)
         # the products of each output coefficient, summed in one pass apiece
         terms: list[list] = [[] for _ in range(n)]
         bnz = [(j, b) for j, b in enumerate(other.coeffs[:n]) if b.num]
@@ -732,13 +722,9 @@ class ZSeries:
 
     def eq_known(self, other: "ZSeries") -> bool:
         """Equality of all coefficients on the intersection of known windows."""
-        upper = min(self.upper, other.upper)
-        lo = min(self.lowest, other.lowest)
-        if math.isinf(upper):
-            hi = max(self.lowest + len(self.coeffs), other.lowest + len(other.coeffs))
-        else:
-            hi = int(upper)
-        return all(self.coefficient(e) == other.coefficient(e) for e in range(lo, hi))
+        hi = min(self.upper, other.upper, max(self.end, other.end))
+        return all(self.coefficient(e) == other.coefficient(e)
+                   for e in range(min(self.lowest, other.lowest), hi))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ZSeries) and self.eq_known(other)
@@ -746,8 +732,21 @@ class ZSeries:
     def __repr__(self):
         inside = ", ".join(f"z^{self.lowest + i}: {v}" for i, v in enumerate(self.coeffs)
                            if not v.is_zero())
-        tail = "exact" if math.isinf(self.upper) else f"O(z^{self.upper})"
+        tail = f"O(z^{self.upper})" if self.upper == self.end else "exact"
         return f"ZSeries({inside or '0'}; {tail})"
+
+
+def series_combination(pairs) -> ZSeries:
+    """``sum s * c`` over ``(ZSeries s, XLaurent c)`` pairs, known below the smallest
+    ``upper``; each z-coefficient is one ``sum_of_products``."""
+    if not pairs:
+        return ZSeries.zero()
+    upper = min(s.upper for s, _ in pairs)
+    lo = min(s.lowest for s, _ in pairs)
+    hi = min(upper, max(s.end for s, _ in pairs))
+    return ZSeries(lo, [sum_of_products([(1, s.coeffs[e - s.lowest], c) for s, c in pairs
+                                         if s.lowest <= e < s.end])
+                        for e in range(lo, hi)], upper)
 
 
 def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSeries:
@@ -762,7 +761,7 @@ def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSer
     if not d0.is_unit():
         raise ExactError(f"leading z-coefficient is not an invertible unit: {d0}")
     lo = num.lowest - ld
-    win = min(num.upper - num.lowest, den.upper - den.lowest)
+    win = min(num.known_len(), den.known_len())
     if nterms is not None:
         win = min(win, nterms)
     if math.isinf(win):
@@ -786,10 +785,7 @@ def series_sqrt(s: ZSeries) -> ZSeries:
     """
     if s.lowest != 0 or s.coefficient(0) != _XL_ONE:
         raise ExactError("series_sqrt needs lowest exponent 0 and constant term 1")
-    win = s.known_len()
-    if math.isinf(win):
-        win = len(s.coeffs)
-    win = int(win)
+    win = s.end  # the window of a truncated series; the stored terms of an exact one
     half = Fraction(1, 2)
     out: list[XLaurent] = [_XL_ONE]
     for k in range(1, win):
@@ -799,7 +795,7 @@ def series_sqrt(s: ZSeries) -> ZSeries:
         if k % 2 == 0:
             terms.append((-1, out[k // 2], out[k // 2]))
         out.append(sum_of_products(terms).scale(half))
-    return ZSeries(0, out, s.upper if not math.isinf(s.upper) else win)
+    return ZSeries(0, out, win)
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,13 @@ def _xlaurent_jet(c: XLaurent, xj: Jet, ev) -> Jet:
 
 
 def _zpoly_jets(p: ZSeries, xj: Jet, ev) -> list:
-    """The z-coefficients of the exact z-polynomial ``p``, lowest power first, as jets."""
+    """The z-coefficients of the exact z-polynomial ``p``, lowest power first, as jets.
+
+    Raises ``ValueError`` for a negative ``lowest``: a pole at z = 0 has no
+    place in the list, so multiply by a power of z first.
+    """
+    if p.lowest < 0:
+        raise ValueError(f"_zpoly_jets needs a z-polynomial, got lowest = {p.lowest}")
     return ([Jet.const(0, xj.order)] * p.lowest
             + [_xlaurent_jet(c, xj, ev) for c in p.coeffs])
 

@@ -30,12 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
-                    XLaurent, ZSeries, ep, sum_of_products)
+                    XLaurent, ZSeries, ep, series_combination)
 from .diffop import DiffOp, _pair_monomials, _require_commuting
 from .curve import chi, curve_series, lambda_fn
 from . import linsolve
-
-_INF = float("inf")
 
 
 class PipelineError(RuntimeError):
@@ -74,27 +72,13 @@ def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
 def reduce_with_frame(op: DiffOp, frame):
     """Remainder (Q0, Q1, Q2) of an XLaurent-coefficient operator mod T.
 
-    ``Q_j = sum_n frame[n][j] * c_n``; each z-coefficient of ``Q_j`` is one
-    ``sum_of_products`` over the operator's nonzero coefficients ``c_n``.
+    ``Q_j = sum_n frame[n][j] * c_n`` (``exact.series_combination``) over the
+    operator's nonzero coefficients ``c_n``.
     """
     if op.order >= len(frame):
         raise PipelineError("frame too short for this operator order")
     used = [(frame[n], c) for n, c in enumerate(op.coeffs) if not c.is_zero()]
-    return tuple(_series_combination([(rn[j], c) for rn, c in used]) for j in range(3))
-
-
-def _series_combination(pairs) -> ZSeries:
-    """``sum s * c`` over ``(ZSeries s, XLaurent c)`` pairs, known below the smallest ``upper``."""
-    if not pairs:
-        return ZSeries.zero()
-    upper = min(s.upper for s, _ in pairs)
-    lo = min(s.lowest for s, _ in pairs)
-    hi = upper if upper != _INF else max(s.lowest + len(s.coeffs) for s, _ in pairs)
-    coeffs = []
-    for e in range(lo, int(hi)):
-        coeffs.append(sum_of_products([(1, s.coeffs[e - s.lowest], c) for s, c in pairs
-                                       if 0 <= e - s.lowest < len(s.coeffs)]))
-    return ZSeries(lo, coeffs, upper)
+    return tuple(series_combination([(rn[j], c) for rn, c in used]) for j in range(3))
 
 
 @dataclass(frozen=True)
@@ -164,19 +148,12 @@ def _rank3_report(op: DiffOp, frame, eigen: ZSeries) -> Rank3Report:
     """``verify_rank3`` on a frame already built to at least ``op``'s order."""
     q0, q1, q2 = reduce_with_frame(op, frame)
     residuals = [q0 - eigen, q1, q2]
-    failures = []
-    uppers = []
-    for j, res in enumerate(residuals):
-        upper = res.upper if res.upper != _INF else res.lowest + len(res.coeffs)
-        uppers.append(int(upper))
-        for e in range(res.lowest, int(upper)):
-            if not res.coefficient(e).is_zero():
-                failures.append((e, j))
-                break
+    failures = [(first[0], j) for j, res in enumerate(residuals)
+                if (first := res.first_nonzero()) is not None]
     if failures:
         e, j = min(failures)
         return Rank3Report(False, e - 1, (j, e))
-    return Rank3Report(True, min(uppers) - 1, None)
+    return Rank3Report(True, min(res.end for res in residuals) - 1, None)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +173,15 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     coefficient is a unit fixes that unknown, and a row with none left must
     reduce to zero.  Every result is re-verified symbolically against the
     reduction remainder over the full series window, on the frame that set up
-    the system, and raises ``PipelineError`` if it fails there.
+    the system, and raises ``PipelineError`` if it fails there.  ``eigen``
+    defaults to lambda expanded to as many terms as ``chi0`` stores.
     """
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
-        if s.upper != _INF and s.upper - s.lowest < order - 1:
+        if s.known_len() < order - 1:
             raise TruncationTooShort(
                 f"{name} carries fewer than {order - 1} terms beyond its lowest exponent")
     if eigen is None:
-        span = int(chi0.upper - chi0.lowest) if chi0.upper != _INF else DEFAULT_SERIES_ORDER
-        eigen = curve_series(lambda_fn(), span)
+        eigen = curve_series(lambda_fn(), len(chi0.coeffs))
 
     n_unknowns = order - 1
     z_orders = range(1 - order // 3, 1)

@@ -432,17 +432,21 @@ def test_cli_points_that_are_not_rational_are_usage_errors(capsys):
         assert "_rationals" not in err
 
 
-@pytest.mark.parametrize("args", [["print", "{op}", "--format", "tex"], ["verify", "limit"]])
+@pytest.mark.parametrize("args", [["print", "{op}", "--format", "tex"]] + [
+    [command, target] + (["--out", "{out}"] if "out" in reads else [])
+    for command, (_, _, targets) in cli._COMMANDS.items()
+    for target, (_, reads) in targets.items()])
 def test_cli_closed_stdout_ends_quietly(tmp_path, args):
     # the reader closes the pipe before the child writes: no traceback, and the
     # exit code says so (1 would mean a failed check)
-    op = tmp_path / "op.txt"
+    op, out = tmp_path / "op.txt", tmp_path / "out.txt"
     op.write_text("D^3 + x*D + 26/x^2\n", encoding="utf-8")
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.Popen([sys.executable, "-m", "bcpair"] + [a.format(op=op) for a in args],
+    proc = subprocess.Popen([sys.executable, "-m", "bcpair"]
+                            + [a.format(op=op, out=out) for a in args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     proc.stdout.close()
     try:

@@ -56,11 +56,9 @@ def test_w_series_squares_back():
     assert back.eq_known(c.w_squared().truncate(12))
 
 
-def test_sigma_is_involution_and_fixes_rational_part():
-    e = chi(0)
-    assert e.sigma_conj().sigma_conj() == e
-    assert not (e.sigma_conj() == e)          # chi0 has a genuine w-part
-    assert chi(2).sigma_conj() == chi(2)      # chi2 is sigma-invariant
+def test_chi2_is_w_free_and_chi0_is_not():
+    assert not chi(0).b.is_zero()             # chi0 has a genuine w-part
+    assert chi(2).b.is_zero()                 # chi2 is sigma-invariant
 
 
 def test_chi2_closed_form():
@@ -107,26 +105,6 @@ def test_lambda_mu_relation():
     lam, mu = lambda_fn(), mu_fn()
     z = CurveElem(mono(0, 1))
     assert (mu * z - lam).is_zero()
-
-
-def test_sigma_of_lambda():
-    # sigma(lambda) = (1 - z^3 - w)/(2 z^3), and lambda + sigma(lambda) = (1 - z^3)/z^3
-    lam = lambda_fn()
-    expect = CurveElem(mono(0, -3, F(1, 2)) - mono(0, 0, F(1, 2)), mono(0, -3, F(-1, 2)))
-    assert lam.sigma_conj() == expect and lam.sigma_conj().m == 0
-    assert lam + lam.sigma_conj() == CurveElem(mono(0, -3) - ONE)
-    assert lam.sigma_conj() != lam
-
-
-def test_norm_is_w_free():
-    lam = lambda_fn()
-    n = lam.norm()
-    # (lambda + 1/2)(sigma(lambda) + 1/2) = (1 - W)/(4 z^6); check the norm
-    # of (1+w): norm(1+w) = 1 - W
-    one_plus_w = CurveElem(ONE, ONE)
-    assert one_plus_w.norm() == CurveElem(ONE - CurveDef().w_squared())
-    assert isinstance(n, CurveElem) and n.b.is_zero()
-    assert n == lam * lam.sigma_conj()
 
 
 def test_chi0_series_values():

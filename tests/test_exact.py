@@ -172,8 +172,8 @@ def test_fraction_arithmetic_and_derivative():
     # over kappa^0 the derivative is the numerators': d/dx (x^2 + x w)/z = (2x + w)/z
     assert CurveElem(mono(2, -1), mono(1, -1)).derive() == CurveElem(mono(1, -1, 2), mono(0, -1))
     assert f + f == f * 2 and (f - f).is_zero()
-    # products add the powers of kappa; the norm doubles it
-    assert (f * f).m == 2 and f.norm().m == 2 and f.norm() == f * f.sigma_conj()
+    # products add the powers of kappa
+    assert (f * f).m == 2
 
 
 def test_kappa_power_is_a_natural_number():
@@ -234,9 +234,13 @@ def test_sum_of_products_signs_denominators_cancellation():
 
 def test_sum_of_products_rejects_an_eps_exponent_at_the_packed_cap():
     below, at = xl({-5: {2**19 - 1: 3}, 2: 1}), xl({1: {2**19: F(1, 2)}})
-    assert sum_of_products([(1, below, below)]) == below * below
+    square = xl({-10: {2**20 - 2: 9}, -3: {2**19 - 1: 6}, 4: 1})
+    assert sum_of_products([(1, below, below)]) == below * below == square
     with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
         sum_of_products([(1, below, at)])
+    # ``*`` is the same kernel, so it refuses the same operand
+    with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
+        below * at
 
 
 def test_series_divide_round_trip_seeded():
@@ -306,6 +310,36 @@ def test_zero_series_keeps_its_window():
         (diff * ZSeries.one()).coefficient(-5)
     assert (a.truncate(-7) - a.truncate(-7)).upper == -7
     assert ZSeries(0, [], 3).upper == 3 and ZSeries.zero().upper == float("inf")
+
+
+def test_window_ending_below_the_stored_terms_keeps_none_of_them():
+    # a truncated series stores exactly its window, even one that ends below
+    # its first stored term: nothing known there is nonzero
+    one, x = XLaurent.one(), XLaurent.var()
+    for s in (ZSeries(-3, [one, x, one, x, one]).truncate(-5),
+              ZSeries(0, [one, x, one, x], upper=-2)):
+        assert s.is_zero() and s.first_nonzero() is None
+        assert s.end == s.upper and s.lowest <= s.upper
+        with pytest.raises(ExactError):
+            s.coefficient(s.upper)
+
+
+def test_series_end_is_the_window_or_the_stored_terms():
+    one, x = XLaurent.one(), XLaurent.var()
+    exact = ZSeries(-2, [x, one, XLaurent.zero()])    # stores z^-2 .. z^0
+    assert exact.end == 1 and exact.known_len() == float("inf") and "exact" in repr(exact)
+    assert exact.truncate(5).end == 5 and exact.truncate(5).coefficient(4).is_zero()
+    assert exact.truncate(-1).end == -1 and exact.truncate(-1).coeffs == [x]
+    assert "O(z^5)" in repr(exact.truncate(5))
+    # arithmetic of a truncated and an exact series: the window of the truncated one
+    t = ZSeries(0, [one] * 3, 3)
+    for s in (t + exact, t - exact, t * exact, exact * t):
+        assert s.end == s.upper
+    assert (t + exact).upper == 3 and (t * exact).upper == 1
+    # an exact product stores len(a) + len(b) - 1 terms, trailing zeros included;
+    # the root of an exact series is known as far as the series is stored
+    assert (exact * exact).lowest == -4 and (exact * exact).end == 1
+    assert series_sqrt(ZSeries.one() + mono(0, 1)).end == 2
 
 
 def test_series_equality_with_other_types_is_false():

@@ -15,7 +15,7 @@ from mpmath import mp, mpc, mpf, workdps
 
 from bcpair import (BranchAssignment, gamma_equation_residual, gamma_eval,
                     kn_check, kn_residuals, pole_data_from_chi)
-from bcpair import kncheck
+from bcpair import XLaurent, ZSeries, kncheck, xl
 from bcpair.kncheck import Jet, _point_quantities, default_tolerance, find_branch
 
 F = Fraction
@@ -188,6 +188,19 @@ def test_residue_extraction_cross_check():
         for j in range(3):
             assert abs(alphas[i][j].value() - data.alphas[i][j].value()) < mpf(10) ** -45
             assert abs(ds[i][j].value() - data.ds[i][j].value()) < mpf(10) ** -45
+
+
+def test_zpoly_jets_places_coefficients_and_refuses_a_pole_at_q():
+    # 3 + x z^2 lands at z^0 and z^2; z^-1 + 1 has no place in a list from z^0
+    xj = Jet((mpf(2), mpf(1)))
+    p = ZSeries.from_z_coefficients({0: xl({0: 3}), 2: xl({1: 1})})
+    jets = kncheck._zpoly_jets(p, xj, mpf(-1))
+    assert [j.value() for j in jets] == [3, 0, 2]
+    pole = ZSeries.from_z_coefficients({-1: XLaurent.one(), 0: XLaurent.one()})
+    with pytest.raises(ValueError, match="lowest = -1"):
+        kncheck._zpoly_jets(pole, xj, mpf(-1))
+    z = ZSeries(1, [XLaurent.one()])
+    assert [j.value() for j in kncheck._zpoly_jets(pole * z, xj, mpf(-1))] == [1, 1]
 
 
 def test_displayed_variant_fails():

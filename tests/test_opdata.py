@@ -155,9 +155,10 @@ def test_limit_op_apply_to_one(limit_op):
 
 def test_support_bounds(l1, l2):
     for op in (l1, l2):
-        for k, xe, ee in op.support():
-            assert ee % 2 == 0 and ee <= 8
-            assert -12 <= xe <= 24
+        for c in op.coeffs:
+            for xe, epoly in c.c.items():
+                assert all(ee % 2 == 0 and ee <= 8 for ee in epoly.c)
+                assert -12 <= xe <= 24
 
 
 def test_zeta_values_and_cross_module():
