@@ -19,7 +19,8 @@ accept it as an optional last argument, only because the benchmark workloads
 
 from __future__ import annotations
 
-from .exact import BivarPoly, XLaurent, commutator_coefficients, compose_coefficients
+from .exact import (BivarPoly, XLaurent, commutator_coefficients, compose_coefficients,
+                    sum_of_products)
 
 NEG_INF = float("-inf")
 
@@ -205,14 +206,16 @@ def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
 
     The pair must commute (checked), so the monomial evaluation order is
     irrelevant; a non-commuting pair is rejected with the first nonzero
-    commutator coefficient named.
+    commutator coefficient named.  Each coefficient of the result is one
+    ``sum_of_products`` over the monomials.
     """
     _require_commuting(a, b, NonCommutingPair)
     terms = sorted(q.c.items())
-    total = DiffOp.zero()
-    for mono, (_, coeff) in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms):
-        total = total + mono.scale(coeff)
-    return total
+    scaled = [(mono.coeffs, XLaurent({0: coeff})) for mono, (_, coeff)
+              in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms)]
+    n = max((len(c) for c, _ in scaled), default=0)
+    return DiffOp([sum_of_products([(1, c[k], v) for c, v in scaled if k < len(c)])
+                   for k in range(n)])
 
 
 class ReductionError(ArithmeticError):
