@@ -8,7 +8,7 @@ from .diffop import (DiffOp, XLAURENT_RING, eval_poly_at_pair, right_reduce,
 from .curve import (CurveDef, CurveElem, DEFAULT_CURVE, bc_function_identity,
                     chi, curve_series, lambda_fn, mu_fn)
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
-from .pipeline import (AffineSolutionSet, PipelineError, Rank3Report,
+from .pipeline import (AffineSolutionSet, ChiTriple, PipelineError, Rank3Report,
                        TruncationTooShort, chi_series_triple, derive_L1_coeffs,
                        find_bc_relation, reduce_with_frame, reduction_frame,
                        solve_commuting, verify_rank3)

@@ -304,9 +304,7 @@ class Report:
     def outcome(self) -> str:
         if any(c.status == "fail" for c in self.checks):
             return "fail"
-        if not self.checks:
-            return "finding" if self.findings else "skipped"
-        return "pass"
+        return "pass" if self.checks else "skipped"
 
     def to_json(self) -> str:
         payload = {
@@ -390,7 +388,7 @@ def _suite_limit(report: Report, eps) -> None:
 
 
 def _suite_rank(report: Report, eps) -> None:
-    chis = tuple(_maybe_eps(s, eps) for s in pipeline.chi_series_triple())
+    chis = pipeline.ChiTriple(_maybe_eps(s, eps) for s in pipeline.chi_series_triple())
     lam, mu = (_maybe_eps(curve_series(f()), eps) for f in (lambda_fn, mu_fn))
     l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
     rep1 = pipeline.verify_rank3(l1, chis, lam)
@@ -573,13 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _join_negative_eps(argv: list[str]) -> list[str]:
-    """Rewrite ``--eps -1/2`` as ``--eps=-1/2``: argparse reads a dash-led
-    value that is not a plain number as an option."""
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--eps -1/2`` as ``--eps=-1/2`` and ``--points -1,2`` as
+    ``--points=-1,2``: argparse reads a dash-led value that is not a plain
+    number as an option.  No option name starts with a dash and a digit."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] == "--eps" and re.fullmatch(r"-\d+(/\d+)?", arg):
-            out[-1] = f"--eps={arg}"
+        if out and out[-1] in ("--eps", "--points") and re.match(r"-\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -604,7 +603,7 @@ def main(argv=None) -> int:
 
 def _main(argv) -> int:
     args, unread = build_parser().parse_known_args(
-        _join_negative_eps(sys.argv[1:] if argv is None else list(argv)))
+        _join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     name = args.parser.prog.removeprefix("bcpair ")      # "verify commute", "print"
     if unread:
         args.parser.error(f"{name} does not read {' '.join(unread)}")

@@ -201,21 +201,27 @@ def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
     return [memo[key] for key in exponents]
 
 
+def combination(pairs) -> DiffOp:
+    """``sum c * op`` over ``(DiffOp op, XLaurent c)`` pairs, the operator twin of
+    ``exact.series_combination``: each coefficient is one ``sum_of_products``."""
+    n = max((len(op.coeffs) for op, _ in pairs), default=0)
+    return DiffOp([sum_of_products([(1, op.coeffs[k], c) for op, c in pairs
+                                    if k < len(op.coeffs)])
+                   for k in range(n)])
+
+
 def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     """Evaluate Q(z, w) at z -> a, w -> b for a commuting pair.
 
     The pair must commute (checked), so the monomial evaluation order is
     irrelevant; a non-commuting pair is rejected with the first nonzero
-    commutator coefficient named.  Each coefficient of the result is one
-    ``sum_of_products`` over the monomials.
+    commutator coefficient named.  The result is one ``combination`` of the
+    monomials.
     """
     _require_commuting(a, b, NonCommutingPair)
     terms = sorted(q.c.items())
-    scaled = [(mono.coeffs, XLaurent({0: coeff})) for mono, (_, coeff)
-              in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms)]
-    n = max((len(c) for c, _ in scaled), default=0)
-    return DiffOp([sum_of_products([(1, c[k], v) for c, v in scaled if k < len(c)])
-                   for k in range(n)])
+    return combination([(mono, XLaurent({0: coeff})) for mono, (_, coeff)
+                        in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms)])
 
 
 class ReductionError(ArithmeticError):

@@ -598,7 +598,7 @@ class ZSeries:
     never overstates what is actually known.
     """
 
-    __slots__ = ("lowest", "coeffs", "upper", "__weakref__")
+    __slots__ = ("lowest", "coeffs", "upper")
 
     def __init__(self, lowest: int, coeffs: list[XLaurent], upper=INF):
         # trim known-zero leading terms; they stay implicitly known
@@ -708,10 +708,9 @@ class ZSeries:
     __rmul__ = __mul__
 
     def scale(self, value) -> "ZSeries":
-        if isinstance(value, XLaurent):
-            return ZSeries(self.lowest, [v * value for v in self.coeffs], self.upper)
-        value = ep(value)
-        return ZSeries(self.lowest, [v.scale(value) for v in self.coeffs], self.upper)
+        if isinstance(value, EpsPoly):
+            value = XLaurent({0: value})     # once, not once per coefficient
+        return ZSeries(self.lowest, [v * value for v in self.coeffs], self.upper)
 
     def derive(self) -> "ZSeries":
         """d/dx, applied coefficient-wise (z is a spectral parameter)."""

@@ -14,9 +14,9 @@ relation from scratch.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
   annihilating a commuting pair by one fraction-free elimination over Q[eps].
 * ``verify_rank3`` checks the reduction remainder of an operator against its
-  expected eigenvalue series.  It reuses the frame of the last chi triple
-  while that triple's series live, so ``verify rank`` (L1, L2, then L1 + D
-  on one triple) builds two frames, not three.
+  expected eigenvalue series, on the frame that its ``ChiTriple`` keeps, so
+  ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames, not
+  three.  The module holds no mutable state: a frame lives on its triple.
 
 Every solver's output is re-verified by exact substitution before it is
 returned; elimination results are never trusted on their own.
@@ -24,16 +24,18 @@ returned; elimination results are never trusted on their own.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
-                    XLaurent, ZSeries, ep, series_combination)
-from .diffop import DiffOp, _pair_monomials, _require_commuting
+                    XLaurent, ZSeries, series_combination, sum_of_products)
+from .diffop import DiffOp, _pair_monomials, _require_commuting, combination
 from .curve import chi, curve_series, lambda_fn
 from . import linsolve
+
+
+_ONE = XLaurent.one()
 
 
 class PipelineError(RuntimeError):
@@ -48,9 +50,27 @@ class TruncationTooShort(PipelineError):
 # the rank-3 reduction frame
 # ---------------------------------------------------------------------------
 
-def chi_series_triple(order: int = DEFAULT_SERIES_ORDER):
+class ChiTriple(tuple):
+    """The chi expansions ``(chi0, chi1, chi2)``, keeping the reduction frame built on them.
+
+    ``frame(n_max)`` builds ``reduction_frame(*self, n_max)`` once and keeps
+    it on the triple, rebuilding only when a longer frame is asked for.  The
+    frame is set by one assignment, so concurrent callers at worst build it
+    twice; equal triples that are distinct objects each build their own.
+    """
+
+    _frame = ()
+
+    def frame(self, n_max: int):
+        frame = self._frame
+        if len(frame) <= n_max:
+            frame = self._frame = reduction_frame(*self, n_max)
+        return frame
+
+
+def chi_series_triple(order: int = DEFAULT_SERIES_ORDER) -> ChiTriple:
     """The three chi expansions at the marked point, ready for reduction."""
-    return tuple(curve_series(chi(j), order) for j in range(3))
+    return ChiTriple(curve_series(chi(j), order) for j in range(3))
 
 
 def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
@@ -105,43 +125,13 @@ class Rank3Report:
 def verify_rank3(op: DiffOp, chis, eigen: ZSeries) -> Rank3Report:
     """Check remainder(op mod T) = (eigen, 0, 0) through the series window.
 
-    The frame of the last chi triple is reused while that triple's series
-    live (``_frame_for``).
+    The frame is the one ``chis`` keeps (``ChiTriple.frame``); any other
+    sequence (chi0, chi1, chi2) is wrapped in a ``ChiTriple`` that lives for
+    this call alone.
     """
-    chi0, chi1, chi2 = chis
-    return _rank3_report(op, _frame_for((chi0, chi1, chi2), max(op.order, 3)), eigen)
-
-
-# (weakrefs to chi0, chi1, chi2, their frame) of the last verify_rank3 call, or None
-_last_frame = None
-
-
-def _frame_for(chis: tuple[ZSeries, ZSeries, ZSeries], n_max: int):
-    """``reduction_frame(*chis, n_max)``, or a longer one built before for these very series.
-
-    One entry, keyed by the identity of the three series: equal series that
-    are distinct objects get their own frame.  The entry is one immutable
-    tuple, read once, so a concurrent call never pairs a triple with another
-    triple's frame; it holds its series by weak reference and is dropped
-    when one of them dies.
-    """
-    global _last_frame
-    memo = _last_frame
-    if memo is not None:
-        *refs, frame = memo
-        if len(frame) > n_max and all(r() is s for r, s in zip(refs, chis)):
-            return frame
-    frame = reduction_frame(*chis, n_max)
-    _last_frame = (*(weakref.ref(s, _forget_frame) for s in chis), frame)
-    return frame
-
-
-def _forget_frame(dead: weakref.ref) -> None:
-    """Weakref callback: drop the memo entry if it was keyed by the dead series."""
-    global _last_frame
-    memo = _last_frame
-    if memo is not None and any(r is dead for r in memo[:3]):
-        _last_frame = None
+    if not isinstance(chis, ChiTriple):
+        chis = ChiTriple(chis)
+    return _rank3_report(op, chis.frame(max(op.order, 3)), eigen)
 
 
 def _rank3_report(op: DiffOp, frame, eigen: ZSeries) -> Rank3Report:
@@ -207,10 +197,8 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
             if len(unsolved) > 1 or (unsolved and not coeffs[unsolved[0]].is_unit()):
                 continue
             del rows[i]
-            value = rhs
-            for n in coeffs:
-                if n in solved:
-                    value = value - coeffs[n] * solved[n]
+            value = sum_of_products([(1, rhs, _ONE)] + [
+                (-1, c, solved[n]) for n, c in coeffs.items() if n in solved])
             if not unsolved:
                 if not value.is_zero():
                     raise PipelineError(
@@ -285,10 +273,8 @@ class AffineSolutionSet:
         return len(self.homogeneous_basis)
 
     def sample(self, params) -> DiffOp:
-        out = self.particular
-        for t, h in zip(params, self.homogeneous_basis):
-            out = out + h.scale(ep(t))
-        return out
+        return combination([(self.particular, _ONE)] + [
+            (h, XLaurent({0: t})) for t, h in zip(params, self.homogeneous_basis)])
 
     def contains(self, op: DiffOp) -> bool:
         """Whether op = particular + sum t_i(eps) * basis_i with t_i in Q[eps].
@@ -395,14 +381,9 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
     ech = _eliminate(rows, m)
 
     def build(vec: dict[int, EpsPoly]) -> DiffOp:
-        coeffs = []
-        for parts in b:
-            c = XLaurent.zero()
-            for comp, g in parts.items():
-                if comp in vec:
-                    c = c + g.scale(vec[comp])
-            coeffs.append(c)
-        return DiffOp(coeffs)
+        scalars = {comp: XLaurent({0: v}) for comp, v in vec.items()}
+        return DiffOp([sum_of_products([(1, g, scalars[comp]) for comp, g in parts.items()
+                                        if comp in scalars]) for parts in b])
 
     part_vec = ech.primitive_solution(m)
     if part_vec[m] != EpsPoly.one():
@@ -453,9 +434,7 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
         return None
     vec = ech.primitive_solution(free[0])
     q = BivarPoly({monomials[c]: v for c, v in vec.items()})
-    residual = DiffOp.zero()
-    for c, v in sorted(vec.items()):
-        residual = residual + products[c].scale(v)
+    residual = combination([(products[c], XLaurent({0: v})) for c, v in vec.items()])
     if not residual.is_zero():
         raise PipelineError("kernel candidate failed exact re-verification")
     return q

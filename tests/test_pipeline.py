@@ -1,17 +1,16 @@
 """Constructive pipeline: reduction frame, derivation, commutant, relation."""
 
-import weakref
 from fractions import Fraction
 
 import pytest
 
-from bcpair import (AffineSolutionSet, BivarPoly, DiffOp, EpsPoly, PipelineError,
-                    TruncationTooShort, XLaurent, ZSeries, chi_series_triple,
+from bcpair import (AffineSolutionSet, BivarPoly, ChiTriple, DiffOp, EpsPoly,
+                    PipelineError, TruncationTooShort, XLaurent, ZSeries, chi_series_triple,
                     curve_series, derive_L1_coeffs, ep, find_bc_relation,
                     lambda_fn, make_l1, make_l2, make_limit_op, mu_fn,
                     reduce_with_frame, reduction_frame, right_reduce,
                     solve_commuting, verify_rank3, xl)
-from bcpair import pipeline
+from bcpair import cli, pipeline
 from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
 from conftest import rng
 
@@ -123,24 +122,28 @@ def frame_orders(monkeypatch):
     return orders
 
 
-def test_verify_rank3_builds_one_frame_per_chi_triple(frame_orders, chis24, lam24, mu24,
-                                                      l1, l2):
-    # the order of `verify rank`: L1, then L2 needs a longer frame, then
-    # L1 + D reads the order-12 one
-    chis = _fresh_chis(chis24, 10)
+def test_verify_rank3_builds_one_frame_per_chi_triple(frame_orders, capsys, chis24, lam24,
+                                                      mu24, l1, l2):
+    # the order of `verify rank` on one triple: L1, then L2 needs a longer
+    # frame, then L1 + D reads the order-12 one
+    chis = ChiTriple(_fresh_chis(chis24, 10))
     assert verify_rank3(l1, chis, lam24).passed
     assert verify_rank3(l2, chis, mu24).passed
     assert not verify_rank3(l1 + DiffOp.d(1), chis, lam24).passed
     assert frame_orders == [9, 12]
-    # the specialised suite's order: L2 first, so L1 + D builds nothing
-    special = tuple(s.substitute_eps(F(7, 3)) for s in chis)
-    verify_rank3(l2.substitute_eps(F(7, 3)), special, mu24.substitute_eps(F(7, 3)))
-    verify_rank3(l1.substitute_eps(F(7, 3)) + DiffOp.d(1), special,
-                 lam24.substitute_eps(F(7, 3)))
-    assert frame_orders == [9, 12, 12]
     # a longer order builds again
-    verify_rank3(DiffOp.d(13), special, lam24)
-    assert frame_orders == [9, 12, 12, 13]
+    verify_rank3(DiffOp.d(13), chis, lam24)
+    assert frame_orders == [9, 12, 13]
+    # a plain tuple keeps nothing: one frame per call
+    plain = tuple(chis)
+    verify_rank3(l2, plain, mu24)
+    verify_rank3(l1 + DiffOp.d(1), plain, lam24)
+    assert frame_orders == [9, 12, 13, 12, 9]
+    # `verify rank` specialises its triple as a ChiTriple: two frames again
+    frame_orders.clear()
+    assert cli.main(["verify", "rank", "--eps", "7/3"]) == 0
+    capsys.readouterr()
+    assert frame_orders == [9, 12]
 
 
 def test_verify_rank3_keys_its_frame_by_identity(frame_orders, chis24, lam24, l1):
@@ -151,20 +154,22 @@ def test_verify_rank3_keys_its_frame_by_identity(frame_orders, chis24, lam24, l1
     assert frame_orders == [9, 9, 9, 9]
 
 
-def test_verify_rank3_holds_no_frame_once_its_chi_series_die(monkeypatch, chis24, lam24, l1):
-    tops = []
-    inner = pipeline.reduction_frame
-
-    def recording(*args):
-        frame = inner(*args)
-        tops.append(weakref.ref(frame[-1][0]))
-        return frame
-    monkeypatch.setattr(pipeline, "reduction_frame", recording)
+def test_verify_rank3_leaves_no_state_in_pipeline(chis24, lam24, l1):
+    before = dict(vars(pipeline))
     chis = _fresh_chis(chis24, 10)
-    assert verify_rank3(l1, chis, lam24).passed
-    assert tops[0]() is not None
-    del chis
-    assert tops[0]() is None
+    for triple in (chis, ChiTriple(chis)):
+        assert verify_rank3(l1, triple, lam24).passed
+    assert vars(pipeline) == before
+
+
+def test_chi_triple_keeps_its_own_frame(frame_orders, chis24):
+    triple = ChiTriple(_fresh_chis(chis24, 10))
+    frame = triple.frame(9)
+    assert triple.frame(9) is frame and triple.frame(5) is frame
+    twin = ChiTriple(triple)
+    assert twin == triple and twin is not triple
+    assert twin.frame(9) is not frame
+    assert frame_orders == [9, 9]
 
 
 @pytest.mark.parametrize("eps", [None, F(7, 3)], ids=["symbolic", "7/3"])
