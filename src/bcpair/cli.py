@@ -17,7 +17,9 @@ only for order-0 single-monomial operands without eps content, so '26/x^2'
 and 'x^-2' both work but '1/(D+x)' does not.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error or no
-check applied to the given inputs, 141 stdout closed early by its reader.
+check applied to the given inputs, 130 interrupted by SIGINT (Ctrl-C) once
+the package has loaded, with one ``interrupted`` line on stderr and no
+traceback, 141 stdout closed early by its reader.
 No command fails by design: on the shipped data every check passes, and a
 published erratum is a check that the erratum's form fails (the eps^2 curve
 in ``verify bc``).  Every option changes an input that a check reads.
@@ -43,6 +45,8 @@ from . import kncheck, pipeline
 SCHEMA = "bcpair-report/1"
 #: the exit code when the reader closes stdout early: 128 + SIGPIPE, as a shell reports it
 EXIT_CLOSED_STDOUT = 141
+#: the exit code of a run interrupted by SIGINT (Ctrl-C): 128 + SIGINT, as a shell reports it
+EXIT_INTERRUPTED = 130
 
 
 class OpSyntaxError(ValueError):
@@ -598,6 +602,9 @@ def main(argv=None) -> int:
         # as the Python signal docs show: devnull keeps the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_CLOSED_STDOUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
     return code
 
 

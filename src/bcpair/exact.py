@@ -2,14 +2,18 @@
 
 Everything downstream computes over these types:
 
-* ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals.
+* ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals,
+  stored as ``int`` numerators keyed by ``eps_exp`` over one positive ``int``
+  denominator in lowest terms; ``.c`` is a lazily built read-only
+  ``{eps_exp: Fraction}`` view.
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
-  coefficients, stored as ``int`` numerators keyed by ``(x_exp, eps_exp)``
-  over one positive ``int`` denominator in lowest terms; ``.c`` is a lazily
-  built read-only ``{x_exp: EpsPoly}`` view.  A single ``+``, ``-`` or
-  ``*`` reduces its result once.  ``sum_of_products`` (``*`` itself,
-  ``ZSeries`` products, series division and square roots, and
-  ``series_combination``, the rank-3 reduction's ``sum s * c``) and the
+  coefficients, stored the same way with numerators keyed by
+  ``(x_exp, eps_exp)``; ``.c`` is a lazily built read-only
+  ``{x_exp: EpsPoly}`` view.  For both types a single ``+``, ``-`` or
+  ``*`` runs on ints and reduces its result once, through one shared gcd
+  sweep.  ``sum_of_products`` (``*`` itself, ``ZSeries`` products, series
+  division and square roots, and ``series_combination``, the rank-3
+  reduction's ``sum s * c``) and the
   operator products ``compose_coefficients`` and ``commutator_coefficients``
   sum in one int dict per result over a common denominator, on packed keys
   ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first use and
@@ -66,23 +70,39 @@ class ExactError(ArithmeticError):
 class EpsPoly:
     """Polynomial in ``eps`` with rational coefficients, stored sparsely.
 
-    The coefficient map never stores zeros.  Exponents are any non-negative
-    integers: relation discovery admits odd eps powers, and derived operators
-    reach eps-degrees above those of ``L1`` and ``L2``.
+    Stored like ``XLaurent``: ``num`` maps each eps exponent to a nonzero
+    ``int`` numerator over one positive ``int`` denominator ``den``, in
+    lowest terms, so equality is structural.  Arithmetic runs on plain ints
+    and reduces each result once.  ``c`` is the read-only view
+    ``{eps_exp: Fraction}``, built on first use and kept.  Exponents are any
+    non-negative integers: relation discovery admits odd eps powers, and
+    derived operators reach eps-degrees above those of ``L1`` and ``L2``.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("num", "den", "_c")
 
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
-        c: dict[int, Fraction] = {}
+        terms: dict[int, Fraction] = {}
         if coeffs:
             for e, v in coeffs.items():
                 v = _fr(v)
                 if v:
                     if e < 0:
                         raise ValueError("negative eps exponent")
-                    c[int(e)] = v
-        self.c = c
+                    terms[int(e)] = v
+        den = math.lcm(*(r.denominator for r in terms.values()))
+        self.num = {e: r.numerator * (den // r.denominator) for e, r in terms.items()}
+        self.den = den
+        self._c = None
+
+    @property
+    def c(self) -> MappingProxyType:
+        """Read-only ``{eps_exp: Fraction}`` view of the coefficients."""
+        view = self._c
+        if view is None:
+            den = self.den
+            view = self._c = MappingProxyType({e: Fraction(v, den) for e, v in self.num.items()})
+        return view
 
     @classmethod
     def const(cls, value) -> "EpsPoly":
@@ -98,29 +118,24 @@ class EpsPoly:
 
     @classmethod
     def one(cls) -> "EpsPoly":
-        return cls({0: Fraction(1)})
+        return cls({0: 1})
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.num
 
     def is_monomial(self) -> bool:
-        return len(self.c) == 1
+        return len(self.num) == 1
 
     def degree(self) -> int:
-        return max(self.c) if self.c else -1
+        return max(self.num) if self.num else -1
 
     def _add(self, other: "EpsPoly", sign: int = 1) -> "EpsPoly":
         """``self + sign * other`` for ``sign`` in (1, -1)."""
-        c = dict(self.c)
-        for e, v in other.c.items():
-            s = c.get(e, _ZERO) + (v if sign == 1 else -v)
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = c
-        return out
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        return _eps_poly(*_int_sum(self, other, sign))
 
     __add__ = _add
 
@@ -128,40 +143,36 @@ class EpsPoly:
         return self._add(other, -1)
 
     def __neg__(self) -> "EpsPoly":
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = {e: -v for e, v in self.c.items()}
-        return out
+        return _eps_poly({e: -v for e, v in self.num.items()}, self.den)
 
     def __mul__(self, other) -> "EpsPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         if not isinstance(other, EpsPoly):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
             return NotImplemented
-        c: dict[int, Fraction] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
+        acc: dict[int, int] = {}
+        get = acc.get
+        for e1, v1 in self.num.items():
+            for e2, v2 in other.num.items():
                 e = e1 + e2
-                s = c.get(e, _ZERO) + v1 * v2
-                if s:
-                    c[e] = s
-                else:
-                    del c[e]
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = c
-        return out
+                acc[e] = get(e, 0) + v1 * v2
+        return _eps_poly({e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "EpsPoly":
         value = _fr(value)
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = {e: v * value for e, v in self.c.items()} if value else {}
-        return out
+        if not value:
+            return _EP_ZERO
+        return _eps_poly({e: v * value.numerator for e, v in self.num.items()},
+                         self.den * value.denominator)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, EpsPoly):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = EpsPoly.const(other)
-        return isinstance(other, EpsPoly) and self.c == other.c
+        return self.den == other.den and self.num == other.num
 
     def substitute(self, value) -> Fraction:
         """Evaluate at a rational value of eps."""
@@ -170,46 +181,57 @@ class EpsPoly:
 
     def divide_monomial(self, coeff: Fraction, exp: int) -> "EpsPoly":
         """Exact division by ``coeff * eps**exp``; every term must be divisible."""
+        coeff = _fr(coeff)
         if not coeff:
             raise ExactError("division by zero eps monomial")
-        c = {}
-        for e, v in self.c.items():
+        # times q/p, with the sign of p moved to the numerators
+        p, q = coeff.numerator, coeff.denominator
+        if p < 0:
+            p, q = -p, -q
+        num = {}
+        for e, v in self.num.items():
             if e < exp:
                 raise ExactError(f"eps^{e} term not divisible by eps^{exp}")
-            c[e - exp] = v / coeff
-        out = EpsPoly.__new__(EpsPoly)
-        out.c = c
-        return out
+            num[e - exp] = v * q
+        return _eps_poly(num, self.den * p)
 
     def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
-        """Long division ``self = q * other + r`` with ``r.degree() < other.degree()``."""
-        if other.is_zero():
+        """Long division ``self = q * other + r`` with ``r.degree() < other.degree()``.
+
+        With ``other = B / d``, ``B``'s leading numerator ``lc > 0``, the
+        remainder ``rem / rden`` steps to ``(lc * rem - lead * eps^k * B) / (rden * lc)``
+        on ints and is reduced once at the end.
+        """
+        if not other.num:
             raise ExactError("division by zero eps polynomial")
-        rem = dict(self.c)
         de = other.degree()
-        dl = other.c[de]
+        sign = 1 if other.num[de] > 0 else -1
+        onum = {e: sign * v for e, v in other.num.items()}
+        lc, d = onum[de], sign * other.den
+        rem, rden = dict(self.num), self.den
         q: dict[int, Fraction] = {}
         while rem and (e := max(rem)) >= de:
-            qe, qv = e - de, rem[e] / dl
-            q[qe] = qv
-            for oe, ov in other.c.items():
-                t = oe + qe
-                s = rem.get(t, _ZERO) - qv * ov
+            lead, k = rem[e], e - de
+            q[k] = Fraction(lead * d, rden * lc)
+            rem = {t: v * lc for t, v in rem.items()}
+            get = rem.get
+            for oe, ov in onum.items():
+                t = oe + k
+                s = get(t, 0) - lead * ov
                 if s:
                     rem[t] = s
                 else:
-                    rem.pop(t, None)
-        quo, r = EpsPoly.__new__(EpsPoly), EpsPoly.__new__(EpsPoly)
-        quo.c, r.c = q, rem
-        return quo, r
+                    del rem[t]
+            rden *= lc
+        return EpsPoly(q), _eps_poly(rem, rden)
 
     def divexact(self, other: "EpsPoly") -> "EpsPoly":
         """Exact polynomial division; raises if the remainder is nonzero."""
-        if other.is_monomial():
-            (e, v), = other.c.items()
-            return self.divide_monomial(v, e)
+        if len(other.num) == 1:
+            (e, v), = other.num.items()
+            return self.divide_monomial(Fraction(v, other.den), e)
         q, r = divmod(self, other)
-        if r.c:
+        if r.num:
             raise ExactError("inexact eps-polynomial division")
         return q
 
@@ -231,9 +253,47 @@ class EpsPoly:
         return " + ".join(parts)
 
 
-_ZERO = Fraction(0)
+def _lowest(num: dict, den: int) -> tuple[dict, int]:
+    """``num / den`` (``den > 0``, no zero numerators) in lowest terms: one gcd
+    sweep over the numerators, skipped when ``den`` is 1."""
+    if den != 1:
+        if not num:
+            return num, 1
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            return {k: v // g for k, v in num.items()}, den // g
+    return num, den
+
+
+def _int_sum(a, b, sign: int) -> tuple[dict, int]:
+    """``a + sign * b`` for ``EpsPoly`` or ``XLaurent`` operands with nonzero
+    numerators, over the lcm of their denominators and not yet reduced."""
+    da, db = a.den, b.den
+    fa, fb = 1, sign
+    if da != db:
+        g = math.gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+    num = {k: v * fa for k, v in a.num.items()} if fa != 1 else dict(a.num)
+    get = num.get
+    for k, v in b.num.items():
+        s = get(k, 0) + v * fb
+        if s:
+            num[k] = s
+        else:
+            del num[k]
+    return num, da * fa
+
+
+def _eps_poly(num: dict[int, int], den: int) -> EpsPoly:
+    """The EpsPoly ``num / den`` (``den > 0``, no zero numerators), in lowest terms."""
+    out = EpsPoly.__new__(EpsPoly)
+    out.num, out.den = _lowest(num, den)
+    out._c = None
+    return out
+
+
 _EP_ZERO = EpsPoly()
-_EP_ONE = EpsPoly({0: Fraction(1)})
+_EP_ONE = EpsPoly({0: 1})
 
 
 def ep(value) -> EpsPoly:
@@ -248,21 +308,9 @@ def ep(value) -> EpsPoly:
 # ---------------------------------------------------------------------------
 
 def _reduced(num: dict[tuple[int, int], int], den: int) -> "XLaurent":
-    """The XLaurent ``num / den`` (``den > 0``, no zero numerators), in lowest terms.
-
-    One gcd sweep over the numerators, skipped when ``den`` is 1.
-    """
-    if den != 1:
-        if not num:
-            den = 1
-        else:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                den //= g
-                num = {k: v // g for k, v in num.items()}
+    """The XLaurent ``num / den`` (``den > 0``, no zero numerators), in lowest terms."""
     out = XLaurent.__new__(XLaurent)
-    out.num = num
-    out.den = den
+    out.num, out.den = _lowest(num, den)
     out._c = None
     out._packed = None
     return out
@@ -285,18 +333,14 @@ class XLaurent:
     __slots__ = ("num", "den", "_c", "_packed")
 
     def __init__(self, coeffs: dict[int, EpsPoly] | None = None):
-        terms: dict[tuple[int, int], Fraction] = {}
+        rows: list[tuple[int, EpsPoly]] = []
         if coeffs:
             for e, v in coeffs.items():
-                if isinstance(v, EpsPoly):
-                    for ee, r in v.c.items():
-                        terms[(int(e), ee)] = r
-                else:
-                    r = _fr(v)
-                    if r:
-                        terms[(int(e), 0)] = r
-        den = math.lcm(*(r.denominator for r in terms.values()))
-        self.num = {k: r.numerator * (den // r.denominator) for k, r in terms.items()}
+                v = v if isinstance(v, EpsPoly) else EpsPoly.const(v)
+                if v.num:
+                    rows.append((int(e), v))
+        den = math.lcm(*(v.den for _, v in rows))
+        self.num = {(e, ee): n * (den // v.den) for e, v in rows for ee, n in v.num.items()}
         self.den = den
         self._c = None
         self._packed = None
@@ -306,15 +350,12 @@ class XLaurent:
         """Read-only ``{x_exp: EpsPoly}`` view of the coefficients."""
         view = self._c
         if view is None:
-            rows: dict[int, dict[int, Fraction]] = {}
-            den = self.den
+            rows: dict[int, dict[int, int]] = {}
             for (xe, ee), v in self.num.items():
-                rows.setdefault(xe, {})[ee] = Fraction(v, den)
-            polys = {}
-            for xe, row in rows.items():
-                p = polys[xe] = EpsPoly.__new__(EpsPoly)
-                p.c = row
-            view = self._c = MappingProxyType(polys)
+                rows.setdefault(xe, {})[ee] = v
+            den = self.den
+            view = self._c = MappingProxyType({xe: _eps_poly(row, den)
+                                               for xe, row in rows.items()})
         return view
 
     @property
@@ -355,26 +396,11 @@ class XLaurent:
 
     def _add(self, other: "XLaurent", sign: int = 1) -> "XLaurent":
         """``self + sign * other`` for ``sign`` in (1, -1)."""
-        an, bn = self.num, other.num
-        if not bn:
+        if not other.num:
             return self
-        if not an:
+        if not self.num:
             return other if sign == 1 else -other
-        # over the lcm of the denominators: scale self by fa and other by fb
-        da, db = self.den, other.den
-        fa, fb = 1, sign
-        if da != db:
-            g = math.gcd(da, db)
-            fa, fb = db // g, sign * (da // g)
-        num = {k: v * fa for k, v in an.items()} if fa != 1 else dict(an)
-        get = num.get
-        for k, v in bn.items():
-            s = get(k, 0) + v * fb
-            if s:
-                num[k] = s
-            else:
-                del num[k]
-        return _reduced(num, da * fa)
+        return _reduced(*_int_sum(self, other, sign))
 
     __add__ = _add
 

@@ -295,11 +295,11 @@ def eps_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     """Monic greatest common divisor over Q (zero only when both are zero)."""
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
-    return a.scale(1 / a.c[a.degree()]) if not a.is_zero() else a
+    return a.scale(Fraction(a.den, a.num[a.degree()])) if not a.is_zero() else a
 
 
 def _entry_size(p: EpsPoly) -> tuple[int, int]:
-    return p.degree(), len(p.c)
+    return p.degree(), len(p.num)
 
 
 class BareissEchelon:
@@ -313,11 +313,19 @@ class BareissEchelon:
     ties) and replaces every other remaining row r by
     ``(p * r - r[col] * pivot_row) / p_prev`` (Bareiss 1968).  Every entry is
     then a minor of the input, so the division by the previous pivot is exact
-    (``EpsPoly.divexact``) and no gcd is taken during elimination.  Where the
-    pivot equals the previous one (as along a run of unit pivots), the step is
+    (``EpsPoly.divexact``) and no polynomial gcd is taken during elimination.
+    Where the pivot equals the previous one (as along a run of unit pivots), the step is
     ``r - r[col] * pivot_row / p``: ``p * r_c - f * q_c`` is divisible by
     ``p``, so ``f * q_c`` is too.  A row without an entry in the pivot column
     is then kept as it is, and for ``p == 1`` nothing is divided.
+
+    A pivot that is a monomial ``c * eps^k`` with ``c != 1`` first has its
+    row divided by ``c``, a unit of Q[eps], so that the pivot is ``eps^k``.
+    That is Bareiss on the input with one row scaled by ``1/c``, so every
+    entry is still a minor (of the scaled input) and every division stays
+    exact.  The pivots of the commutant and relation solves are monomials,
+    so they become ``1`` and ``eps^k`` and take the equal-pivot step more
+    often: at eps = 0 every step is a unit step.
 
     ``inconsistent`` is the label of the first row reduced to a nonzero
     constant term alone (the system has no solution), else None.
@@ -342,6 +350,11 @@ class BareissEchelon:
                 continue
             _, prow = active.pop(min(hits, key=lambda i: _entry_size(active[i][1][col])))
             p = prow[col]
+            if p.is_monomial() and p.den != p.num[p.degree()]:
+                # c * eps^k with c != 1: the row over c, a unit of Q[eps], has pivot eps^k
+                u = Fraction(p.den, p.num[p.degree()])
+                prow = {c: v.scale(u) for c, v in prow.items()}
+                p = prow[col]
             same = p == prev
             unit = same and p == one
             reduced = []
@@ -372,7 +385,7 @@ class BareissEchelon:
 
     def _find_inconsistent(self, active) -> bool:
         for label, row in active:
-            if set(row) == {self.rhs}:
+            if len(row) == 1 and self.rhs in row:
                 self.inconsistent = label
                 return True
         return False
@@ -410,7 +423,7 @@ class BareissEchelon:
         for v in vec.values():
             content = eps_gcd(content, v)
         lead = vec[free_col].divexact(content)
-        content = content.scale(lead.c[lead.degree()])
+        content = content.scale(Fraction(lead.num[lead.degree()], lead.den))
         return {c: v.divexact(content) for c, v in vec.items()}
 
 

@@ -459,6 +459,26 @@ def test_cli_closed_stdout_ends_quietly(tmp_path, args):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_cli_interrupt_during_a_solve_ends_quietly():
+    # SIGINT raises KeyboardInterrupt wherever the solve is; here it comes from
+    # the solve itself: one line on stderr, no traceback, 128 + SIGINT
+    code = ("import sys\n"
+            "from bcpair import cli, pipeline\n"
+            "def interrupted(*args):\n"
+            "    raise KeyboardInterrupt\n"
+            "pipeline.solve_commuting = interrupted\n"
+            "sys.exit(cli.main(['construct', 'l2']))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert proc.stderr.splitlines() == ["interrupted"]
+    assert "PASS" not in proc.stdout
+
+
 # a malformed value of each rational or int option, and what stderr must say
 MALFORMED = {
     "eps": ("1/0", "error: --eps: '1/0' is not a rational number"),

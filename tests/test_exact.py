@@ -511,3 +511,114 @@ def test_hypothesis_xlaurent_divide_unit_matches_reference(ra, ux, ue, u):
         return
     _checked(a.divide_unit(unit),
              {x - ux: {e - ue: v / u for e, v in row.items()} for x, row in ra.items()})
+
+
+# ---------------------------------------------------------------------------
+# EpsPoly against the {eps_exp: Fraction} arithmetic it replaced
+# ---------------------------------------------------------------------------
+
+def _fr_clean(a):
+    return {e: v for e, v in a.items() if v}
+
+
+def _fr_add(a, b, sign=1):
+    c = dict(a)
+    for e, v in b.items():
+        c[e] = c.get(e, F(0)) + sign * v
+    return _fr_clean(c)
+
+
+def _fr_mul(a, b):
+    c = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            c[e1 + e2] = c.get(e1 + e2, F(0)) + v1 * v2
+    return _fr_clean(c)
+
+
+def _fr_divide_monomial(a, coeff, exp):
+    if any(e < exp for e in a):
+        raise ExactError("not divisible")
+    return {e - exp: v / coeff for e, v in a.items()}
+
+
+def _fr_divmod(a, b):
+    """Long division over Q, one leading term at a time."""
+    rem, q = dict(a), {}
+    de = max(b)
+    while rem and (e := max(rem)) >= de:
+        qe, qv = e - de, rem[e] / b[de]
+        q[qe] = qv
+        rem = _fr_add(rem, {oe + qe: qv * ov for oe, ov in b.items()}, -1)
+    return q, rem
+
+
+def _fr_substitute(a, value):
+    return sum((v * value**e for e, v in a.items()), F(0))
+
+
+def _fr_str(a):
+    if not a:
+        return "0"
+    return " + ".join(str(a[e]) if e == 0 else f"{a[e]}*eps" if e == 1 else f"{a[e]}*eps^{e}"
+                      for e in sorted(a))
+
+
+def _ep_checked(p: EpsPoly, ref):
+    """``p`` is canonical (``den > 0``, numerators nonzero and coprime to it) and equals ``ref``."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(v) is int and v != 0 for v in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert dict(p.c) == _fr_clean(ref)
+    return p
+
+
+# zero, negative and large-denominator coefficients, eps degrees up to 12
+_ep_scalars = (st.sampled_from([F(0), F(1), F(-1), F(-1, 3888)])
+               | st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**15))
+_ep_refs = st.dictionaries(st.integers(0, 12), _ep_scalars, max_size=5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_ep_refs, _ep_refs, _ep_scalars, st.integers(0, 12), _ep_scalars)
+def test_hypothesis_epspoly_matches_fraction_reference(ra, rb, k, exp, value):
+    a, b = _ep_checked(EpsPoly(ra), ra), _ep_checked(EpsPoly(rb), rb)
+    ra, rb = _fr_clean(ra), _fr_clean(rb)
+    _ep_checked(a + b, _fr_add(ra, rb))
+    _ep_checked(a - b, _fr_add(ra, rb, -1))
+    _ep_checked(-a, _fr_add({}, ra, -1))
+    _ep_checked(a * b, _fr_mul(ra, rb))
+    _ep_checked(a.scale(k), _fr_mul(ra, {0: k}))
+    _ep_checked(a * 3, _fr_mul(ra, {0: F(3)}))
+    for divisor, ref in ((b, rb), (EpsPoly.eps_power(exp, k), _fr_clean({exp: k}))):
+        if not ref:
+            with pytest.raises(ExactError):
+                divmod(a, divisor)
+            continue
+        q, r = divmod(a, divisor)
+        rq, rr = _fr_divmod(ra, ref)
+        _ep_checked(q, rq)
+        _ep_checked(r, rr)
+        _ep_checked((a * divisor).divexact(divisor), ra)
+        if rr:
+            with pytest.raises(ExactError):
+                a.divexact(divisor)
+        else:
+            _ep_checked(a.divexact(divisor), rq)
+    if k:
+        try:
+            ref = _fr_divide_monomial(ra, k, exp)
+        except ExactError:
+            with pytest.raises(ExactError):
+                a.divide_monomial(k, exp)
+        else:
+            _ep_checked(a.divide_monomial(k, exp), ref)
+    else:
+        with pytest.raises(ExactError):
+            a.divide_monomial(k, exp)
+    assert a.substitute(value) == _fr_substitute(ra, value)
+    assert a.degree() == max(ra, default=-1)
+    assert a.is_monomial() == (len(ra) == 1)
+    assert (a == b) == (ra == rb)
+    assert (a == k) == (ra == _fr_clean({0: k}))
+    assert str(a) == _fr_str(ra)

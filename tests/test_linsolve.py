@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from bcpair import EpsPoly, linsolve
+import pytest
+
+from bcpair import EpsPoly, linsolve, solve_commuting
 from conftest import random_epspoly, rng
 
 F = Fraction
@@ -238,10 +240,25 @@ def _random_system(r):
                   for i in range(r.randint(1, m + 2))]
 
 
+def _assert_pivot_rows_match_up_to_units(pivots, reference):
+    """Each pivot row is a rational multiple of the generic step's, and a
+    monomial pivot ``c * eps^k`` has become ``eps^k``."""
+    assert [col for col, _ in pivots] == [col for col, _ in reference]
+    for (col, row), (_, ref) in zip(pivots, reference):
+        p, rp = row[col], ref[col]
+        unit = p.c[p.degree()] / rp.c[rp.degree()]
+        assert list(row) == list(ref)
+        assert all(row[c] == v.scale(unit) for c, v in ref.items())
+        if rp.is_monomial():
+            assert p == EpsPoly.eps_power(rp.degree())
+
+
 def test_bareiss_matches_the_generic_step_on_every_kind_of_pivot():
-    # unit pivots, repeated pivots 2 and eps (p == prev), and changing pivots
+    # unit pivots, repeated pivots 2, eps and 1 + eps (2 becomes 1 once its
+    # row is divided by 2; eps and 1 + eps keep the step p == prev), and
+    # changing pivots
     r = rng(34)
-    for d in (EpsPoly.one(), _eps({0: 2}), _eps({1: 1}), None):
+    for d in (EpsPoly.one(), _eps({0: 2}), _eps({1: 1}), _eps({0: 1, 1: 1}), None):
         repeated = changed = 0
         for _ in range(40):
             n, m, rows = _random_system(r) if d is None else _repeated_pivot_system(r, d)
@@ -251,8 +268,7 @@ def test_bareiss_matches_the_generic_step_on_every_kind_of_pivot():
             repeated += sum(a == b for a, b in zip(values[:n], values[1:n]))
             changed += sum(a != b for a, b in zip(values, values[1:]))
             ech = linsolve.BareissEchelon(rows, m)
-            assert [(col, list(row.items())) for col, row in ech.pivots] == \
-                [(col, list(row.items())) for col, row in pivots]
+            _assert_pivot_rows_match_up_to_units(ech.pivots, pivots)
             assert ech.inconsistent == inconsistent
             ref = linsolve.BareissEchelon([], m)
             ref.pivots = pivots
@@ -261,6 +277,33 @@ def test_bareiss_matches_the_generic_step_on_every_kind_of_pivot():
                 for f in ech.free_columns() + [m]:
                     assert ech.primitive_solution(f) == ref.primitive_solution(f)
         assert (changed if d is None else repeated) >= 20
+
+
+@pytest.fixture
+def echelons(monkeypatch):
+    """Every ``BareissEchelon`` that the pipeline builds during the test."""
+    made = []
+
+    class Recorded(linsolve.BareissEchelon):
+        def __init__(self, rows, rhs):
+            super().__init__(rows, rhs)
+            made.append(self)
+    monkeypatch.setattr(linsolve, "BareissEchelon", Recorded)
+    return made
+
+
+def test_bareiss_pivots_of_the_commutant_solves_are_monic(echelons, limit_op, l1):
+    # at eps = 0 every pivot is 1, so every step is a unit step
+    solve_commuting(limit_op, 12)
+    (ech,) = echelons
+    assert ech.rank() == 8
+    assert all(row[col] == EpsPoly.one() for col, row in ech.pivots)
+    # at symbolic eps the pivots of L1's order-12 commutant are monic eps^k
+    echelons.clear()
+    solve_commuting(l1, 12)
+    (ech,) = echelons
+    values = [row[col] for col, row in ech.pivots]
+    assert values == [EpsPoly.eps_power(k) for k in (0, 0, 2, 2, 2, 4, 4, 4, 4, 4)]
 
 
 def test_lagrange_interpolation():
