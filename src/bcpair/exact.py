@@ -11,10 +11,11 @@ Everything downstream computes over these types:
   ``(x_exp, eps_exp)``; ``.c`` is a lazily built read-only
   ``{x_exp: EpsPoly}`` view.  For both types a single ``+``, ``-`` or
   ``*`` runs on ints and reduces its result once, through one shared gcd
-  sweep.  ``sum_of_products`` (``*`` itself, ``ZSeries`` products, series
-  division and square roots, and ``series_combination``, the rank-3
-  reduction's ``sum s * c``) and the
-  operator products ``compose_coefficients`` and ``commutator_coefficients``
+  sweep.  ``sum_of_products`` (``*`` itself, series division and square
+  roots, and ``series_combination``, the rank-3 reduction's ``sum s * c``),
+  ``series_sum`` (``ZSeries`` products and the step of the rank-3 reduction
+  frame: sums of series, of their x-derivatives and of series products) and
+  the operator products ``compose_coefficients`` and ``commutator_coefficients``
   sum in one int dict per result over a common denominator, on packed keys
   ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first use and
   kept, raising ``ExactError`` for an eps exponent of ``2**19`` or more, so
@@ -554,9 +555,10 @@ def _packed_rows(values) -> tuple[list[dict[int, int]], int]:
     return [{k: n * (den // v.den) for k, n in v._packed or v.packed} for v in values], den
 
 
-def _derive_row(row: dict[int, int]) -> dict[int, int]:
-    """d/dx on packed keys: ``k`` becomes ``k - 2**20``, its numerator times ``k >> 20``."""
-    return {k - _X_UNIT: v * x for k, v in row.items() if (x := k >> _EPS_BITS)}
+def _derive_row(items) -> dict[int, int]:
+    """d/dx of ``(packed key, numerator)`` pairs: ``k`` becomes ``k - 2**20``, its
+    numerator times ``k >> 20``."""
+    return {k - _X_UNIT: v * x for k, v in items if (x := k >> _EPS_BITS)}
 
 
 def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: int) -> None:
@@ -565,10 +567,10 @@ def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: i
     ``R_i = D . R_(i-1) + L' . D^(i-1)`` (``L'``: the rows ``lift``
     differentiated).  Row ``n`` of ``R_i`` is
     ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros."""
-    lift = [_derive_row(r) for r in lift] if len(left) > 1 else ()
+    lift = [_derive_row(r.items()) for r in lift] if len(left) > 1 else ()
     for i, a in enumerate(left):
         if i:
-            step = [_derive_row(r) for r in rows]
+            step = [_derive_row(r.items()) for r in rows]
             step.append({})
             for n, add in [*enumerate(rows, 1), *enumerate(lift, i - 1)]:
                 out = step[n]
@@ -714,22 +716,11 @@ class ZSeries:
         return ZSeries(self.lowest, [-v for v in self.coeffs], self.upper)
 
     def __mul__(self, other) -> "ZSeries":
+        if isinstance(other, ZSeries):
+            return series_sum(products=((self, other),))
         if isinstance(other, (int, Fraction, EpsPoly, XLaurent)):
             return self.scale(other)
-        la, lb = self.lowest, other.lowest
-        lo = la + lb
-        upper = min(self.upper + lb, other.upper + la)
-        n = max(0, min(upper, self.end + other.end - 1) - lo)
-        # the products of each output coefficient, summed in one pass apiece
-        terms: list[list] = [[] for _ in range(n)]
-        bnz = [(j, b) for j, b in enumerate(other.coeffs[:n]) if b.num]
-        for i, a in enumerate(self.coeffs[:n]):
-            if a.num:
-                for j, b in bnz:
-                    if i + j >= n:
-                        break
-                    terms[i + j].append((1, a, b))
-        return ZSeries(lo, [sum_of_products(t) if t else _XL_ZERO for t in terms], upper)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -759,6 +750,64 @@ class ZSeries:
                            if not v.is_zero())
         tail = f"O(z^{self.upper})" if self.upper == self.end else "exact"
         return f"ZSeries({inside or '0'}; {tail})"
+
+
+def series_sum(plain=(), derived=(), products=()) -> ZSeries:
+    """``sum s + sum d' + sum a * b`` over the series ``plain``, the x-derivatives
+    of the series ``derived`` and the ``(a, b)`` pairs ``products``.
+
+    The window is that of the fold ``s1 + ... + d1.derive() + ... + a1 * b1 + ...``.
+    Each z-coefficient sums its terms in one int dict on ``.packed`` keys over
+    the lcm of their denominators (a derivative by ``_derive_row``, a product
+    by ``_add_products``) and is reduced once; no intermediate series is
+    built.  A lone plain series is returned as it is, and a sum of two or
+    more exact terms is that fold itself: an exact series keeps trailing
+    zeros, and which it keeps depends on which partial sums cancel.
+    """
+    spans = [(s.lowest, s.end, s.upper) for s in (*plain, *derived)]
+    spans += [(a.lowest + b.lowest, a.end + b.end - 1,
+               min(a.upper + b.lowest, b.upper + a.lowest)) for a, b in products]
+    if plain and len(spans) == 1:
+        return plain[0]
+    upper = min([t[2] for t in spans], default=INF)
+    if upper == INF and len(spans) > 1:
+        terms = [*plain, *(s.derive() for s in derived), *(a * b for a, b in products)]
+        return sum(terms[1:], terms[0])
+    lo = min([t[0] for t in spans], default=0)
+    n = max(0, min(upper, max([t[1] for t in spans], default=0)) - lo)
+    # per output coefficient: (den, items, None) sums items, (den, a, b) adds a * b
+    rows: list[list] = [[] for _ in range(n)]
+    for s, dx in [(s, False) for s in plain] + [(s, True) for s in derived]:
+        off = s.lowest - lo
+        for i, c in enumerate(s.coeffs[:max(0, n - off)], off):
+            if c.num:
+                items = c._packed or c.packed
+                rows[i].append((c.den, _derive_row(items).items() if dx else items, None))
+    for a, b in products:
+        off = a.lowest + b.lowest - lo
+        bnz = [(j, c.den, c._packed or c.packed)
+               for j, c in enumerate(b.coeffs[:max(0, n - off)]) if c.num]
+        for i, c in enumerate(a.coeffs[:max(0, n - off)], off):
+            if c.num:
+                items = c._packed or c.packed
+                for j, d, bitems in bnz:
+                    if i + j >= n:
+                        break
+                    rows[i + j].append((c.den * d, items, bitems))
+    out = []
+    for terms in rows:
+        den = math.lcm(*[t[0] for t in terms])
+        acc: dict[int, int] = {}
+        get = acc.get
+        for d, items, bitems in terms:
+            f = den // d
+            if bitems is not None:
+                _add_products(acc, items, bitems, f)
+            else:
+                for k, v in items:
+                    acc[k] = get(k, 0) + v * f
+        out.append(_unpacked(acc, den))
+    return ZSeries(lo, out, upper)
 
 
 def series_combination(pairs) -> ZSeries:

@@ -340,11 +340,11 @@ class BareissEchelon:
             row = {c: v for c, v in row.items() if not v.is_zero()}
             if row:
                 active.append((label, row))
+        if self._find_inconsistent(active):
+            return
         zero, one = EpsPoly.zero(), EpsPoly.one()
         prev = one
         for col in range(rhs):
-            if self._find_inconsistent(active):
-                return
             hits = [i for i, (_, row) in enumerate(active) if col in row]
             if not hits:
                 continue
@@ -357,7 +357,7 @@ class BareissEchelon:
                 p = prow[col]
             same = p == prev
             unit = same and p == one
-            reduced = []
+            reduced, rebuilt = [], []
             for label, row in active:
                 f = row.get(col)
                 if f is None and same:
@@ -378,13 +378,21 @@ class BareissEchelon:
                         new[c] = v if same else v.divexact(prev)
                 if new:
                     reduced.append((label, new))
+                    rebuilt.append((label, new))
             active = reduced
             self.pivots.append((col, prow))
             prev = p
-        self._find_inconsistent(active)
+            if self._find_inconsistent(rebuilt):
+                return
 
-    def _find_inconsistent(self, active) -> bool:
-        for label, row in active:
+    def _find_inconsistent(self, rows) -> bool:
+        """Label the first of ``rows`` that is a nonzero constant term alone.
+
+        The input rows are checked once, then after each step only the rows
+        it rebuilt: a row kept as it is was checked before, so the first
+        such row in active order is among those.
+        """
+        for label, row in rows:
             if len(row) == 1 and self.rhs in row:
                 self.inconsistent = label
                 return True

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
-                    XLaurent, ZSeries, series_combination, sum_of_products)
+                    XLaurent, ZSeries, series_combination, series_sum, sum_of_products)
 from .diffop import DiffOp, _pair_monomials, _require_commuting, combination
 from .curve import chi, curve_series, lambda_fn
 from . import linsolve
@@ -77,15 +77,19 @@ def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
     """Remainders of D^k modulo T = D^3 - chi2 D^2 - chi1 D - chi0, k <= n_max.
 
     Returns a list of triples (a0, a1, a2) of ZSeries with
-    D^k = a0 + a1 D + a2 D^2 (mod T).
+    D^k = a0 + a1 D + a2 D^2 (mod T).  A step
+    ``D^(k+1) = (a0' + a2 chi0) + (a0 + a1' + a2 chi1) D + (a1 + a2' + a2 chi2) D^2``
+    is three ``exact.series_sum`` calls, each z-coefficient of each component
+    one integer accumulation, with the windows of the fold of ``+``,
+    ``.derive()`` and ``*``.
     """
     one, zero = ZSeries.one(), ZSeries.zero()
     frame = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
     for _ in range(3, n_max + 1):
         a0, a1, a2 = frame[-1]
-        frame.append((a0.derive() + a2 * chi0,
-                      a0 + a1.derive() + a2 * chi1,
-                      a1 + a2.derive() + a2 * chi2))
+        frame.append((series_sum((), (a0,), ((a2, chi0),)),
+                      series_sum((a0,), (a1,), ((a2, chi1),)),
+                      series_sum((a1,), (a2,), ((a2, chi2),))))
     return frame
 
 

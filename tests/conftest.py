@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from bcpair import (EpsPoly, XLaurent, chi_series_triple, curve_series,
+from bcpair import (EpsPoly, XLaurent, ZSeries, chi_series_triple, curve_series,
                     lambda_fn, make_l1, make_l2, make_limit_op, mu_fn)
+from bcpair.exact import sum_of_products
 
 SEED = 20120715
 
@@ -55,3 +56,20 @@ def random_epspoly(r: random.Random, max_exp: int = 4) -> EpsPoly:
 def random_xlaurent(r: random.Random, xspan: int = 3, terms: int = 3) -> XLaurent:
     return XLaurent({r.randint(-xspan, xspan): random_epspoly(r)
                      for _ in range(r.randint(0, terms))})
+
+
+def reference_product(a: ZSeries, b: ZSeries) -> ZSeries:
+    """``a * b`` on the window rule of ``ZSeries.__mul__``, one
+    ``sum_of_products`` per z-coefficient."""
+    lo, upper = a.lowest + b.lowest, min(a.upper + b.lowest, b.upper + a.lowest)
+    n = max(0, min(upper, a.end + b.end - 1) - lo)
+    return ZSeries(lo, [sum_of_products([(1, u, b.coeffs[k - i]) for i, u in enumerate(a.coeffs)
+                                         if 0 <= k - i < len(b.coeffs)])
+                        for k in range(n)], upper)
+
+
+def assert_same_series(s: ZSeries, t: ZSeries) -> None:
+    """``s`` and ``t`` are equal structurally: the same window, stored terms
+    and numerators over the same denominators."""
+    assert (s.lowest, s.upper, s.end) == (t.lowest, t.upper, t.end)
+    assert [(c.num, c.den) for c in s.coeffs] == [(c.num, c.den) for c in t.coeffs]

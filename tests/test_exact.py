@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bcpair import (CurveElem, EpsPoly, ExactError, XLaurent, ZSeries, ep,
+from bcpair import (CurveElem, DiffOp, EpsPoly, ExactError, XLaurent, ZSeries, ep,
                     series_sqrt, xl)
-from bcpair.exact import series_divide, sum_of_products
-from conftest import random_epspoly, random_xlaurent, rng
+from bcpair.exact import series_divide, series_sum, sum_of_products
+from conftest import (assert_same_series, random_epspoly, random_xlaurent,
+                      reference_product, rng)
 
 F = Fraction
 
@@ -340,6 +341,54 @@ def test_series_end_is_the_window_or_the_stored_terms():
     # the root of an exact series is known as far as the series is stored
     assert (exact * exact).lowest == -4 and (exact * exact).end == 1
     assert series_sqrt(ZSeries.one() + mono(0, 1)).end == 2
+
+
+def _random_series(r) -> ZSeries:
+    """An exact or truncated series, often with a negative lowest exponent:
+    the zero series, x-constant coefficients (so that the derivative
+    vanishes), or a window that ends below the stored terms."""
+    lowest, n = r.randint(-4, 2), r.randint(0, 5)
+    if r.random() < 0.25:
+        coeffs = [XLaurent({0: random_epspoly(r, 2)}) for _ in range(n)]
+    else:
+        coeffs = [random_xlaurent(r, xspan=2, terms=2) for _ in range(n)]
+    kind = r.randrange(6)
+    if kind == 0:
+        return ZSeries.zero() if r.random() < 0.5 else ZSeries(0, [], r.randint(-2, 4))
+    if kind == 1:
+        return ZSeries(lowest, coeffs).truncate(lowest - r.randint(1, 2))
+    if kind == 2:
+        return ZSeries(lowest, coeffs, lowest + r.randint(0, 6))
+    return ZSeries(lowest, coeffs)
+
+
+def test_series_sum_matches_the_fold_of_add_derive_and_mul():
+    r = rng(6)
+    seen = {"exact": 0, "truncated": 0, "zero": 0, "nonzero": 0, "exact x truncated": 0}
+    for _ in range(400):
+        plain = tuple(_random_series(r) for _ in range(r.randint(0, 2)))
+        derived = tuple(_random_series(r) for _ in range(r.randint(0, 2)))
+        products = tuple((_random_series(r), _random_series(r)) for _ in range(r.randint(0, 2)))
+        terms = [*plain, *(s.derive() for s in derived),
+                 *(reference_product(a, b) for a, b in products)]
+        got = series_sum(plain, derived, products)
+        assert_same_series(got, sum(terms[1:], terms[0]) if terms else ZSeries.zero())
+        for a, b in products:
+            assert_same_series(a * b, reference_product(a, b))
+        seen["exact" if got.upper == float("inf") else "truncated"] += 1
+        seen["zero" if got.is_zero() else "nonzero"] += 1
+        seen["exact x truncated"] += any((a.upper == float("inf")) != (b.upper == float("inf"))
+                                         for a, b in products)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_series_times_a_non_series_is_a_type_error():
+    s = ZSeries.one()
+    for other in ("z", 1.5, DiffOp.d(1)):
+        with pytest.raises(TypeError):
+            s * other
+        with pytest.raises(TypeError):
+            other * s
 
 
 def test_series_equality_with_other_types_is_false():

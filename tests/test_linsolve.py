@@ -240,6 +240,27 @@ def _random_system(r):
                   for i in range(r.randint(1, m + 2))]
 
 
+def _late_inconsistent_system(r):
+    """Rows over n unknowns that turn inconsistent only at the n-th pivot.
+
+    Rows 0..n-1 are triangular with pivot 1 and random entries to the right.
+    Rows n and n + 1 are combinations of all of them, each with a nonzero
+    monomial factor, plus a nonzero constant term, so both reduce to a lone
+    constant term at the same step; the first of them is the label.
+    """
+    n = r.randint(2, 4)
+    rows = [(i, {i: EpsPoly.one(), **{c: random_epspoly(r, 2) for c in range(i + 1, n + 1)}})
+            for i in range(n)]
+    for label in (n, n + 1):
+        combo = {n: EpsPoly.const(r.choice((-2, -1, 1, 3)))}
+        for _, row in rows[:n]:
+            f = EpsPoly({r.randint(0, 2): r.randint(1, 5)})
+            for c, v in row.items():
+                combo[c] = combo.get(c, EpsPoly.zero()) + f * v
+        rows.append((label, combo))
+    return n, rows
+
+
 def _assert_pivot_rows_match_up_to_units(pivots, reference):
     """Each pivot row is a rational multiple of the generic step's, and a
     monomial pivot ``c * eps^k`` has become ``eps^k``."""
@@ -277,6 +298,14 @@ def test_bareiss_matches_the_generic_step_on_every_kind_of_pivot():
                 for f in ech.free_columns() + [m]:
                     assert ech.primitive_solution(f) == ref.primitive_solution(f)
         assert (changed if d is None else repeated) >= 20
+    # an inconsistency that appears only after several pivots, in two rows at once
+    for _ in range(20):
+        n, rows = _late_inconsistent_system(r)
+        pivots, inconsistent = reference_bareiss(rows, n)
+        assert len(pivots) == n and inconsistent == n
+        ech = linsolve.BareissEchelon(rows, n)
+        _assert_pivot_rows_match_up_to_units(ech.pivots, pivots)
+        assert ech.inconsistent == n
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from bcpair import (AffineSolutionSet, BivarPoly, ChiTriple, DiffOp, EpsPoly,
                     solve_commuting, verify_rank3, xl)
 from bcpair import cli, pipeline
 from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
-from conftest import rng
+from conftest import assert_same_series, reference_product, rng
 
 F = Fraction
 
@@ -52,6 +52,35 @@ def test_reduction_frame_matches_right_reduce(chis24):
         assert q.order == 2
         assert [rem.coefficient(j) for j in range(3)] == \
             [at_z(frame[5][j], r) for j in range(3)]
+
+
+def reference_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
+    """The reduction frame by its recurrence on single series operations:
+    ``+``, ``.derive()`` and ``reference_product``."""
+    one, zero = ZSeries.one(), ZSeries.zero()
+    frame = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    for _ in range(3, n_max + 1):
+        a0, a1, a2 = frame[-1]
+        frame.append((a0.derive() + reference_product(a2, chi0),
+                      a0 + a1.derive() + reference_product(a2, chi1),
+                      a1 + a2.derive() + reference_product(a2, chi2)))
+    return frame
+
+
+@pytest.mark.parametrize("case", ["symbolic", "7/3", "-3/2", "order-16 chis", "chi polynomials"])
+def test_reduction_frame_equals_the_reference_recurrence(case, chis24):
+    chis, n_max = chis24, 12
+    if case in ("7/3", "-3/2"):
+        chis = tuple(s.substitute_eps(F(case)) for s in chis24)
+    elif case == "order-16 chis":
+        chis, n_max = chi_series_triple(16), 9
+    elif case == "chi polynomials":
+        chis, n_max = chi_polynomials(chis24), 9
+    frame = reduction_frame(*chis, n_max)
+    assert len(frame) == n_max + 1
+    for got, want in zip(frame, reference_frame(*chis, n_max)):
+        for s, t in zip(got, want):
+            assert_same_series(s, t)
 
 
 def test_right_reduce_l1_matches_frame_at_rational_z(chis24, l1):
