@@ -12,18 +12,33 @@ from .pipeline import (AffineSolutionSet, ChiTriple, PipelineError, Rank3Report,
                        TruncationTooShort, chi_series_triple, derive_L1_coeffs,
                        find_bc_relation, reduce_with_frame, reduction_frame,
                        solve_commuting, verify_rank3)
-from .kncheck import (BranchAssignment, KNData, KNReport, gamma_eval,
-                      gamma_equation_residual, kn_check, kn_residuals,
-                      pole_data_from_chi)
 
 __version__ = "0.1.0"
 
-_CLI_NAMES = ("main", "parse_op", "print_op")
+# Names served by a module that loads on first use: the command line
+# (argparse, reports) and the numeric check (mpmath).  The exact layers above
+# need neither.  A module's name stands for the module itself.
+_LAZY = {
+    **dict.fromkeys(("main", "parse_op", "print_op"), "cli"),
+    **dict.fromkeys(("kncheck", "BranchAssignment", "KNData", "KNReport", "gamma_eval",
+                     "gamma_equation_residual", "kn_check", "kn_residuals",
+                     "pole_data_from_chi"), "kncheck"),
+}
 
 
 def __getattr__(name):
-    # the command-line module (argparse, reports) loads on first use only
-    if name in _CLI_NAMES:
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    loaded = import_module(f".{module}", __name__)
+    # bind every name of the module here, so this hook runs once per module and
+    # a later fresh import of the package does not change what this one holds
+    for lazy, owner in _LAZY.items():
+        if owner == module:
+            globals()[lazy] = loaded if lazy == module else getattr(loaded, lazy)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

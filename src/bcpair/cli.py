@@ -40,7 +40,7 @@ from .exact import EpsPoly, XLaurent
 from .diffop import DiffOp, eval_poly_at_pair
 from .curve import CurveDef, bc_function_identity, curve_series, lambda_fn, mu_fn
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
-from . import kncheck, pipeline
+from . import pipeline
 
 SCHEMA = "bcpair-report/1"
 #: the exit code when the reader closes stdout early: 128 + SIGPIPE, as a shell reports it
@@ -416,6 +416,7 @@ def _suite_rank(report: Report, eps) -> None:
 def _suite_kn(report: Report, eps, precision: int, points) -> None:
     if eps is not None and eps >= 0:
         raise ValueError(f"the kn suite needs a negative eps, got {eps}")
+    from . import kncheck       # mpmath loads only for the numeric suite
     eps = Fraction(-1) if eps is None else eps
     rep = kncheck.kn_check(points=points, eps=eps, precision=precision)
     from mpmath import nstr
@@ -431,6 +432,7 @@ def _suite_kn(report: Report, eps, precision: int, points) -> None:
 
 def _suite_all(report: Report, eps, precision: int, points) -> None:
     # the numeric suite needs eps < 0; under "all" it falls back to eps = -1
+    from . import kncheck
     kn_eps = eps if eps is not None and eps < 0 else Fraction(-1)
     kncheck.default_tolerance(precision)     # both before any suite runs
     kncheck.check_points(points, kn_eps)

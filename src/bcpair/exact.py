@@ -621,9 +621,10 @@ class ZSeries:
     below ``lowest``); ``upper == INF`` marks an exact finite expansion.
     One window rule: the stored terms run from ``lowest`` to ``end``, and a
     truncated series stores exactly its window, so ``end == upper`` (with
-    ``lowest <= upper``).  Arithmetic computes the terms below the smaller of
-    its inputs' windows and its inputs' ``end``s, so the reported window
-    never overstates what is actually known.
+    ``lowest <= upper``); one whose known terms all vanish has ``lowest ==
+    upper`` and stores none, however it was built.  Arithmetic computes the
+    terms below the smaller of its inputs' windows and its inputs' ``end``s,
+    so the reported window never overstates what is actually known.
     """
 
     __slots__ = ("lowest", "coeffs", "upper")
@@ -634,11 +635,11 @@ class ZSeries:
         n = len(coeffs)
         while i < n and coeffs[i].is_zero():
             i += 1
-        if i == n:
-            # every known term vanishes: keep the window, even below z^0
-            lowest, coeffs = min(0, upper), []
+        if i == n or lowest + i >= upper:
+            # every known term vanishes: no stored terms, zero below the window
+            lowest, coeffs = (0 if upper == INF else upper), []
         else:
-            lowest, coeffs = min(lowest + i, upper), list(coeffs[i:])
+            lowest, coeffs = lowest + i, list(coeffs[i:])
         if upper != INF:
             # store exactly the window: nothing at or beyond upper, zeros up to it
             want = upper - lowest
@@ -760,15 +761,13 @@ def series_sum(plain=(), derived=(), products=()) -> ZSeries:
     Each z-coefficient sums its terms in one int dict on ``.packed`` keys over
     the lcm of their denominators (a derivative by ``_derive_row``, a product
     by ``_add_products``) and is reduced once; no intermediate series is
-    built.  A lone plain series is returned as it is, and a sum of two or
-    more exact terms is that fold itself: an exact series keeps trailing
-    zeros, and which it keeps depends on which partial sums cancel.
+    built.  A sum of two or more exact terms is that fold itself: an exact
+    series keeps trailing zeros, and which it keeps depends on which partial
+    sums cancel.
     """
     spans = [(s.lowest, s.end, s.upper) for s in (*plain, *derived)]
     spans += [(a.lowest + b.lowest, a.end + b.end - 1,
                min(a.upper + b.lowest, b.upper + a.lowest)) for a, b in products]
-    if plain and len(spans) == 1:
-        return plain[0]
     upper = min([t[2] for t in spans], default=INF)
     if upper == INF and len(spans) > 1:
         terms = [*plain, *(s.derive() for s in derived), *(a * b for a, b in products)]

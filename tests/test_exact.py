@@ -325,6 +325,18 @@ def test_window_ending_below_the_stored_terms_keeps_none_of_them():
             s.coefficient(s.upper)
 
 
+def test_an_all_zero_truncated_series_has_one_form():
+    # trimmed to nothing or built with no terms: the same window, no stored terms
+    one = XLaurent.one()
+    for upper in (-3, 0, 1, 4):
+        forms = [ZSeries(upper + 2, [one]).truncate(upper), ZSeries(upper, [], upper),
+                 ZSeries(upper - 3, [XLaurent.zero()] * 5, upper), ZSeries(0, [], upper)]
+        for s in forms:
+            assert_same_series(s, forms[0])
+        assert (forms[0].lowest, forms[0].coeffs) == (upper, [])
+    assert_same_series(ZSeries(3, [one]).truncate(1), ZSeries(1, [], 1))
+
+
 def test_series_end_is_the_window_or_the_stored_terms():
     one, x = XLaurent.one(), XLaurent.var()
     exact = ZSeries(-2, [x, one, XLaurent.zero()])    # stores z^-2 .. z^0
