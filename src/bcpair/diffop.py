@@ -202,8 +202,8 @@ def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
 
 
 def combination(pairs) -> DiffOp:
-    """``sum c * op`` over ``(DiffOp op, XLaurent c)`` pairs, the operator twin of
-    ``exact.series_combination``: each coefficient is one ``sum_of_products``."""
+    """``sum c * op`` over ``(DiffOp op, XLaurent c)`` pairs: each coefficient is
+    one ``sum_of_products``."""
     n = max((len(op.coeffs) for op, _ in pairs), default=0)
     return DiffOp([sum_of_products([(1, op.coeffs[k], c) for op, c in pairs
                                     if k < len(op.coeffs)])

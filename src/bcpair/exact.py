@@ -9,22 +9,24 @@ Everything downstream computes over these types:
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
   coefficients, stored the same way with numerators keyed by
   ``(x_exp, eps_exp)``; ``.c`` is a lazily built read-only
-  ``{x_exp: EpsPoly}`` view.  For both types a single ``+``, ``-`` or
-  ``*`` runs on ints and reduces its result once, through one shared gcd
-  sweep.  ``sum_of_products`` (``*`` itself, series division and square
-  roots, and ``series_combination``, the rank-3 reduction's ``sum s * c``),
-  ``series_sum`` (``ZSeries`` products and the step of the rank-3 reduction
-  frame: sums of series, of their x-derivatives and of series products) and
-  the operator products ``compose_coefficients`` and ``commutator_coefficients``
-  sum in one int dict per result over a common denominator, on packed keys
-  ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first use and
-  kept, raising ``ExactError`` for an eps exponent of ``2**19`` or more, so
-  that two packed keys add without a carry), and reduce each result once.
+  ``{x_exp: EpsPoly}`` view.  Both types share one base, ``_IntFraction``,
+  that holds the storage, ``+``, ``-`` and the constructor that reduces a
+  result once.  ``sum_of_products`` (``XLaurent`` ``*`` itself, series
+  division and square roots) and ``series_sum`` (``ZSeries`` products, the
+  rank-3 reduction frame and its remainder: sums of series, of their
+  x-derivatives and of series products) sum each result in one int dict
+  over a common denominator (``_packed_sum``), as do the operator products
+  ``compose_coefficients`` and ``commutator_coefficients``, all on packed
+  keys ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first
+  use and kept, raising ``ExactError`` for an eps exponent of ``2**19`` or
+  more, so that two packed keys add without a carry), and reduce each
+  result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
   stores exactly its window, so its stored terms end (``end``) where its
-  knowledge does (``upper``).
+  knowledge does (``upper``); an exact one stores no leading or trailing
+  zero.
 * ``BivarPoly``    -- polynomials in two commuting placeholders ``(z, w)`` over
   ``EpsPoly``; used for algebraic relations between a pair of operators.
 
@@ -65,22 +67,83 @@ class ExactError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# int numerators over one denominator
+# ---------------------------------------------------------------------------
+
+class _IntFraction:
+    """Storage shared by ``EpsPoly`` and ``XLaurent``: ``num`` maps each key to a
+    nonzero ``int`` numerator over one positive ``int`` denominator ``den``,
+    in lowest terms, so equality is structural.  ``_c`` and ``_packed`` hold
+    views built on first use.  Sums and negation are the same for both."""
+
+    __slots__ = ("num", "den", "_c", "_packed")
+
+    @classmethod
+    def _of(cls, num: dict, den: int):
+        """``num / den`` (``den > 0``, no zero numerators) in lowest terms: one gcd
+        sweep over the numerators, skipped when ``den`` is 1."""
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num, den = {k: v // g for k, v in num.items()}, den // g
+        out = cls.__new__(cls)
+        out.num, out.den, out._c, out._packed = num, den, None, None
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def _add(self, other, sign: int = 1):
+        """``self + sign * other`` for ``sign`` in (1, -1), over the lcm of the
+        denominators."""
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign == 1 else -other
+        da, db = self.den, other.den
+        fa, fb = 1, sign
+        if da != db:
+            g = math.gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+        num = {k: v * fa for k, v in self.num.items()} if fa != 1 else dict(self.num)
+        get = num.get
+        for k, v in other.num.items():
+            s = get(k, 0) + v * fb
+            if s:
+                num[k] = s
+            else:
+                del num[k]
+        return self._of(num, da * fa)
+
+    __add__ = _add
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __neg__(self):
+        # negation keeps lowest terms: no gcd sweep
+        out = type(self).__new__(type(self))
+        out.num, out.den = {k: -v for k, v in self.num.items()}, self.den
+        out._c = out._packed = None
+        return out
+
+
+# ---------------------------------------------------------------------------
 # polynomials in eps over Q
 # ---------------------------------------------------------------------------
 
-class EpsPoly:
+class EpsPoly(_IntFraction):
     """Polynomial in ``eps`` with rational coefficients, stored sparsely.
 
-    Stored like ``XLaurent``: ``num`` maps each eps exponent to a nonzero
-    ``int`` numerator over one positive ``int`` denominator ``den``, in
-    lowest terms, so equality is structural.  Arithmetic runs on plain ints
-    and reduces each result once.  ``c`` is the read-only view
-    ``{eps_exp: Fraction}``, built on first use and kept.  Exponents are any
-    non-negative integers: relation discovery admits odd eps powers, and
-    derived operators reach eps-degrees above those of ``L1`` and ``L2``.
+    ``num`` maps each eps exponent to its numerator over ``den``
+    (``_IntFraction``).  Arithmetic runs on plain ints and reduces each
+    result once.  ``c`` is the read-only view ``{eps_exp: Fraction}``, built
+    on first use and kept.  Exponents are any non-negative integers: relation
+    discovery admits odd eps powers, and derived operators reach eps-degrees
+    above those of ``L1`` and ``L2``.
     """
 
-    __slots__ = ("num", "den", "_c")
+    __slots__ = ()
 
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
         terms: dict[int, Fraction] = {}
@@ -94,7 +157,7 @@ class EpsPoly:
         den = math.lcm(*(r.denominator for r in terms.values()))
         self.num = {e: r.numerator * (den // r.denominator) for e, r in terms.items()}
         self.den = den
-        self._c = None
+        self._c = self._packed = None
 
     @property
     def c(self) -> MappingProxyType:
@@ -121,30 +184,15 @@ class EpsPoly:
     def one(cls) -> "EpsPoly":
         return cls({0: 1})
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def is_monomial(self) -> bool:
         return len(self.num) == 1
 
     def degree(self) -> int:
         return max(self.num) if self.num else -1
 
-    def _add(self, other: "EpsPoly", sign: int = 1) -> "EpsPoly":
-        """``self + sign * other`` for ``sign`` in (1, -1)."""
-        if not other.num:
-            return self
-        if not self.num:
-            return other if sign == 1 else -other
-        return _eps_poly(*_int_sum(self, other, sign))
-
-    __add__ = _add
-
-    def __sub__(self, other: "EpsPoly") -> "EpsPoly":
-        return self._add(other, -1)
-
-    def __neg__(self) -> "EpsPoly":
-        return _eps_poly({e: -v for e, v in self.num.items()}, self.den)
+    def leading_coefficient(self) -> Fraction:
+        """The coefficient of the highest eps power; 0 for the zero polynomial."""
+        return Fraction(self.num[max(self.num)], self.den) if self.num else Fraction(0)
 
     def __mul__(self, other) -> "EpsPoly":
         if not isinstance(other, EpsPoly):
@@ -157,7 +205,7 @@ class EpsPoly:
             for e2, v2 in other.num.items():
                 e = e1 + e2
                 acc[e] = get(e, 0) + v1 * v2
-        return _eps_poly({e: v for e, v in acc.items() if v}, self.den * other.den)
+        return self._of({e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -165,8 +213,8 @@ class EpsPoly:
         value = _fr(value)
         if not value:
             return _EP_ZERO
-        return _eps_poly({e: v * value.numerator for e, v in self.num.items()},
-                         self.den * value.denominator)
+        return self._of({e: v * value.numerator for e, v in self.num.items()},
+                        self.den * value.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpsPoly):
@@ -194,7 +242,7 @@ class EpsPoly:
             if e < exp:
                 raise ExactError(f"eps^{e} term not divisible by eps^{exp}")
             num[e - exp] = v * q
-        return _eps_poly(num, self.den * p)
+        return self._of(num, self.den * p)
 
     def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
         """Long division ``self = q * other + r`` with ``r.degree() < other.degree()``.
@@ -224,7 +272,7 @@ class EpsPoly:
                 else:
                     del rem[t]
             rden *= lc
-        return EpsPoly(q), _eps_poly(rem, rden)
+        return EpsPoly(q), self._of(rem, rden)
 
     def divexact(self, other: "EpsPoly") -> "EpsPoly":
         """Exact polynomial division; raises if the remainder is nonzero."""
@@ -254,45 +302,6 @@ class EpsPoly:
         return " + ".join(parts)
 
 
-def _lowest(num: dict, den: int) -> tuple[dict, int]:
-    """``num / den`` (``den > 0``, no zero numerators) in lowest terms: one gcd
-    sweep over the numerators, skipped when ``den`` is 1."""
-    if den != 1:
-        if not num:
-            return num, 1
-        g = math.gcd(den, *num.values())
-        if g != 1:
-            return {k: v // g for k, v in num.items()}, den // g
-    return num, den
-
-
-def _int_sum(a, b, sign: int) -> tuple[dict, int]:
-    """``a + sign * b`` for ``EpsPoly`` or ``XLaurent`` operands with nonzero
-    numerators, over the lcm of their denominators and not yet reduced."""
-    da, db = a.den, b.den
-    fa, fb = 1, sign
-    if da != db:
-        g = math.gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-    num = {k: v * fa for k, v in a.num.items()} if fa != 1 else dict(a.num)
-    get = num.get
-    for k, v in b.num.items():
-        s = get(k, 0) + v * fb
-        if s:
-            num[k] = s
-        else:
-            del num[k]
-    return num, da * fa
-
-
-def _eps_poly(num: dict[int, int], den: int) -> EpsPoly:
-    """The EpsPoly ``num / den`` (``den > 0``, no zero numerators), in lowest terms."""
-    out = EpsPoly.__new__(EpsPoly)
-    out.num, out.den = _lowest(num, den)
-    out._c = None
-    return out
-
-
 _EP_ZERO = EpsPoly()
 _EP_ONE = EpsPoly({0: 1})
 
@@ -308,22 +317,11 @@ def ep(value) -> EpsPoly:
 # Laurent polynomials in x over EpsPoly
 # ---------------------------------------------------------------------------
 
-def _reduced(num: dict[tuple[int, int], int], den: int) -> "XLaurent":
-    """The XLaurent ``num / den`` (``den > 0``, no zero numerators), in lowest terms."""
-    out = XLaurent.__new__(XLaurent)
-    out.num, out.den = _lowest(num, den)
-    out._c = None
-    out._packed = None
-    return out
-
-
-class XLaurent:
+class XLaurent(_IntFraction):
     """Laurent polynomial in ``x`` whose coefficients are polynomials in ``eps``.
 
-    Stored as integer numerators over one denominator: ``num`` maps
-    ``(x_exp, eps_exp)`` to a nonzero ``int`` and ``den`` is a positive
-    ``int`` coprime to the gcd of the numerators.  The form is canonical, so
-    equality is structural.  Arithmetic runs on plain ints and reduces each
+    ``num`` maps ``(x_exp, eps_exp)`` to its numerator over ``den``
+    (``_IntFraction``).  Arithmetic runs on plain ints and reduces each
     result once.  ``c`` is the read-only view ``{x_exp: EpsPoly}``, built on
     first use and kept.
 
@@ -331,7 +329,7 @@ class XLaurent:
     integer ``n``.
     """
 
-    __slots__ = ("num", "den", "_c", "_packed")
+    __slots__ = ()
 
     def __init__(self, coeffs: dict[int, EpsPoly] | None = None):
         rows: list[tuple[int, EpsPoly]] = []
@@ -343,8 +341,7 @@ class XLaurent:
         den = math.lcm(*(v.den for _, v in rows))
         self.num = {(e, ee): n * (den // v.den) for e, v in rows for ee, n in v.num.items()}
         self.den = den
-        self._c = None
-        self._packed = None
+        self._c = self._packed = None
 
     @property
     def c(self) -> MappingProxyType:
@@ -355,7 +352,7 @@ class XLaurent:
             for (xe, ee), v in self.num.items():
                 rows.setdefault(xe, {})[ee] = v
             den = self.den
-            view = self._c = MappingProxyType({xe: _eps_poly(row, den)
+            view = self._c = MappingProxyType({xe: EpsPoly._of(row, den)
                                                for xe, row in rows.items()})
         return view
 
@@ -389,32 +386,8 @@ class XLaurent:
     def var(cls) -> "XLaurent":
         return cls({1: _EP_ONE})
 
-    def is_zero(self) -> bool:
-        return not self.num
-
     def is_one(self) -> bool:
         return self.den == 1 and self.num == {(0, 0): 1}
-
-    def _add(self, other: "XLaurent", sign: int = 1) -> "XLaurent":
-        """``self + sign * other`` for ``sign`` in (1, -1)."""
-        if not other.num:
-            return self
-        if not self.num:
-            return other if sign == 1 else -other
-        return _reduced(*_int_sum(self, other, sign))
-
-    __add__ = _add
-
-    def __sub__(self, other: "XLaurent") -> "XLaurent":
-        return self._add(other, -1)
-
-    def __neg__(self) -> "XLaurent":
-        out = XLaurent.__new__(XLaurent)
-        out.num = {k: -v for k, v in self.num.items()}
-        out.den = self.den
-        out._c = None
-        out._packed = None
-        return out
 
     def __mul__(self, other) -> "XLaurent":
         if not isinstance(other, XLaurent):
@@ -435,7 +408,7 @@ class XLaurent:
             p, q = value.numerator, value.denominator
         if not p:
             return _XL_ZERO
-        return _reduced({k: v * p for k, v in self.num.items()}, self.den * q)
+        return self._of({k: v * p for k, v in self.num.items()}, self.den * q)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, EpsPoly)):
@@ -443,7 +416,7 @@ class XLaurent:
         return isinstance(other, XLaurent) and self.den == other.den and self.num == other.num
 
     def derive(self) -> "XLaurent":
-        return _reduced({(xe - 1, ee): v * xe for (xe, ee), v in self.num.items() if xe},
+        return self._of({(xe - 1, ee): v * xe for (xe, ee), v in self.num.items() if xe},
                         self.den)
 
     def coefficient(self, xexp: int) -> EpsPoly:
@@ -464,7 +437,7 @@ class XLaurent:
         for (xe, ee), v in self.num.items():
             k = (xe, 0)
             acc[k] = acc.get(k, 0) + v * pp[ee] * qq[top - ee]
-        return _reduced({k: v for k, v in acc.items() if v}, self.den * qq[top])
+        return self._of({k: v for k, v in acc.items() if v}, self.den * qq[top])
 
     def is_unit(self) -> bool:
         """A unit is a single monomial c * x^a * eps^b with c != 0."""
@@ -484,7 +457,7 @@ class XLaurent:
             if ee < ue:
                 raise ExactError(f"eps^{ee} term not divisible by eps^{ue}")
             num[(xe - ux, ee - ue)] = v * du
-        return _reduced(num, self.den * u)
+        return self._of(num, self.den * u)
 
     def __repr__(self):
         return f"XLaurent({self})"
@@ -514,21 +487,31 @@ def _beyond_cap(ee: int):
 
 
 def sum_of_products(terms) -> XLaurent:
-    """``sum c * a * b`` over ``(int c, XLaurent a, XLaurent b)`` triples.
-
-    Every product is brought onto one common denominator, the integer
-    numerators accumulate in one dict keyed by packed ints (``.packed``), and
-    the sum is unpacked and reduced once; no intermediate ``XLaurent`` is
-    built.  The form is canonical, so the result equals the fold
-    ``c1*a1*b1 + c2*a2*b2 + ...`` exactly.
+    """``sum c * a * b`` over ``(int c, XLaurent a, XLaurent b)`` triples, as one
+    ``_packed_sum``: no intermediate ``XLaurent`` is built.  The form is
+    canonical, so the result equals the fold ``c1*a1*b1 + c2*a2*b2 + ...``
+    exactly.
     """
     # ``x._packed or x.packed`` reads a built view without a property call
-    prods = [(c, a._packed or a.packed, b._packed or b.packed, a.den * b.den)
-             for c, a, b in terms if c and a.num and b.num]
-    den = math.lcm(*[p[3] for p in prods])
+    return _packed_sum([(a.den * b.den, c, a._packed or a.packed, b._packed or b.packed)
+                        for c, a, b in terms if c and a.num and b.num])
+
+
+def _packed_sum(terms) -> XLaurent:
+    """``sum c * a`` and ``sum c * a * b`` over ``(den, c, a, b or None)`` terms,
+    ``a`` and ``b`` given as ``(packed key, numerator)`` pairs whose values
+    are over ``den``: one int dict over the lcm of the ``den``s, unpacked and
+    reduced once."""
+    den = math.lcm(*[t[0] for t in terms])
     acc: dict[int, int] = {}
-    for c, aitems, bitems, d in prods:
-        _add_products(acc, aitems, bitems, c * (den // d))
+    get = acc.get
+    for d, c, items, bitems in terms:
+        f = c * (den // d)
+        if bitems is None:
+            for k, v in items:
+                acc[k] = get(k, 0) + v * f
+        else:
+            _add_products(acc, items, bitems, f)
     return _unpacked(acc, den)
 
 
@@ -546,7 +529,7 @@ def _add_products(acc: dict[int, int], aitems, bitems, f: int) -> None:
 
 def _unpacked(acc: dict[int, int], den: int) -> XLaurent:
     """The XLaurent of the packed-key numerators ``acc`` over ``den``, reduced once."""
-    return _reduced({(k >> _EPS_BITS, k & _EPS_MASK): v for k, v in acc.items() if v}, den)
+    return XLaurent._of({(k >> _EPS_BITS, k & _EPS_MASK): v for k, v in acc.items() if v}, den)
 
 
 def _packed_rows(values) -> tuple[list[dict[int, int]], int]:
@@ -622,7 +605,8 @@ class ZSeries:
     One window rule: the stored terms run from ``lowest`` to ``end``, and a
     truncated series stores exactly its window, so ``end == upper`` (with
     ``lowest <= upper``); one whose known terms all vanish has ``lowest ==
-    upper`` and stores none, however it was built.  Arithmetic computes the
+    upper`` and stores none, however it was built.  An exact series stores
+    its first to its last nonzero term, so it too has one form.  Arithmetic computes the
     terms below the smaller of its inputs' windows and its inputs' ``end``s,
     so the reported window never overstates what is actually known.
     """
@@ -638,12 +622,15 @@ class ZSeries:
         if i == n or lowest + i >= upper:
             # every known term vanishes: no stored terms, zero below the window
             lowest, coeffs = (0 if upper == INF else upper), []
+        elif upper == INF:
+            # an exact series stores no trailing zeros either: one form however built
+            while coeffs[n - 1].is_zero():
+                n -= 1
+            lowest, coeffs = lowest + i, list(coeffs[i:n])
         else:
-            lowest, coeffs = lowest + i, list(coeffs[i:])
-        if upper != INF:
             # store exactly the window: nothing at or beyond upper, zeros up to it
-            want = upper - lowest
-            coeffs = coeffs[:want] + [_XL_ZERO] * (want - len(coeffs))
+            lowest, want = lowest + i, upper - lowest - i
+            coeffs = list(coeffs[i:i + want]) + [_XL_ZERO] * (want - (n - i))
         self.lowest = lowest
         self.coeffs = coeffs
         self.upper = upper
@@ -757,31 +744,25 @@ def series_sum(plain=(), derived=(), products=()) -> ZSeries:
     """``sum s + sum d' + sum a * b`` over the series ``plain``, the x-derivatives
     of the series ``derived`` and the ``(a, b)`` pairs ``products``.
 
-    The window is that of the fold ``s1 + ... + d1.derive() + ... + a1 * b1 + ...``.
-    Each z-coefficient sums its terms in one int dict on ``.packed`` keys over
-    the lcm of their denominators (a derivative by ``_derive_row``, a product
-    by ``_add_products``) and is reduced once; no intermediate series is
-    built.  A sum of two or more exact terms is that fold itself: an exact
-    series keeps trailing zeros, and which it keeps depends on which partial
-    sums cancel.
+    The result equals the fold ``s1 + ... + d1.derive() + ... + a1 * b1 + ...``,
+    window and stored terms alike.  Each z-coefficient sums its terms in one
+    int dict on ``.packed`` keys (``_packed_sum``; a derivative by
+    ``_derive_row``) and is reduced once; no intermediate series is built.
     """
     spans = [(s.lowest, s.end, s.upper) for s in (*plain, *derived)]
     spans += [(a.lowest + b.lowest, a.end + b.end - 1,
                min(a.upper + b.lowest, b.upper + a.lowest)) for a, b in products]
     upper = min([t[2] for t in spans], default=INF)
-    if upper == INF and len(spans) > 1:
-        terms = [*plain, *(s.derive() for s in derived), *(a * b for a, b in products)]
-        return sum(terms[1:], terms[0])
     lo = min([t[0] for t in spans], default=0)
     n = max(0, min(upper, max([t[1] for t in spans], default=0)) - lo)
-    # per output coefficient: (den, items, None) sums items, (den, a, b) adds a * b
+    # the ``_packed_sum`` terms of each output coefficient
     rows: list[list] = [[] for _ in range(n)]
     for s, dx in [(s, False) for s in plain] + [(s, True) for s in derived]:
         off = s.lowest - lo
         for i, c in enumerate(s.coeffs[:max(0, n - off)], off):
             if c.num:
                 items = c._packed or c.packed
-                rows[i].append((c.den, _derive_row(items).items() if dx else items, None))
+                rows[i].append((c.den, 1, _derive_row(items).items() if dx else items, None))
     for a, b in products:
         off = a.lowest + b.lowest - lo
         bnz = [(j, c.den, c._packed or c.packed)
@@ -792,34 +773,8 @@ def series_sum(plain=(), derived=(), products=()) -> ZSeries:
                 for j, d, bitems in bnz:
                     if i + j >= n:
                         break
-                    rows[i + j].append((c.den * d, items, bitems))
-    out = []
-    for terms in rows:
-        den = math.lcm(*[t[0] for t in terms])
-        acc: dict[int, int] = {}
-        get = acc.get
-        for d, items, bitems in terms:
-            f = den // d
-            if bitems is not None:
-                _add_products(acc, items, bitems, f)
-            else:
-                for k, v in items:
-                    acc[k] = get(k, 0) + v * f
-        out.append(_unpacked(acc, den))
-    return ZSeries(lo, out, upper)
-
-
-def series_combination(pairs) -> ZSeries:
-    """``sum s * c`` over ``(ZSeries s, XLaurent c)`` pairs, known below the smallest
-    ``upper``; each z-coefficient is one ``sum_of_products``."""
-    if not pairs:
-        return ZSeries.zero()
-    upper = min(s.upper for s, _ in pairs)
-    lo = min(s.lowest for s, _ in pairs)
-    hi = min(upper, max(s.end for s, _ in pairs))
-    return ZSeries(lo, [sum_of_products([(1, s.coeffs[e - s.lowest], c) for s, c in pairs
-                                         if s.lowest <= e < s.end])
-                        for e in range(lo, hi)], upper)
+                    rows[i + j].append((c.den * d, 1, items, bitems))
+    return ZSeries(lo, [_packed_sum(terms) for terms in rows], upper)
 
 
 def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSeries:

@@ -295,7 +295,7 @@ def eps_gcd(a: EpsPoly, b: EpsPoly) -> EpsPoly:
     """Monic greatest common divisor over Q (zero only when both are zero)."""
     while not b.is_zero():
         a, b = b, divmod(a, b)[1]
-    return a.scale(Fraction(a.den, a.num[a.degree()])) if not a.is_zero() else a
+    return a.scale(1 / a.leading_coefficient()) if not a.is_zero() else a
 
 
 def _entry_size(p: EpsPoly) -> tuple[int, int]:
@@ -350,9 +350,9 @@ class BareissEchelon:
                 continue
             _, prow = active.pop(min(hits, key=lambda i: _entry_size(active[i][1][col])))
             p = prow[col]
-            if p.is_monomial() and p.den != p.num[p.degree()]:
+            if p.is_monomial() and (lc := p.leading_coefficient()) != 1:
                 # c * eps^k with c != 1: the row over c, a unit of Q[eps], has pivot eps^k
-                u = Fraction(p.den, p.num[p.degree()])
+                u = 1 / lc
                 prow = {c: v.scale(u) for c, v in prow.items()}
                 p = prow[col]
             same = p == prev
@@ -431,7 +431,7 @@ class BareissEchelon:
         for v in vec.values():
             content = eps_gcd(content, v)
         lead = vec[free_col].divexact(content)
-        content = content.scale(Fraction(lead.num[lead.degree()], lead.den))
+        content = content.scale(lead.leading_coefficient())
         return {c: v.divexact(content) for c, v in vec.items()}
 
 

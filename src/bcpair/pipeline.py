@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
-                    XLaurent, ZSeries, series_combination, series_sum, sum_of_products)
+                    XLaurent, ZSeries, series_sum, sum_of_products)
 from .diffop import DiffOp, _pair_monomials, _require_commuting, combination
 from .curve import chi, curve_series, lambda_fn
 from . import linsolve
@@ -96,13 +96,14 @@ def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
 def reduce_with_frame(op: DiffOp, frame):
     """Remainder (Q0, Q1, Q2) of an XLaurent-coefficient operator mod T.
 
-    ``Q_j = sum_n frame[n][j] * c_n`` (``exact.series_combination``) over the
-    operator's nonzero coefficients ``c_n``.
+    ``Q_j = sum_n frame[n][j] * c_n`` over the operator's nonzero
+    coefficients ``c_n``: one ``exact.series_sum`` of products with the
+    exact one-term series ``c_n``.
     """
     if op.order >= len(frame):
         raise PipelineError("frame too short for this operator order")
-    used = [(frame[n], c) for n, c in enumerate(op.coeffs) if not c.is_zero()]
-    return tuple(series_combination([(rn[j], c) for rn, c in used]) for j in range(3))
+    used = [(frame[n], ZSeries(0, [c])) for n, c in enumerate(op.coeffs) if not c.is_zero()]
+    return tuple(series_sum(products=[(rn[j], c) for rn, c in used]) for j in range(3))
 
 
 @dataclass(frozen=True)

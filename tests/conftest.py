@@ -1,5 +1,7 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,9 @@ from bcpair import (EpsPoly, XLaurent, ZSeries, chi_series_triple, curve_series,
 from bcpair.exact import sum_of_products
 
 SEED = 20120715
+
+#: the root of this checkout
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +43,15 @@ def lam24():
 @pytest.fixture(scope="session")
 def mu24():
     return curve_series(mu_fn(), 24)
+
+
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter, with this checkout's ``src``
+    first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def rng(salt: int = 0) -> random.Random:

@@ -3,19 +3,17 @@
 import argparse
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from bcpair import DiffOp, cli, make_l1, make_l2, make_limit_op, xl
 from bcpair.cli import (OpSyntaxError, build_parser, main, parse_op, print_op,
                         read_op_file)
-from conftest import random_xlaurent, rng
+from conftest import child_env, random_xlaurent, rng
 
 F = Fraction
 
@@ -431,11 +429,7 @@ def test_cli_points_that_are_not_rational_are_usage_errors():
 
 def _run_module(args, **kwargs) -> subprocess.Popen:
     """``python -m bcpair args`` with this checkout's ``src`` first on the path."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.Popen([sys.executable, "-m", "bcpair", *args], env=env, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "bcpair", *args], env=child_env(), **kwargs)
 
 
 @pytest.mark.parametrize("args", [["print", "{op}", "--format", "tex"]] + [
@@ -468,12 +462,8 @@ def test_cli_interrupt_during_a_solve_ends_quietly():
             "    raise KeyboardInterrupt\n"
             "pipeline.solve_commuting = interrupted\n"
             "sys.exit(cli.main(['construct', 'l2']))\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == cli.EXIT_INTERRUPTED == 130
     assert proc.stderr.splitlines() == ["interrupted"]
     assert "PASS" not in proc.stdout
@@ -519,14 +509,10 @@ def test_cli_kn_precision_below_minimum_is_usage_error(capsys):
 
 def test_package_import_leaves_cli_unloaded():
     # bcpair.main, parse_op and print_op load the command-line module on first use
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, bcpair\n"
             "assert 'bcpair.cli' not in sys.modules\n"
             "assert bcpair.print_op is bcpair.cli.print_op\n"
             "assert bcpair.main is bcpair.cli.main and bcpair.parse_op is bcpair.cli.parse_op\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

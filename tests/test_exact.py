@@ -105,6 +105,23 @@ def test_epspoly_substitute():
     assert p.substitute(0) == F(1)
 
 
+def test_epspoly_leading_coefficient():
+    assert EpsPoly({0: F(3), 2: F(-5, 4)}).leading_coefficient() == F(-5, 4)
+    assert EpsPoly.eps_power(3, F(2, 7)).leading_coefficient() == F(2, 7)
+    assert EpsPoly.zero().leading_coefficient() == 0
+
+
+def test_sums_and_negation_keep_the_type():
+    # EpsPoly and XLaurent share +, - and negation; each result keeps its class
+    for p, q in ((EpsPoly({0: F(1, 2), 3: 4}), EpsPoly({3: F(-2, 3)})),
+                 (xl({-1: {0: F(1, 2)}, 2: {1: 4}}), xl({2: {1: F(-2, 3)}}))):
+        for zero in (p - p, -(p - p)):
+            assert type(zero) is type(p) and zero.is_zero() and zero.den == 1
+        for r in (-p, p + q, p - q, q - p, p + (p - p), (p - p) - q):
+            assert type(r) is type(p)
+        assert -(-p) == p and (p + q) - q == p and -p + p == p - p
+
+
 def test_xlaurent_unit_division():
     u = xl({2: {2: F(3)}})
     assert u.is_unit()
@@ -339,8 +356,8 @@ def test_an_all_zero_truncated_series_has_one_form():
 
 def test_series_end_is_the_window_or_the_stored_terms():
     one, x = XLaurent.one(), XLaurent.var()
-    exact = ZSeries(-2, [x, one, XLaurent.zero()])    # stores z^-2 .. z^0
-    assert exact.end == 1 and exact.known_len() == float("inf") and "exact" in repr(exact)
+    exact = ZSeries(-2, [x, one, XLaurent.zero()])    # stores z^-2 .. z^-1
+    assert exact.end == 0 and exact.known_len() == float("inf") and "exact" in repr(exact)
     assert exact.truncate(5).end == 5 and exact.truncate(5).coefficient(4).is_zero()
     assert exact.truncate(-1).end == -1 and exact.truncate(-1).coeffs == [x]
     assert "O(z^5)" in repr(exact.truncate(5))
@@ -349,10 +366,25 @@ def test_series_end_is_the_window_or_the_stored_terms():
     for s in (t + exact, t - exact, t * exact, exact * t):
         assert s.end == s.upper
     assert (t + exact).upper == 3 and (t * exact).upper == 1
-    # an exact product stores len(a) + len(b) - 1 terms, trailing zeros included;
-    # the root of an exact series is known as far as the series is stored
-    assert (exact * exact).lowest == -4 and (exact * exact).end == 1
+    # an exact product stores no trailing zero; the root of an exact series is
+    # known as far as the series is stored
+    square = exact * exact
+    assert (square.lowest, square.end) == (-4, -1) and not square.coeffs[-1].is_zero()
     assert series_sqrt(ZSeries.one() + mono(0, 1)).end == 2
+
+
+def test_an_exact_series_whose_top_terms_cancel_has_one_form():
+    # sums, products and derivatives of exact series store no trailing zero,
+    # so they equal the series built from their nonzero terms alone
+    zero, one, x = XLaurent.zero(), XLaurent.one(), XLaurent.var()
+    a, b = ZSeries(0, [one, x]), ZSeries(0, [one, -x])      # 1 + xz, 1 - xz
+    xz = ZSeries(0, [zero, x])
+    assert_same_series(ZSeries(-1, [x, one, zero, zero]), ZSeries(-1, [x, one]))
+    assert_same_series(a + b, ZSeries(0, [one + one]))
+    assert_same_series(a - xz, ZSeries.one())
+    assert_same_series(series_sum((ZSeries(0, [zero, x, x * x]),), (), ((a, b),)), a)
+    assert_same_series(series_sum(products=((a, a), (xz, -xz))), ZSeries(0, [one, x + x]))
+    assert_same_series(series_sum((), (ZSeries(0, [x, one]),)), ZSeries.one())
 
 
 def _random_series(r) -> ZSeries:

@@ -1,14 +1,13 @@
 """What ``import bcpair`` loads: the exact layers at once, the command line and
 the numeric check (``kncheck``, mpmath) on first use of one of their names."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import bcpair
+from conftest import child_env
 
 KN_NAMES = ("BranchAssignment", "KNData", "KNReport", "gamma_eval", "gamma_equation_residual",
             "kn_check", "kn_residuals", "pole_data_from_chi")
@@ -16,12 +15,8 @@ KN_NAMES = ("BranchAssignment", "KNData", "KNReport", "gamma_eval", "gamma_equat
 
 def _run_python(code: str, *args: str) -> None:
     """Run ``code`` in a fresh interpreter with this checkout's ``src`` first on the path."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -3,12 +3,10 @@
 import hashlib
 import itertools
 import math
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf, workdps
@@ -17,6 +15,7 @@ from bcpair import (BranchAssignment, gamma_equation_residual, gamma_eval,
                     kn_check, kn_residuals, pole_data_from_chi)
 from bcpair import XLaurent, ZSeries, kncheck, xl
 from bcpair.kncheck import Jet, _point_quantities, default_tolerance, find_branch
+from conftest import ROOT, child_env
 
 F = Fraction
 
@@ -362,14 +361,10 @@ def test_kn_residuals_other_eps():
 
 
 def test_residual_scan_script_runs():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "residual_scan.py"),
+        [sys.executable, str(ROOT / "scripts" / "residual_scan.py"),
          "--precisions", "30", "--points", "2"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     row = proc.stdout.splitlines()[-1]
     assert row.split("|")[0].strip() == "30" and "principal" in row
