@@ -16,10 +16,14 @@ from .pipeline import (AffineSolutionSet, ChiTriple, PipelineError, Rank3Report,
 __version__ = "0.1.0"
 
 # Names served by a module that loads on first use: the command line
-# (argparse, reports) and the numeric check (mpmath).  The exact layers above
-# need neither.  A module's name stands for the module itself.
+# (argparse, reports), the solver layer (``linsolve``, which only the
+# constructive steps ``solve_commuting`` and ``find_bc_relation`` and
+# ``AffineSolutionSet.contains`` call) and the numeric check (mpmath).  The
+# exact layers above need none of them.  A module's name stands for the
+# module itself.
 _LAZY = {
     **dict.fromkeys(("main", "parse_op", "print_op"), "cli"),
+    "linsolve": "linsolve",
     **dict.fromkeys(("kncheck", "BranchAssignment", "KNData", "KNReport", "gamma_eval",
                      "gamma_equation_residual", "kn_check", "kn_residuals",
                      "pole_data_from_chi"), "kncheck"),

@@ -15,15 +15,14 @@ algebraic-identity checks can arbitrate (they reject the eps^2 form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XLaurent, ZSeries,
                     series_divide, series_sqrt, xl)
 
 
-@dataclass(frozen=True)
-class CurveDef:
+class CurveDef(NamedTuple):
     """Defining data of the hyperelliptic model w^2 = W(z).
 
     ``w_eps_power`` is 4 for the standard curve and 2 for the variant; the
@@ -129,8 +128,11 @@ class CurveElem:
                 and (self - other).is_zero())
 
     def power(self, k: int) -> "CurveElem":
-        out = CurveElem.one(self.curve)
-        for _ in range(k):
+        """``self`` to the power k >= 0, by k - 1 products for k >= 1."""
+        if k < 0:
+            raise ValueError(f"the power must be an int >= 0, got {k!r}")
+        out = self if k else CurveElem.one(self.curve)
+        for _ in range(k - 1):
             out = out * self
         return out
 
@@ -204,6 +206,7 @@ def bc_function_identity(curve: CurveDef = DEFAULT_CURVE, eps=None) -> bool:
     """
     lam, mu = lambda_fn(curve), mu_fn(curve)
     coeff = EpsPoly.eps_power(4, Fraction(1, 15552))
-    q = mu.power(3) - mu.power(2) * coeff - lam.power(4) - lam.power(3)
+    mu2, lam3 = mu.power(2), lam.power(3)
+    q = mu2 * mu - mu2 * coeff - lam3 * lam - lam3
     parts = (q.a, q.b) if eps is None else (q.a.substitute_eps(eps), q.b.substitute_eps(eps))
     return all(p.is_zero() for p in parts)

@@ -24,8 +24,8 @@ computes each quantity a pole pair shares once, and pole s + 3 takes the
 terms linear in w from pole s with their signs flipped, which is exact
 under round-to-nearest.
 
-`check_points` rejects eps >= 0, x = 0 and x^3 + eps^2 <= 0, exactly over
-the rationals, before any evaluation.
+`check_points` rejects eps >= 0, x = 0, x^3 + eps^2 <= 0 and a repeated
+point, exactly over the rationals, before any evaluation.
 
 Only eps < 0 is supported; the closed-form solution of the gamma equation
 assumes it, and positive eps is untested territory.
@@ -506,16 +506,21 @@ def check_points(points, eps) -> None:
     """Reject inputs the kn check cannot evaluate, before any evaluation.
 
     ``eps`` must be negative, and every point x nonzero (gamma vanishes at
-    0) with x^3 + eps^2 > 0 (the real cube root); decided exactly over the
-    rationals, so each x must be an ``int``, ``Fraction`` or finite ``float``
-    (anything else, an mpmath number too, is a ``ValueError``).
+    0) with x^3 + eps^2 > 0 (the real cube root) and distinct from the points
+    before it (``1``, ``2/2`` and ``1.0`` are one point); decided exactly over
+    the rationals, so each x must be an ``int``, ``Fraction`` or finite
+    ``float`` (anything else, an mpmath number too, is a ``ValueError``).
     """
     e2 = _check_domain(eps) ** 2
+    seen = set()
     for x in points:
         try:
             q = Fraction(x)
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"x = {x!r} is not a rational number") from None
+        if q in seen:
+            raise ValueError(f"x = {x} repeats an earlier point")
+        seen.add(q)
         if q == 0:
             raise ValueError("x = 0 is excluded: gamma vanishes")
         if q**3 + e2 <= 0:

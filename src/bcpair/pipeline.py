@@ -20,21 +20,31 @@ relation from scratch.
 
 Every solver's output is re-verified by exact substitution before it is
 returned; elimination results are never trusted on their own.
+
+The fraction-free solver (``linsolve``) is a lazy module of the package: the
+constructive steps reach it as ``_PACKAGE.linsolve`` at call time, through
+the package object this module was imported with, so the checks (the
+rank-3 reduction, ``derive_L1_coeffs``) never load it and a package keeps
+the solver it loaded when the package is imported afresh.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
                     XLaurent, ZSeries, series_sum, sum_of_products)
 from .diffop import DiffOp, _pair_monomials, _require_commuting, combination
 from .curve import chi, curve_series, lambda_fn
-from . import linsolve
+
+if TYPE_CHECKING:
+    from .linsolve import BareissEchelon
 
 
+_PACKAGE = sys.modules[__package__]
 _ONE = XLaurent.one()
 
 
@@ -106,8 +116,7 @@ def reduce_with_frame(op: DiffOp, frame):
     return tuple(series_sum(products=[(rn[j], c) for rn, c in used]) for j in range(3))
 
 
-@dataclass(frozen=True)
-class Rank3Report:
+class Rank3Report(NamedTuple):
     """Outcome of the reduction check of one operator against an eigenvalue."""
 
     passed: bool
@@ -256,8 +265,7 @@ def _coefficient_rows(columns: dict[int, Sequence[XLaurent]], orders):
         yield from ((f"D^{k} (x^{xe} term)", row) for xe, row in sorted(by_x.items()))
 
 
-@dataclass
-class AffineSolutionSet:
+class AffineSolutionSet(NamedTuple):
     """Affine family particular + Q[eps]-span of homogeneous_basis.
 
     ``homogeneous_basis`` holds one primitive (content-free) generator over
@@ -294,7 +302,8 @@ class AffineSolutionSet:
         columns = {i: h.coeffs for i, h in enumerate(self.homogeneous_basis)}
         columns[d] = (self.particular - op).coeffs
         top = max(len(c) for c in columns.values())
-        ech = linsolve.BareissEchelon(_coefficient_rows(columns, range(top - 1, -1, -1)), d)
+        ech = _PACKAGE.linsolve.BareissEchelon(
+            _coefficient_rows(columns, range(top - 1, -1, -1)), d)
         return ech.inconsistent is None and ech.primitive_solution(d)[d] == EpsPoly.one()
 
 
@@ -318,9 +327,9 @@ def _integrate_level(integrands: dict[int, XLaurent], n: int, j: int):
     return parts, [(f"the x^-1 obstruction of b_{j}", obstruction)] if obstruction else []
 
 
-def _eliminate(rows, m: int) -> linsolve.BareissEchelon:
+def _eliminate(rows, m: int) -> BareissEchelon:
     """Echelon of the constraints on c_0..c_(m-1); column m is the particular part."""
-    ech = linsolve.BareissEchelon(rows, m)
+    ech = _PACKAGE.linsolve.BareissEchelon(rows, m)
     if ech.inconsistent is not None:
         raise EmptyCommutant(f"no monic operator of order {m} commutes with the given "
                              f"operator: {ech.inconsistent} cannot vanish")
@@ -432,7 +441,7 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
     products = _pair_monomials(a, b, monomials)
 
     columns = {c: p.coeffs for c, p in enumerate(products)}
-    ech = linsolve.BareissEchelon(
+    ech = _PACKAGE.linsolve.BareissEchelon(
         _coefficient_rows(columns, range(weight_bound, -1, -1)), len(monomials))
     free = ech.free_columns()
     if not free:

@@ -403,6 +403,14 @@ def test_cli_kn_point_zero_is_usage_error(capsys):
     assert "error: x = 0 is excluded" in out.err and "PASS" not in out.out
 
 
+def test_cli_kn_repeated_point_is_usage_error(capsys):
+    # 2/2 is the point x = 1 again: one evaluation must not count twice
+    for points in ("1,1", "1,2,2/2"):
+        assert main(["verify", "kn", "--eps", "-1", "--points", points]) == 2
+        out = capsys.readouterr()
+        assert "error: x = 1 repeats an earlier point" in out.err and "PASS" not in out.out
+
+
 @pytest.mark.parametrize("args, message", [
     (["--points", "1,0"], "x = 0 is excluded"),
     (["--eps", "-1", "--points", "1,-2"], "x = -2 is outside the domain"),

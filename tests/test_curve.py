@@ -171,6 +171,14 @@ def test_bc_identity_denominator_stays_small():
     assert q.is_zero() and q.m == 0
 
 
+def test_curve_elem_power_starts_from_the_element():
+    e = chi(1)
+    assert e.power(0) == CurveElem.one() and e.power(1) is e
+    assert e.power(3) == e * e * e and e.power(3).m == 3
+    with pytest.raises(ValueError, match="the power must be an int >= 0"):
+        e.power(-1)
+
+
 def test_curve_elem_derive():
     # d/dx raises the power of kappa by one; expanding commutes with it
     elems = [chi(0), chi(1), chi(2), lambda_fn(), mu_fn(), chi(0) * chi(1)]

@@ -318,6 +318,10 @@ def test_kn_check_validates_points_before_evaluating(monkeypatch):
         kn_check(points=[1, float("nan")], eps=-1, precision=60)
     with pytest.raises(ValueError, match="eps must be negative"):
         kn_check(points=[1, 2], eps=1, precision=60)
+    # points are compared as rationals: 2/2 and 1.0 repeat x = 1
+    for repeat in (1, Fraction(2, 2), 1.0):
+        with pytest.raises(ValueError, match=rf"^x = {repeat} repeats an earlier point$"):
+            kn_check(points=[1, 2, repeat], eps=-1, precision=60)
     assert calls == []
 
 
