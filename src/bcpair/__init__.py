@@ -1,6 +1,8 @@
 """Exact construction and verification of a rank-3 commuting operator pair
 on a genus-2 spectral curve."""
 
+import sys
+
 from .exact import (BivarPoly, EpsPoly, ExactError, XLaurent, ZSeries, ep,
                     series_sqrt, xl, DEFAULT_SERIES_ORDER)
 from .diffop import (DiffOp, XLAURENT_RING, eval_poly_at_pair, right_reduce,
@@ -14,6 +16,7 @@ from .pipeline import (AffineSolutionSet, ChiTriple, PipelineError, Rank3Report,
                        solve_commuting, verify_rank3)
 
 __version__ = "0.1.0"
+_PACKAGE = sys.modules[__name__]  # this generation, which alone loads its lazy modules
 
 # Names served by a module that loads on first use: the command line
 # (argparse, reports), the solver layer (``linsolve``, which only the
@@ -34,6 +37,10 @@ def __getattr__(name):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # once the package is imported afresh, a load would bind the new generation's module
+    if sys.modules.get(__name__) is not _PACKAGE:
+        raise ImportError(f"cannot load {__name__}.{module} for {name!r}: the package "
+                          f"{__name__!r} was imported afresh after this one")
     from importlib import import_module
     loaded = import_module(f".{module}", __name__)
     # bind every name of the module here, so this hook runs once per module and

@@ -7,20 +7,18 @@ Everything downstream computes over these types:
   denominator in lowest terms; ``.c`` is a lazily built read-only
   ``{eps_exp: Fraction}`` view.
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
-  coefficients, stored the same way with numerators keyed by
-  ``(x_exp, eps_exp)``; ``.c`` is a lazily built read-only
-  ``{x_exp: EpsPoly}`` view.  Both types share one base, ``_IntFraction``,
-  that holds the storage, ``+``, ``-`` and the constructor that reduces a
-  result once.  ``sum_of_products`` (``XLaurent`` ``*`` itself, series
-  division and square roots) and ``series_sum`` (``ZSeries`` products, the
-  rank-3 reduction frame and its remainder: sums of series, of their
-  x-derivatives and of series products) sum each result in one int dict
-  over a common denominator (``_packed_sum``), as do the operator products
-  ``compose_coefficients`` and ``commutator_coefficients``, all on packed
-  keys ``x_exp * 2**20 + eps_exp`` from ``.packed`` (a view built on first
-  use and kept, raising ``ExactError`` for an eps exponent of ``2**19`` or
-  more, so that two packed keys add without a carry), and reduce each
-  result once.
+  coefficients, stored the same way in one form: numerators keyed by the int
+  ``x_exp * 2**20 + eps_exp``, so an x-free one holds its ``EpsPoly``'s
+  ``num``; ``.c`` is a lazily built read-only ``{x_exp: EpsPoly}`` view and
+  ``terms()`` decodes the keys.  ``XLaurent(...)`` and every product result
+  (``_xl_of``) raise ``ExactError`` for an eps exponent of ``2**19`` or
+  more, so two keys add without a carry.  Both types share one base,
+  ``_IntFraction`` (storage, ``+``, ``-``, rational ``scale``, the reducing
+  constructor), and one product kernel, ``_add_products``.  ``sum_of_products``
+  and ``series_sum`` (``ZSeries`` products, the rank-3 reduction frame and
+  its remainder) sum each result in one int dict over a common denominator
+  (``_packed_sum``), as do ``compose_coefficients`` and
+  ``commutator_coefficients``, and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
@@ -39,6 +37,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from types import MappingProxyType
 
 INF = float("inf")
@@ -46,8 +46,8 @@ INF = float("inf")
 #: default number of retained series terms beyond the lowest exponent
 DEFAULT_SERIES_ORDER = 16
 
-#: ``XLaurent.packed`` keys are ``x_exp * 2**_EPS_BITS + eps_exp`` with
-#: ``eps_exp < _EPS_CAP``, so the sum of two keys unpacks exactly
+#: ``XLaurent.num``, its one storage form, keys ``x_exp * 2**_EPS_BITS + eps_exp`` with
+#: ``eps_exp < _EPS_CAP`` (``XLaurent()`` and ``_xl_of`` raise), so two keys add exactly
 _EPS_BITS = 20
 _EPS_CAP = 1 << (_EPS_BITS - 1)
 _EPS_MASK = (1 << _EPS_BITS) - 1
@@ -71,12 +71,12 @@ class ExactError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 class _IntFraction:
-    """Storage shared by ``EpsPoly`` and ``XLaurent``: ``num`` maps each key to a
-    nonzero ``int`` numerator over one positive ``int`` denominator ``den``,
-    in lowest terms, so equality is structural.  ``_c`` and ``_packed`` hold
-    views built on first use.  Sums and negation are the same for both."""
+    """Storage shared by ``EpsPoly`` and ``XLaurent``, their only form: ``num`` maps
+    each int key to a nonzero ``int`` numerator over one positive ``int``
+    denominator ``den``, in lowest terms, so equality is structural.  ``_c``
+    holds a view built on first use.  Sums, negation and ``scale`` are shared."""
 
-    __slots__ = ("num", "den", "_c", "_packed")
+    __slots__ = ("num", "den", "_c")
 
     @classmethod
     def _of(cls, num: dict, den: int):
@@ -87,7 +87,7 @@ class _IntFraction:
             if g != 1:
                 num, den = {k: v // g for k, v in num.items()}, den // g
         out = cls.__new__(cls)
-        out.num, out.den, out._c, out._packed = num, den, None, None
+        out.num, out.den, out._c = num, den, None
         return out
 
     def is_zero(self) -> bool:
@@ -123,9 +123,19 @@ class _IntFraction:
     def __neg__(self):
         # negation keeps lowest terms: no gcd sweep
         out = type(self).__new__(type(self))
-        out.num, out.den = {k: -v for k, v in self.num.items()}, self.den
-        out._c = out._packed = None
+        out.num, out.den, out._c = {k: -v for k, v in self.num.items()}, self.den, None
         return out
+
+    def scale(self, value):
+        """``self`` times an int or ``Fraction``."""
+        if isinstance(value, int):
+            p, q = value, 1
+        else:
+            value = _fr(value)
+            p, q = value.numerator, value.denominator
+        if not p:
+            return self._of({}, 1)
+        return self._of({k: v * p for k, v in self.num.items()}, self.den * q)
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +146,11 @@ class EpsPoly(_IntFraction):
     """Polynomial in ``eps`` with rational coefficients, stored sparsely.
 
     ``num`` maps each eps exponent to its numerator over ``den``
-    (``_IntFraction``).  Arithmetic runs on plain ints and reduces each
-    result once.  ``c`` is the read-only view ``{eps_exp: Fraction}``, built
-    on first use and kept.  Exponents are any non-negative integers: relation
-    discovery admits odd eps powers, and derived operators reach eps-degrees
-    above those of ``L1`` and ``L2``.
+    (``_IntFraction``), as an x-free ``XLaurent``'s does.  Arithmetic runs on
+    plain ints and reduces each result once.  ``c`` is the read-only view
+    ``{eps_exp: Fraction}``, built on first use and kept.  Exponents are any
+    non-negative integers: relation discovery admits odd eps powers, and
+    derived operators reach eps-degrees above those of ``L1`` and ``L2``.
     """
 
     __slots__ = ()
@@ -157,7 +167,7 @@ class EpsPoly(_IntFraction):
         den = math.lcm(*(r.denominator for r in terms.values()))
         self.num = {e: r.numerator * (den // r.denominator) for e, r in terms.items()}
         self.den = den
-        self._c = self._packed = None
+        self._c = None
 
     @property
     def c(self) -> MappingProxyType:
@@ -200,21 +210,10 @@ class EpsPoly(_IntFraction):
                 return self.scale(other)
             return NotImplemented
         acc: dict[int, int] = {}
-        get = acc.get
-        for e1, v1 in self.num.items():
-            for e2, v2 in other.num.items():
-                e = e1 + e2
-                acc[e] = get(e, 0) + v1 * v2
+        _add_products(acc, self.num.items(), other.num.items(), 1)
         return self._of({e: v for e, v in acc.items() if v}, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, value) -> "EpsPoly":
-        value = _fr(value)
-        if not value:
-            return _EP_ZERO
-        return self._of({e: v * value.numerator for e, v in self.num.items()},
-                        self.den * value.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpsPoly):
@@ -320,10 +319,10 @@ def ep(value) -> EpsPoly:
 class XLaurent(_IntFraction):
     """Laurent polynomial in ``x`` whose coefficients are polynomials in ``eps``.
 
-    ``num`` maps ``(x_exp, eps_exp)`` to its numerator over ``den``
-    (``_IntFraction``).  Arithmetic runs on plain ints and reduces each
-    result once.  ``c`` is the read-only view ``{x_exp: EpsPoly}``, built on
-    first use and kept.
+    ``num`` maps the key ``x_exp * 2**20 + eps_exp`` to its numerator over
+    ``den`` (``_IntFraction``).  Arithmetic runs on plain ints and reduces
+    each result once.  ``c`` is the read-only view ``{x_exp: EpsPoly}``,
+    built on first use and kept; ``terms()`` decodes the keys.
 
     Exponents may be negative; d/dx maps ``x**n`` to ``n*x**(n-1)`` for every
     integer ``n``.
@@ -337,11 +336,13 @@ class XLaurent(_IntFraction):
             for e, v in coeffs.items():
                 v = v if isinstance(v, EpsPoly) else EpsPoly.const(v)
                 if v.num:
-                    rows.append((int(e), v))
+                    if (top := v.degree()) >= _EPS_CAP:
+                        raise _cap_error(top)
+                    rows.append((int(e) << _EPS_BITS, v))
         den = math.lcm(*(v.den for _, v in rows))
-        self.num = {(e, ee): n * (den // v.den) for e, v in rows for ee, n in v.num.items()}
+        self.num = {xk + ee: n * (den // v.den) for xk, v in rows for ee, n in v.num.items()}
         self.den = den
-        self._c = self._packed = None
+        self._c = None
 
     @property
     def c(self) -> MappingProxyType:
@@ -349,26 +350,16 @@ class XLaurent(_IntFraction):
         view = self._c
         if view is None:
             rows: dict[int, dict[int, int]] = {}
-            for (xe, ee), v in self.num.items():
+            for xe, ee, v in self.terms():
                 rows.setdefault(xe, {})[ee] = v
             den = self.den
             view = self._c = MappingProxyType({xe: EpsPoly._of(row, den)
                                                for xe, row in rows.items()})
         return view
 
-    @property
-    def packed(self) -> tuple[tuple[int, int], ...]:
-        """``(x_exp * 2**20 + eps_exp, numerator)`` pairs, built on first use and kept.
-
-        Raises ``ExactError`` for an eps exponent of ``2**19`` or more, so
-        that the eps parts of two packed keys always add without a carry.
-        """
-        view = self._packed
-        if view is None:
-            view = self._packed = tuple([((xe << _EPS_BITS) + ee, v) if ee < _EPS_CAP
-                                         else _beyond_cap(ee)
-                                         for (xe, ee), v in self.num.items()])
-        return view
+    def terms(self) -> list[tuple[int, int, int]]:
+        """``(x_exp, eps_exp, numerator)`` of each stored term, over ``den``."""
+        return [(k >> _EPS_BITS, k & _EPS_MASK, v) for k, v in self.num.items()]
 
     @classmethod
     def zero(cls) -> "XLaurent":
@@ -387,28 +378,23 @@ class XLaurent(_IntFraction):
         return cls({1: _EP_ONE})
 
     def is_one(self) -> bool:
-        return self.den == 1 and self.num == {(0, 0): 1}
+        return self.den == 1 and self.num == {0: 1}
 
     def __mul__(self, other) -> "XLaurent":
         if not isinstance(other, XLaurent):
             if isinstance(other, (int, Fraction, EpsPoly)):
                 return self.scale(other)
             return NotImplemented
-        return sum_of_products(((1, self, other),))
+        acc: dict[int, int] = {}
+        _add_products(acc, self.num.items(), other.num.items(), 1)
+        return _xl_of(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, value) -> "XLaurent":
         if isinstance(value, EpsPoly):
             return self * XLaurent({0: value})
-        if isinstance(value, int):
-            p, q = value, 1
-        else:
-            value = _fr(value)
-            p, q = value.numerator, value.denominator
-        if not p:
-            return _XL_ZERO
-        return self._of({k: v * p for k, v in self.num.items()}, self.den * q)
+        return super().scale(value)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, EpsPoly)):
@@ -416,8 +402,7 @@ class XLaurent(_IntFraction):
         return isinstance(other, XLaurent) and self.den == other.den and self.num == other.num
 
     def derive(self) -> "XLaurent":
-        return self._of({(xe - 1, ee): v * xe for (xe, ee), v in self.num.items() if xe},
-                        self.den)
+        return self._of(_derive_row(self.num.items()), self.den)
 
     def coefficient(self, xexp: int) -> EpsPoly:
         return self.c.get(xexp, _EP_ZERO)
@@ -427,17 +412,18 @@ class XLaurent(_IntFraction):
         if not self.num:
             return self
         value = _fr(value)
-        top = max(ee for _, ee in self.num)
+        top = max(k & _EPS_MASK for k in self.num)
         if not top:
             return self
         p, q = value.numerator, value.denominator
-        pp = [p**e for e in range(top + 1)]
-        qq = [q**e for e in range(top + 1)]
-        acc: dict[tuple[int, int], int] = {}
-        for (xe, ee), v in self.num.items():
-            k = (xe, 0)
-            acc[k] = acc.get(k, 0) + v * pp[ee] * qq[top - ee]
-        return self._of({k: v for k, v in acc.items() if v}, self.den * qq[top])
+        # p^e q^(top-e) for the eps exponents present only
+        f = {e: p**e * q**(top - e) for e in {k & _EPS_MASK for k in self.num}}
+        acc: dict[int, int] = {}
+        for k, v in self.num.items():
+            ee = k & _EPS_MASK
+            k -= ee
+            acc[k] = acc.get(k, 0) + v * f[ee]
+        return self._of({k: v for k, v in acc.items() if v}, self.den * q**top)
 
     def is_unit(self) -> bool:
         """A unit is a single monomial c * x^a * eps^b with c != 0."""
@@ -447,16 +433,17 @@ class XLaurent(_IntFraction):
         """Exact division by a unit monomial; used by series inversion."""
         if not unit.is_unit():
             raise ExactError(f"not an invertible coefficient: {unit}")
-        ((ux, ue), u), = unit.num.items()
+        (uk, u), = unit.num.items()
+        ue = uk & _EPS_MASK
         if u < 0:
             u, du = -u, -unit.den
         else:
             du = unit.den
         num = {}
-        for (xe, ee), v in self.num.items():
-            if ee < ue:
+        for k, v in self.num.items():
+            if (ee := k & _EPS_MASK) < ue:
                 raise ExactError(f"eps^{ee} term not divisible by eps^{ue}")
-            num[(xe - ux, ee - ue)] = v * du
+            num[k - uk] = v * du
         return self._of(num, self.den * u)
 
     def __repr__(self):
@@ -481,9 +468,8 @@ _XL_ZERO = XLaurent()
 _XL_ONE = XLaurent.one()
 
 
-def _beyond_cap(ee: int):
-    """Raise the ``ExactError`` of an eps exponent that ``XLaurent.packed`` cannot hold."""
-    raise ExactError(f"eps^{ee} is beyond the packed-key cap eps^{_EPS_CAP - 1}")
+def _cap_error(ee: int) -> ExactError:
+    return ExactError(f"eps^{ee} is beyond the packed-key cap eps^{_EPS_CAP - 1}")
 
 
 def sum_of_products(terms) -> XLaurent:
@@ -492,16 +478,15 @@ def sum_of_products(terms) -> XLaurent:
     canonical, so the result equals the fold ``c1*a1*b1 + c2*a2*b2 + ...``
     exactly.
     """
-    # ``x._packed or x.packed`` reads a built view without a property call
-    return _packed_sum([(a.den * b.den, c, a._packed or a.packed, b._packed or b.packed)
+    return _packed_sum([(a.den * b.den, c, a.num.items(), b.num.items())
                         for c, a, b in terms if c and a.num and b.num])
 
 
 def _packed_sum(terms) -> XLaurent:
     """``sum c * a`` and ``sum c * a * b`` over ``(den, c, a, b or None)`` terms,
     ``a`` and ``b`` given as ``(packed key, numerator)`` pairs whose values
-    are over ``den``: one int dict over the lcm of the ``den``s, unpacked and
-    reduced once."""
+    are over ``den``: one int dict over the lcm of the ``den``s, reduced
+    once."""
     den = math.lcm(*[t[0] for t in terms])
     acc: dict[int, int] = {}
     get = acc.get
@@ -512,11 +497,12 @@ def _packed_sum(terms) -> XLaurent:
                 acc[k] = get(k, 0) + v * f
         else:
             _add_products(acc, items, bitems, f)
-    return _unpacked(acc, den)
+    return _xl_of(acc, den)
 
 
 def _add_products(acc: dict[int, int], aitems, bitems, f: int) -> None:
-    """``acc += f * a * b`` for ``a`` and ``b`` given as ``(packed key, numerator)`` pairs."""
+    """``acc += f * a * b`` for ``a`` and ``b`` given as ``(key, numerator)`` pairs:
+    the product of two ``EpsPoly`` or of two ``XLaurent``."""
     if len(aitems) > len(bitems):
         aitems, bitems = bitems, aitems
     get = acc.get
@@ -527,15 +513,19 @@ def _add_products(acc: dict[int, int], aitems, bitems, f: int) -> None:
             acc[k] = get(k, 0) + v1 * v2
 
 
-def _unpacked(acc: dict[int, int], den: int) -> XLaurent:
-    """The XLaurent of the packed-key numerators ``acc`` over ``den``, reduced once."""
-    return XLaurent._of({(k >> _EPS_BITS, k & _EPS_MASK): v for k, v in acc.items() if v}, den)
+def _xl_of(acc: dict[int, int], den: int) -> XLaurent:
+    """The XLaurent of the nonzero numerators ``acc`` over ``den``, reduced once.  The
+    keys are sums of stored ones, so an eps part at the cap or beyond sets bit 19."""
+    num = {k: v for k, v in acc.items() if v}
+    if reduce(or_, num, 0) & _EPS_CAP:
+        raise _cap_error(max(k & _EPS_MASK for k in num))
+    return XLaurent._of(num, den)
 
 
 def _packed_rows(values) -> tuple[list[dict[int, int]], int]:
     """``values`` over their lcm denominator: operator rows ``{packed key: numerator}``."""
     den = math.lcm(*[v.den for v in values])
-    return [{k: n * (den // v.den) for k, n in v._packed or v.packed} for v in values], den
+    return [{k: n * (den // v.den) for k, n in v.num.items()} for v in values], den
 
 
 def _derive_row(items) -> dict[int, int]:
@@ -562,7 +552,7 @@ def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: i
                     out[k] = get(k, 0) + v
             rows = step
         if a.num:
-            items, f = a._packed or a.packed, sign * (lden // a.den)
+            items, f = a.num.items(), sign * (lden // a.den)
             for acc_n, r in zip(acc, rows):
                 _add_products(acc_n, items, r.items(), f)
 
@@ -573,7 +563,7 @@ def compose_coefficients(a, b) -> list[XLaurent]:
     rb, db = _packed_rows(b)
     acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
     _d_power_sum(acc, a, da, rb, (), 1)
-    return [_unpacked(r, da * db) for r in acc]
+    return [_xl_of(r, da * db) for r in acc]
 
 
 def commutator_coefficients(a, b) -> list[XLaurent]:
@@ -584,7 +574,7 @@ def commutator_coefficients(a, b) -> list[XLaurent]:
     acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 2)]
     _d_power_sum(acc, a, da, [{}] * (len(b) - 1), rb, 1)
     _d_power_sum(acc, b, db, [{}] * (len(a) - 1), ra, -1)
-    return [_unpacked(r, da * db) for r in acc]
+    return [_xl_of(r, da * db) for r in acc]
 
 
 def xl(coeffs: dict[int, object]) -> XLaurent:
@@ -746,8 +736,8 @@ def series_sum(plain=(), derived=(), products=()) -> ZSeries:
 
     The result equals the fold ``s1 + ... + d1.derive() + ... + a1 * b1 + ...``,
     window and stored terms alike.  Each z-coefficient sums its terms in one
-    int dict on ``.packed`` keys (``_packed_sum``; a derivative by
-    ``_derive_row``) and is reduced once; no intermediate series is built.
+    int dict (``_packed_sum``; a derivative by ``_derive_row``) and is
+    reduced once; no intermediate series is built.
     """
     spans = [(s.lowest, s.end, s.upper) for s in (*plain, *derived)]
     spans += [(a.lowest + b.lowest, a.end + b.end - 1,
@@ -761,15 +751,15 @@ def series_sum(plain=(), derived=(), products=()) -> ZSeries:
         off = s.lowest - lo
         for i, c in enumerate(s.coeffs[:max(0, n - off)], off):
             if c.num:
-                items = c._packed or c.packed
+                items = c.num.items()
                 rows[i].append((c.den, 1, _derive_row(items).items() if dx else items, None))
     for a, b in products:
         off = a.lowest + b.lowest - lo
-        bnz = [(j, c.den, c._packed or c.packed)
+        bnz = [(j, c.den, c.num.items())
                for j, c in enumerate(b.coeffs[:max(0, n - off)]) if c.num]
         for i, c in enumerate(a.coeffs[:max(0, n - off)], off):
             if c.num:
-                items = c._packed or c.packed
+                items = c.num.items()
                 for j, d, bitems in bnz:
                     if i + j >= n:
                         break

@@ -391,7 +391,7 @@ def _zpoly_dz(coeffs):
 def _xlaurent_jet(c: XLaurent, xj: Jet, ev) -> Jet:
     """The Laurent polynomial ``c`` at the jet ``xj`` of x and at eps = ``ev``."""
     out = Jet.const(0, xj.order)
-    for (xe, ee), n in c.num.items():
+    for xe, ee, n in c.terms():
         out = out + (n * ev**ee / c.den) * (xj**xe if xe >= 0 else (1 / xj) ** -xe)
     return out
 

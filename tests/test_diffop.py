@@ -170,19 +170,26 @@ def test_products_match_the_leibniz_fold_on_edge_operands():
 
 
 def test_products_at_the_packed_eps_cap():
-    top = 2**19 - 1
+    # a stored eps exponent stays below 2**19: products of coefficients with
+    # eps^(2**18 - 1) stay below it, and a result that reaches it raises
+    top = 2**18 - 1
     a = DiffOp([xl({-1: {top: 1}}), xl({2: F(1, 3)}), xl({0: {top: F(-5, 2)}})])
     b = DiffOp([xl({1: {0: 2, top: 1}}), xl({-2: {top: F(-1, 2)}})])
     for x, y in ((a, b), (b, a), (a, a)):
         assert canonical(x.compose(y)) == canonical(fold_compose(x, y))
         assert canonical(x.commutator(y)) == \
             canonical(fold_compose(x, y) - fold_compose(y, x))
-    over = DiffOp([xl({1: 1}), xl({0: {2**19: 1}})])
-    for x, y in ((over, b), (b, over)):
+    # x + eps^(2**18) D and x + eps^(2**18) x^2 D: their product and their
+    # commutator both hold an eps^(2**19) term
+    over = DiffOp([xl({1: 1}), xl({0: {2**18: 1}})])
+    other = DiffOp([xl({1: 1}), xl({2: {2**18: 1}})])
+    for x, y in ((over, other), (other, over)):
         with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
             x.compose(y)
         with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
             x.commutator(y)
+    with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
+        DiffOp([xl({1: 1}), xl({0: {2**19: 1}})])
 
 
 def test_pair_monomials_match_left_to_right_products():

@@ -133,14 +133,18 @@ def test_xlaurent_unit_division():
 
 
 def test_xlaurent_view_is_read_only_and_built_once():
+    # one storage form: numerators keyed by x_exp * 2**20 + eps_exp
     p = xl({-2: 26, 3: {2: F(-1, 5832), 0: F(1, 3)}})
-    assert (p.num, p.den) == ({(-2, 0): 151632, (3, 2): -1, (3, 0): 1944}, 5832)
+    assert (p.num, p.den) == ({-2 * 2**20: 151632, 3 * 2**20 + 2: -1, 3 * 2**20: 1944}, 5832)
+    assert p.terms() == [(-2, 0, 151632), (3, 2, -1), (3, 0, 1944)]
+    assert not hasattr(p, "packed")
     assert p.c is p.c
     assert p.c[3] == EpsPoly({2: F(-1, 5832), 0: F(1, 3)}) and p.coefficient(-2) == ep(26)
-    assert p.packed is p.packed
-    assert p.packed == ((-2 * 2**20, 151632), (3 * 2**20 + 2, -1), (3 * 2**20, 1944))
     with pytest.raises(TypeError):
         p.c[0] = ep(1)
+    # an x-free XLaurent holds its EpsPoly's numerators, keys and all
+    q = EpsPoly({0: F(2, 3), 5: F(-1, 4), 2**19 - 1: 7})
+    assert XLaurent({0: q}).num == q.num and XLaurent({0: q}).den == q.den
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +255,29 @@ def test_sum_of_products_signs_denominators_cancellation():
 
 
 def test_sum_of_products_rejects_an_eps_exponent_at_the_packed_cap():
-    below, at = xl({-5: {2**19 - 1: 3}, 2: 1}), xl({1: {2**19: F(1, 2)}})
-    square = xl({-10: {2**20 - 2: 9}, -3: {2**19 - 1: 6}, 4: 1})
+    # a stored key holds an eps exponent below 2**19: the constructor refuses
+    # one at the cap, and so does every product whose result reaches it
+    cap = r"eps\^{} is beyond the packed-key cap eps\^524287"
+    with pytest.raises(ExactError, match=cap.format(524288)):
+        xl({1: {2**19: F(1, 2)}})
+    with pytest.raises(ExactError, match=cap.format(524288)):
+        xl({1: 1}).scale(EpsPoly({2**19: 1}))
+    below, half = xl({-5: {2**18 - 1: 3}, 2: 1}), xl({-5: {2**18: 3}, 2: 1})
+    square = xl({-10: {2**19 - 2: 9}, -3: {2**18 - 1: 6}, 4: 1})
     assert sum_of_products([(1, below, below)]) == below * below == square
-    with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
-        sum_of_products([(1, below, at)])
-    # ``*`` is the same kernel, so it refuses the same operand
-    with pytest.raises(ExactError, match=r"eps\^524288 is beyond the packed-key cap"):
-        below * at
+    assert (below * half).c[-10] == EpsPoly({2**19 - 1: 9})
+    with pytest.raises(ExactError, match=cap.format(524288)):
+        sum_of_products([(1, half, half)])
+    # ``*`` makes its keys the same way, so it refuses the same product
+    with pytest.raises(ExactError, match=cap.format(524288)):
+        half * half
+    top = xl({-5: {2**19 - 1: 3}, 2: 1})
+    with pytest.raises(ExactError, match=cap.format(2**20 - 2)):
+        top * top
+    # the cap holds for the result: terms that cancel leave nothing to refuse
+    assert sum_of_products([(1, half, half), (-1, half, half)]).is_zero()
+    # an EpsPoly has no cap
+    assert EpsPoly({2**19: 1}) * EpsPoly({2**19: 1}) == EpsPoly({2**20: 1})
 
 
 def test_series_divide_round_trip_seeded():
@@ -514,9 +533,10 @@ def _ref_substitute(a, value):
 
 
 def _as_ref(p: XLaurent):
+    """``p`` as ``{x_exp: {eps_exp: Fraction}}``, decoding each key ``x_exp * 2**20 + eps_exp``."""
     out = {}
-    for (x, e), v in p.num.items():
-        out.setdefault(x, {})[e] = F(v, p.den)
+    for k, v in p.num.items():
+        out.setdefault(k >> 20, {})[k & (2**20 - 1)] = F(v, p.den)
     return out
 
 
@@ -527,6 +547,7 @@ def _assert_canonical(p: XLaurent):
     if not p.num:
         assert p.den == 1
     assert {x: dict(e.c) for x, e in p.c.items()} == _as_ref(p)
+    assert p.terms() == [(k >> 20, k & (2**20 - 1), v) for k, v in p.num.items()]
 
 
 _fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -574,21 +595,58 @@ def test_hypothesis_xlaurent_matches_reference(ra, rb, k, q, rp, value, cs):
 _CAP = 2**19
 _wide_laurent = st.dictionaries(
     st.integers(-40, 5),
-    st.dictionaries(st.integers(0, 3) | st.integers(_CAP - 3, _CAP - 1), _fractions, max_size=3),
+    st.dictionaries(st.integers(0, 3) | st.integers(_CAP // 2 - 3, _CAP // 2 + 1),
+                    _fractions, max_size=3),
     max_size=4)
 
 
 @settings(deadline=None, max_examples=200)
 @given(_wide_laurent, _wide_laurent, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_hypothesis_sum_of_products_packed_keys_match_reference(ra, rb, cs):
-    # negative x exponents and eps exponents just below the cap, whose
-    # products reach eps^(2**20 - 2); a run of three triples shares `a`,
-    # and `a` comes back after `b` as a group of its own
+    # negative x exponents and eps exponents around half the cap, whose
+    # products land on either side of it: a result below the cap matches the
+    # reference, one that reaches it raises; a run of three triples shares
+    # `a`, and `a` comes back after `b` as a group of its own
     a, b = xl(ra), xl(rb)
     ra, rb = _ref_clean(ra), _ref_clean(rb)
     pairs = [(a, b, ra, rb), (a, a, ra, ra), (a, b, ra, rb), (b, a, rb, ra), (a, a, ra, ra)]
-    _checked(sum_of_products([(c, u, v) for c, (u, v, _, _) in zip(cs, pairs)]),
-             _ref_sum_of_products([(c, ru, rv) for c, (_, _, ru, rv) in zip(cs, pairs)]))
+    ref = _ref_sum_of_products([(c, ru, rv) for c, (_, _, ru, rv) in zip(cs, pairs)])
+    terms = [(c, u, v) for c, (u, v, _, _) in zip(cs, pairs)]
+    if any(e >= _CAP for row in ref.values() for e in row):
+        top = max(e for row in ref.values() for e in row)
+        with pytest.raises(ExactError, match=rf"eps\^{top} is beyond the packed-key cap"):
+            sum_of_products(terms)
+        return
+    _checked(sum_of_products(terms), ref)
+
+
+_layout_laurent = st.dictionaries(
+    st.integers(-40, 40),
+    st.dictionaries(st.integers(0, 3) | st.integers(_CAP - 3, _CAP - 1), _fractions, max_size=3),
+    max_size=4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_layout_laurent, st.integers(-40, 40), st.integers(0, 3) | st.integers(_CAP - 3, _CAP - 1),
+       _fractions.filter(bool), st.sampled_from([F(-1), F(0), F(1)]))
+def test_hypothesis_packed_key_layout_round_trips(ra, ux, ue, u, value):
+    # x exponents on both sides of zero and eps exponents up to the cap: the
+    # keys decode through `.c`, and d/dx, unit division and eps substitution
+    # move them as the reference moves its (x_exp, eps_exp) pairs
+    a = _checked(xl(ra), ra)
+    ra = _ref_clean(ra)
+    for x, row in ra.items():
+        assert XLaurent({x: EpsPoly(row)}).num == {x * 2**20 + e: v
+                                                   for e, v in EpsPoly(row).num.items()}
+    _checked(a.derive(), _ref_derive(ra))
+    _checked(a.substitute_eps(value), _ref_substitute(ra, value))
+    unit = xl({ux: {ue: u}})
+    if any(e < ue for row in ra.values() for e in row):
+        with pytest.raises(ExactError):
+            a.divide_unit(unit)
+    else:
+        _checked(a.divide_unit(unit),
+                 {x - ux: {e - ue: v / u for e, v in row.items()} for x, row in ra.items()})
 
 
 @settings(deadline=None, max_examples=200)

@@ -121,6 +121,35 @@ def test_a_package_keeps_the_solver_it_loaded_across_a_fresh_import():
         "assert b.linsolve is not solver and b.linsolve.EpsPoly is b.EpsPoly\n")
 
 
+def test_a_stale_package_refuses_to_load_what_it_has_not_loaded():
+    # after a fresh import of the package, A has no generation of its own to
+    # load a lazy module into: it fails by name instead of binding B's module
+    # to A's exact types, and B loads and solves as usual
+    _run_python(
+        "import importlib, sys\n"
+        "def fresh():\n"
+        "    for name in [n for n in sys.modules if n == 'bcpair' or n.startswith('bcpair.')]:\n"
+        "        del sys.modules[name]\n"
+        "    return importlib.import_module('bcpair')\n"
+        "a = fresh()\n"
+        "b = fresh()\n"
+        "def refused(load, module):\n"
+        "    try:\n"
+        "        load()\n"
+        "    except ImportError as exc:\n"
+        "        assert f'bcpair.{module}' in str(exc) and 'imported afresh' in str(exc), exc\n"
+        "    else:\n"
+        "        raise AssertionError(f'{module} loaded into a stale package')\n"
+        "refused(lambda: a.solve_commuting(a.make_limit_op(), 3), 'linsolve')\n"
+        "refused(lambda: a.kncheck, 'kncheck')\n"
+        "refused(lambda: a.kn_check, 'kncheck')\n"
+        "refused(lambda: a.main, 'cli')\n"
+        "assert not {'bcpair.linsolve', 'bcpair.kncheck', 'bcpair.cli'} & set(sys.modules)\n"
+        "assert sys.modules['bcpair'] is b\n"
+        "assert b.solve_commuting(b.make_limit_op(), 3).dimension == 1\n"
+        "assert b.linsolve.EpsPoly is b.EpsPoly and b.kncheck.ZSeries is b.ZSeries\n")
+
+
 @pytest.mark.parametrize("record, args, other, defaults, text", [
     (CurveDef, (2,), (4,), {"w_eps_power": 4}, "CurveDef(w_eps_power=2)"),
     (Rank3Report, (False, 4, (1, 5)), (False, 4, None), {},
