@@ -18,8 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import (DEFAULT_SERIES_ORDER, EpsPoly, XLaurent, ZSeries,
+from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, XLaurent, ZSeries,
                     series_divide, series_sqrt, xl)
+from .opdata import bc_poly
 
 
 class CurveDef(NamedTuple):
@@ -195,8 +196,24 @@ def curve_series(e: CurveElem, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
     return series_divide(num, e.den, nterms=order)
 
 
+def _eval_at(q: BivarPoly, z: CurveElem, w: CurveElem) -> CurveElem:
+    """``Q(z, w)``, each power of ``z`` and ``w`` one product from the one below it;
+    a coefficient of 1 or -1 is a sign, not a product."""
+    zp, wp = powers = [[CurveElem.one(z.curve), e] for e in (z, w)]
+    for row, top in zip(powers, map(max, zip(*q.c))):
+        while len(row) <= top:
+            row.append(row[-1] * row[1])
+    total = CurveElem(ZSeries.zero(), curve=z.curve)
+    for (i, j), coeff in q.c.items():
+        term = zp[i] if not j else wp[j] if not i else zp[i] * wp[j]
+        sign = 1 if coeff == 1 else -1 if coeff == -1 else 0
+        total = total._add(term if sign else term * coeff, sign or 1)
+    return total
+
+
 def bc_function_identity(curve: CurveDef = DEFAULT_CURVE, eps=None) -> bool:
-    """Whether mu^3 - (eps^4/15552) mu^2 - lambda^4 - lambda^3 vanishes on the curve.
+    """Whether the relation ``opdata.bc_poly()``, mu^3 - (eps^4/15552) mu^2 -
+    lambda^4 - lambda^3, vanishes on the curve.
 
     True on the standard curve; false on the eps^2 variant for generic eps.
     This is the function-field shadow of the algebraic relation between the
@@ -204,9 +221,6 @@ def bc_function_identity(curve: CurveDef = DEFAULT_CURVE, eps=None) -> bool:
     the parameter after the exact arithmetic (eps = 0 reduces the identity to
     mu^3 = lambda^4 + lambda^3).
     """
-    lam, mu = lambda_fn(curve), mu_fn(curve)
-    coeff = EpsPoly.eps_power(4, Fraction(1, 15552))
-    mu2, lam3 = mu.power(2), lam.power(3)
-    q = mu2 * mu - mu2 * coeff - lam3 * lam - lam3
+    q = _eval_at(bc_poly(), lambda_fn(curve), mu_fn(curve))
     parts = (q.a, q.b) if eps is None else (q.a.substitute_eps(eps), q.b.substitute_eps(eps))
     return all(p.is_zero() for p in parts)

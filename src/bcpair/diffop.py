@@ -99,13 +99,15 @@ class DiffOp:
 
     # -- linear operations --------------------------------------------------
 
-    def __add__(self, other: "DiffOp") -> "DiffOp":
+    def _add(self, other: "DiffOp", sign: int = 1) -> "DiffOp":
+        """``self + sign * other`` for ``sign`` in (1, -1)."""
         n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self.coefficient(k) + other.coefficient(k) for k in range(n)])
+        return DiffOp([self.coefficient(k)._add(other.coefficient(k), sign) for k in range(n)])
+
+    __add__ = _add
 
     def __sub__(self, other: "DiffOp") -> "DiffOp":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self.coefficient(k) - other.coefficient(k) for k in range(n)])
+        return self._add(other, -1)
 
     def __neg__(self) -> "DiffOp":
         return DiffOp([-c for c in self.coeffs])

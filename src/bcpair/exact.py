@@ -5,7 +5,7 @@ Everything downstream computes over these types:
 * ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals,
   stored as ``int`` numerators keyed by ``eps_exp`` over one positive ``int``
   denominator in lowest terms; ``.c`` is a lazily built read-only
-  ``{eps_exp: Fraction}`` view.
+  ``{eps_exp: Fraction}`` view.  Only it has a long division (``divmod``).
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
   coefficients, stored the same way in one form: numerators keyed by the int
   ``x_exp * 2**20 + eps_exp``, so an x-free one holds its ``EpsPoly``'s
@@ -13,11 +13,12 @@ Everything downstream computes over these types:
   ``terms()`` decodes the keys.  ``XLaurent(...)`` and every product result
   (``_xl_of``) raise ``ExactError`` for an eps exponent of ``2**19`` or
   more, so two keys add without a carry.  Both types share one base,
-  ``_IntFraction`` (storage, ``+``, ``-``, rational ``scale``, the reducing
-  constructor), and one product kernel, ``_add_products``.  ``sum_of_products``
-  and ``series_sum`` (``ZSeries`` products, the rank-3 reduction frame and
-  its remainder) sum each result in one int dict over a common denominator
-  (``_packed_sum``), as do ``compose_coefficients`` and
+  ``_IntFraction``, with one body for each of ``+``, ``-``, ``*``, ``==``
+  (an x-free ``XLaurent`` equals its ``EpsPoly``), rational ``scale``,
+  ``divide_unit`` and setting eps, and one product kernel, ``_add_products``.
+  ``sum_of_products`` and ``series_sum`` (``ZSeries`` products, the rank-3
+  reduction frame and its remainder) sum each result in one int dict over a
+  common denominator (``_packed_sum``), as do ``compose_coefficients`` and
   ``commutator_coefficients``, and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
@@ -74,7 +75,10 @@ class _IntFraction:
     """Storage shared by ``EpsPoly`` and ``XLaurent``, their only form: ``num`` maps
     each int key to a nonzero ``int`` numerator over one positive ``int``
     denominator ``den``, in lowest terms, so equality is structural.  ``_c``
-    holds a view built on first use.  Sums, negation and ``scale`` are shared."""
+    holds a view built on first use.  Every operation whose body is the same
+    for both types lives here; a subclass names the scalars its ``*`` accepts
+    (``_SCALARS``), the mask that reads a key's eps exponent (``_MASK``) and
+    may replace the hook that builds a product (``_of_acc``)."""
 
     __slots__ = ("num", "den", "_c")
 
@@ -137,6 +141,68 @@ class _IntFraction:
             return self._of({}, 1)
         return self._of({k: v * p for k, v in self.num.items()}, self.den * q)
 
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            if isinstance(other, self._SCALARS):
+                return self.scale(other)
+            return NotImplemented
+        acc: dict[int, int] = {}
+        _add_products(acc, self.num.items(), other.num.items(), 1)
+        return self._of_acc(acc, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def _of_acc(cls, acc: dict[int, int], den: int):
+        """The nonzero numerators of ``acc`` over ``den``, reduced once."""
+        return cls._of({k: v for k, v in acc.items() if v}, den)
+
+    def __eq__(self, other) -> bool:
+        """An int or ``Fraction`` is a constant; an ``EpsPoly`` equals an x-free ``XLaurent``
+        with its numerators (an ``EpsPoly`` key of ``2**19`` or more is no x-free key)."""
+        if type(other) is type(self):
+            return self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return self.den == other.denominator and self.num == ({0: p} if p else {})
+        return (isinstance(other, _IntFraction) and self.den == other.den
+                and self.num == other.num and max(self.num, default=0) < _EPS_CAP)
+
+    def divide_unit(self, unit):
+        """Exact division by a one-term ``unit``; the eps part (``key & _MASK``) of
+        every key must reach the unit's."""
+        if len(unit.num) != 1:
+            raise ExactError(f"not an invertible coefficient: {unit}")
+        (uk, u), = unit.num.items()
+        mask = self._MASK
+        ue = uk & mask
+        # times 1/u, with the sign of u moved to the numerators
+        u, du = abs(u), -unit.den if u < 0 else unit.den
+        num = {}
+        for k, v in self.num.items():
+            if (ee := k & mask) < ue:
+                raise ExactError(f"eps^{ee} term not divisible by eps^{ue}")
+            num[k - uk] = v * du
+        return self._of(num, self.den * u)
+
+    def _at_eps(self, value):
+        """Set eps to a rational p/q: sum v p^e q^(top-e) over q^top, with e the eps
+        part (``key & _MASK``) of each key and top the eps-degree."""
+        value = _fr(value)
+        mask = self._MASK
+        exps = {k & mask for k in self.num}
+        top = max(exps, default=0)
+        if not top:
+            return self
+        p, q = value.numerator, value.denominator
+        # p^e q^(top-e) for the eps exponents present only
+        f = {e: p**e * q**(top - e) for e in exps}
+        acc: dict[int, int] = {}
+        for k, v in self.num.items():
+            rest = k & ~mask  # the key with its eps part cleared
+            acc[rest] = acc.get(rest, 0) + v * f[k & mask]
+        return self._of({k: v for k, v in acc.items() if v}, self.den * q**top)
+
 
 # ---------------------------------------------------------------------------
 # polynomials in eps over Q
@@ -154,6 +220,8 @@ class EpsPoly(_IntFraction):
     """
 
     __slots__ = ()
+    _SCALARS = (int, Fraction)
+    _MASK = -1  # a key is its eps exponent
 
     def __init__(self, coeffs: dict[int, Fraction] | None = None):
         terms: dict[int, Fraction] = {}
@@ -204,44 +272,10 @@ class EpsPoly(_IntFraction):
         """The coefficient of the highest eps power; 0 for the zero polynomial."""
         return Fraction(self.num[max(self.num)], self.den) if self.num else Fraction(0)
 
-    def __mul__(self, other) -> "EpsPoly":
-        if not isinstance(other, EpsPoly):
-            if isinstance(other, (int, Fraction)):
-                return self.scale(other)
-            return NotImplemented
-        acc: dict[int, int] = {}
-        _add_products(acc, self.num.items(), other.num.items(), 1)
-        return self._of({e: v for e, v in acc.items() if v}, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EpsPoly):
-            if not isinstance(other, (int, Fraction)):
-                return False
-            other = EpsPoly.const(other)
-        return self.den == other.den and self.num == other.num
-
     def substitute(self, value) -> Fraction:
         """Evaluate at a rational value of eps."""
-        value = _fr(value)
-        return sum((v * value**e for e, v in self.c.items()), Fraction(0))
-
-    def divide_monomial(self, coeff: Fraction, exp: int) -> "EpsPoly":
-        """Exact division by ``coeff * eps**exp``; every term must be divisible."""
-        coeff = _fr(coeff)
-        if not coeff:
-            raise ExactError("division by zero eps monomial")
-        # times q/p, with the sign of p moved to the numerators
-        p, q = coeff.numerator, coeff.denominator
-        if p < 0:
-            p, q = -p, -q
-        num = {}
-        for e, v in self.num.items():
-            if e < exp:
-                raise ExactError(f"eps^{e} term not divisible by eps^{exp}")
-            num[e - exp] = v * q
-        return self._of(num, self.den * p)
+        at = self._at_eps(value)
+        return Fraction(at.num.get(0, 0), at.den)
 
     def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
         """Long division ``self = q * other + r`` with ``r.degree() < other.degree()``.
@@ -276,8 +310,7 @@ class EpsPoly(_IntFraction):
     def divexact(self, other: "EpsPoly") -> "EpsPoly":
         """Exact polynomial division; raises if the remainder is nonzero."""
         if len(other.num) == 1:
-            (e, v), = other.num.items()
-            return self.divide_monomial(Fraction(v, other.den), e)
+            return self.divide_unit(other)
         q, r = divmod(self, other)
         if r.num:
             raise ExactError("inexact eps-polynomial division")
@@ -329,6 +362,8 @@ class XLaurent(_IntFraction):
     """
 
     __slots__ = ()
+    _SCALARS = (int, Fraction, EpsPoly)
+    _MASK = _EPS_MASK
 
     def __init__(self, coeffs: dict[int, EpsPoly] | None = None):
         rows: list[tuple[int, EpsPoly]] = []
@@ -380,26 +415,19 @@ class XLaurent(_IntFraction):
     def is_one(self) -> bool:
         return self.den == 1 and self.num == {0: 1}
 
-    def __mul__(self, other) -> "XLaurent":
-        if not isinstance(other, XLaurent):
-            if isinstance(other, (int, Fraction, EpsPoly)):
-                return self.scale(other)
-            return NotImplemented
-        acc: dict[int, int] = {}
-        _add_products(acc, self.num.items(), other.num.items(), 1)
-        return _xl_of(acc, self.den * other.den)
-
-    __rmul__ = __mul__
+    @classmethod
+    def _of_acc(cls, acc: dict[int, int], den: int) -> "XLaurent":
+        """The nonzero numerators of ``acc`` over ``den``, reduced once.  The keys are
+        sums of stored ones, so an eps part at the cap or beyond sets bit 19."""
+        num = {k: v for k, v in acc.items() if v}
+        if reduce(or_, num, 0) & _EPS_CAP:
+            raise _cap_error(max(k & _EPS_MASK for k in num))
+        return cls._of(num, den)
 
     def scale(self, value) -> "XLaurent":
         if isinstance(value, EpsPoly):
             return self * XLaurent({0: value})
         return super().scale(value)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, EpsPoly)):
-            other = XLaurent({0: other})
-        return isinstance(other, XLaurent) and self.den == other.den and self.num == other.num
 
     def derive(self) -> "XLaurent":
         return self._of(_derive_row(self.num.items()), self.den)
@@ -407,44 +435,11 @@ class XLaurent(_IntFraction):
     def coefficient(self, xexp: int) -> EpsPoly:
         return self.c.get(xexp, _EP_ZERO)
 
-    def substitute_eps(self, value) -> "XLaurent":
-        """Set eps to a rational p/q: sum v p^e q^(top-e) over q^top, top the eps-degree."""
-        if not self.num:
-            return self
-        value = _fr(value)
-        top = max(k & _EPS_MASK for k in self.num)
-        if not top:
-            return self
-        p, q = value.numerator, value.denominator
-        # p^e q^(top-e) for the eps exponents present only
-        f = {e: p**e * q**(top - e) for e in {k & _EPS_MASK for k in self.num}}
-        acc: dict[int, int] = {}
-        for k, v in self.num.items():
-            ee = k & _EPS_MASK
-            k -= ee
-            acc[k] = acc.get(k, 0) + v * f[ee]
-        return self._of({k: v for k, v in acc.items() if v}, self.den * q**top)
+    substitute_eps = _IntFraction._at_eps
 
     def is_unit(self) -> bool:
         """A unit is a single monomial c * x^a * eps^b with c != 0."""
         return len(self.num) == 1
-
-    def divide_unit(self, unit: "XLaurent") -> "XLaurent":
-        """Exact division by a unit monomial; used by series inversion."""
-        if not unit.is_unit():
-            raise ExactError(f"not an invertible coefficient: {unit}")
-        (uk, u), = unit.num.items()
-        ue = uk & _EPS_MASK
-        if u < 0:
-            u, du = -u, -unit.den
-        else:
-            du = unit.den
-        num = {}
-        for k, v in self.num.items():
-            if (ee := k & _EPS_MASK) < ue:
-                raise ExactError(f"eps^{ee} term not divisible by eps^{ue}")
-            num[k - uk] = v * du
-        return self._of(num, self.den * u)
 
     def __repr__(self):
         return f"XLaurent({self})"
@@ -466,6 +461,7 @@ class XLaurent(_IntFraction):
 
 _XL_ZERO = XLaurent()
 _XL_ONE = XLaurent.one()
+_xl_of = XLaurent._of_acc
 
 
 def _cap_error(ee: int) -> ExactError:
@@ -511,15 +507,6 @@ def _add_products(acc: dict[int, int], aitems, bitems, f: int) -> None:
         for k2, v2 in bitems:
             k = k1 + k2
             acc[k] = get(k, 0) + v1 * v2
-
-
-def _xl_of(acc: dict[int, int], den: int) -> XLaurent:
-    """The XLaurent of the nonzero numerators ``acc`` over ``den``, reduced once.  The
-    keys are sums of stored ones, so an eps part at the cap or beyond sets bit 19."""
-    num = {k: v for k, v in acc.items() if v}
-    if reduce(or_, num, 0) & _EPS_CAP:
-        raise _cap_error(max(k & _EPS_MASK for k in num))
-    return XLaurent._of(num, den)
 
 
 def _packed_rows(values) -> tuple[list[dict[int, int]], int]:
@@ -845,12 +832,7 @@ class BivarPoly:
         return isinstance(other, BivarPoly) and self.c == other.c
 
     def substitute_eps(self, value) -> "BivarPoly":
-        out: dict[tuple[int, int], EpsPoly] = {}
-        for k, v in self.c.items():
-            r = v.substitute(value)
-            if r:
-                out[k] = EpsPoly.const(r)
-        return BivarPoly(out)
+        return BivarPoly({k: v._at_eps(value) for k, v in self.c.items()})
 
     def __str__(self):
         if not self.c:
