@@ -162,12 +162,12 @@ class _Parser:
     def atom(self) -> DiffOp:
         tok = self.next()
         if tok[0] == "int":
-            return DiffOp.from_coeff(XLaurent.monomial(0, tok[1]))
+            return DiffOp.monomial(XLaurent.monomial(0, tok[1]), 0)
         if tok[0] == "name":
             if tok[1] == "x":
-                return DiffOp.from_coeff(XLaurent.var())
+                return DiffOp.monomial(XLaurent.var(), 0)
             if tok[1] == "eps":
-                return DiffOp.from_coeff(XLaurent({0: EpsPoly.eps_power(1)}))
+                return DiffOp.monomial(XLaurent({0: EpsPoly.eps_power(1)}), 0)
             if tok[1] == "D":
                 return DiffOp.d(1)
             self.error(f"unknown symbol {tok[1]!r}", tok)
@@ -184,13 +184,13 @@ def _inverse_unit_op(op: DiffOp, parser: _Parser, tok) -> DiffOp:
     if op.order != 0:
         parser.error("division/negative powers need an order-0 operand", tok)
     c = op.coeffs[0]
-    if not c.is_unit():
+    if not c.is_monomial():
         parser.error("division only by x-monomials and rational constants", tok)
     (xe, epoly), = c.c.items()
     (ee, val), = epoly.c.items()
     if ee != 0:
         parser.error("division by eps powers is not representable", tok)
-    return DiffOp.from_coeff(XLaurent.monomial(-xe, Fraction(1) / val))
+    return DiffOp.monomial(XLaurent.monomial(-xe, Fraction(1) / val), 0)
 
 
 def parse_op(text: str) -> DiffOp:

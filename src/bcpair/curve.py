@@ -104,6 +104,8 @@ class CurveElem:
 
     def _add(self, other: "CurveElem", sign: int = 1) -> "CurveElem":
         """``self + sign * other`` for ``sign`` in (1, -1)."""
+        if not isinstance(other, CurveElem):
+            return NotImplemented
         self._check(other)
         m = max(self.m, other.m)
         (a1, b1), (a2, b2) = self._lift(m), other._lift(m)
@@ -117,6 +119,8 @@ class CurveElem:
     def __mul__(self, other) -> "CurveElem":
         if isinstance(other, (int, Fraction, EpsPoly)):
             return CurveElem(self.a.scale(other), self.b.scale(other), self.m, self.curve)
+        if not isinstance(other, CurveElem):
+            return NotImplemented
         self._check(other)
         a = self.a * other.a + self.b * other.b * self.curve.w_squared()
         b = self.a * other.b + self.b * other.a
@@ -127,15 +131,6 @@ class CurveElem:
     def __eq__(self, other) -> bool:
         return (isinstance(other, CurveElem) and self.curve == other.curve
                 and (self - other).is_zero())
-
-    def power(self, k: int) -> "CurveElem":
-        """``self`` to the power k >= 0, by k - 1 products for k >= 1."""
-        if k < 0:
-            raise ValueError(f"the power must be an int >= 0, got {k!r}")
-        out = self if k else CurveElem.one(self.curve)
-        for _ in range(k - 1):
-            out = out * self
-        return out
 
     def derive(self) -> "CurveElem":
         """d/dx of N/kappa^m is (N' kappa - m N kappa')/kappa^(m+1), N = a + bw;

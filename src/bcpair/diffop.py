@@ -56,7 +56,7 @@ class DiffOp:
 
     @classmethod
     def identity(cls, ring=XLAURENT_RING) -> "DiffOp":
-        return cls((_ONE,), ring)
+        return cls.d(0, ring)
 
     @classmethod
     def d(cls, k: int = 1, ring=XLAURENT_RING) -> "DiffOp":
@@ -64,12 +64,8 @@ class DiffOp:
         return cls([_ZERO] * k + [_ONE], ring)
 
     @classmethod
-    def from_coeff(cls, c: XLaurent) -> "DiffOp":
-        """Multiplication operator by a coefficient."""
-        return cls((c,))
-
-    @classmethod
     def monomial(cls, c: XLaurent, k: int) -> "DiffOp":
+        """``c D^k``; ``k = 0`` is multiplication by ``c``."""
         return cls([_ZERO] * k + [c])
 
     # -- structure ---------------------------------------------------------
@@ -101,6 +97,8 @@ class DiffOp:
 
     def _add(self, other: "DiffOp", sign: int = 1) -> "DiffOp":
         """``self + sign * other`` for ``sign`` in (1, -1)."""
+        if not isinstance(other, DiffOp):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return DiffOp([self.coefficient(k)._add(other.coefficient(k), sign) for k in range(n)])
 

@@ -6,6 +6,7 @@ Everything downstream computes over these types:
   stored as ``int`` numerators keyed by ``eps_exp`` over one positive ``int``
   denominator in lowest terms; ``.c`` is a lazily built read-only
   ``{eps_exp: Fraction}`` view.  Only it has a long division (``divmod``).
+  ``ep`` is the one promotion of an int or ``Fraction`` to it.
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
   coefficients, stored the same way in one form: numerators keyed by the int
   ``x_exp * 2**20 + eps_exp``, so an x-free one holds its ``EpsPoly``'s
@@ -13,9 +14,10 @@ Everything downstream computes over these types:
   ``terms()`` decodes the keys.  ``XLaurent(...)`` and every product result
   (``_xl_of``) raise ``ExactError`` for an eps exponent of ``2**19`` or
   more, so two keys add without a carry.  Both types share one base,
-  ``_IntFraction``, with one body for each of ``+``, ``-``, ``*``, ``==``
-  (an x-free ``XLaurent`` equals its ``EpsPoly``), rational ``scale``,
-  ``divide_unit`` and setting eps, and one product kernel, ``_add_products``.
+  ``_IntFraction``, with one body and one name for each of ``+``, ``-``,
+  ``*``, ``==`` (an x-free ``XLaurent`` equals its ``EpsPoly``), rational
+  ``scale``, ``is_monomial``, ``divide_unit`` and ``substitute_eps``, and one
+  product kernel, ``_add_products``.
   ``sum_of_products`` and ``series_sum`` (``ZSeries`` products, the rank-3
   reduction frame and its remainder) sum each result in one int dict over a
   common denominator (``_packed_sum``), as do ``compose_coefficients`` and
@@ -25,7 +27,7 @@ Everything downstream computes over these types:
   truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
   stores exactly its window, so its stored terms end (``end``) where its
   knowledge does (``upper``); an exact one stores no leading or trailing
-  zero.
+  zero.  ``==`` compares the terms on the intersection of the two windows.
 * ``BivarPoly``    -- polynomials in two commuting placeholders ``(z, w)`` over
   ``EpsPoly``; used for algebraic relations between a pair of operators.
 
@@ -96,6 +98,10 @@ class _IntFraction:
 
     def is_zero(self) -> bool:
         return not self.num
+
+    def is_monomial(self) -> bool:
+        """One term: ``c * eps^b``, or ``c * x^a * eps^b`` for an ``XLaurent``."""
+        return len(self.num) == 1
 
     def _add(self, other, sign: int = 1):
         """``self + sign * other`` for ``sign`` in (1, -1), over the lcm of the
@@ -171,7 +177,7 @@ class _IntFraction:
     def divide_unit(self, unit):
         """Exact division by a one-term ``unit``; the eps part (``key & _MASK``) of
         every key must reach the unit's."""
-        if len(unit.num) != 1:
+        if not unit.is_monomial():
             raise ExactError(f"not an invertible coefficient: {unit}")
         (uk, u), = unit.num.items()
         mask = self._MASK
@@ -185,9 +191,10 @@ class _IntFraction:
             num[k - uk] = v * du
         return self._of(num, self.den * u)
 
-    def _at_eps(self, value):
+    def substitute_eps(self, value):
         """Set eps to a rational p/q: sum v p^e q^(top-e) over q^top, with e the eps
-        part (``key & _MASK``) of each key and top the eps-degree."""
+        part (``key & _MASK``) of each key and top the eps-degree.  The result has
+        the type of ``self``: an ``EpsPoly`` constant, an x-only ``XLaurent``."""
         value = _fr(value)
         mask = self._MASK
         exps = {k & mask for k in self.num}
@@ -262,20 +269,12 @@ class EpsPoly(_IntFraction):
     def one(cls) -> "EpsPoly":
         return cls({0: 1})
 
-    def is_monomial(self) -> bool:
-        return len(self.num) == 1
-
     def degree(self) -> int:
         return max(self.num) if self.num else -1
 
     def leading_coefficient(self) -> Fraction:
         """The coefficient of the highest eps power; 0 for the zero polynomial."""
         return Fraction(self.num[max(self.num)], self.den) if self.num else Fraction(0)
-
-    def substitute(self, value) -> Fraction:
-        """Evaluate at a rational value of eps."""
-        at = self._at_eps(value)
-        return Fraction(at.num.get(0, 0), at.den)
 
     def __divmod__(self, other: "EpsPoly") -> tuple["EpsPoly", "EpsPoly"]:
         """Long division ``self = q * other + r`` with ``r.degree() < other.degree()``.
@@ -309,7 +308,7 @@ class EpsPoly(_IntFraction):
 
     def divexact(self, other: "EpsPoly") -> "EpsPoly":
         """Exact polynomial division; raises if the remainder is nonzero."""
-        if len(other.num) == 1:
+        if other.is_monomial():
             return self.divide_unit(other)
         q, r = divmod(self, other)
         if r.num:
@@ -369,7 +368,7 @@ class XLaurent(_IntFraction):
         rows: list[tuple[int, EpsPoly]] = []
         if coeffs:
             for e, v in coeffs.items():
-                v = v if isinstance(v, EpsPoly) else EpsPoly.const(v)
+                v = ep(v)
                 if v.num:
                     if (top := v.degree()) >= _EPS_CAP:
                         raise _cap_error(top)
@@ -434,12 +433,6 @@ class XLaurent(_IntFraction):
 
     def coefficient(self, xexp: int) -> EpsPoly:
         return self.c.get(xexp, _EP_ZERO)
-
-    substitute_eps = _IntFraction._at_eps
-
-    def is_unit(self) -> bool:
-        """A unit is a single monomial c * x^a * eps^b with c != 0."""
-        return len(self.num) == 1
 
     def __repr__(self):
         return f"XLaurent({self})"
@@ -666,6 +659,8 @@ class ZSeries:
 
     def _add(self, other: "ZSeries", sign: int = 1) -> "ZSeries":
         """``self + sign * other`` for ``sign`` in (1, -1)."""
+        if not isinstance(other, ZSeries):
+            return NotImplemented
         upper = min(self.upper, other.upper)
         lo = min(self.lowest, other.lowest)
         coeffs = [self.coefficient(e)._add(other.coefficient(e), sign)
@@ -701,14 +696,13 @@ class ZSeries:
     def substitute_eps(self, value) -> "ZSeries":
         return ZSeries(self.lowest, [v.substitute_eps(value) for v in self.coeffs], self.upper)
 
-    def eq_known(self, other: "ZSeries") -> bool:
+    def __eq__(self, other) -> bool:
         """Equality of all coefficients on the intersection of known windows."""
+        if not isinstance(other, ZSeries):
+            return False
         hi = min(self.upper, other.upper, max(self.end, other.end))
         return all(self.coefficient(e) == other.coefficient(e)
                    for e in range(min(self.lowest, other.lowest), hi))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZSeries) and self.eq_known(other)
 
     def __repr__(self):
         inside = ", ".join(f"z^{self.lowest + i}: {v}" for i, v in enumerate(self.coeffs)
@@ -755,7 +749,7 @@ def series_sum(plain=(), derived=(), products=()) -> ZSeries:
 
 
 def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSeries:
-    """Series division; the leading z-coefficient of ``den`` must be a unit.
+    """Series division; the leading z-coefficient of ``den`` must be one term.
 
     The result ``s`` satisfies ``s * den == num`` through the returned window.
     """
@@ -763,8 +757,8 @@ def series_divide(num: ZSeries, den: ZSeries, nterms: int | None = None) -> ZSer
     if lead is None:
         raise ZeroDivisionError("division by zero series")
     ld, d0 = lead
-    if not d0.is_unit():
-        raise ExactError(f"leading z-coefficient is not an invertible unit: {d0}")
+    if not d0.is_monomial():
+        raise ExactError(f"leading z-coefficient is not one term: {d0}")
     lo = num.lowest - ld
     win = min(num.known_len(), den.known_len())
     if nterms is not None:
@@ -820,7 +814,7 @@ class BivarPoly:
         c: dict[tuple[int, int], EpsPoly] = {}
         if coeffs:
             for (ze, we), v in coeffs.items():
-                v = ep(v) if not isinstance(v, EpsPoly) else v
+                v = ep(v)
                 if not v.is_zero():
                     c[(ze, we)] = v
         self.c = c
@@ -832,7 +826,7 @@ class BivarPoly:
         return isinstance(other, BivarPoly) and self.c == other.c
 
     def substitute_eps(self, value) -> "BivarPoly":
-        return BivarPoly({k: v._at_eps(value) for k, v in self.c.items()})
+        return BivarPoly({k: v.substitute_eps(value) for k, v in self.c.items()})
 
     def __str__(self):
         if not self.c:

@@ -138,6 +138,8 @@ class Jet:
         return Jet.const(other, self.order) / self
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"a jet power needs n >= 0, got {n}")
         if n == 0:
             return Jet.const(1, self.order)
         out = self

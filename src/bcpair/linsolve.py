@@ -1,28 +1,28 @@
-"""Exact linear algebra helpers for the constructive pipeline.
+"""Exact linear algebra for the constructive pipeline.
 
-Four solvers live here, each deterministic:
+``BareissEchelon`` is the one solver the pipeline calls: fraction-free
+echelon over Q[eps] (Bareiss 1968) with primitive solutions over Q[eps], for
+the commutant constraints, commutant membership and algebraic-relation
+discovery.  ``derive_L1_coeffs`` needs no solver: it back-substitutes
+through its triangular system.
 
-* small dense Gaussian elimination over the rationals (first-nonzero pivot in
-  column order),
-* sparse forward echelon over a prime field, with primes, CRT and rational
-  reconstruction,
-* sparse incremental echelon over the rationals for small column counts,
-* fraction-free echelon over Q[eps] (Bareiss 1968), with primitive solutions
-  over Q[eps]: the commutant constraints, commutant membership and
-  algebraic-relation discovery.
+The rest has no caller in the pipeline.  It stays, with its own unit tests,
+only because a benchmark metric wraps it, and goes when that metric is
+retired:
 
-Plus Lagrange interpolation.
-
-``gauss_solve``, ``lagrange_coefficients``, ``ModEchelon``, ``prime_stream``,
-``crt_pair``, ``rational_reconstruct``, ``fraction_mod`` and
-``FractionEchelon`` have no caller in the pipeline: ``derive_L1_coeffs``
-solves its triangular system by back-substitution, and every other solve
-eliminates over Q[eps] with ``BareissEchelon``.  They stay, with their own
-unit tests, until the benchmark's per-layer metrics that wrap them
-(``linsolve.gauss_solve.*``, ``linsolve.lagrange_s``,
-``linsolve.mod_echelon_insert.calls``, ``linsolve.primes_drawn``,
-``linsolve.rational_reconstruct.calls``, ``linsolve.fraction_echelon_*``,
-``linsolve.echelon_insert_us``) are retired.
+* ``gauss_solve`` (dense elimination over Q) feeds
+  ``linsolve.gauss_solve.calls`` and ``linsolve.gauss_solve.useful_ratio``;
+* ``lagrange_coefficients`` feeds ``linsolve.lagrange_s``;
+* ``ModEchelon.insert`` (forward echelon over GF(p)) feeds
+  ``linsolve.mod_echelon_insert.calls``;
+* ``prime_stream`` feeds ``linsolve.primes_drawn``, and
+  ``rational_reconstruct`` feeds ``linsolve.rational_reconstruct.calls``;
+  ``crt_pair`` and ``fraction_mod`` feed no metric, but the
+  ``rational_reconstruct`` tests build their inputs with them;
+* ``FractionEchelon`` (``insert``, ``reduce_vector``, ``kernel_basis``, an
+  incremental echelon over Q) feeds ``linsolve.fraction_echelon_insert.calls``,
+  ``linsolve.fraction_echelon_s`` and the micro-benchmark
+  ``linsolve.echelon_insert_us``.
 """
 
 from __future__ import annotations
@@ -193,30 +193,6 @@ class ModEchelon:
         if rhs:
             self.inconsistent = True
 
-    def _back_substitute(self, columns: list[int], free_values: dict[int, int],
-                         use_rhs: bool) -> dict[int, int]:
-        p = self.p
-        sol = {c: free_values.get(c, 0) for c in columns if c not in self.rows}
-        for lead in sorted(self.rows, reverse=True):
-            row, rhs = self.rows[lead]
-            acc = rhs if use_rhs else 0
-            for c, v in row.items():
-                if c == lead:
-                    continue
-                s = sol.get(c, 0)
-                if s:
-                    acc = (acc - v * s) % p
-            sol[lead] = acc % p
-        return sol
-
-    def solve_particular(self, columns: list[int]) -> dict[int, int]:
-        """Solution with every free column set to 0."""
-        return self._back_substitute(columns, {}, use_rhs=True)
-
-    def kernel_vector(self, columns: list[int], free_col: int) -> dict[int, int]:
-        """Homogeneous solution with 1 at ``free_col``, 0 at other free columns."""
-        return self._back_substitute(columns, {free_col: 1}, use_rhs=False)
-
 
 # ---------------------------------------------------------------------------
 # sparse echelon over Q (small column counts)
@@ -244,9 +220,6 @@ class FractionEchelon:
                     row[c] = nv
                 else:
                     row.pop(c, None)
-
-    def rank(self) -> int:
-        return len(self.rows)
 
     def reduce_vector(self, row: dict) -> dict:
         """Forward-reduce a vector against the echelon; residual is returned."""

@@ -208,7 +208,7 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     while rows:
         for i, ((j, s), coeffs, rhs) in enumerate(rows):
             unsolved = [n for n in coeffs if n not in solved]
-            if len(unsolved) > 1 or (unsolved and not coeffs[unsolved[0]].is_unit()):
+            if len(unsolved) > 1 or (unsolved and not coeffs[unsolved[0]].is_monomial()):
                 continue
             del rows[i]
             value = sum_of_products([(1, rhs, _ONE)] + [

@@ -150,7 +150,7 @@ def test_printer_output_is_pinned(name, fmt):
 
 def printed_l2() -> DiffOp:
     """L2 as its published table prints it, without the x^0 constant of D^0."""
-    return make_l2() - DiffOp.from_coeff(xl({0: {4: F(1541, 11337408)}}))
+    return make_l2() - DiffOp.monomial(xl({0: {4: F(1541, 11337408)}}), 0)
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):

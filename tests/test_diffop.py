@@ -18,7 +18,7 @@ I = DiffOp.identity()
 
 
 def coeff_op(c: XLaurent) -> DiffOp:
-    return DiffOp.from_coeff(c)
+    return DiffOp.monomial(c, 0)
 
 
 def random_op(r, max_order=3) -> DiffOp:

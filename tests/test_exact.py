@@ -1,13 +1,14 @@
 """The exact arithmetic layer: scalars, Laurent polynomials, fractions, series."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcpair import (CurveElem, DiffOp, EpsPoly, ExactError, XLaurent, ZSeries, ep,
-                    series_sqrt, xl)
+                    lambda_fn, series_sqrt, xl)
 from bcpair.exact import series_divide, series_sum, sum_of_products
 from conftest import (assert_same_series, random_epspoly, random_xlaurent,
                       reference_product, rng)
@@ -101,8 +102,8 @@ def test_epspoly_divexact():
 
 def test_epspoly_substitute():
     p = EpsPoly({0: F(1), 2: F(3)})
-    assert p.substitute(2) == F(13)
-    assert p.substitute(0) == F(1)
+    assert p.substitute_eps(2) == F(13)
+    assert p.substitute_eps(0) == F(1)
 
 
 def test_epspoly_leading_coefficient():
@@ -155,14 +156,28 @@ def test_equality_across_types_is_symmetric_and_never_raises():
         assert value != "1" and value != 1.0 and value != ZSeries.one()
 
 
+def test_foreign_operands_are_a_type_error():
+    # +, - and * with a value of another kind raise TypeError, not an
+    # AttributeError from inside the method
+    lam, ident, one = lambda_fn(), DiffOp.identity(), ZSeries.one()
+    add_sub = [(lam, 1.5), (lam, 1), (lam, XLaurent.var()), (lam, one),
+               (ident, 1), (ident, XLaurent.one()), (one, 1), (one, XLaurent.one())]
+    cases = [(op, a, b) for a, b in add_sub for op in (operator.add, operator.sub)]
+    for b in (1.5, XLaurent.var(), one, ident):
+        cases += [(operator.mul, lam, b), (operator.mul, b, lam)]
+    for op, a, b in cases:
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
 def test_xlaurent_unit_division():
     u = xl({2: {2: F(3)}})
-    assert u.is_unit()
+    assert u.is_monomial()
     p = xl({5: {4: F(6)}, 2: {2: F(-3)}})
     assert p.divide_unit(u) == xl({3: {2: F(2)}, 0: -1})
     with pytest.raises(ExactError):
         xl({0: 1}).divide_unit(u)  # eps^0 not divisible by eps^2
-    assert not xl({0: 1, 1: 1}).is_unit()
+    assert not xl({0: 1, 1: 1}).is_monomial()
 
 
 def test_xlaurent_view_is_read_only_and_built_once():
@@ -259,14 +274,14 @@ def test_fraction_expansion_chi2_shape():
     assert s.coefficient(6) == xl({-7: {4: 3}, -4: {2: 3}})
     # re-multiplication oracle
     back = s * den
-    assert back.eq_known(num)
+    assert back == num
 
 
 def test_fraction_expansion_z3_over_kappa():
     s = series_divide(mono(0, 3), kappa_poly(), nterms=6)
     assert s.coefficient(3) == xl({-3: -1})
     back = s * kappa_poly()
-    assert back.eq_known(mono(0, 3))
+    assert back == mono(0, 3)
 
 
 def test_fraction_expansion_rejects_bad_leading():
@@ -321,7 +336,7 @@ def test_series_divide_round_trip_seeded():
         den_coeffs += [random_xlaurent(r) for _ in range(3)]
         den = ZSeries(0, den_coeffs, 4)
         s = series_divide(num, den)
-        assert (s * den).eq_known(num.truncate(int(s.upper)))
+        assert s * den == num.truncate(int(s.upper))
 
 
 def test_series_sqrt_perfect_square():
@@ -346,7 +361,7 @@ def test_series_sqrt_curve_data():
     r = series_sqrt(w2.truncate(10))
     assert r.coefficient(3) == xl({0: -1})
     assert r.coefficient(4) == xl({0: {4: F(-1, 7776)}})
-    assert (r * r).eq_known(w2.truncate(10))
+    assert r * r == w2.truncate(10)
 
 
 def test_series_sqrt_rejects_non_unit_constant():
@@ -504,7 +519,7 @@ def test_series_sqrt_round_trip_seeded():
                                      for _ in range(5)]
         s = ZSeries(0, coeffs, 6)
         root = series_sqrt(s)
-        assert (root * root).eq_known(s)
+        assert root * root == s
 
 
 @settings(deadline=None, max_examples=120)
@@ -801,9 +816,16 @@ def test_hypothesis_epspoly_matches_fraction_reference(ra, rb, k, exp, value):
     else:
         with pytest.raises(ExactError):
             a.divide_unit(unit)
-    assert a.substitute(value) == _fr_substitute(ra, value)
+    # the x-free XLaurent holds a's numerators, and the shared is_monomial and
+    # substitute_eps read both alike; each result keeps its type
+    x = XLaurent({0: a})
+    assert x.num == a.num and x.den == a.den
+    at = _fr_substitute(ra, value)
+    assert a.is_monomial() == x.is_monomial() == (len(ra) == 1)
+    assert type(_ep_checked(a.substitute_eps(value), {0: at})) is EpsPoly
+    assert type(_checked(x.substitute_eps(value), {0: {0: at}})) is XLaurent
+    assert a.substitute_eps(value) == x.substitute_eps(value) == at
     assert a.degree() == max(ra, default=-1)
-    assert a.is_monomial() == (len(ra) == 1)
     assert (a == b) == (ra == rb)
     assert (a == k) == (ra == _fr_clean({0: k}))
     assert str(a) == _fr_str(ra)

@@ -107,6 +107,16 @@ def test_jet_powers_and_truncation():
         assert _bits((x / y).truncate(2)) == _bits(x.truncate(2) / y)
 
 
+def test_jet_negative_power_is_an_error():
+    # a negative power used to return the jet itself; 1 / x is the inverse
+    x = Jet((2, 1, 0))
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="n >= 0"):
+            x ** n
+    with workdps(40):
+        assert (1 / Jet((mpf(2), mpf(1), mpf(0)))).d == (mpf(1) / 2, -mpf(1) / 4, mpf(1) / 4)
+
+
 def test_gamma_eval_derivative_count():
     full = gamma_eval(F(3, 2), -1, 4, 60)
     for n in range(5):

@@ -76,21 +76,6 @@ def test_reconstruction_failure_is_detected():
     assert rec != big
 
 
-def test_mod_echelon_solve_and_kernel():
-    p = 10**9 + 7
-    ech = linsolve.ModEchelon(p)
-    # x + y = 3, x - y = 1  -> x = 2, y = 1
-    ech.insert({0: 1, 1: 1}, 3)
-    ech.insert({0: 1, 1: p - 1}, 1)
-    sol = ech.solve_particular([0, 1])
-    assert sol[0] == 2 and sol[1] == 1
-    # homogeneous system with a free column
-    ech2 = linsolve.ModEchelon(p)
-    ech2.insert({0: 1, 1: p - 2}, 0)     # x = 2y
-    vec = ech2.kernel_vector([0, 1], 1)
-    assert vec[1] == 1 and vec[0] == 2
-
-
 def test_mod_echelon_inconsistency():
     p = 10**9 + 7
     ech = linsolve.ModEchelon(p)

@@ -365,7 +365,7 @@ def test_find_bc_relation_none_within_bound():
 
 
 def test_find_bc_relation_rejects_noncommuting():
-    x_op = DiffOp.from_coeff(XLaurent.var()).compose(DiffOp.d(1))
+    x_op = DiffOp.monomial(XLaurent.var(), 0).compose(DiffOp.d(1))
     with pytest.raises(PipelineError):
         find_bc_relation(DiffOp.d(1) + x_op, DiffOp.d(2), 6)
 
