@@ -186,11 +186,10 @@ def _inverse_unit_op(op: DiffOp, parser: _Parser, tok) -> DiffOp:
     c = op.coeffs[0]
     if not c.is_monomial():
         parser.error("division only by x-monomials and rational constants", tok)
-    (xe, epoly), = c.c.items()
-    (ee, val), = epoly.c.items()
+    (xe, ee, v), = c.terms()
     if ee != 0:
         parser.error("division by eps powers is not representable", tok)
-    return DiffOp.monomial(XLaurent.monomial(-xe, Fraction(1) / val), 0)
+    return DiffOp.monomial(XLaurent.monomial(-xe, Fraction(c.den, v)), 0)
 
 
 def parse_op(text: str) -> DiffOp:
@@ -217,8 +216,8 @@ def _monomials(op: DiffOp):
     for k in range(int(op.order), -1, -1) if not op.is_zero() else ():
         c = op.coefficient(k)
         if not c.is_zero():
-            yield k, c.is_one(), [(xe, ee, v) for xe in sorted(c.c, reverse=True)
-                                  for ee, v in sorted(c.c[xe].c.items())]
+            yield k, c.is_one(), [(xe, ee, Fraction(v, c.den)) for xe, ee, v
+                                  in sorted(c.terms(), key=lambda t: (-t[0], t[1]))]
 
 
 def _join_signed(pieces) -> str:

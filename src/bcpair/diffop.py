@@ -19,6 +19,8 @@ accept it as an optional last argument, only because the benchmark workloads
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .exact import (BivarPoly, XLaurent, commutator_coefficients, compose_coefficients,
                     sum_of_products)
 
@@ -172,8 +174,8 @@ class NonCommutingPair(ValueError):
     pass
 
 
-def _require_commuting(a: DiffOp, b: DiffOp, error: type[Exception]) -> None:
-    """Raise ``error`` naming the first nonzero coefficient W_k of [a, b], if any."""
+def _require_commuting(a: DiffOp, b: DiffOp, error: Callable[[str], Exception]) -> None:
+    """Raise ``error(message)`` naming the first nonzero coefficient W_k of [a, b], if any."""
     comm = a.commutator(b)
     if not comm.is_zero():
         k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())

@@ -4,18 +4,19 @@ Everything downstream computes over these types:
 
 * ``EpsPoly``      -- polynomials in the parameter ``eps`` over the rationals,
   stored as ``int`` numerators keyed by ``eps_exp`` over one positive ``int``
-  denominator in lowest terms; ``.c`` is a lazily built read-only
-  ``{eps_exp: Fraction}`` view.  Only it has a long division (``divmod``).
+  denominator in lowest terms; ``.c`` builds a ``{eps_exp: Fraction}`` dict
+  on each read.  Only it has a long division (``divmod``).
   ``ep`` is the one promotion of an int or ``Fraction`` to it.
 * ``XLaurent``     -- Laurent polynomials in ``x`` with polynomial-in-``eps``
   coefficients, stored the same way in one form: numerators keyed by the int
   ``x_exp * 2**20 + eps_exp``, so an x-free one holds its ``EpsPoly``'s
-  ``num``; ``.c`` is a lazily built read-only ``{x_exp: EpsPoly}`` view and
+  ``num``; ``.c`` builds an ``{x_exp: EpsPoly}`` dict on each read and
   ``terms()`` decodes the keys.  ``XLaurent(...)`` and every product result
   (``_xl_of``) raise ``ExactError`` for an eps exponent of ``2**19`` or
   more, so two keys add without a carry.  Both types share one base,
   ``_IntFraction``, with one body and one name for each of ``+``, ``-``,
-  ``*``, ``==`` (an x-free ``XLaurent`` equals its ``EpsPoly``), rational
+  ``*``, ``==``, which share one operand rule (an int or ``Fraction`` is a
+  constant, an ``EpsPoly`` is an ``XLaurent``'s x-free part), rational
   ``scale``, ``is_monomial``, ``divide_unit`` and ``substitute_eps``, and one
   product kernel, ``_add_products``.
   ``sum_of_products`` and ``series_sum`` (``ZSeries`` products, the rank-3
@@ -42,7 +43,6 @@ import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from types import MappingProxyType
 
 INF = float("inf")
 
@@ -76,13 +76,13 @@ class ExactError(ArithmeticError):
 class _IntFraction:
     """Storage shared by ``EpsPoly`` and ``XLaurent``, their only form: ``num`` maps
     each int key to a nonzero ``int`` numerator over one positive ``int``
-    denominator ``den``, in lowest terms, so equality is structural.  ``_c``
-    holds a view built on first use.  Every operation whose body is the same
-    for both types lives here; a subclass names the scalars its ``*`` accepts
+    denominator ``den``, in lowest terms, so equality is structural.  Every
+    operation whose body is the same for both types lives here; a subclass
+    names the operands that ``+``, ``-`` and ``*`` take besides its own type
     (``_SCALARS``), the mask that reads a key's eps exponent (``_MASK``) and
     may replace the hook that builds a product (``_of_acc``)."""
 
-    __slots__ = ("num", "den", "_c")
+    __slots__ = ("num", "den")
 
     @classmethod
     def _of(cls, num: dict, den: int):
@@ -93,7 +93,7 @@ class _IntFraction:
             if g != 1:
                 num, den = {k: v // g for k, v in num.items()}, den // g
         out = cls.__new__(cls)
-        out.num, out.den, out._c = num, den, None
+        out.num, out.den = num, den
         return out
 
     def is_zero(self) -> bool:
@@ -105,7 +105,15 @@ class _IntFraction:
 
     def _add(self, other, sign: int = 1):
         """``self + sign * other`` for ``sign`` in (1, -1), over the lcm of the
-        denominators."""
+        denominators.  An int or ``Fraction`` is a constant; an ``XLaurent`` takes an
+        ``EpsPoly`` as its x-free part, through the cap check."""
+        if type(other) is not type(self):
+            if isinstance(other, (int, Fraction)):
+                other = self._of({0: other.numerator} if other else {}, other.denominator)
+            elif isinstance(other, self._SCALARS):
+                other = XLaurent({0: other})
+            else:
+                return NotImplemented
         if not other.num:
             return self
         if not self.num:
@@ -125,15 +133,18 @@ class _IntFraction:
                 del num[k]
         return self._of(num, da * fa)
 
-    __add__ = _add
+    __add__ = __radd__ = _add
 
     def __sub__(self, other):
         return self._add(other, -1)
 
+    def __rsub__(self, other):
+        return (-self)._add(other)
+
     def __neg__(self):
         # negation keeps lowest terms: no gcd sweep
         out = type(self).__new__(type(self))
-        out.num, out.den, out._c = {k: -v for k, v in self.num.items()}, self.den, None
+        out.num, out.den = {k: -v for k, v in self.num.items()}, self.den
         return out
 
     def scale(self, value):
@@ -220,10 +231,10 @@ class EpsPoly(_IntFraction):
 
     ``num`` maps each eps exponent to its numerator over ``den``
     (``_IntFraction``), as an x-free ``XLaurent``'s does.  Arithmetic runs on
-    plain ints and reduces each result once.  ``c`` is the read-only view
-    ``{eps_exp: Fraction}``, built on first use and kept.  Exponents are any
-    non-negative integers: relation discovery admits odd eps powers, and
-    derived operators reach eps-degrees above those of ``L1`` and ``L2``.
+    plain ints and reduces each result once; an int or ``Fraction`` operand is
+    a constant.  ``c`` builds ``{eps_exp: Fraction}`` on each read.  Exponents
+    are any non-negative integers: relation discovery admits odd eps powers,
+    and derived operators reach eps-degrees above those of ``L1`` and ``L2``.
     """
 
     __slots__ = ()
@@ -242,16 +253,12 @@ class EpsPoly(_IntFraction):
         den = math.lcm(*(r.denominator for r in terms.values()))
         self.num = {e: r.numerator * (den // r.denominator) for e, r in terms.items()}
         self.den = den
-        self._c = None
 
     @property
-    def c(self) -> MappingProxyType:
-        """Read-only ``{eps_exp: Fraction}`` view of the coefficients."""
-        view = self._c
-        if view is None:
-            den = self.den
-            view = self._c = MappingProxyType({e: Fraction(v, den) for e, v in self.num.items()})
-        return view
+    def c(self) -> dict[int, Fraction]:
+        """The coefficients as a new ``{eps_exp: Fraction}`` dict."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in self.num.items()}
 
     @classmethod
     def const(cls, value) -> "EpsPoly":
@@ -319,11 +326,10 @@ class EpsPoly(_IntFraction):
         return f"EpsPoly({self})"
 
     def __str__(self):
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
-        for e in sorted(self.c):
-            v = self.c[e]
+        for e, v in sorted(self.c.items()):
             if e == 0:
                 parts.append(str(v))
             elif e == 1:
@@ -353,8 +359,9 @@ class XLaurent(_IntFraction):
 
     ``num`` maps the key ``x_exp * 2**20 + eps_exp`` to its numerator over
     ``den`` (``_IntFraction``).  Arithmetic runs on plain ints and reduces
-    each result once.  ``c`` is the read-only view ``{x_exp: EpsPoly}``,
-    built on first use and kept; ``terms()`` decodes the keys.
+    each result once; an int or ``Fraction`` operand is a constant and an
+    ``EpsPoly`` the x-free part.  ``c`` builds ``{x_exp: EpsPoly}`` on each
+    read; ``terms()`` decodes the keys.
 
     Exponents may be negative; d/dx maps ``x**n`` to ``n*x**(n-1)`` for every
     integer ``n``.
@@ -376,20 +383,14 @@ class XLaurent(_IntFraction):
         den = math.lcm(*(v.den for _, v in rows))
         self.num = {xk + ee: n * (den // v.den) for xk, v in rows for ee, n in v.num.items()}
         self.den = den
-        self._c = None
 
     @property
-    def c(self) -> MappingProxyType:
-        """Read-only ``{x_exp: EpsPoly}`` view of the coefficients."""
-        view = self._c
-        if view is None:
-            rows: dict[int, dict[int, int]] = {}
-            for xe, ee, v in self.terms():
-                rows.setdefault(xe, {})[ee] = v
-            den = self.den
-            view = self._c = MappingProxyType({xe: EpsPoly._of(row, den)
-                                               for xe, row in rows.items()})
-        return view
+    def c(self) -> dict[int, EpsPoly]:
+        """The coefficients as a new ``{x_exp: EpsPoly}`` dict."""
+        rows: dict[int, dict[int, int]] = {}
+        for xe, ee, v in self.terms():
+            rows.setdefault(xe, {})[ee] = v
+        return {xe: EpsPoly._of(row, self.den) for xe, row in rows.items()}
 
     def terms(self) -> list[tuple[int, int, int]]:
         """``(x_exp, eps_exp, numerator)`` of each stored term, over ``den``."""
@@ -438,13 +439,11 @@ class XLaurent(_IntFraction):
         return f"XLaurent({self})"
 
     def __str__(self):
-        c = self.c
-        if not c:
+        if not self.num:
             return "0"
         parts = []
-        for e in sorted(c, reverse=True):
-            v = c[e]
-            body = f"({v})" if len(v.c) > 1 else str(v)
+        for e, v in sorted(self.c.items(), reverse=True):
+            body = f"({v})" if len(v.num) > 1 else str(v)
             if e == 0:
                 parts.append(body)
             else:
@@ -838,7 +837,7 @@ class BivarPoly:
         for (ze, we), v in sorted(self.c.items(), key=key):
             factors = []
             if not v == _EP_ONE or (ze == 0 and we == 0):
-                factors.append(f"({v})" if len(v.c) > 1 else str(v))
+                factors.append(f"({v})" if len(v.num) > 1 else str(v))
             if we:
                 factors.append("w" if we == 1 else f"w^{we}")
             if ze:

@@ -485,8 +485,10 @@ def find_branch(x, eps, precision: int = 60, variant: str = "resolved") -> KNDat
     the same twelve residuals, so the search keeps the principal sheets.  A
     choice is accepted when every residual is below
     ``default_tolerance(precision)``.  On failure the error names the equation
-    with the largest residual at the best assignment found.
+    with the largest residual at the best assignment found.  ``check_points``
+    rejects x and eps with ``ValueError`` before any evaluation.
     """
+    check_points([x], eps)
     tolerance = default_tolerance(precision)
     best = None
     for phase, s3 in sorted(itertools.product(range(4), range(2)),
@@ -539,9 +541,9 @@ def kn_residuals(x, eps, precision: int = 60,
     ``check_points`` rejects x and eps with ``ValueError`` before any
     evaluation.
     """
-    check_points([x], eps)
     if branch is None:
         return find_branch(x, eps, precision, variant=variant)
+    check_points([x], eps)
     return _point_quantities(x, eps, precision, branch, variant)
 
 

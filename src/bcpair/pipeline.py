@@ -18,8 +18,9 @@ relation from scratch.
   ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames, not
   three.  The module holds no mutable state: a frame lives on its triple.
 
-Every solver's output is re-verified by exact substitution before it is
-returned; elimination results are never trusted on their own.
+Every solver's output is re-verified exactly before it is returned, the L1
+coefficients by ``verify_rank3`` and the commutant by the commutation check
+of ``bcpair verify``, each failure naming its z-order or its ``W_k``.
 
 The fraction-free solver (``linsolve``) is a lazy module of the package: the
 constructive steps reach it as ``_PACKAGE.linsolve`` at call time, through
@@ -145,12 +146,7 @@ def verify_rank3(op: DiffOp, chis, eigen: ZSeries) -> Rank3Report:
     """
     if not isinstance(chis, ChiTriple):
         chis = ChiTriple(chis)
-    return _rank3_report(op, chis.frame(max(op.order, 3)), eigen)
-
-
-def _rank3_report(op: DiffOp, frame, eigen: ZSeries) -> Rank3Report:
-    """``verify_rank3`` on a frame already built to at least ``op``'s order."""
-    q0, q1, q2 = reduce_with_frame(op, frame)
+    q0, q1, q2 = reduce_with_frame(op, chis.frame(max(op.order, 3)))
     residuals = [q0 - eigen, q1, q2]
     failures = [(first[0], j) for j, res in enumerate(residuals)
                 if (first := res.first_nonzero()) is not None]
@@ -176,8 +172,8 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     over Q[eps] by back-substitution: a row with one unsolved unknown whose
     coefficient is a unit fixes that unknown, and a row with none left must
     reduce to zero.  Every result is re-verified symbolically against the
-    reduction remainder over the full series window, on the frame that set up
-    the system, and raises ``PipelineError`` if it fails there.  ``eigen``
+    reduction remainder over the full series window (``verify_rank3``, on the
+    frame that set up the system); a ``PipelineError`` names where it fails.  ``eigen``
     defaults to lambda expanded to as many terms as ``chi0`` stores.
     """
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
@@ -189,7 +185,8 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
 
     n_unknowns = order - 1
     z_orders = range(1 - order // 3, 1)
-    frame = reduction_frame(chi0, chi1, chi2, order)
+    chis = ChiTriple((chi0, chi1, chi2))
+    frame = chis.frame(order)
     top = frame[order]
     rows = []
     for s in z_orders:
@@ -235,7 +232,7 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     coeffs_out = [solved[n] for n in range(n_unknowns)]
 
     op = DiffOp(coeffs_out + [XLaurent.zero(), XLaurent.one()])
-    report = _rank3_report(op, frame, eigen)
+    report = verify_rank3(op, chis, eigen)
     if not report.passed:
         raise PipelineError(f"derived coefficients fail re-verification: {report}")
     return coeffs_out
@@ -318,10 +315,11 @@ def _integrate_level(integrands: dict[int, XLaurent], n: int, j: int):
     """
     parts, obstruction = {}, {}
     for comp, f in integrands.items():
-        if -1 in f.c:
-            obstruction[comp] = f.c[-1]
+        by_x = f.c
+        if -1 in by_x:
+            obstruction[comp] = by_x[-1]
         g = XLaurent({e + 1: v.scale(Fraction(-1, n * (e + 1)))
-                      for e, v in f.c.items() if e != -1})
+                      for e, v in by_x.items() if e != -1})
         if not g.is_zero():
             parts[comp] = g
     return parts, [(f"the x^-1 obstruction of b_{j}", obstruction)] if obstruction else []
@@ -352,8 +350,8 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
     They are eliminated fraction-free over Q(eps) (``linsolve.BareissEchelon``).
     The particular solution (free constants 0) and one primitive Q[eps]
     generator per free constant are rebuilt as operators, and each is
-    re-verified by exact commutation with ``a``.  There is no ansatz window:
-    the b_j carry whatever x- and eps-exponents the recursion produces.
+    re-verified by exact commutation with ``a`` (a failure names its ``W_k``).
+    No ansatz window: the b_j carry whatever x- and eps-exponents the recursion produces.
 
     For monic A with Laurent-polynomial coefficients the obstructions are
     identically zero: the b_j are those of sum c_k (A^(k/n))_+, differential
@@ -407,8 +405,8 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
     basis = [build(ech.primitive_solution(f)) for f in ech.free_columns()]
     for name, op in [("particular solution", particular)] + [
             (f"homogeneous generator {i}", h) for i, h in enumerate(basis)]:
-        if not a.commutator(op).is_zero():
-            raise PipelineError(f"{name} of order {m} fails exact re-verification")
+        _require_commuting(a, op, lambda why: PipelineError(
+            f"{name} of order {m} fails exact re-verification: {why}"))
     return AffineSolutionSet(particular, basis, len(rows), ech.rank())
 
 

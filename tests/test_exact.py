@@ -123,6 +123,27 @@ def test_sums_and_negation_keep_the_type():
         assert -(-p) == p and (p + q) - q == p and -p + p == p - p
 
 
+def test_sums_take_the_operands_that_products_and_equality_take():
+    # an int or Fraction is a constant and an EpsPoly an XLaurent's x-free part,
+    # on either side of + and -; the result has the wider type
+    p, x, one_x = EpsPoly({0: F(1, 2), 3: 4}), XLaurent.var(), xl({0: 1, 1: 1})
+    cases = [(EpsPoly.one() + x, one_x), (x + EpsPoly.one(), one_x),
+             (x - p, xl({1: 1, 0: {0: F(-1, 2), 3: -4}})),
+             (p - x, xl({1: -1, 0: {0: F(1, 2), 3: 4}})),
+             (XLaurent.one() + 1, xl({0: 2})), (1 + XLaurent.one(), xl({0: 2})),
+             (x - F(1, 3), xl({1: 1, 0: F(-1, 3)})), (F(1, 3) - x, xl({1: -1, 0: F(1, 3)})),
+             (p + F(1, 2), EpsPoly({0: 1, 3: 4})), (1 - p, EpsPoly({0: F(1, 2), 3: -4})),
+             (x - 0, x), (0 - x, -x), (sum([p, p, p]), p * 3)]
+    for r, expect in cases:
+        assert type(r) is type(expect) and r == expect, (r, expect)
+    # an XLaurent takes an EpsPoly through its constructor's cap check
+    cap = r"eps\^524288 is beyond the packed-key cap"
+    with pytest.raises(ExactError, match=cap):
+        XLaurent.one() + EpsPoly.eps_power(2**19)
+    with pytest.raises(ExactError, match=cap):
+        EpsPoly.eps_power(2**19) - XLaurent.one()
+
+
 def test_equality_across_types_is_symmetric_and_never_raises():
     half = F(1, 2)
     # (left, right, equal): x-free and x-bearing values against each other and scalars
@@ -161,7 +182,9 @@ def test_foreign_operands_are_a_type_error():
     # AttributeError from inside the method
     lam, ident, one = lambda_fn(), DiffOp.identity(), ZSeries.one()
     add_sub = [(lam, 1.5), (lam, 1), (lam, XLaurent.var()), (lam, one),
-               (ident, 1), (ident, XLaurent.one()), (one, 1), (one, XLaurent.one())]
+               (ident, 1), (ident, XLaurent.one()), (one, 1), (one, XLaurent.one()),
+               (EpsPoly.one(), 1.5), (XLaurent.var(), 1.5), (XLaurent.var(), lam),
+               (EpsPoly.one(), one)]
     cases = [(op, a, b) for a, b in add_sub for op in (operator.add, operator.sub)]
     for b in (1.5, XLaurent.var(), one, ident):
         cases += [(operator.mul, lam, b), (operator.mul, b, lam)]
@@ -180,16 +203,20 @@ def test_xlaurent_unit_division():
     assert not xl({0: 1, 1: 1}).is_monomial()
 
 
-def test_xlaurent_view_is_read_only_and_built_once():
+def test_xlaurent_view_is_a_new_dict_on_each_read():
     # one storage form: numerators keyed by x_exp * 2**20 + eps_exp
     p = xl({-2: 26, 3: {2: F(-1, 5832), 0: F(1, 3)}})
     assert (p.num, p.den) == ({-2 * 2**20: 151632, 3 * 2**20 + 2: -1, 3 * 2**20: 1944}, 5832)
     assert p.terms() == [(-2, 0, 151632), (3, 2, -1), (3, 0, 1944)]
     assert not hasattr(p, "packed")
-    assert p.c is p.c
     assert p.c[3] == EpsPoly({2: F(-1, 5832), 0: F(1, 3)}) and p.coefficient(-2) == ep(26)
-    with pytest.raises(TypeError):
-        p.c[0] = ep(1)
+    # mutating a returned view leaves the value as it was
+    view = p.c
+    view[0] = ep(1)
+    del view[3]
+    view[-2].c[0] = 5
+    assert p.c == {-2: ep(26), 3: EpsPoly({2: F(-1, 5832), 0: F(1, 3)})}
+    assert p.coefficient(0) == 0 and p == xl({-2: 26, 3: {2: F(-1, 5832), 0: F(1, 3)}})
     # an x-free XLaurent holds its EpsPoly's numerators, keys and all
     q = EpsPoly({0: F(2, 3), 5: F(-1, 4), 2**19 - 1: 7})
     assert XLaurent({0: q}).num == q.num and XLaurent({0: q}).den == q.den

@@ -326,6 +326,9 @@ def test_kn_check_validates_points_before_evaluating(monkeypatch):
         kn_residuals(mpf(2), -1, 60)
     with pytest.raises(ValueError, match="is not a rational number"):
         kn_check(points=[1, float("nan")], eps=-1, precision=60)
+    # find_branch is public: it checks its point too
+    with pytest.raises(ValueError, match="^x = 0 is excluded: gamma vanishes$"):
+        find_branch(0, -1)
     with pytest.raises(ValueError, match="eps must be negative"):
         kn_check(points=[1, 2], eps=1, precision=60)
     # points are compared as rationals: 2/2 and 1.0 repeat x = 1

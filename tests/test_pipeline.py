@@ -207,9 +207,10 @@ def test_verify_rank3_reports_equal_those_of_a_fresh_frame(eps, chis24, lam24, m
     if eps is not None:
         chis = tuple(s.substitute_eps(eps) for s in chis)
         l1, l2, lam, mu = (v.substitute_eps(eps) for v in (l1, l2, lam, mu))
+    # the kept frame reaches order 12 before L1 + D reads it again
+    kept = ChiTriple(chis)
     for op, eigen in ((l1, lam), (l2, mu), (l1 + DiffOp.d(1), lam)):
-        fresh = reduction_frame(*chis, max(op.order, 3))
-        assert verify_rank3(op, chis, eigen) == pipeline._rank3_report(op, fresh, eigen)
+        assert verify_rank3(op, kept, eigen) == verify_rank3(op, ChiTriple(chis), eigen)
 
 
 def test_derive_l1_matches_catalog(chis24, l1):
@@ -287,6 +288,25 @@ def test_solve_commuting_x_inverse_obstruction_names_b_j():
     _, rows = _integrate_level({3: xl({-1: 3, 1: 4})}, 2, 1)
     with pytest.raises(EmptyCommutant, match=r"x\^-1 obstruction of b_1 cannot vanish"):
         _eliminate(rows, 3)
+
+
+def test_solve_commuting_reverification_names_w_k(monkeypatch):
+    # a particular vector off by one at the first pivot column commutes no more:
+    # the re-verification names the first nonzero commutator coefficient
+    echelon = pipeline._PACKAGE.linsolve.BareissEchelon
+    solve = echelon.primitive_solution
+
+    def off_by_one(self, free_col):
+        vec = solve(self, free_col)
+        if free_col == self.rhs:
+            col = self.pivots[0][0]
+            vec[col] = vec.get(col, EpsPoly.zero()) + EpsPoly.one()
+        return vec
+    monkeypatch.setattr(echelon, "primitive_solution", off_by_one)
+    with pytest.raises(PipelineError, match=r"particular solution of order 6 fails exact "
+                                            r"re-verification: operators do not commute: "
+                                            r"W_\d+ != 0"):
+        solve_commuting(make_limit_op(), 6)
 
 
 def test_solve_commuting_order15(l1, l2):
