@@ -174,11 +174,14 @@ class NonCommutingPair(ValueError):
     pass
 
 
+def _first_nonzero(op: DiffOp) -> int | None:
+    """The lowest k of a nonzero D^k coefficient of ``op``; None for the zero operator."""
+    return next((k for k, c in enumerate(op.coeffs) if not c.is_zero()), None)
+
+
 def _require_commuting(a: DiffOp, b: DiffOp, error: Callable[[str], Exception]) -> None:
     """Raise ``error(message)`` naming the first nonzero coefficient W_k of [a, b], if any."""
-    comm = a.commutator(b)
-    if not comm.is_zero():
-        k = next(k for k, c in enumerate(comm.coeffs) if not c.is_zero())
+    if (k := _first_nonzero(a.commutator(b))) is not None:
         raise error(f"operators do not commute: W_{k} != 0")
 
 

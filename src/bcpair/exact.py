@@ -339,7 +339,6 @@ class EpsPoly(_IntFraction):
         return " + ".join(parts)
 
 
-_EP_ZERO = EpsPoly()
 _EP_ONE = EpsPoly({0: 1})
 
 
@@ -432,9 +431,6 @@ class XLaurent(_IntFraction):
     def derive(self) -> "XLaurent":
         return self._of(_derive_row(self.num.items()), self.den)
 
-    def coefficient(self, xexp: int) -> EpsPoly:
-        return self.c.get(xexp, _EP_ZERO)
-
     def __repr__(self):
         return f"XLaurent({self})"
 
@@ -513,14 +509,12 @@ def _derive_row(items) -> dict[int, int]:
     return {k - _X_UNIT: v * x for k, v in items if (x := k >> _EPS_BITS)}
 
 
-def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: int) -> None:
-    """``acc[n] += sign * lden * sum_i left[i] * R_i[n]`` for XLaurents ``left``
-    whose denominators divide ``lden``, with ``R_0 = rows`` and
-    ``R_i = D . R_(i-1) + L' . D^(i-1)`` (``L'``: the rows ``lift``
-    differentiated).  Row ``n`` of ``R_i`` is
+def _d_power_rows(rows, lift, count: int):
+    """``R_0 = rows`` and ``R_i = D . R_(i-1) + L' . D^(i-1)`` for ``i < count``
+    (``L'``: the rows ``lift`` differentiated).  Row ``n`` of ``R_i`` is
     ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros."""
-    lift = [_derive_row(r.items()) for r in lift] if len(left) > 1 else ()
-    for i, a in enumerate(left):
+    lift = [_derive_row(r.items()) for r in lift] if count > 1 else ()
+    for i in range(count):
         if i:
             step = [_derive_row(r.items()) for r in rows]
             step.append({})
@@ -530,6 +524,13 @@ def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: i
                 for k, v in add.items():
                     out[k] = get(k, 0) + v
             rows = step
+        yield rows
+
+
+def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: int) -> None:
+    """``acc[n] += sign * lden * sum_i left[i] * R_i[n]`` for XLaurents ``left``
+    whose denominators divide ``lden``, ``R_i`` from ``_d_power_rows``."""
+    for a, rows in zip(left, _d_power_rows(rows, lift, len(left))):
         if a.num:
             items, f = a.num.items(), sign * (lden // a.den)
             for acc_n, r in zip(acc, rows):
@@ -554,6 +555,13 @@ def commutator_coefficients(a, b) -> list[XLaurent]:
     _d_power_sum(acc, a, da, [{}] * (len(b) - 1), rb, 1)
     _d_power_sum(acc, b, db, [{}] * (len(a) - 1), ra, -1)
     return [_xl_of(r, da * db) for r in acc]
+
+
+def d_power_commutators(a, count: int) -> list[list[XLaurent]]:
+    """The coefficients of ``[D^j, A]``, zeros kept, for ``j < count``; ``A`` nonzero."""
+    ra, da = _packed_rows(a)
+    return [[_xl_of(r, da) for r in rows]
+            for rows in _d_power_rows([{}] * (len(a) - 1), ra, count)]
 
 
 def xl(coeffs: dict[int, object]) -> XLaurent:

@@ -7,10 +7,11 @@ relation from scratch.
   triangular system over Q[eps]).
 * ``solve_commuting`` computes the full affine family of monic operators of a
   given order commuting with a given monic operator: the Burchnall-Chaundy
-  recursion integrates the coefficients top-down, one constant each, and the
-  remaining linear constraints are eliminated fraction-free over Q[eps].  No
-  ansatz window bounds the result, and an empty family is named by the
-  constraint that cannot hold.
+  recursion integrates the coefficients top-down, one constant each, reading
+  each commutator coefficient once, by ``[A, g D^j] = [A, g] D^j - g [D^j, A]``
+  with one ``[D^j, A]`` per level; the remaining linear constraints are
+  eliminated fraction-free over Q[eps].  No ansatz window bounds the result,
+  and an empty family is named by the constraint that cannot hold.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
   annihilating a commuting pair by one fraction-free elimination over Q[eps].
 * ``verify_rank3`` checks the reduction remainder of an operator against its
@@ -18,9 +19,9 @@ relation from scratch.
   ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames, not
   three.  The module holds no mutable state: a frame lives on its triple.
 
-Every solver's output is re-verified exactly before it is returned, the L1
-coefficients by ``verify_rank3`` and the commutant by the commutation check
-of ``bcpair verify``, each failure naming its z-order or its ``W_k``.
+Every solver's output is re-verified exactly before it is returned: the L1
+coefficients by ``verify_rank3``, the commutant by commutation and the relation
+by substitution, each failure naming its z-order, its ``W_k`` or its ``D^k``.
 
 The fraction-free solver (``linsolve``) is a lazy module of the package: the
 constructive steps reach it as ``_PACKAGE.linsolve`` at call time, through
@@ -34,11 +35,12 @@ from __future__ import annotations
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
+from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError,
-                    XLaurent, ZSeries, series_sum, sum_of_products)
-from .diffop import DiffOp, _pair_monomials, _require_commuting, combination
+from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError, XLaurent,
+                    ZSeries, d_power_commutators, series_sum, sum_of_products)
+from .diffop import DiffOp, _first_nonzero, _pair_monomials, _require_commuting, combination
 from .curve import chi, curve_series, lambda_fn
 
 if TYPE_CHECKING:
@@ -342,7 +344,11 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
     ``n*b_j'`` plus terms in b_(j+1..m) alone.  So b_(m-1), ..., b_0 follow
     by exact x-integration, each adding one integration constant c_j.  Every
     b_j is kept linear in c_0..c_(m-1): one XLaurent per constant plus the
-    particular part.  The constraints are linear in the c_j over Q[eps]:
+    particular part.  Each coefficient of [A, B] is one ``sum_of_products``,
+    read once, by ``[A, g D^j] = [A, g] D^j - g [D^j, A]`` over the parts g of
+    the b_j: one ``[D^j, A]`` per level (``exact.d_power_commutators``), and
+    ``[A, g] = sum C(i, k) a_i g^(k) D^(i-k)`` over k >= 1 from g, ..., g^(n).
+    The constraints are linear in the c_j over Q[eps]:
 
     * the x^-1 term of each integrand (the obstruction of b_j);
     * every x-monomial of the remaining coefficients D^(n-2)..D^0 of [A, B].
@@ -366,27 +372,31 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
         raise PipelineError("solve_commuting needs a monic operator of positive order")
     if m < 0:
         raise ValueError("target_order must be non-negative")
-    # b[j][comp]: component comp < m multiplies the constant c_comp; comp m is
-    # the particular part.  comm[comp] holds that component's [A, B] so far.
-    b: list[dict[int, XLaurent]] = [{} for _ in range(m + 1)]
-    comm: dict[int, list[XLaurent]] = {}
+    # b[j][comp]: g, g', ..., g^(n) for the part g of b_j at the constant c_comp (comp < m)
+    # or the particular part (comp m); lev[r]: (C(i, k), a_i, k) for [A, g] at D^r
+    b: list[dict[int, list[XLaurent]]] = [{} for _ in range(m + 1)]
+    t = d_power_commutators(a.coeffs, m + 1)
+    lev = {r: [(comb(i, i - r), a.coeffs[i], i - r) for i in range(r + 1, n + 1)]
+           for r in range(n)}
 
-    def put(j: int, comp: int, g: XLaurent) -> None:
-        b[j][comp] = g
-        acc = comm.setdefault(comp, [XLaurent.zero()] * (n + m))
-        for k, c in enumerate(a.commutator(DiffOp.monomial(g, j)).coeffs):
-            acc[k] = acc[k] + c
+    def read(comp: int, s: int) -> XLaurent:
+        terms = []
+        for j, level in enumerate(b):
+            if ders := level.get(comp):
+                terms.append((-1, ders[0], t[j][s]))
+                terms += [(c, ai, ders[k]) for c, ai, k in lev.get(s - j, ())]
+        return sum_of_products(terms)
 
     rows = []
-    put(m, m, XLaurent.one())
-    for j in range(m - 1, -1, -1):
+    for j in range(m, -1, -1):
         parts, obstruction = _integrate_level(
-            {comp: acc[n + j - 1] for comp, acc in comm.items()
-             if not acc[n + j - 1].is_zero()}, n, j)
+            {comp: read(comp, n + j - 1) for comp in range(m, j, -1)}, n, j)
         rows += obstruction
-        for comp, g in parts.items():
-            put(j, comp, g)
-        put(j, j, XLaurent.one())
+        for comp, g in [*parts.items(), (j, _ONE)]:
+            b[j][comp] = ders = [g]
+            for _ in range(n):
+                ders.append(ders[-1].derive())
+    comm = {comp: [read(comp, s) for s in range(n - 1)] for comp in range(m, -1, -1)}
     rows.extend((f"commutator coefficient {label}", row)
                 for label, row in _coefficient_rows(comm, range(n - 2, -1, -1)))
 
@@ -394,8 +404,8 @@ def solve_commuting(a: DiffOp, target_order: int) -> AffineSolutionSet:
 
     def build(vec: dict[int, EpsPoly]) -> DiffOp:
         scalars = {comp: XLaurent({0: v}) for comp, v in vec.items()}
-        return DiffOp([sum_of_products([(1, g, scalars[comp]) for comp, g in parts.items()
-                                        if comp in scalars]) for parts in b])
+        return DiffOp([sum_of_products([(1, ders[0], scalars[comp]) for comp, ders in
+                                        parts.items() if comp in scalars]) for parts in b])
 
     part_vec = ech.primitive_solution(m)
     if part_vec[m] != EpsPoly.one():
@@ -447,6 +457,7 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
     vec = ech.primitive_solution(free[0])
     q = BivarPoly({monomials[c]: v for c, v in vec.items()})
     residual = combination([(products[c], XLaurent({0: v})) for c, v in vec.items()])
-    if not residual.is_zero():
-        raise PipelineError("kernel candidate failed exact re-verification")
+    if (k := _first_nonzero(residual)) is not None:
+        raise PipelineError(
+            f"kernel candidate failed exact re-verification: Q(a, b) != 0 at D^{k}")
     return q

@@ -160,10 +160,11 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         main(["verify", "nonsense"])
     assert exc.value.code == 2
     # a failed check is exit 1: the printed L2 still commutes with L1 (a
-    # constant shift always does) but breaks the relation
+    # constant shift always does) but breaks the relation, first at D^0
     monkeypatch.setattr(cli, "make_l2", printed_l2)
     assert main(["verify", "bc"]) == 1
-    assert "[FAIL] algebraic relation Q(L1, L2) = 0" in capsys.readouterr().out
+    assert ("  [FAIL] algebraic relation Q(L1, L2) = 0  (Q(L1, L2) != 0 at D^0)\n"
+            in capsys.readouterr().out)
     assert main(["verify", "commute"]) == 0
     capsys.readouterr()
 

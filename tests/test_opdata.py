@@ -15,7 +15,7 @@ F = Fraction
 
 
 def mono(op: DiffOp, k: int, xe: int, ee: int = 0) -> F:
-    return op.coefficient(k).coefficient(xe).c.get(ee, F(0))
+    return op.coefficient(k).c.get(xe, EpsPoly.zero()).c.get(ee, F(0))
 
 
 def test_l1_shape():

@@ -1,5 +1,6 @@
 """Constructive pipeline: reduction frame, derivation, commutant, relation."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ from bcpair import (AffineSolutionSet, BivarPoly, ChiTriple, DiffOp, EpsPoly,
                     reduce_with_frame, reduction_frame, right_reduce,
                     solve_commuting, verify_rank3, xl)
 from bcpair import cli, pipeline
+from bcpair.exact import d_power_commutators
 from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
-from conftest import assert_same_series, reference_product, rng
+from conftest import assert_same_series, random_xlaurent, reference_product, rng
 
 F = Fraction
 
@@ -265,14 +267,34 @@ def test_solve_commuting_order9(l1, sol9):
     assert sol9.contains(sol9.particular + DiffOp.identity())
 
 
+@pytest.mark.parametrize("name", ["G", "L1", "L1 at eps = 7/3"])
+def test_commutator_with_g_d_j_splits_at_the_d_power(l1, limit_op, name):
+    # the identity of solve_commuting: [A, g D^j] = [A, g] D^j - g [D^j, A], with
+    # [D^j, A] from the recursion that commutator_coefficients runs on A
+    a = {"G": limit_op, "L1": l1, "L1 at eps = 7/3": l1.substitute_eps(F(7, 3))}[name]
+    t = d_power_commutators(a.coeffs, 13)
+    r = rng(len(name))
+    for j in range(13):
+        assert DiffOp(t[j]) == DiffOp.d(j).commutator(a)
+        g = DiffOp.monomial(random_xlaurent(r), 0)
+        assert a.commutator(g.compose(DiffOp.d(j))) == \
+            a.commutator(g).compose(DiffOp.d(j)) - g.compose(DiffOp(t[j]))
+
+
+#: the first constraint row of solve_commuting(L1, order) that cannot hold
+EMPTY_COMMUTANT_ROW = {3: "D^3 (x^-3 term)", 4: "D^7 (x^-6 term)",
+                       5: "D^7 (x^-7 term)", 6: "D^6 (x^-3 term)"}
+
+
 @pytest.mark.parametrize("order", [3, 4, 5, 6])
 def test_solve_commuting_empty_orders_named(l1, order):
     # 3 and 6 are the genus-2 gaps at the non-Weierstrass point q; 4 and 5
     # are not multiples of the rank 3
-    with pytest.raises(EmptyCommutant,
-                       match=rf"no monic operator of order {order} .*"
-                             r"commutator coefficient D\^\d+ \(x\^-?\d+ term\) cannot vanish"):
+    with pytest.raises(EmptyCommutant) as err:
         solve_commuting(l1, order)
+    assert str(err.value) == (f"no monic operator of order {order} commutes with the given "
+                              f"operator: commutator coefficient {EMPTY_COMMUTANT_ROW[order]} "
+                              "cannot vanish")
 
 
 def test_solve_commuting_x_inverse_obstruction_names_b_j():
@@ -307,6 +329,35 @@ def test_solve_commuting_reverification_names_w_k(monkeypatch):
                                             r"re-verification: operators do not commute: "
                                             r"W_\d+ != 0"):
         solve_commuting(make_limit_op(), 6)
+
+
+#: (constraints, rank, sha256 of print_op of the particular solution and of
+#: each homogeneous generator) of solve_commuting(A, 12)
+COMMUTANT12_SHA256 = {
+    "L1": (260, 10, (
+        "4c3c467f748d7b540b01169dd072aaa86975881d8d66131965c15df477858462",
+        "fd0ad9026eee596b7072a762941f60bef57e760a230edd450b3a634825685c2a",
+        "7b2d6510014a45c75b15fe2a89c7f953777e72b3bb29a92a993b8e36eb4a8d13")),
+    "L1 at eps = 7/3": (260, 10, (
+        "dc8ebc402ea78bbd4d12ce7cd412472d3121c26a37ae8bcbd8a1b593a9f57922",
+        "fd0ad9026eee596b7072a762941f60bef57e760a230edd450b3a634825685c2a",
+        "e9ae61750e26af587c72467a0729f0ce810b22d3634731fc89aecad1bbd10722")),
+    "G": (43, 8, (
+        "9c6e5d4d7a4bd7ba52fecc17fef938ad6b07bd6d9ce2aff46182b7bfab3a5b41",
+        "fd0ad9026eee596b7072a762941f60bef57e760a230edd450b3a634825685c2a",
+        "aa29931f312454012d3684fcbf9d5b8fef9d10e8ea3cb3c08b261bf5d9950972",
+        "31edebc86b49273f060007ca2f3ad0050eb2fc1f64dbca089351b1d5b8c9a3b6",
+        "0775d210d40d4d47dc8c58afe6d6ea2a88201f18c8190ac1d282635665cc9253")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTANT12_SHA256))
+def test_solve_commuting_order12_is_pinned(l1, limit_op, name):
+    a = {"L1": l1, "L1 at eps = 7/3": l1.substitute_eps(F(7, 3)), "G": limit_op}[name]
+    sol = solve_commuting(a, 12)
+    digests = tuple(hashlib.sha256(cli.print_op(op).encode()).hexdigest()
+                    for op in [sol.particular, *sol.homogeneous_basis])
+    assert (sol.constraints, sol.rank, digests) == COMMUTANT12_SHA256[name]
 
 
 def test_solve_commuting_order15(l1, l2):
@@ -378,6 +429,22 @@ def test_find_bc_relation_eps_dependent_pair(k):
     q = find_bc_relation(DiffOp.d(2), DiffOp.d(3) + DiffOp.d(1).scale(epsk), 6)
     assert q == BivarPoly({(0, 2): ep(1), (3, 0): ep(-1), (2, 0): epsk.scale(-2),
                            (1, 0): (epsk * epsk).scale(-1)})
+
+
+def test_find_bc_relation_reverification_names_d_k(monkeypatch):
+    # a kernel vector off by one at its leading monomial (2 w - z^2 at (D, D^2))
+    # is no relation: the re-verification names the first nonzero D^k of Q(a, b)
+    echelon = pipeline._PACKAGE.linsolve.BareissEchelon
+    solve = echelon.primitive_solution
+
+    def off_by_one(self, free_col):
+        vec = solve(self, free_col)
+        vec[free_col] = vec[free_col] + EpsPoly.one()
+        return vec
+    monkeypatch.setattr(echelon, "primitive_solution", off_by_one)
+    with pytest.raises(PipelineError, match=r"^kernel candidate failed exact re-verification: "
+                                            r"Q\(a, b\) != 0 at D\^2$"):
+        find_bc_relation(DiffOp.d(1), DiffOp.d(2), 4)
 
 
 def test_find_bc_relation_none_within_bound():
