@@ -117,13 +117,14 @@ class DiffOp:
 
     # -- ring operations ----------------------------------------------------
 
-    def compose(self, other: "DiffOp") -> "DiffOp":
+    def compose(self, other: "DiffOp", cap=None) -> "DiffOp":
         """Operator product self . other (apply ``other`` first): ``sum_i a_i S_i``
         with ``S_i = D^i . B``, whose ``D^n`` coefficient is
-        ``S_(i-1)[n]' + S_(i-1)[n-1]`` (``exact.compose_coefficients``)."""
+        ``S_(i-1)[n]' + S_(i-1)[n-1]`` (``exact.compose_coefficients``); with
+        ``cap``, only the ``D^n`` with ``n < cap``."""
         if not self.coeffs or not other.coeffs:
             return DiffOp.zero()
-        return DiffOp(compose_coefficients(self.coeffs, other.coeffs))
+        return DiffOp(compose_coefficients(self.coeffs, other.coeffs, cap))
 
     def op_power(self, k: int) -> "DiffOp":
         if k < 0:
@@ -185,12 +186,13 @@ def _require_commuting(a: DiffOp, b: DiffOp, error: Callable[[str], Exception]) 
         raise error(f"operators do not commute: W_{k} != 0")
 
 
-def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
+def _pair_monomials(a: DiffOp, b: DiffOp, exponents, cap=None) -> list[DiffOp]:
     """The products a^i . b^j for the ``(i, j)`` in ``exponents``, in that order.
 
     The pair must commute (the callers check): each monomial is built from a
     smaller one with the lower-order factor on the left, where ``compose``
-    takes fewer steps (``a^2 b = a . (a b)`` when ``ord a <= ord b``).
+    takes fewer steps (``a^2 b = a . (a b)`` when ``ord a <= ord b``).  With
+    ``cap``, the products it builds hold only their ``D^n`` with ``n < cap``.
     """
     memo = {(0, 0): DiffOp.identity(), (1, 0): a, (0, 1): b}
     for key in exponents:
@@ -201,7 +203,7 @@ def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
             chain.append((key, a if left_a else b))
             key = (i - 1, j) if left_a else (i, j - 1)
         for bigger, left in reversed(chain):
-            memo[bigger] = left.compose(memo[key])
+            memo[bigger] = left.compose(memo[key], cap)
             key = bigger
     return [memo[key] for key in exponents]
 

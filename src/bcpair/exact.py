@@ -431,6 +431,14 @@ class XLaurent(_IntFraction):
     def derive(self) -> "XLaurent":
         return self._of(_derive_row(self.num.items()), self.den)
 
+    def antiderivative(self, n: int) -> tuple["XLaurent", EpsPoly]:
+        """``(G, r)`` with ``n * G' = self - r / x`` (``n != 0``): ``r``, the x^-1
+        coefficient, has no Laurent antiderivative.  One pass over the keys."""
+        terms = [(k + _X_UNIT, v, n * ((k >> _EPS_BITS) + 1)) for k, v in self.num.items()]
+        big = math.lcm(*[nx for _, _, nx in terms if nx])
+        return (self._of({k: v * (big // nx) for k, v, nx in terms if nx}, self.den * big),
+                EpsPoly._of({k & _EPS_MASK: v for k, v, nx in terms if not nx}, self.den))
+
     def __repr__(self):
         return f"XLaurent({self})"
 
@@ -509,10 +517,11 @@ def _derive_row(items) -> dict[int, int]:
     return {k - _X_UNIT: v * x for k, v in items if (x := k >> _EPS_BITS)}
 
 
-def _d_power_rows(rows, lift, count: int):
+def _d_power_rows(rows, lift, count: int, cap=None):
     """``R_0 = rows`` and ``R_i = D . R_(i-1) + L' . D^(i-1)`` for ``i < count``
     (``L'``: the rows ``lift`` differentiated).  Row ``n`` of ``R_i`` is
-    ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros."""
+    ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros.  Rows
+    from ``cap`` on, which no row below reads, are dropped (only with no ``lift``)."""
     lift = [_derive_row(r.items()) for r in lift] if count > 1 else ()
     for i in range(count):
         if i:
@@ -523,25 +532,26 @@ def _d_power_rows(rows, lift, count: int):
                 get = out.get
                 for k, v in add.items():
                     out[k] = get(k, 0) + v
-            rows = step
+            rows = step[:cap]
         yield rows
 
 
 def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: int) -> None:
     """``acc[n] += sign * lden * sum_i left[i] * R_i[n]`` for XLaurents ``left``
-    whose denominators divide ``lden``, ``R_i`` from ``_d_power_rows``."""
-    for a, rows in zip(left, _d_power_rows(rows, lift, len(left))):
+    whose denominators divide ``lden``, ``R_i`` from ``_d_power_rows`` cut at ``len(acc)``."""
+    for a, rows in zip(left, _d_power_rows(rows, lift, len(left), len(acc))):
         if a.num:
             items, f = a.num.items(), sign * (lden // a.den)
             for acc_n, r in zip(acc, rows):
                 _add_products(acc_n, items, r.items(), f)
 
 
-def compose_coefficients(a, b) -> list[XLaurent]:
-    """The coefficients of ``A . B`` (``DiffOp.compose``) for those of nonzero ``A`` and ``B``."""
+def compose_coefficients(a, b, cap=None) -> list[XLaurent]:
+    """The coefficients of ``A . B`` (``DiffOp.compose``) for those of nonzero ``A`` and ``B``;
+    with ``cap``, only those of ``D^0 .. D^(cap-1)``, from the first ``cap`` of ``B``."""
     da = math.lcm(*[v.den for v in a])
-    rb, db = _packed_rows(b)
-    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
+    rb, db = _packed_rows(b[:cap])
+    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)][:cap]
     _d_power_sum(acc, a, da, rb, (), 1)
     return [_xl_of(r, da * db) for r in acc]
 

@@ -13,7 +13,9 @@ relation from scratch.
   eliminated fraction-free over Q[eps].  No ansatz window bounds the result,
   and an empty family is named by the constraint that cannot hold.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
-  annihilating a commuting pair by one fraction-free elimination over Q[eps].
+  annihilating a commuting pair by fraction-free elimination over Q[eps] on
+  the low D^k rows of truncated monomial products, widened only while the
+  exact substitution check rejects the candidate.
 * ``verify_rank3`` checks the reduction remainder of an operator against its
   expected eigenvalue series, on the frame that its ``ChiTriple`` keeps, so
   ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames, not
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -317,11 +318,9 @@ def _integrate_level(integrands: dict[int, XLaurent], n: int, j: int):
     """
     parts, obstruction = {}, {}
     for comp, f in integrands.items():
-        by_x = f.c
-        if -1 in by_x:
-            obstruction[comp] = by_x[-1]
-        g = XLaurent({e + 1: v.scale(Fraction(-1, n * (e + 1)))
-                      for e, v in by_x.items() if e != -1})
+        g, r = f.antiderivative(-n)
+        if not r.is_zero():
+            obstruction[comp] = r
         if not g.is_zero():
             parts[comp] = g
     return parts, [(f"the x^-1 obstruction of b_{j}", obstruction)] if obstruction else []
@@ -428,14 +427,17 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
     """Minimal-weight polynomial Q with Q(a, b) = 0, or None within the bound.
 
     z stands for ``a`` and w for ``b``, each weighted by its order.  The
-    products z^i w^j of weight <= ``weight_bound`` are the columns of one
-    linear system over Q[eps] (one row per monomial D^k x^e), sorted by
-    weight, then w-degree, then z-degree, and eliminated fraction-free
-    (``linsolve.BareissEchelon``).  The first column without a pivot is the
-    leading monomial of the minimal relation; the relation is the primitive
-    solution there: supported on that monomial and the ones before it,
-    content-free over Q[eps] and monic in eps at its leading monomial.  It is
-    re-verified by exact substitution.  No eps-degree bounds the relation.
+    products z^i w^j of weight <= ``weight_bound``, sorted by weight, then
+    w-degree, then z-degree, are the columns of a linear system over Q[eps]
+    whose rows are the monomials D^k x^e with k < cap, read off the products
+    cut at D^cap, and eliminated fraction-free (``linsolve.BareissEchelon``).
+    The candidate is the primitive solution at the first free column
+    (content-free over Q[eps], monic in eps there), re-verified by exact
+    substitution into the full products of its support.  While it fails, cap
+    runs 1, 2, 4, ... up to the full system (cap > ``weight_bound``).  A
+    verified candidate is the full system's primitive solution at its first
+    free column, and a row subset keeps every free column.  No eps-degree
+    bounds the relation.
     """
     wa, wb = int(a.order), int(b.order)
     if wa <= 0 or wb <= 0:
@@ -446,18 +448,21 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
                         for j in range(weight_bound // wb + 1)
                         if wa * i + wb * j <= weight_bound),
                        key=lambda ij: (wa * ij[0] + wb * ij[1], ij[1], ij[0]))
-    products = _pair_monomials(a, b, monomials)
-
-    columns = {c: p.coeffs for c, p in enumerate(products)}
-    ech = _PACKAGE.linsolve.BareissEchelon(
-        _coefficient_rows(columns, range(weight_bound, -1, -1)), len(monomials))
-    free = ech.free_columns()
-    if not free:
-        return None
-    vec = ech.primitive_solution(free[0])
-    q = BivarPoly({monomials[c]: v for c, v in vec.items()})
-    residual = combination([(products[c], XLaurent({0: v})) for c, v in vec.items()])
-    if (k := _first_nonzero(residual)) is not None:
-        raise PipelineError(
-            f"kernel candidate failed exact re-verification: Q(a, b) != 0 at D^{k}")
-    return q
+    cap = 1
+    while True:
+        columns = dict(enumerate(p.coeffs for p in _pair_monomials(a, b, monomials, cap)))
+        ech = _PACKAGE.linsolve.BareissEchelon(
+            _coefficient_rows(columns, range(cap)), len(monomials))
+        free = ech.free_columns()
+        if not free:
+            return None
+        vec = ech.primitive_solution(free[0])
+        support = [monomials[c] for c in vec]
+        residual = combination([(p, XLaurent({0: v})) for p, v in
+                                zip(_pair_monomials(a, b, support), vec.values())])
+        if (k := _first_nonzero(residual)) is None:
+            return BivarPoly(dict(zip(support, vec.values())))
+        if cap > weight_bound:
+            raise PipelineError(
+                f"kernel candidate failed exact re-verification: Q(a, b) != 0 at D^{k}")
+        cap *= 2

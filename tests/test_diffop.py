@@ -10,6 +10,7 @@ from bcpair import (BivarPoly, DiffOp, ExactError, NonCommutingPair, ReductionEr
                     XLAURENT_RING, XLaurent, ZSeries, ep, eval_poly_at_pair,
                     make_l1, make_l2, make_limit_op, right_reduce, xl)
 from bcpair.diffop import _pair_monomials
+from bcpair.exact import compose_coefficients
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -206,6 +207,49 @@ def test_pair_monomials_match_left_to_right_products():
                 out = out.compose(factor)
             plain.append(canonical(out))
         assert [canonical(m) for m in _pair_monomials(a, b, exponents)] == plain
+
+
+def low(coeffs, cap: int) -> list:
+    """The canonical forms of the ``D^0 .. D^(cap-1)`` coefficients, missing ones zero."""
+    coeffs = list(coeffs) + [XLaurent.zero()] * cap
+    return [(c.den, c.num) for c in coeffs[:cap]]
+
+
+def test_capped_products_are_the_low_coefficients_of_the_full_ones():
+    # with a cap, compose_coefficients gives the full product's first cap
+    # coefficients, and reads only b's first cap: seeded operators with zero
+    # coefficients, cap = 1 and caps at and beyond the product's length
+    ops = [op for op in edge_ops(rng(23)) if not op.is_zero()] + [
+        DiffOp([XLaurent.zero(), xl({1: 2}), XLaurent.zero(), XLaurent.one()])]
+    for a in ops:
+        for b in ops:
+            full = compose_coefficients(a.coeffs, b.coeffs)
+            for cap in sorted({1, 2, 3, len(full) - 1, len(full), len(full) + 2} - {0}):
+                capped = compose_coefficients(a.coeffs, b.coeffs, cap)
+                assert len(capped) == min(cap, len(full))
+                assert low(capped, cap) == low(full, cap)
+                assert low(compose_coefficients(a.coeffs, b.coeffs[:cap], cap), cap) == \
+                    low(full, cap)
+                assert low(a.compose(b, cap).coeffs, cap) == low(full, cap)
+
+
+def test_capped_pair_monomials_are_the_low_coefficients_of_the_full_ones():
+    # the capped chain builds each product from the capped smaller one; the pair
+    # of orders 3 and 6 commutes, the seeded pairs need not for this identity
+    g = make_limit_op()
+    h = fold_compose(g, g) + g.scale(F(2, 3))
+    r = rng(24)
+
+    def seeded() -> DiffOp:
+        # order 1 to 3 with a nonzero leading coefficient; lower ones may be zero
+        return DiffOp([random_xlaurent(r, xspan=2, terms=2) for _ in range(r.randint(1, 3))]
+                      + [xl({r.randint(-2, 2): r.randint(1, 5)})])
+    exponents = [(2, 1), (0, 3), (1, 2), (3, 0), (0, 0), (1, 1), (0, 1), (1, 0)]
+    for a, b in [(g, h), (h, g)] + [(seeded(), seeded()) for _ in range(4)]:
+        full = _pair_monomials(a, b, exponents)
+        for cap in (1, 2, 5, 18, 19, 40):
+            capped = _pair_monomials(a, b, exponents, cap)
+            assert [low(m.coeffs, cap) for m in capped] == [low(m.coeffs, cap) for m in full]
 
 
 def test_commutator_antisymmetry_and_self():

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from bcpair import (CurveElem, DiffOp, EpsPoly, ExactError, XLaurent, ZSeries, ep,
                     lambda_fn, series_sqrt, xl)
 from bcpair.exact import series_divide, series_sum, sum_of_products
-from conftest import (assert_same_series, random_epspoly, random_xlaurent,
-                      reference_product, rng)
+from conftest import (assert_same_series, random_epspoly, random_fraction,
+                      random_xlaurent, reference_product, rng)
 
 F = Fraction
 
@@ -39,6 +39,22 @@ def test_derive_negative_exponent():
 
 def test_derive_constant():
     assert xl({0: 7}).derive().is_zero()
+
+
+def test_antiderivative_seeded():
+    # n * G' = f - r/x with r the x^-1 coefficient, in the canonical form of the
+    # row-by-row Fraction scaling it replaces
+    r = rng(2)
+    for _ in range(300):
+        f = random_xlaurent(r, xspan=4, terms=4) + xl({-1: random_fraction(r)})
+        n = r.choice([-9, -3, -1, 1, 2, 5])
+        g, res = f.antiderivative(n)
+        assert res == f.c.get(-1, EpsPoly.zero())
+        assert g.derive().scale(n) == f - XLaurent({-1: res})
+        ref = XLaurent({e + 1: v.scale(Fraction(1, n * (e + 1)))
+                        for e, v in f.c.items() if e != -1})
+        assert g == ref  # structural: equal numerators over equal denominators
+    assert XLaurent.zero().antiderivative(3) == (XLaurent.zero(), EpsPoly.zero())
 
 
 def test_product_rule_seeded():

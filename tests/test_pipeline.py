@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bcpair import (AffineSolutionSet, BivarPoly, ChiTriple, DiffOp, EpsPoly,
-                    PipelineError, TruncationTooShort, XLaurent, ZSeries, chi_series_triple,
-                    curve_series, derive_L1_coeffs, ep, find_bc_relation,
+                    PipelineError, TruncationTooShort, XLaurent, ZSeries, bc_poly,
+                    chi_series_triple, curve_series, derive_L1_coeffs, ep, find_bc_relation,
                     lambda_fn, make_l1, make_l2, make_limit_op, mu_fn,
                     reduce_with_frame, reduction_frame, right_reduce,
                     solve_commuting, verify_rank3, xl)
@@ -431,9 +431,49 @@ def test_find_bc_relation_eps_dependent_pair(k):
                            (1, 0): (epsk * epsk).scale(-1)})
 
 
+@pytest.fixture
+def echelon_caps(monkeypatch):
+    """The largest row order D^k plus one that each ``BareissEchelon`` built
+    during the test is given (its cap), in order."""
+    caps = []
+    echelon = pipeline._PACKAGE.linsolve.BareissEchelon
+
+    class Counted(echelon):
+        def __init__(self, rows, rhs):
+            rows = list(rows)
+            caps.append(1 + max(int(label.split()[0][2:]) for label, _ in rows))
+            super().__init__(rows, rhs)
+    monkeypatch.setattr(pipeline._PACKAGE.linsolve, "BareissEchelon", Counted)
+    return caps
+
+
+def test_find_bc_relation_settles_at_the_first_cap(echelon_caps, l1, l2, limit_op):
+    # on the eps -> 0 limits the D^0 rows of the truncated products fix the
+    # relation: one elimination, and the candidate passes exact substitution
+    ident = DiffOp.identity()
+    pairs = [(l1.substitute_eps(0), l2.substitute_eps(0)),
+             (limit_op.op_power(3) - ident, limit_op.op_power(4) - limit_op)]
+    for a, b in pairs:
+        echelon_caps.clear()
+        assert find_bc_relation(a, b, 36) == bc_poly().substitute_eps(0)
+        assert echelon_caps == [1]
+    for r in (F(7, 3), F(-1, 2)):
+        q = find_bc_relation(l1.substitute_eps(r), l2.substitute_eps(r), 36)
+        assert q == bc_poly().substitute_eps(r)
+
+
+def test_find_bc_relation_widens_while_the_candidate_fails(echelon_caps):
+    # (D, D^2): at cap 1 only the constant 1 has a row, so z leads the candidate;
+    # at cap 2 z^2 = D^2 has none; the D^0..D^3 rows give w - z^2
+    assert find_bc_relation(DiffOp.d(1), DiffOp.d(2), 4) == \
+        BivarPoly({(0, 1): ep(1), (2, 0): ep(-1)})
+    assert echelon_caps == [1, 2, 4]
+
+
 def test_find_bc_relation_reverification_names_d_k(monkeypatch):
     # a kernel vector off by one at its leading monomial (2 w - z^2 at (D, D^2))
-    # is no relation: the re-verification names the first nonzero D^k of Q(a, b)
+    # is no relation: the re-verification names the first nonzero D^k of Q(a, b),
+    # once the widening has reached the full system
     echelon = pipeline._PACKAGE.linsolve.BareissEchelon
     solve = echelon.primitive_solution
 
