@@ -16,10 +16,15 @@ multiplication is a syntax error.  Division and negative powers are allowed
 only for order-0 single-monomial operands without eps content, so '26/x^2'
 and 'x^-2' both work but '1/(D+x)' does not.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error or no
-check applied to the given inputs, 130 interrupted by SIGINT (Ctrl-C) once
-the package has loaded, with one ``interrupted`` line on stderr and no
-traceback, 141 stdout closed early by its reader.
+Exit codes: 0 all checks passed, 1 a check failed, 2 refused input (an
+unread option, a bad --eps, --points or --precision, an unwritable path) or
+no check applied to the given inputs, 130 interrupted by SIGINT (Ctrl-C)
+once the package has loaded, with one ``interrupted`` line on stderr and no
+traceback, 141 stdout closed early by its reader.  A failed check is a
+named failing row, and the report is still printed and written: a
+non-commuting pair names its first nonzero ``W_k``, and a solver result that
+fails re-verification or a failed branch search is the row ``<command> runs
+to completion`` with the error's text.
 No command fails by design: on the shipped data every check passes, and a
 published erratum is a check that the erratum's form fails (the eps^2 curve
 in ``verify bc``).  Every option changes an input that a check reads.
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import EpsPoly, XLaurent
-from .diffop import DiffOp, _first_nonzero, eval_poly_at_pair
+from .diffop import DiffOp, _commutation_failure, _eval_at_commuting_pair, _first_nonzero
 from .curve import CurveDef, bc_function_identity, curve_series, lambda_fn, mu_fn
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
 from . import pipeline
@@ -355,18 +360,19 @@ def _maybe_eps(op_or_val, eps):
 
 
 def _suite_commute(report: Report, eps) -> None:
-    l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
-    comm = l1.commutator(l2)
-    report.add("commutator [L1, L2] vanishes identically", comm.is_zero(),
-               "coefficients of D^0..D^18 all zero (19 of them)")
+    why = _commutation_failure(_maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps))
+    report.add("commutator [L1, L2] vanishes identically", why is None,
+               why or "coefficients of D^0..D^18 all zero (19 of them)")
 
 
 def _suite_bc(report: Report, eps) -> None:
     l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
-    k = _first_nonzero(eval_poly_at_pair(_maybe_eps(bc_poly(), eps), l1, l2))
-    report.add("algebraic relation Q(L1, L2) = 0", k is None,
-               "w^3 - 1/15552*eps^4*w^2 - z^4 - z^3 at (z, w) = (L1, L2)" if k is None
-               else f"Q(L1, L2) != 0 at D^{k}")
+    why = _commutation_failure(l1, l2)
+    if why is None and (k := _first_nonzero(
+            _eval_at_commuting_pair(_maybe_eps(bc_poly(), eps), l1, l2))) is not None:
+        why = f"Q(L1, L2) != 0 at D^{k}"
+    report.add("algebraic relation Q(L1, L2) = 0", why is None,
+               why or "w^3 - 1/15552*eps^4*w^2 - z^4 - z^3 at (z, w) = (L1, L2)")
     report.add("function-field shadow Q(lambda, mu) = 0 on the curve",
                bc_function_identity(CurveDef(), eps))
     # a published display of the curve has eps^2 where eps^4 belongs
@@ -454,11 +460,7 @@ def _write_artifact(report: Report, path: str, header: str, body: str) -> None:
 
 
 def _construct_l1(report: Report, out: str) -> None:
-    try:
-        coeffs = pipeline.derive_L1_coeffs(*pipeline.chi_series_triple())
-    except pipeline.PipelineError as exc:
-        report.add("derivation of the order-9 coefficients", False, str(exc))
-        return
+    coeffs = pipeline.derive_L1_coeffs(*pipeline.chi_series_triple())
     derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()])
     report.add("derived coefficients match the catalogued operator", derived == make_l1())
     _write_artifact(report, out or "l1_derived.txt",
@@ -629,9 +631,13 @@ def _main(argv) -> int:
     t0 = time.perf_counter()
     try:
         # the report keeps eps as given; the suites read None (symbolic) or its
-        # value.  OSError: a construct target's --out path cannot be written.
+        # value
         args.run(report, **{k: _eps(v) if k == "eps" else v for k, v in report.inputs.items()})
-    except (pipeline.PipelineError, ValueError, ArithmeticError, OSError) as exc:
+    except (pipeline.PipelineError, ArithmeticError) as exc:
+        # a check the library decided by raising: this run's failing row
+        report.add(f"{name} runs to completion", False, str(exc))
+    except (ValueError, OSError) as exc:
+        # refused input; OSError: a construct target's --out path cannot be written
         return _error(exc)
     report.wall_time_s = round(time.perf_counter() - t0, 3)
     _emit(report)

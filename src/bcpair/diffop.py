@@ -180,10 +180,16 @@ def _first_nonzero(op: DiffOp) -> int | None:
     return next((k for k, c in enumerate(op.coeffs) if not c.is_zero()), None)
 
 
+def _commutation_failure(a: DiffOp, b: DiffOp) -> str | None:
+    """The first nonzero coefficient W_k of [a, b], named; None when the pair commutes."""
+    k = _first_nonzero(a.commutator(b))
+    return None if k is None else f"operators do not commute: W_{k} != 0"
+
+
 def _require_commuting(a: DiffOp, b: DiffOp, error: Callable[[str], Exception]) -> None:
-    """Raise ``error(message)`` naming the first nonzero coefficient W_k of [a, b], if any."""
-    if (k := _first_nonzero(a.commutator(b))) is not None:
-        raise error(f"operators do not commute: W_{k} != 0")
+    """Raise ``error(_commutation_failure(a, b))`` unless the pair commutes."""
+    if (why := _commutation_failure(a, b)) is not None:
+        raise error(why)
 
 
 def _pair_monomials(a: DiffOp, b: DiffOp, exponents, cap=None) -> list[DiffOp]:
@@ -218,14 +224,15 @@ def combination(pairs) -> DiffOp:
 
 
 def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
-    """Evaluate Q(z, w) at z -> a, w -> b for a commuting pair.
-
-    The pair must commute (checked), so the monomial evaluation order is
-    irrelevant; a non-commuting pair is rejected with the first nonzero
-    commutator coefficient named.  The result is one ``combination`` of the
-    monomials.
-    """
+    """Evaluate Q(z, w) at z -> a, w -> b; a non-commuting pair raises
+    ``NonCommutingPair`` naming its first nonzero commutator coefficient."""
     _require_commuting(a, b, NonCommutingPair)
+    return _eval_at_commuting_pair(q, a, b)
+
+
+def _eval_at_commuting_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
+    """Q(a, b), unchecked: the pair commutes (the callers check), so the monomial
+    evaluation order is irrelevant.  One ``combination`` of the monomials."""
     terms = sorted(q.c.items())
     return combination([(mono, XLaurent({0: coeff})) for mono, (_, coeff)
                         in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms)])

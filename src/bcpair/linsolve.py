@@ -17,8 +17,6 @@ retired:
   ``linsolve.mod_echelon_insert.calls``;
 * ``prime_stream`` feeds ``linsolve.primes_drawn``, and
   ``rational_reconstruct`` feeds ``linsolve.rational_reconstruct.calls``;
-  ``crt_pair`` and ``fraction_mod`` feed no metric, but the
-  ``rational_reconstruct`` tests build their inputs with them;
 * ``FractionEchelon`` (``insert``, ``reduce_vector``, ``kernel_basis``, an
   incremental echelon over Q) feeds ``linsolve.fraction_echelon_insert.calls``,
   ``linsolve.fraction_echelon_s`` and the micro-benchmark
@@ -119,13 +117,6 @@ def prime_stream(start: int = (1 << 61) - 1):
         n -= 2 if n % 2 else 1
 
 
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine residues; moduli must be coprime."""
-    inv = pow(m1, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
-
-
 def rational_reconstruct(r: int, m: int) -> Fraction | None:
     """Find num/den = r (mod m) with |num|, den <= sqrt(m/2), or None."""
     r %= m
@@ -143,13 +134,6 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
     if math.gcd(r1, t1) != 1 or math.gcd(t1, m) != 1:
         return None
     return Fraction(r1, t1)
-
-
-def fraction_mod(f: Fraction, p: int) -> int:
-    num, den = f.numerator, f.denominator
-    if den % p == 0:
-        raise ZeroDivisionError("denominator not invertible mod p")
-    return num * pow(den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError, XLaurent,
                     ZSeries, d_power_commutators, series_sum, sum_of_products)
-from .diffop import DiffOp, _first_nonzero, _pair_monomials, _require_commuting, combination
+from .diffop import (DiffOp, _eval_at_commuting_pair, _first_nonzero, _pair_monomials,
+                     _require_commuting, combination)
 from .curve import chi, curve_series, lambda_fn
 
 if TYPE_CHECKING:
@@ -456,12 +457,9 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
         free = ech.free_columns()
         if not free:
             return None
-        vec = ech.primitive_solution(free[0])
-        support = [monomials[c] for c in vec]
-        residual = combination([(p, XLaurent({0: v})) for p, v in
-                                zip(_pair_monomials(a, b, support), vec.values())])
-        if (k := _first_nonzero(residual)) is None:
-            return BivarPoly(dict(zip(support, vec.values())))
+        q = BivarPoly({monomials[c]: v for c, v in ech.primitive_solution(free[0]).items()})
+        if (k := _first_nonzero(_eval_at_commuting_pair(q, a, b))) is None:
+            return q
         if cap > weight_bound:
             raise PipelineError(
                 f"kernel candidate failed exact re-verification: Q(a, b) != 0 at D^{k}")

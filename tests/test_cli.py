@@ -169,7 +169,99 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-SUITES = ("all", "commute", "bc", "limit", "rank", "kn")
+def test_cli_non_commuting_pair_fails_named_rows(tmp_path, capsys, monkeypatch):
+    # L2 + D does not commute with L1 ([L1, D] has a nonzero D^0 coefficient):
+    # a failing row naming W_0, never an error exit
+    monkeypatch.setattr(cli, "make_l2", lambda: make_l2() + DiffOp.d(1))
+    named = "(operators do not commute: W_0 != 0)"
+    assert main(["verify", "commute"]) == 1
+    out = capsys.readouterr().out
+    assert f"  [FAIL] commutator [L1, L2] vanishes identically  {named}\n" in out
+    assert "19 of them" not in out
+    assert main(["verify", "bc"]) == 1
+    out = capsys.readouterr().out
+    assert f"  [FAIL] algebraic relation Q(L1, L2) = 0  {named}\n" in out
+    assert "[PASS] function-field shadow Q(lambda, mu) = 0 on the curve" in out
+    assert "[PASS] the eps^2-variant curve breaks the function-field relation" in out
+    report = tmp_path / "all.json"
+    assert main(["verify", "all", "--json", str(report)]) == 1
+    capsys.readouterr()
+    payload = json.loads(report.read_text())
+    assert payload["outcome"] == "fail"
+    rows = {c["name"]: c for c in payload["checks"]}
+    # every suite's rows: commute, bc (3), limit (2), rank (5), kn (2)
+    assert len(rows) == 13
+    for name in ("commutator [L1, L2] vanishes identically", "algebraic relation Q(L1, L2) = 0"):
+        assert rows[name] == {"name": name, "status": "fail",
+                              "detail": "operators do not commute: W_0 != 0"}
+    assert rows["compatibility residuals below tolerance at all points"]["status"] == "pass"
+
+
+def test_cli_failed_branch_search_is_a_failing_row(tmp_path, capsys, monkeypatch):
+    # the displayed closed forms solve the system on no branch: the search's
+    # error becomes the run's failing row, naming the worst equation and the
+    # best assignment, and the report is still written
+    from bcpair import kncheck
+    resolved = kncheck._point_quantities
+    monkeypatch.setattr(kncheck, "_point_quantities",
+                        lambda x, eps, precision, branch, variant="resolved":
+                        resolved(x, eps, precision, branch, "displayed"))
+    report = tmp_path / "kn.json"
+    assert main(["verify", "kn", "--precision", "40", "--points", "2",
+                 "--json", str(report)]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert "[FAIL] verify kn runs to completion  (no branch assignment" in out.out
+    (row,) = json.loads(report.read_text())["checks"]
+    assert row["name"] == "verify kn runs to completion" and row["status"] == "fail"
+    assert row["detail"].startswith("no branch assignment reaches tolerance 1.0e-20; ")
+    assert row["detail"].endswith(
+        "at BranchAssignment(phase=1, sqrt_3c4=1, w_signs=(0, 0, 0)), in Eq[3, 0] (pole 3)")
+
+
+@pytest.mark.parametrize("target, solver, error", [
+    ("l1", "derive_L1_coeffs", "PipelineError"),
+    ("l2", "solve_commuting", "EmptyCommutant"),
+    ("bc", "find_bc_relation", "PipelineError"),
+])
+def test_cli_construct_solver_failure_is_a_failing_row(
+        tmp_path, capsys, monkeypatch, target, solver, error):
+    from bcpair import pipeline
+    message = f"{solver} fails exact re-verification at D^3"
+
+    def fails(*args, **kwargs):
+        raise getattr(pipeline, error)(message)
+    monkeypatch.setattr(pipeline, solver, fails)
+    out, report = tmp_path / "artifact.txt", tmp_path / "r.json"
+    assert main(["construct", target, "--out", str(out), "--json", str(report)]) == 1
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert f"  [FAIL] construct {target} runs to completion  ({message})\n" in printed.out
+    payload = json.loads(report.read_text())
+    assert payload["outcome"] == "fail" and payload["findings"] == []
+    assert payload["checks"] == [{"name": f"construct {target} runs to completion",
+                                  "status": "fail", "detail": message}]
+    assert not out.exists()
+
+
+def test_one_commutator_per_relation_check(capsys, monkeypatch):
+    # the relation search and the bc suite each decide commutation once and
+    # evaluate Q through the unchecked body: a second commutator would be waste
+    from bcpair import find_bc_relation, make_l1, pipeline
+    calls = []
+    commutator = DiffOp.commutator
+    monkeypatch.setattr(DiffOp, "commutator",
+                        lambda self, other: calls.append(1) or commutator(self, other))
+    l1, l2 = make_l1().substitute_eps(0), make_l2().substitute_eps(0)
+    assert find_bc_relation(l1, l2, 36) is not None
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["verify", "bc"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+SUITES =("all", "commute", "bc", "limit", "rank", "kn")
 
 
 @pytest.mark.parametrize("eps", ["symbolic", "-1", "0", "1", "2", "-3/2"])

@@ -60,10 +60,11 @@ def test_crt_and_reconstruction():
     p1, p2 = next(it), next(it)
     for _ in range(300):
         f = F(r.randint(-10**12, 10**12), r.randint(1, 10**6))
-        r1 = linsolve.fraction_mod(f, p1)
-        r2 = linsolve.fraction_mod(f, p2)
-        combined, modulus = linsolve.crt_pair(r1, p1, r2, p2)
-        assert linsolve.rational_reconstruct(combined, modulus) == f
+        r1 = f.numerator * pow(f.denominator, -1, p1) % p1
+        r2 = f.numerator * pow(f.denominator, -1, p2) % p2
+        # the residue mod p1*p2 that is r1 mod p1 and r2 mod p2
+        combined = r1 + p1 * ((r2 - r1) * pow(p1, -1, p2) % p2)
+        assert linsolve.rational_reconstruct(combined, p1 * p2) == f
 
 
 def test_reconstruction_failure_is_detected():
@@ -71,7 +72,7 @@ def test_reconstruction_failure_is_detected():
     # with the paired modulus it must round-trip exactly
     p = next(linsolve.prime_stream())
     big = F(10**20, 7)
-    r1 = linsolve.fraction_mod(big, p)
+    r1 = big.numerator * pow(big.denominator, -1, p) % p
     rec = linsolve.rational_reconstruct(r1, p)
     assert rec != big
 
