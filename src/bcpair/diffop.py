@@ -10,6 +10,14 @@ one reduction per output coefficient.  Series in z never become operator
 coefficients: they enter only through the rank-3 reduction frame, which
 ``pipeline.reduction_frame`` builds by its own recurrence.
 
+A relation ``Q(a, b)`` of a commuting pair is decided on the ``x^0`` parts
+of its ``D^k`` coefficients when ``a`` or ``b`` has order >= 1 and an x-free
+leading coefficient: by the centralizer lemma (``_leading_term``), a nonzero
+``Q(a, b)`` then has an x-free leading coefficient too.  The pair must
+commute (``eval_poly_at_pair`` checks it; ``find_bc_relation`` and ``verify
+bc`` check it once themselves).  The full operator is built only when
+``Q(a, b) != 0``, or when neither operand has such a lead.
+
 ``XLAURENT_RING`` names that one coefficient ring.  It remains importable, and
 ``DiffOp(coeffs, ring)``, ``DiffOp.identity(ring)`` and ``DiffOp.d(k, ring)``
 accept it as an optional last argument, only because the benchmark workloads
@@ -19,10 +27,11 @@ accept it as an optional last argument, only because the benchmark workloads
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable
 
-from .exact import (BivarPoly, XLaurent, commutator_coefficients, compose_coefficients,
-                    sum_of_products)
+from .exact import (BivarPoly, EpsPoly, XLaurent, commutator_coefficients,
+                    compose_coefficients, compose_x0_coefficients, sum_of_products)
 
 NEG_INF = float("-inf")
 
@@ -225,17 +234,71 @@ def combination(pairs) -> DiffOp:
 
 def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     """Evaluate Q(z, w) at z -> a, w -> b; a non-commuting pair raises
-    ``NonCommutingPair`` naming its first nonzero commutator coefficient."""
+    ``NonCommutingPair`` naming its first nonzero commutator coefficient.  A
+    zero ``Q(a, b)`` is decided on ``x^0`` parts when ``a`` or ``b`` has order
+    >= 1 and an x-free leading coefficient (``_leading_term``); the full
+    operator is built only when it is not zero."""
     _require_commuting(a, b, NonCommutingPair)
-    return _eval_at_commuting_pair(q, a, b)
+    return DiffOp.zero() if _leading_term(q, a, b) is None else _full_eval(q, a, b)
 
 
-def _eval_at_commuting_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
-    """Q(a, b), unchecked: the pair commutes (the callers check), so the monomial
-    evaluation order is irrelevant.  One ``combination`` of the monomials."""
+def _relation_failure(q: BivarPoly, a: DiffOp, b: DiffOp, name: str) -> str | None:
+    """``Q(a, b) != 0`` named by its leading term ``(c)*D^r`` (``_leading_term``);
+    None when ``Q(a, b) = 0``.  The pair commutes (the callers check)."""
+    lead = _leading_term(q, a, b)
+    return None if lead is None else f"{name} != 0: leading term ({lead[1]})*D^{lead[0]}"
+
+
+def _leading_term(q: BivarPoly, a: DiffOp, b: DiffOp) -> tuple[int, EpsPoly | XLaurent] | None:
+    """``(r, c)``: the order and leading coefficient of ``Q(a, b) != 0``, None when
+    ``Q(a, b) = 0``; the pair commutes.
+
+    Centralizer lemma: if ``[g, P] = 0`` for a ``g`` of order ``m >= 1`` whose
+    leading coefficient ``g_m`` is x-free, the top coefficient of ``[g, P]``
+    is ``m g_m p_r'``, so P's leading coefficient ``p_r`` is x-free too.
+    ``Q(a, b)`` commutes with ``a`` and ``b``, so when either is such a ``g``
+    (``_has_constant_lead``), ``r`` is the top ``D^r`` whose coefficient has a
+    nonzero ``x^0`` part and ``c`` is that part (``_x0_leading_term``): no
+    full product is built.  Otherwise both are read from the full ``Q(a, b)``.
+    Without the x-free lead the shortcut is wrong: at ``a = b = x D``,
+    ``Q = w`` has no ``x^0`` part but is ``x D``."""
+    if _has_constant_lead(a) or _has_constant_lead(b):
+        return _x0_leading_term(q, a, b)
+    p = _full_eval(q, a, b)
+    return None if p.is_zero() else (p.order, p.leading_coefficient())
+
+
+def _has_constant_lead(op: DiffOp) -> bool:
+    """Order >= 1 and an x-free leading coefficient: the centralizer lemma's condition."""
+    return op.order >= 1 and set(op.leading_coefficient().c) == {0}
+
+
+def _full_eval(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
+    """Q(a, b) for a commuting pair: one ``combination`` of the monomials."""
     terms = sorted(q.c.items())
     return combination([(mono, XLaurent({0: coeff})) for mono, (_, coeff)
                         in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms)])
+
+
+def _x0_leading_term(q: BivarPoly, a: DiffOp, b: DiffOp) -> tuple[int, EpsPoly] | None:
+    """``(r, c)`` for the top nonzero ``x^0`` part ``c`` of a ``D^r`` coefficient of
+    Q(a, b), None when every one is zero; the pair commutes.  Each monomial
+    ``a^i b^j`` is split into two factors of about half its order, built in full
+    (``_pair_monomials``); only the ``x^0`` parts of their product are formed
+    (``exact.compose_x0_coefficients``)."""
+    halves = [((i - i // 2, j // 2), (i // 2, j - j // 2), c) for (i, j), c in q.c.items()]
+    keys = sorted({h for h1, h2, _ in halves for h in (h1, h2)})
+    factors = dict(zip(keys, _pair_monomials(a, b, keys)))
+    rows: defaultdict[int, EpsPoly] = defaultdict(EpsPoly)
+    for h1, h2, coeff in halves:
+        left, right = factors[h1], factors[h2]
+        if left.order < right.order:  # the lower-order factor on the right: shorter D^i . B rows
+            left, right = right, left
+        if not right.is_zero():
+            for n, v in enumerate(compose_x0_coefficients(left.coeffs, right.coeffs)):
+                rows[n] = rows[n] + coeff * v
+    top = max((n for n, v in rows.items() if not v.is_zero()), default=None)
+    return None if top is None else (top, rows[top])
 
 
 class ReductionError(ArithmeticError):

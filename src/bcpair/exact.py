@@ -21,8 +21,9 @@ Everything downstream computes over these types:
   product kernel, ``_add_products``.
   ``sum_of_products`` and ``series_sum`` (``ZSeries`` products, the rank-3
   reduction frame and its remainder) sum each result in one int dict over a
-  common denominator (``_packed_sum``), as do ``compose_coefficients`` and
-  ``commutator_coefficients``, and reduce each result once.
+  common denominator (``_packed_sum``), as do ``compose_coefficients``,
+  ``commutator_coefficients`` and ``compose_x0_coefficients`` (only the
+  ``x^0`` parts of a product), and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
@@ -554,6 +555,29 @@ def compose_coefficients(a, b, cap=None) -> list[XLaurent]:
     acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)][:cap]
     _d_power_sum(acc, a, da, rb, (), 1)
     return [_xl_of(r, da * db) for r in acc]
+
+
+def compose_x0_coefficients(a, b) -> list[EpsPoly]:
+    """The x^0 parts of the coefficients of ``A . B`` for those of nonzero ``A`` and ``B``:
+    ``sum_i a_i R_i[n]`` (``_d_power_rows``) on only the term pairs whose x exponents
+    sum to 0, with ``a_i``'s terms grouped by the x exponent they need."""
+    da = math.lcm(*[v.den for v in a])
+    rb, db = _packed_rows(b)
+    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
+    for ai, rows in zip(a, _d_power_rows(rb, (), len(a))):
+        if not ai.num:
+            continue
+        need: dict[int, list[tuple[int, int]]] = {}
+        f = da // ai.den
+        for k, v in ai.num.items():
+            need.setdefault(-(k >> _EPS_BITS), []).append((k & _EPS_MASK, v * f))
+        for acc_n, r in zip(acc, rows):
+            get = acc_n.get
+            for k, v in r.items():
+                for e, va in need.get(k >> _EPS_BITS, ()):
+                    e += k & _EPS_MASK
+                    acc_n[e] = get(e, 0) + va * v
+    return [EpsPoly._of_acc(r, da * db) for r in acc]
 
 
 def commutator_coefficients(a, b) -> list[XLaurent]:

@@ -23,7 +23,8 @@ relation from scratch.
 
 Every solver's output is re-verified exactly before it is returned: the L1
 coefficients by ``verify_rank3``, the commutant by commutation and the relation
-by substitution, each failure naming its z-order, its ``W_k`` or its ``D^k``.
+by substitution, each failure naming its z-order, its ``W_k`` or the leading
+term ``(c)*D^r`` of ``Q(a, b)``.
 
 The fraction-free solver (``linsolve``) is a lazy module of the package: the
 constructive steps reach it as ``_PACKAGE.linsolve`` at call time, through
@@ -41,8 +42,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError, XLaurent,
                     ZSeries, d_power_commutators, series_sum, sum_of_products)
-from .diffop import (DiffOp, _eval_at_commuting_pair, _first_nonzero, _pair_monomials,
-                     _require_commuting, combination)
+from .diffop import (DiffOp, _pair_monomials, _relation_failure, _require_commuting,
+                     combination)
 from .curve import chi, curve_series, lambda_fn
 
 if TYPE_CHECKING:
@@ -434,7 +435,9 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
     cut at D^cap, and eliminated fraction-free (``linsolve.BareissEchelon``).
     The candidate is the primitive solution at the first free column
     (content-free over Q[eps], monic in eps there), re-verified by exact
-    substitution into the full products of its support.  While it fails, cap
+    substitution (``diffop._relation_failure``: the ``x^0`` parts of the
+    products of its support, under the centralizer lemma's condition; a
+    failure names the leading term of ``Q(a, b)``).  While it fails, cap
     runs 1, 2, 4, ... up to the full system (cap > ``weight_bound``).  A
     verified candidate is the full system's primitive solution at its first
     free column, and a row subset keeps every free column.  No eps-degree
@@ -458,9 +461,8 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
         if not free:
             return None
         q = BivarPoly({monomials[c]: v for c, v in ech.primitive_solution(free[0]).items()})
-        if (k := _first_nonzero(_eval_at_commuting_pair(q, a, b))) is None:
+        if (why := _relation_failure(q, a, b, "Q(a, b)")) is None:
             return q
         if cap > weight_bound:
-            raise PipelineError(
-                f"kernel candidate failed exact re-verification: Q(a, b) != 0 at D^{k}")
+            raise PipelineError(f"kernel candidate failed exact re-verification: {why}")
         cap *= 2

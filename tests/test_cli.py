@@ -160,10 +160,13 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         main(["verify", "nonsense"])
     assert exc.value.code == 2
     # a failed check is exit 1: the printed L2 still commutes with L1 (a
-    # constant shift always does) but breaks the relation, first at D^0
+    # constant shift always does) but breaks the relation; the row names the
+    # leading term, -3 delta at D^24 (the 3 L2^2 of dQ/dw times the missing
+    # constant delta = 1541 eps^4/11337408)
     monkeypatch.setattr(cli, "make_l2", printed_l2)
     assert main(["verify", "bc"]) == 1
-    assert ("  [FAIL] algebraic relation Q(L1, L2) = 0  (Q(L1, L2) != 0 at D^0)\n"
+    assert ("  [FAIL] algebraic relation Q(L1, L2) = 0  "
+            "(Q(L1, L2) != 0: leading term (-1541/3779136*eps^4)*D^24)\n"
             in capsys.readouterr().out)
     assert main(["verify", "commute"]) == 0
     capsys.readouterr()
@@ -259,6 +262,29 @@ def test_one_commutator_per_relation_check(capsys, monkeypatch):
     assert main(["verify", "bc"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_passing_relation_check_builds_no_order_36_product(capsys, monkeypatch):
+    # Q(L1, L2) = 0 is decided on x^0 parts: one commutator, and full products
+    # only up to the squares L1^2 and L2^2 (order 24), never one of order 36
+    from bcpair import bc_poly, eval_poly_at_pair
+    calls, orders = [], []
+    commutator, compose = DiffOp.commutator, DiffOp.compose
+
+    def counted_compose(self, other, cap=None):
+        product = compose(self, other, cap)
+        orders.append(product.order)
+        return product
+    monkeypatch.setattr(DiffOp, "commutator",
+                        lambda self, other: calls.append(1) or commutator(self, other))
+    monkeypatch.setattr(DiffOp, "compose", counted_compose)
+    assert eval_poly_at_pair(bc_poly(), make_l1(), make_l2()).is_zero()
+    assert (len(calls), max(orders)) == (1, 24)
+    calls.clear()
+    orders.clear()
+    assert main(["verify", "bc"]) == 0
+    capsys.readouterr()
+    assert (len(calls), max(orders)) == (1, 24)
 
 
 SUITES =("all", "commute", "bc", "limit", "rank", "kn")

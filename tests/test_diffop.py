@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bcpair import (BivarPoly, DiffOp, ExactError, NonCommutingPair, ReductionError,
-                    XLAURENT_RING, XLaurent, ZSeries, ep, eval_poly_at_pair,
-                    make_l1, make_l2, make_limit_op, right_reduce, xl)
-from bcpair.diffop import _pair_monomials
-from bcpair.exact import compose_coefficients
+from bcpair import (BivarPoly, DiffOp, EpsPoly, ExactError, NonCommutingPair, PipelineError,
+                    ReductionError, XLAURENT_RING, XLaurent, ZSeries, bc_poly, ep,
+                    eval_poly_at_pair, find_bc_relation, make_l1, make_l2, make_limit_op,
+                    right_reduce, xl)
+from bcpair.diffop import _pair_monomials, _relation_failure, combination
+from bcpair.exact import compose_coefficients, compose_x0_coefficients
 from conftest import random_xlaurent, rng
 
 F = Fraction
@@ -233,6 +234,16 @@ def test_capped_products_are_the_low_coefficients_of_the_full_ones():
                 assert low(a.compose(b, cap).coeffs, cap) == low(full, cap)
 
 
+def test_x0_products_are_the_x0_parts_of_the_full_ones():
+    # seeded operators with zero coefficients and terms on both sides of x^0
+    ops = [op for op in edge_ops(rng(25)) if not op.is_zero()] + [
+        DiffOp([XLaurent.zero(), xl({1: 2, -1: F(1, 3)}), XLaurent.zero(), XLaurent.one()])]
+    for a in ops:
+        for b in ops:
+            assert compose_x0_coefficients(a.coeffs, b.coeffs) == \
+                [c.c.get(0, EpsPoly.zero()) for c in compose_coefficients(a.coeffs, b.coeffs)]
+
+
 def test_capped_pair_monomials_are_the_low_coefficients_of_the_full_ones():
     # the capped chain builds each product from the capped smaller one; the pair
     # of orders 3 and 6 commutes, the seeded pairs need not for this identity
@@ -327,6 +338,58 @@ def test_eval_poly_rejects_noncommuting():
     x_op = coeff_op(XLaurent.var())
     with pytest.raises(NonCommutingPair, match="W_0"):
         eval_poly_at_pair(BivarPoly({(1, 1): ep(1)}), D, x_op)
+
+
+def test_eval_poly_needs_an_x_free_leading_coefficient():
+    # x D commutes with itself, and w at (x D, x D) is x D, whose coefficients
+    # have no x^0 part: the x^0 shortcut must not apply without an x-free lead
+    xd = DiffOp([XLaurent.zero(), XLaurent.var()])
+    assert all(v.is_zero() for v in compose_x0_coefficients(I.coeffs, xd.coeffs))
+    assert eval_poly_at_pair(BivarPoly({(0, 1): 1}), xd, xd) == xd
+    assert _relation_failure(BivarPoly({(0, 1): 1}), xd, xd, "Q") == \
+        "Q != 0: leading term (1*x^1)*D^1"
+
+
+def test_noncommuting_pair_with_vanishing_x0_parts_never_passes():
+    # D is monic, and w at (D, x D) has no x^0 part: only the commutation check
+    # ([D, x D] = D) stands between this pair and a passing relation
+    xd = DiffOp([XLaurent.zero(), XLaurent.var()])
+    assert all(v.is_zero() for v in compose_x0_coefficients(I.coeffs, xd.coeffs))
+    with pytest.raises(NonCommutingPair, match="W_1"):
+        eval_poly_at_pair(BivarPoly({(0, 1): 1}), D, xd)
+    with pytest.raises(PipelineError, match="W_1"):
+        find_bc_relation(D, xd, 2)
+
+
+def full_fold(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
+    """Q(a, b) as every full monomial product, summed."""
+    terms = sorted(q.c.items())
+    monos = _pair_monomials(a, b, [ij for ij, _ in terms])
+    return combination([(m, XLaurent({0: v})) for m, (_, v) in zip(monos, terms)])
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-5, 3)])
+def test_eval_poly_agrees_with_the_full_fold_on_the_pair(l1, l2, eps):
+    # seeded Q of weight <= 36 in (L1, L2) with 0 to 3 terms, half of them plus a
+    # multiple of the relation: the x^0 decision equals the full product's, and a
+    # failure names the full product's order and (x-free) leading coefficient
+    a, b, rel = l1.substitute_eps(eps), l2.substitute_eps(eps), bc_poly().substitute_eps(eps)
+    r = rng(26 + eps.denominator)
+    monomials = [(i, j) for i in range(5) for j in range(4) if 9 * i + 12 * j <= 36]
+    zeros = 0
+    for k in range(8):
+        q = BivarPoly({ij: r.randint(-3, 3) for ij in r.sample(monomials, k // 2)})
+        if k % 2:
+            c = ep(r.choice((-2, -1, 1, 3)))
+            q = BivarPoly({ij: q.c.get(ij, EpsPoly.zero()) + c * rel.c.get(ij, EpsPoly.zero())
+                           for ij in set(q.c) | set(rel.c)})
+        full = full_fold(q, a, b)
+        assert eval_poly_at_pair(q, a, b) == full
+        named = None if full.is_zero() else (f"Q != 0: leading term "
+                                             f"({full.leading_coefficient()})*D^{full.order}")
+        assert _relation_failure(q, a, b, "Q") == named
+        zeros += full.is_zero()
+    assert 0 < zeros < 8
 
 
 def test_right_reduce_by_self():

@@ -472,7 +472,7 @@ def test_find_bc_relation_widens_while_the_candidate_fails(echelon_caps):
 
 def test_find_bc_relation_reverification_names_d_k(monkeypatch):
     # a kernel vector off by one at its leading monomial (2 w - z^2 at (D, D^2))
-    # is no relation: the re-verification names the first nonzero D^k of Q(a, b),
+    # is no relation: the re-verification names the leading term of Q(a, b) = D^2,
     # once the widening has reached the full system
     echelon = pipeline._PACKAGE.linsolve.BareissEchelon
     solve = echelon.primitive_solution
@@ -483,7 +483,7 @@ def test_find_bc_relation_reverification_names_d_k(monkeypatch):
         return vec
     monkeypatch.setattr(echelon, "primitive_solution", off_by_one)
     with pytest.raises(PipelineError, match=r"^kernel candidate failed exact re-verification: "
-                                            r"Q\(a, b\) != 0 at D\^2$"):
+                                            r"Q\(a, b\) != 0: leading term \(1\)\*D\^2$"):
         find_bc_relation(DiffOp.d(1), DiffOp.d(2), 4)
 
 
