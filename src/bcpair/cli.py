@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import EpsPoly, XLaurent
-from .diffop import DiffOp, _commutation_failure, _relation_failure
+from .diffop import DiffOp, _commutation_failure, _leading_term, _relation_failure
 from .curve import CurveDef, bc_function_identity, curve_series, lambda_fn, mu_fn
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
 from . import pipeline
@@ -368,7 +368,7 @@ def _suite_commute(report: Report, eps) -> None:
 def _suite_bc(report: Report, eps) -> None:
     l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
     why = (_commutation_failure(l1, l2)
-           or _relation_failure(_maybe_eps(bc_poly(), eps), l1, l2, "Q(L1, L2)"))
+           or _relation_failure("Q(L1, L2)", _leading_term(_maybe_eps(bc_poly(), eps), l1, l2)))
     report.add("algebraic relation Q(L1, L2) = 0", why is None,
                why or "w^3 - 1/15552*eps^4*w^2 - z^4 - z^3 at (z, w) = (L1, L2)")
     report.add("function-field shadow Q(lambda, mu) = 0 on the curve",

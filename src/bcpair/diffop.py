@@ -10,13 +10,12 @@ one reduction per output coefficient.  Series in z never become operator
 coefficients: they enter only through the rank-3 reduction frame, which
 ``pipeline.reduction_frame`` builds by its own recurrence.
 
-A relation ``Q(a, b)`` of a commuting pair is decided on the ``x^0`` parts
-of its ``D^k`` coefficients when ``a`` or ``b`` has order >= 1 and an x-free
-leading coefficient: by the centralizer lemma (``_leading_term``), a nonzero
-``Q(a, b)`` then has an x-free leading coefficient too.  The pair must
-commute (``eval_poly_at_pair`` checks it; ``find_bc_relation`` and ``verify
-bc`` check it once themselves).  The full operator is built only when
-``Q(a, b) != 0``, or when neither operand has such a lead.
+A relation ``Q(a, b)`` of a commuting pair is read by ``top_term`` on the
+columns that ``relation_columns`` gives, the same for the relation check
+(``_leading_term``) and the relation search (``find_bc_relation``): only the
+``x^0`` parts of the monomials' ``D^k`` coefficients when the centralizer
+lemma applies.  The pair must commute (``eval_poly_at_pair`` checks it;
+``find_bc_relation`` and ``verify bc`` check it once themselves).
 
 ``XLAURENT_RING`` names that one coefficient ring.  It remains importable, and
 ``DiffOp(coeffs, ring)``, ``DiffOp.identity(ring)`` and ``DiffOp.d(k, ring)``
@@ -27,11 +26,10 @@ accept it as an optional last argument, only because the benchmark workloads
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable
 
-from .exact import (BivarPoly, EpsPoly, XLaurent, commutator_coefficients,
-                    compose_coefficients, compose_x0_coefficients, sum_of_products)
+from .exact import (BivarPoly, XLaurent, commutator_coefficients, compose_coefficients,
+                    compose_x0_coefficients, sum_of_products)
 
 NEG_INF = float("-inf")
 
@@ -126,14 +124,13 @@ class DiffOp:
 
     # -- ring operations ----------------------------------------------------
 
-    def compose(self, other: "DiffOp", cap=None) -> "DiffOp":
+    def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self . other (apply ``other`` first): ``sum_i a_i S_i``
         with ``S_i = D^i . B``, whose ``D^n`` coefficient is
-        ``S_(i-1)[n]' + S_(i-1)[n-1]`` (``exact.compose_coefficients``); with
-        ``cap``, only the ``D^n`` with ``n < cap``."""
+        ``S_(i-1)[n]' + S_(i-1)[n-1]`` (``exact.compose_coefficients``)."""
         if not self.coeffs or not other.coeffs:
             return DiffOp.zero()
-        return DiffOp(compose_coefficients(self.coeffs, other.coeffs, cap))
+        return DiffOp(compose_coefficients(self.coeffs, other.coeffs))
 
     def op_power(self, k: int) -> "DiffOp":
         if k < 0:
@@ -201,13 +198,12 @@ def _require_commuting(a: DiffOp, b: DiffOp, error: Callable[[str], Exception]) 
         raise error(why)
 
 
-def _pair_monomials(a: DiffOp, b: DiffOp, exponents, cap=None) -> list[DiffOp]:
+def _pair_monomials(a: DiffOp, b: DiffOp, exponents) -> list[DiffOp]:
     """The products a^i . b^j for the ``(i, j)`` in ``exponents``, in that order.
 
     The pair must commute (the callers check): each monomial is built from a
     smaller one with the lower-order factor on the left, where ``compose``
-    takes fewer steps (``a^2 b = a . (a b)`` when ``ord a <= ord b``).  With
-    ``cap``, the products it builds hold only their ``D^n`` with ``n < cap``.
+    takes fewer steps (``a^2 b = a . (a b)`` when ``ord a <= ord b``).
     """
     memo = {(0, 0): DiffOp.identity(), (1, 0): a, (0, 1): b}
     for key in exponents:
@@ -218,7 +214,7 @@ def _pair_monomials(a: DiffOp, b: DiffOp, exponents, cap=None) -> list[DiffOp]:
             chain.append((key, a if left_a else b))
             key = (i - 1, j) if left_a else (i, j - 1)
         for bigger, left in reversed(chain):
-            memo[bigger] = left.compose(memo[key], cap)
+            memo[bigger] = left.compose(memo[key])
             key = bigger
     return [memo[key] for key in exponents]
 
@@ -235,70 +231,76 @@ def combination(pairs) -> DiffOp:
 def eval_poly_at_pair(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
     """Evaluate Q(z, w) at z -> a, w -> b; a non-commuting pair raises
     ``NonCommutingPair`` naming its first nonzero commutator coefficient.  A
-    zero ``Q(a, b)`` is decided on ``x^0`` parts when ``a`` or ``b`` has order
-    >= 1 and an x-free leading coefficient (``_leading_term``); the full
-    operator is built only when it is not zero."""
+    zero ``Q(a, b)`` is decided by ``_leading_term``; the full operator is
+    built only when it is not zero."""
     _require_commuting(a, b, NonCommutingPair)
-    return DiffOp.zero() if _leading_term(q, a, b) is None else _full_eval(q, a, b)
+    if _leading_term(q, a, b) is None:
+        return DiffOp.zero()
+    monos = _pair_monomials(a, b, list(q.c))
+    return combination([(mono, XLaurent({0: v})) for mono, v in zip(monos, q.c.values())])
 
 
-def _relation_failure(q: BivarPoly, a: DiffOp, b: DiffOp, name: str) -> str | None:
-    """``Q(a, b) != 0`` named by its leading term ``(c)*D^r`` (``_leading_term``);
-    None when ``Q(a, b) = 0``.  The pair commutes (the callers check)."""
-    lead = _leading_term(q, a, b)
-    return None if lead is None else f"{name} != 0: leading term ({lead[1]})*D^{lead[0]}"
+def _relation_failure(name: str, lead: tuple[int, XLaurent] | None) -> str | None:
+    """``<name> != 0`` named by its leading term ``lead = (r, c)`` as ``(c)*D^r``, an
+    x-free ``c`` by its eps polynomial (``_leading_term``, ``top_term``); None for None."""
+    if lead is None:
+        return None
+    r, c = lead
+    return f"{name} != 0: leading term ({c.c[0] if set(c.c) == {0} else c})*D^{r}"
 
 
-def _leading_term(q: BivarPoly, a: DiffOp, b: DiffOp) -> tuple[int, EpsPoly | XLaurent] | None:
+def _leading_term(q: BivarPoly, a: DiffOp, b: DiffOp) -> tuple[int, XLaurent] | None:
     """``(r, c)``: the order and leading coefficient of ``Q(a, b) != 0``, None when
-    ``Q(a, b) = 0``; the pair commutes.
+    ``Q(a, b) = 0``: ``top_term`` on ``relation_columns``; the pair commutes."""
+    return top_term(q.c, relation_columns(a, b, q.c))
+
+
+def relation_columns(a: DiffOp, b: DiffOp, exponents) -> dict[tuple[int, int], list[XLaurent]]:
+    """The ``D^n`` coefficients of ``a^i b^j`` for the ``(i, j)`` in ``exponents``, in that
+    order, of a commuting pair; only their ``x^0`` parts, as x-free ``XLaurent``s, when ``a``
+    or ``b`` is a ``g`` of the centralizer lemma (order >= 1, an x-free lead).
 
     Centralizer lemma: if ``[g, P] = 0`` for a ``g`` of order ``m >= 1`` whose
-    leading coefficient ``g_m`` is x-free, the top coefficient of ``[g, P]``
-    is ``m g_m p_r'``, so P's leading coefficient ``p_r`` is x-free too.
-    ``Q(a, b)`` commutes with ``a`` and ``b``, so when either is such a ``g``
-    (``_has_constant_lead``), ``r`` is the top ``D^r`` whose coefficient has a
-    nonzero ``x^0`` part and ``c`` is that part (``_x0_leading_term``): no
-    full product is built.  Otherwise both are read from the full ``Q(a, b)``.
-    Without the x-free lead the shortcut is wrong: at ``a = b = x D``,
-    ``Q = w`` has no ``x^0`` part but is ``x D``."""
-    if _has_constant_lead(a) or _has_constant_lead(b):
-        return _x0_leading_term(q, a, b)
-    p = _full_eval(q, a, b)
-    return None if p.is_zero() else (p.order, p.leading_coefficient())
+    leading coefficient ``g_m`` is x-free, the top coefficient of ``[g, P]`` is
+    ``m g_m p_r'``, so P's leading coefficient ``p_r`` is x-free too.  A
+    combination of the monomials commutes with ``a`` and ``b``, so its order and
+    leading coefficient are those of its ``x^0`` parts (``top_term``).  Without
+    the x-free lead this is wrong: at ``a = b = x D``, ``w`` has no ``x^0`` part
+    but is ``x D``.
 
-
-def _has_constant_lead(op: DiffOp) -> bool:
-    """Order >= 1 and an x-free leading coefficient: the centralizer lemma's condition."""
-    return op.order >= 1 and set(op.leading_coefficient().c) == {0}
-
-
-def _full_eval(q: BivarPoly, a: DiffOp, b: DiffOp) -> DiffOp:
-    """Q(a, b) for a commuting pair: one ``combination`` of the monomials."""
-    terms = sorted(q.c.items())
-    return combination([(mono, XLaurent({0: coeff})) for mono, (_, coeff)
-                        in zip(_pair_monomials(a, b, [ij for ij, _ in terms]), terms)])
-
-
-def _x0_leading_term(q: BivarPoly, a: DiffOp, b: DiffOp) -> tuple[int, EpsPoly] | None:
-    """``(r, c)`` for the top nonzero ``x^0`` part ``c`` of a ``D^r`` coefficient of
-    Q(a, b), None when every one is zero; the pair commutes.  Each monomial
-    ``a^i b^j`` is split into two factors of about half its order, built in full
-    (``_pair_monomials``); only the ``x^0`` parts of their product are formed
-    (``exact.compose_x0_coefficients``)."""
-    halves = [((i - i // 2, j // 2), (i // 2, j - j // 2), c) for (i, j), c in q.c.items()]
-    keys = sorted({h for h1, h2, _ in halves for h in (h1, h2)})
+    ``a^i b^j`` is ``a^i . b^j`` when ``i, j > 0`` and a power the product of its
+    halves; the factors are built in full, a monomial that is one is read off
+    it, and the products that share their lower-order factor ``B`` (the right
+    one, for short ``D^i . B`` rows) take one ``exact.compose_x0_coefficients`` run.
+    """
+    if not any(op.order >= 1 and set(op.leading_coefficient().c) == {0} for op in (a, b)):
+        return {ij: list(m.coeffs) for ij, m in zip(exponents, _pair_monomials(a, b, exponents))}
+    splits = {(i, j): ((i, 0), (0, j)) if i and j else
+              ((i - i // 2, j - j // 2), (i // 2, j // 2)) for i, j in exponents}
+    keys = sorted({f for pair in splits.values() for f in pair})
     factors = dict(zip(keys, _pair_monomials(a, b, keys)))
-    rows: defaultdict[int, EpsPoly] = defaultdict(EpsPoly)
-    for h1, h2, coeff in halves:
-        left, right = factors[h1], factors[h2]
-        if left.order < right.order:  # the lower-order factor on the right: shorter D^i . B rows
-            left, right = right, left
-        if not right.is_zero():
-            for n, v in enumerate(compose_x0_coefficients(left.coeffs, right.coeffs)):
-                rows[n] = rows[n] + coeff * v
-    top = max((n for n, v in rows.items() if not v.is_zero()), default=None)
-    return None if top is None else (top, rows[top])
+    columns, groups = {}, {}
+    for ij, pair in splits.items():
+        if ij in factors:
+            columns[ij] = [c.x0_part() for c in factors[ij].coeffs]
+        else:
+            right, left = sorted(pair, key=lambda f: factors[f].order)
+            groups.setdefault(right, []).append((ij, left))
+    for right, members in groups.items():
+        columns.update(zip([ij for ij, _ in members], compose_x0_coefficients(
+            [factors[left].coeffs for _, left in members], factors[right].coeffs)))
+    return {ij: columns[ij] for ij in exponents}
+
+
+def top_term(vec, columns) -> tuple[int, XLaurent] | None:
+    """``(r, c)`` for the top nonzero ``c = sum_k vec[k] * columns[k][r]`` (``EpsPoly``
+    weights ``vec[k]``, ``D^n`` coefficients ``columns[k]``), None when all are zero."""
+    terms = [(XLaurent({0: v}), columns[k]) for k, v in vec.items()]
+    for r in range(max((len(col) for _, col in terms), default=0) - 1, -1, -1):
+        c = sum_of_products([(1, v, col[r]) for v, col in terms if r < len(col)])
+        if not c.is_zero():
+            return r, c
+    return None
 
 
 class ReductionError(ArithmeticError):

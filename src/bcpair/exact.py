@@ -23,7 +23,7 @@ Everything downstream computes over these types:
   reduction frame and its remainder) sum each result in one int dict over a
   common denominator (``_packed_sum``), as do ``compose_coefficients``,
   ``commutator_coefficients`` and ``compose_x0_coefficients`` (only the
-  ``x^0`` parts of a product), and reduce each result once.
+  ``x^0`` parts of products with one right factor), and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
@@ -429,6 +429,10 @@ class XLaurent(_IntFraction):
             return self * XLaurent({0: value})
         return super().scale(value)
 
+    def x0_part(self) -> "XLaurent":
+        """The x-free part: the terms whose key is an eps exponent alone."""
+        return self._of({k: v for k, v in self.num.items() if 0 <= k < _X_UNIT}, self.den)
+
     def derive(self) -> "XLaurent":
         return self._of(_derive_row(self.num.items()), self.den)
 
@@ -518,11 +522,10 @@ def _derive_row(items) -> dict[int, int]:
     return {k - _X_UNIT: v * x for k, v in items if (x := k >> _EPS_BITS)}
 
 
-def _d_power_rows(rows, lift, count: int, cap=None):
+def _d_power_rows(rows, lift, count: int):
     """``R_0 = rows`` and ``R_i = D . R_(i-1) + L' . D^(i-1)`` for ``i < count``
     (``L'``: the rows ``lift`` differentiated).  Row ``n`` of ``R_i`` is
-    ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros.  Rows
-    from ``cap`` on, which no row below reads, are dropped (only with no ``lift``)."""
+    ``R_(i-1)[n]' + R_(i-1)[n - 1] + L'[n - i + 1]``; rows may hold zeros."""
     lift = [_derive_row(r.items()) for r in lift] if count > 1 else ()
     for i in range(count):
         if i:
@@ -533,51 +536,51 @@ def _d_power_rows(rows, lift, count: int, cap=None):
                 get = out.get
                 for k, v in add.items():
                     out[k] = get(k, 0) + v
-            rows = step[:cap]
+            rows = step
         yield rows
 
 
 def _d_power_sum(acc: list[dict[int, int]], left, lden: int, rows, lift, sign: int) -> None:
     """``acc[n] += sign * lden * sum_i left[i] * R_i[n]`` for XLaurents ``left``
-    whose denominators divide ``lden``, ``R_i`` from ``_d_power_rows`` cut at ``len(acc)``."""
-    for a, rows in zip(left, _d_power_rows(rows, lift, len(left), len(acc))):
+    whose denominators divide ``lden``, ``R_i`` from ``_d_power_rows``, no longer than ``acc``."""
+    for a, rows in zip(left, _d_power_rows(rows, lift, len(left))):
         if a.num:
             items, f = a.num.items(), sign * (lden // a.den)
             for acc_n, r in zip(acc, rows):
                 _add_products(acc_n, items, r.items(), f)
 
 
-def compose_coefficients(a, b, cap=None) -> list[XLaurent]:
-    """The coefficients of ``A . B`` (``DiffOp.compose``) for those of nonzero ``A`` and ``B``;
-    with ``cap``, only those of ``D^0 .. D^(cap-1)``, from the first ``cap`` of ``B``."""
+def compose_coefficients(a, b) -> list[XLaurent]:
+    """The coefficients of ``A . B`` (``DiffOp.compose``) for those of nonzero ``A`` and ``B``."""
     da = math.lcm(*[v.den for v in a])
-    rb, db = _packed_rows(b[:cap])
-    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)][:cap]
+    rb, db = _packed_rows(b)
+    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
     _d_power_sum(acc, a, da, rb, (), 1)
     return [_xl_of(r, da * db) for r in acc]
 
 
-def compose_x0_coefficients(a, b) -> list[EpsPoly]:
-    """The x^0 parts of the coefficients of ``A . B`` for those of nonzero ``A`` and ``B``:
-    ``sum_i a_i R_i[n]`` (``_d_power_rows``) on only the term pairs whose x exponents
-    sum to 0, with ``a_i``'s terms grouped by the x exponent they need."""
-    da = math.lcm(*[v.den for v in a])
+def compose_x0_coefficients(lefts, b) -> list[list[XLaurent]]:
+    """The x^0 parts, as x-free ``XLaurent``s, of the coefficients of ``A . B`` for each
+    ``A`` in ``lefts``, on one ``_d_power_rows`` run over ``B``: ``sum_i a_i R_i[n]`` on the
+    term pairs whose x exponents sum to 0, ``a_i``'s terms keyed by the x exponent they need."""
     rb, db = _packed_rows(b)
-    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
-    for ai, rows in zip(a, _d_power_rows(rb, (), len(a))):
-        if not ai.num:
-            continue
-        need: dict[int, list[tuple[int, int]]] = {}
-        f = da // ai.den
-        for k, v in ai.num.items():
-            need.setdefault(-(k >> _EPS_BITS), []).append((k & _EPS_MASK, v * f))
-        for acc_n, r in zip(acc, rows):
-            get = acc_n.get
-            for k, v in r.items():
-                for e, va in need.get(k >> _EPS_BITS, ()):
-                    e += k & _EPS_MASK
-                    acc_n[e] = get(e, 0) + va * v
-    return [EpsPoly._of_acc(r, da * db) for r in acc]
+    dens = [math.lcm(*[v.den for v in a]) for a in lefts]
+    accs = [[{} for _ in range(len(a) + len(b) - 1)] for a in lefts]
+    for i, rows in enumerate(_d_power_rows(rb, (), max(map(len, lefts)))):
+        for a, da, acc in zip(lefts, dens, accs):
+            if i >= len(a) or not (ai := a[i]).num:
+                continue
+            need: dict[int, list[tuple[int, int]]] = {}
+            f = da // ai.den
+            for k, v in ai.num.items():
+                need.setdefault(-(k >> _EPS_BITS), []).append((k & _EPS_MASK, v * f))
+            for acc_n, r in zip(acc, rows):
+                get = acc_n.get
+                for k, v in r.items():
+                    for e, va in need.get(k >> _EPS_BITS, ()):
+                        e += k & _EPS_MASK
+                        acc_n[e] = get(e, 0) + va * v
+    return [[_xl_of(r, da * db) for r in acc] for da, acc in zip(dens, accs)]
 
 
 def commutator_coefficients(a, b) -> list[XLaurent]:
@@ -857,6 +860,8 @@ class BivarPoly:
             for (ze, we), v in coeffs.items():
                 v = ep(v)
                 if not v.is_zero():
+                    if ze < 0 or we < 0:
+                        raise ValueError(f"negative exponent in the monomial z^{ze}*w^{we}")
                     c[(ze, we)] = v
         self.c = c
 

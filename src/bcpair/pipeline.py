@@ -14,8 +14,8 @@ relation from scratch.
   and an empty family is named by the constraint that cannot hold.
 * ``find_bc_relation`` discovers the minimal-weight algebraic relation
   annihilating a commuting pair by fraction-free elimination over Q[eps] on
-  the low D^k rows of truncated monomial products, widened only while the
-  exact substitution check rejects the candidate.
+  the ``x^0`` parts of the monomials' D^k coefficients, the columns on which
+  the relation check decides (``diffop.relation_columns``).
 * ``verify_rank3`` checks the reduction remainder of an operator against its
   expected eigenvalue series, on the frame that its ``ChiTriple`` keeps, so
   ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames, not
@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError, XLaurent,
                     ZSeries, d_power_commutators, series_sum, sum_of_products)
-from .diffop import (DiffOp, _pair_monomials, _relation_failure, _require_commuting,
-                     combination)
+from .diffop import (DiffOp, _relation_failure, _require_commuting, combination,
+                     relation_columns, top_term)
 from .curve import chi, curve_series, lambda_fn
 
 if TYPE_CHECKING:
@@ -430,18 +430,13 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
 
     z stands for ``a`` and w for ``b``, each weighted by its order.  The
     products z^i w^j of weight <= ``weight_bound``, sorted by weight, then
-    w-degree, then z-degree, are the columns of a linear system over Q[eps]
-    whose rows are the monomials D^k x^e with k < cap, read off the products
-    cut at D^cap, and eliminated fraction-free (``linsolve.BareissEchelon``).
-    The candidate is the primitive solution at the first free column
-    (content-free over Q[eps], monic in eps there), re-verified by exact
-    substitution (``diffop._relation_failure``: the ``x^0`` parts of the
-    products of its support, under the centralizer lemma's condition; a
-    failure names the leading term of ``Q(a, b)``).  While it fails, cap
-    runs 1, 2, 4, ... up to the full system (cap > ``weight_bound``).  A
-    verified candidate is the full system's primitive solution at its first
-    free column, and a row subset keeps every free column.  No eps-degree
-    bounds the relation.
+    w-degree, then z-degree, are the columns (``diffop.relation_columns``: only
+    their ``x^0`` parts under the centralizer lemma, whose kernel is the full
+    one) of a linear system over Q[eps], eliminated fraction-free
+    (``linsolve.BareissEchelon``).  The relation is the primitive solution at
+    the first free column (content-free over Q[eps], monic in eps there),
+    re-verified exactly on the same columns (``diffop.top_term``; a failure
+    names the leading term of ``Q(a, b)``).  No eps-degree bounds the relation.
     """
     wa, wb = int(a.order), int(b.order)
     if wa <= 0 or wb <= 0:
@@ -452,17 +447,14 @@ def find_bc_relation(a: DiffOp, b: DiffOp, weight_bound: int) -> BivarPoly | Non
                         for j in range(weight_bound // wb + 1)
                         if wa * i + wb * j <= weight_bound),
                        key=lambda ij: (wa * ij[0] + wb * ij[1], ij[1], ij[0]))
-    cap = 1
-    while True:
-        columns = dict(enumerate(p.coeffs for p in _pair_monomials(a, b, monomials, cap)))
-        ech = _PACKAGE.linsolve.BareissEchelon(
-            _coefficient_rows(columns, range(cap)), len(monomials))
-        free = ech.free_columns()
-        if not free:
-            return None
-        q = BivarPoly({monomials[c]: v for c, v in ech.primitive_solution(free[0]).items()})
-        if (why := _relation_failure(q, a, b, "Q(a, b)")) is None:
-            return q
-        if cap > weight_bound:
-            raise PipelineError(f"kernel candidate failed exact re-verification: {why}")
-        cap *= 2
+    columns = relation_columns(a, b, monomials)
+    top = max(map(len, columns.values()), default=0)
+    ech = _PACKAGE.linsolve.BareissEchelon(
+        _coefficient_rows(dict(enumerate(columns.values())), range(top)), len(monomials))
+    free = ech.free_columns()
+    if not free:
+        return None
+    q = BivarPoly({monomials[c]: v for c, v in ech.primitive_solution(free[0]).items()})
+    if (why := _relation_failure("Q(a, b)", top_term(q.c, columns))) is not None:
+        raise PipelineError(f"kernel candidate failed exact re-verification: {why}")
+    return q

@@ -271,8 +271,8 @@ def test_passing_relation_check_builds_no_order_36_product(capsys, monkeypatch):
     calls, orders = [], []
     commutator, compose = DiffOp.commutator, DiffOp.compose
 
-    def counted_compose(self, other, cap=None):
-        product = compose(self, other, cap)
+    def counted_compose(self, other):
+        product = compose(self, other)
         orders.append(product.order)
         return product
     monkeypatch.setattr(DiffOp, "commutator",
@@ -285,6 +285,31 @@ def test_passing_relation_check_builds_no_order_36_product(capsys, monkeypatch):
     assert main(["verify", "bc"]) == 0
     capsys.readouterr()
     assert (len(calls), max(orders)) == (1, 24)
+
+
+def test_relation_search_builds_no_order_36_product(monkeypatch):
+    # the search solves the x^0 rows of the weight-36 monomials: full products only
+    # up to L1^2 and L2^2 (order 24), and the x^0 products grouped by their right
+    # factor (L1, L2 or L1^2), one D^i . B recurrence run each
+    from bcpair import diffop, exact, find_bc_relation
+    orders, runs, x0_runs = [], [], []
+    compose, rows, x0 = DiffOp.compose, exact._d_power_rows, diffop.compose_x0_coefficients
+
+    def counted_compose(self, other):
+        product = compose(self, other)
+        orders.append(product.order)
+        return product
+
+    def counted_x0(lefts, b):
+        before = len(runs)
+        out = x0(lefts, b)
+        x0_runs.append((len(b) - 1, len(runs) - before))
+        return out
+    monkeypatch.setattr(DiffOp, "compose", counted_compose)
+    monkeypatch.setattr(exact, "_d_power_rows", lambda *args: runs.append(1) or rows(*args))
+    monkeypatch.setattr(diffop, "compose_x0_coefficients", counted_x0)
+    assert find_bc_relation(make_l1(), make_l2(), 36) is not None
+    assert (max(orders), sorted(x0_runs)) == (24, [(9, 1), (12, 1), (18, 1)])
 
 
 SUITES =("all", "commute", "bc", "limit", "rank", "kn")

@@ -1,16 +1,19 @@
 """Operator ring: composition, commutators, powers, application, reduction."""
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcpair import (BivarPoly, DiffOp, EpsPoly, ExactError, NonCommutingPair, PipelineError,
                     ReductionError, XLAURENT_RING, XLaurent, ZSeries, bc_poly, ep,
                     eval_poly_at_pair, find_bc_relation, make_l1, make_l2, make_limit_op,
-                    right_reduce, xl)
-from bcpair.diffop import _pair_monomials, _relation_failure, combination
+                    right_reduce, solve_commuting, xl)
+from bcpair.diffop import (_leading_term, _pair_monomials, _relation_failure, combination,
+                           relation_columns)
 from bcpair.exact import compose_coefficients, compose_x0_coefficients
 from conftest import random_xlaurent, rng
 
@@ -210,28 +213,9 @@ def test_pair_monomials_match_left_to_right_products():
         assert [canonical(m) for m in _pair_monomials(a, b, exponents)] == plain
 
 
-def low(coeffs, cap: int) -> list:
-    """The canonical forms of the ``D^0 .. D^(cap-1)`` coefficients, missing ones zero."""
-    coeffs = list(coeffs) + [XLaurent.zero()] * cap
-    return [(c.den, c.num) for c in coeffs[:cap]]
-
-
-def test_capped_products_are_the_low_coefficients_of_the_full_ones():
-    # with a cap, compose_coefficients gives the full product's first cap
-    # coefficients, and reads only b's first cap: seeded operators with zero
-    # coefficients, cap = 1 and caps at and beyond the product's length
-    ops = [op for op in edge_ops(rng(23)) if not op.is_zero()] + [
-        DiffOp([XLaurent.zero(), xl({1: 2}), XLaurent.zero(), XLaurent.one()])]
-    for a in ops:
-        for b in ops:
-            full = compose_coefficients(a.coeffs, b.coeffs)
-            for cap in sorted({1, 2, 3, len(full) - 1, len(full), len(full) + 2} - {0}):
-                capped = compose_coefficients(a.coeffs, b.coeffs, cap)
-                assert len(capped) == min(cap, len(full))
-                assert low(capped, cap) == low(full, cap)
-                assert low(compose_coefficients(a.coeffs, b.coeffs[:cap], cap), cap) == \
-                    low(full, cap)
-                assert low(a.compose(b, cap).coeffs, cap) == low(full, cap)
+def x0_parts(coeffs) -> list[XLaurent]:
+    """The x^0 parts of ``coeffs``, as x-free XLaurents."""
+    return [XLaurent({0: c.c.get(0, 0)}) for c in coeffs]
 
 
 def test_x0_products_are_the_x0_parts_of_the_full_ones():
@@ -240,27 +224,49 @@ def test_x0_products_are_the_x0_parts_of_the_full_ones():
         DiffOp([XLaurent.zero(), xl({1: 2, -1: F(1, 3)}), XLaurent.zero(), XLaurent.one()])]
     for a in ops:
         for b in ops:
-            assert compose_x0_coefficients(a.coeffs, b.coeffs) == \
-                [c.c.get(0, EpsPoly.zero()) for c in compose_coefficients(a.coeffs, b.coeffs)]
+            assert compose_x0_coefficients([a.coeffs], b.coeffs) == \
+                [x0_parts(compose_coefficients(a.coeffs, b.coeffs))]
 
 
-def test_capped_pair_monomials_are_the_low_coefficients_of_the_full_ones():
-    # the capped chain builds each product from the capped smaller one; the pair
-    # of orders 3 and 6 commutes, the seeded pairs need not for this identity
+def test_grouped_x0_products_are_the_x0_parts_of_the_full_ones():
+    # one D^i . B run serves every left factor, whatever its length: seeded
+    # operators with zero coefficients, a commuting pair of orders 3 and 6, and
+    # seeded operators of order 1 to 3 whose lower coefficients may be zero
     g = make_limit_op()
     h = fold_compose(g, g) + g.scale(F(2, 3))
     r = rng(24)
 
     def seeded() -> DiffOp:
-        # order 1 to 3 with a nonzero leading coefficient; lower ones may be zero
         return DiffOp([random_xlaurent(r, xspan=2, terms=2) for _ in range(r.randint(1, 3))]
                       + [xl({r.randint(-2, 2): r.randint(1, 5)})])
-    exponents = [(2, 1), (0, 3), (1, 2), (3, 0), (0, 0), (1, 1), (0, 1), (1, 0)]
-    for a, b in [(g, h), (h, g)] + [(seeded(), seeded()) for _ in range(4)]:
-        full = _pair_monomials(a, b, exponents)
-        for cap in (1, 2, 5, 18, 19, 40):
-            capped = _pair_monomials(a, b, exponents, cap)
-            assert [low(m.coeffs, cap) for m in capped] == [low(m.coeffs, cap) for m in full]
+    ops = [op for op in edge_ops(rng(23)) if not op.is_zero()] + [
+        DiffOp([XLaurent.zero(), xl({1: 2}), XLaurent.zero(), XLaurent.one()]), g, h] + [
+        seeded() for _ in range(4)]
+    lefts = [op.coeffs for op in ops]
+    for b in ops:
+        assert compose_x0_coefficients(lefts, b.coeffs) == \
+            [x0_parts(compose_coefficients(a, b.coeffs)) for a in lefts]
+
+
+@pytest.mark.parametrize("eps", [F(0), F(-5, 3)])
+def test_relation_columns_are_the_x0_parts_of_the_full_monomials(l1, l2, eps):
+    # every monomial of weight <= 36 in (L1, L2): products, powers split in halves,
+    # and the factors L1, L2, L1^2, L2^2 and 1 read off directly
+    a, b = l1.substitute_eps(eps), l2.substitute_eps(eps)
+    monomials = [(i, j) for i in range(5) for j in range(4) if 9 * i + 12 * j <= 36]
+    columns = relation_columns(a, b, monomials)
+    assert list(columns) == monomials
+    assert columns == {ij: x0_parts(m.coeffs)
+                       for ij, m in zip(monomials, _pair_monomials(a, b, monomials))}
+
+
+def test_relation_columns_without_an_x_free_lead_are_the_full_coefficients():
+    # x D and (x D)^2 commute, and neither has an x-free leading coefficient
+    xd = DiffOp([XLaurent.zero(), XLaurent.var()])
+    a, b = xd, xd.compose(xd)
+    monomials = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)]
+    assert relation_columns(a, b, monomials) == \
+        {ij: list(m.coeffs) for ij, m in zip(monomials, _pair_monomials(a, b, monomials))}
 
 
 def test_commutator_antisymmetry_and_self():
@@ -320,6 +326,14 @@ def test_eval_poly_trivial():
     assert eval_poly_at_pair(q, a, a) == a
 
 
+def test_bivarpoly_rejects_a_negative_exponent():
+    # the monomial builder walks (i, j) down to (0, 0), which z^-1 never reaches
+    with pytest.raises(ValueError, match=r"negative exponent in the monomial z\^-1\*w\^0"):
+        eval_poly_at_pair(BivarPoly({(-1, 0): 1}), D, DiffOp.d(2))
+    with pytest.raises(ValueError, match=r"z\^2\*w\^-3"):
+        BivarPoly({(0, 1): 1, (2, -3): ep(F(1, 2))})
+
+
 def test_eval_poly_d_pair():
     q = BivarPoly({(0, 1): ep(1), (2, 0): ep(-1)})  # w - z^2
     assert eval_poly_at_pair(q, D, DiffOp.d(2)).is_zero()
@@ -344,17 +358,23 @@ def test_eval_poly_needs_an_x_free_leading_coefficient():
     # x D commutes with itself, and w at (x D, x D) is x D, whose coefficients
     # have no x^0 part: the x^0 shortcut must not apply without an x-free lead
     xd = DiffOp([XLaurent.zero(), XLaurent.var()])
-    assert all(v.is_zero() for v in compose_x0_coefficients(I.coeffs, xd.coeffs))
+    assert all(v.is_zero() for v in compose_x0_coefficients([I.coeffs], xd.coeffs)[0])
     assert eval_poly_at_pair(BivarPoly({(0, 1): 1}), xd, xd) == xd
-    assert _relation_failure(BivarPoly({(0, 1): 1}), xd, xd, "Q") == \
+    assert _relation_failure("Q", _leading_term(BivarPoly({(0, 1): 1}), xd, xd)) == \
         "Q != 0: leading term (1*x^1)*D^1"
+    # an x-free leading coefficient is named by its eps polynomial on either path:
+    # w - z^2 + 1 + eps is 1 + eps at (D, D^2) and at (x D, (x D)^2)
+    q = BivarPoly({(0, 1): 1, (2, 0): -1, (0, 0): EpsPoly({0: 1, 1: 1})})
+    for a, b in ((D, DiffOp.d(2)), (xd, xd.compose(xd))):
+        assert _relation_failure("Q", _leading_term(q, a, b)) == \
+            "Q != 0: leading term (1 + 1*eps)*D^0"
 
 
 def test_noncommuting_pair_with_vanishing_x0_parts_never_passes():
     # D is monic, and w at (D, x D) has no x^0 part: only the commutation check
     # ([D, x D] = D) stands between this pair and a passing relation
     xd = DiffOp([XLaurent.zero(), XLaurent.var()])
-    assert all(v.is_zero() for v in compose_x0_coefficients(I.coeffs, xd.coeffs))
+    assert all(v.is_zero() for v in compose_x0_coefficients([I.coeffs], xd.coeffs)[0])
     with pytest.raises(NonCommutingPair, match="W_1"):
         eval_poly_at_pair(BivarPoly({(0, 1): 1}), D, xd)
     with pytest.raises(PipelineError, match="W_1"):
@@ -387,9 +407,43 @@ def test_eval_poly_agrees_with_the_full_fold_on_the_pair(l1, l2, eps):
         assert eval_poly_at_pair(q, a, b) == full
         named = None if full.is_zero() else (f"Q != 0: leading term "
                                              f"({full.leading_coefficient()})*D^{full.order}")
-        assert _relation_failure(q, a, b, "Q") == named
+        assert _relation_failure("Q", _leading_term(q, a, b)) == named
         zeros += full.is_zero()
     assert 0 < zeros < 8
+
+
+@functools.cache
+def centralizer() -> tuple[DiffOp, ...]:
+    """Commuting elements of the centralizer of the eps = 0 generator G: 1,
+    L1(0) = G^3 - 1, L1(0)^2 and two samples of the order-12 commutant of G."""
+    l10 = make_l1().substitute_eps(0)
+    family = solve_commuting(make_limit_op(), 12)
+    return I, l10, l10.compose(l10), family.sample([1, 0, -2, 3]), family.sample([0, 5, 1, -1])
+
+
+_weights = st.lists(st.integers(-2, 2), min_size=5, max_size=5)
+_low_monomials = st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+
+
+@settings(deadline=None, max_examples=25)
+@given(_weights, _weights, st.dictionaries(_low_monomials, st.integers(-3, 3), min_size=1, max_size=3),
+       st.none() | st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+def test_leading_term_agrees_with_the_full_fold_on_the_centralizer(wa, wb, q, tie):
+    # a and b are constant combinations of commuting operators, so a nonzero Q(a, b)
+    # has an x-free lead; with a tie (k, m), b = k a + m and Q is a multiple of
+    # w - k z - m, so Q(a, b) = 0
+    a, b = (combination([(op, XLaurent({0: w})) for op, w in zip(centralizer(), ws)])
+            for ws in (wa, wb))
+    if tie:
+        (k, m), c0, c1 = tie, q.get((0, 0), 1), q.get((1, 0), 0)
+        b = a.scale(k) + I.scale(m)
+        q = {(0, 1): c0, (1, 1): c1, (0, 0): -m * c0, (1, 0): -k * c0 - m * c1,
+             (2, 0): -k * c1}
+    q = BivarPoly(q)
+    full = full_fold(q, a, b)
+    assert full.is_zero() or not tie
+    assert _leading_term(q, a, b) == (None if full.is_zero() else
+                                      (full.order, full.leading_coefficient()))
 
 
 def test_right_reduce_by_self():

@@ -432,48 +432,54 @@ def test_find_bc_relation_eps_dependent_pair(k):
 
 
 @pytest.fixture
-def echelon_caps(monkeypatch):
-    """The largest row order D^k plus one that each ``BareissEchelon`` built
-    during the test is given (its cap), in order."""
-    caps = []
+def echelons(monkeypatch):
+    """The row labels of each ``BareissEchelon`` built during the test, in order."""
+    built = []
     echelon = pipeline._PACKAGE.linsolve.BareissEchelon
 
     class Counted(echelon):
         def __init__(self, rows, rhs):
             rows = list(rows)
-            caps.append(1 + max(int(label.split()[0][2:]) for label, _ in rows))
+            built.append([label for label, _ in rows])
             super().__init__(rows, rhs)
     monkeypatch.setattr(pipeline._PACKAGE.linsolve, "BareissEchelon", Counted)
-    return caps
+    return built
 
 
-def test_find_bc_relation_settles_at_the_first_cap(echelon_caps, l1, l2, limit_op):
-    # on the eps -> 0 limits the D^0 rows of the truncated products fix the
-    # relation: one elimination, and the candidate passes exact substitution
+def test_find_bc_relation_builds_one_echelon(echelons, l1, l2, limit_op):
+    # one elimination on the x^0 rows of every D^k fixes the relation, and the
+    # candidate passes its re-verification: the eps -> 0 limits, symbolic eps,
+    # eps = 7/3 and -1/2, and (D, D^2), whose D^0 row alone has only the constant 1
     ident = DiffOp.identity()
-    pairs = [(l1.substitute_eps(0), l2.substitute_eps(0)),
-             (limit_op.op_power(3) - ident, limit_op.op_power(4) - limit_op)]
-    for a, b in pairs:
-        echelon_caps.clear()
-        assert find_bc_relation(a, b, 36) == bc_poly().substitute_eps(0)
-        assert echelon_caps == [1]
-    for r in (F(7, 3), F(-1, 2)):
-        q = find_bc_relation(l1.substitute_eps(r), l2.substitute_eps(r), 36)
-        assert q == bc_poly().substitute_eps(r)
-
-
-def test_find_bc_relation_widens_while_the_candidate_fails(echelon_caps):
-    # (D, D^2): at cap 1 only the constant 1 has a row, so z leads the candidate;
-    # at cap 2 z^2 = D^2 has none; the D^0..D^3 rows give w - z^2
+    cases = [(l1.substitute_eps(0), l2.substitute_eps(0), bc_poly().substitute_eps(0)),
+             (limit_op.op_power(3) - ident, limit_op.op_power(4) - limit_op,
+              bc_poly().substitute_eps(0)),
+             (l1, l2, bc_poly())] + [
+        (l1.substitute_eps(r), l2.substitute_eps(r), bc_poly().substitute_eps(r))
+        for r in (F(7, 3), F(-1, 2))]
+    for a, b, rel in cases:
+        echelons.clear()
+        assert find_bc_relation(a, b, 36) == rel
+        assert len(echelons) == 1
+        assert {label.split()[1] for label in echelons[0]} == {"(x^0"}
+        assert max(int(label.split()[0][2:]) for label in echelons[0]) == 36
+    echelons.clear()
     assert find_bc_relation(DiffOp.d(1), DiffOp.d(2), 4) == \
         BivarPoly({(0, 1): ep(1), (2, 0): ep(-1)})
-    assert echelon_caps == [1, 2, 4]
+    assert echelons == [[f"D^{k} (x^0 term)" for k in range(5)]]
+
+
+def test_find_bc_relation_edge_bounds():
+    # below weight 2 no relation of (D, D^2) exists, and at -1 no monomial does
+    for w in (-1, 0, 1):
+        assert find_bc_relation(DiffOp.d(1), DiffOp.d(2), w) is None
+    assert find_bc_relation(DiffOp.d(1), DiffOp.d(2), 2) == \
+        BivarPoly({(0, 1): ep(1), (2, 0): ep(-1)})
 
 
 def test_find_bc_relation_reverification_names_d_k(monkeypatch):
     # a kernel vector off by one at its leading monomial (2 w - z^2 at (D, D^2))
-    # is no relation: the re-verification names the leading term of Q(a, b) = D^2,
-    # once the widening has reached the full system
+    # is no relation: the re-verification names the leading term of Q(a, b) = D^2
     echelon = pipeline._PACKAGE.linsolve.BareissEchelon
     solve = echelon.primitive_solution
 
