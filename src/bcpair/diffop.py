@@ -14,8 +14,10 @@ A relation ``Q(a, b)`` of a commuting pair is read by ``top_term`` on the
 columns that ``relation_columns`` gives, the same for the relation check
 (``_leading_term``) and the relation search (``find_bc_relation``): only the
 ``x^0`` parts of the monomials' ``D^k`` coefficients when the centralizer
-lemma applies.  The pair must commute (``eval_poly_at_pair`` checks it;
-``find_bc_relation`` and ``verify bc`` check it once themselves).
+lemma applies, each paired off directly by the Leibniz rule with no
+``D^i . B`` recurrence (``exact.compose_x0_coefficients``).  The pair must
+commute (``eval_poly_at_pair`` checks it; ``find_bc_relation`` and ``verify
+bc`` check it once themselves).
 
 ``XLAURENT_RING`` names that one coefficient ring.  It remains importable, and
 ``DiffOp(coeffs, ring)``, ``DiffOp.identity(ring)`` and ``DiffOp.d(k, ring)``
@@ -270,8 +272,10 @@ def relation_columns(a: DiffOp, b: DiffOp, exponents) -> dict[tuple[int, int], l
 
     ``a^i b^j`` is ``a^i . b^j`` when ``i, j > 0`` and a power the product of its
     halves; the factors are built in full, a monomial that is one is read off
-    it, and the products that share their lower-order factor ``B`` (the right
-    one, for short ``D^i . B`` rows) take one ``exact.compose_x0_coefficients`` run.
+    it, and each other takes one ``exact.compose_x0_coefficients`` run with its
+    lower-order factor on the left, as that kernel's cost grows with the left
+    factor's order: ``L2 . L2^2`` takes 0.42 ms and ``L2^2 . L2`` 0.74 ms at
+    eps = 0, 1.5 and 2.8 ms at symbolic eps (unscaled, min of 9, 2 vCPUs).
     """
     if not any(op.order >= 1 and set(op.leading_coefficient().c) == {0} for op in (a, b)):
         return {ij: list(m.coeffs) for ij, m in zip(exponents, _pair_monomials(a, b, exponents))}
@@ -279,16 +283,13 @@ def relation_columns(a: DiffOp, b: DiffOp, exponents) -> dict[tuple[int, int], l
               ((i - i // 2, j - j // 2), (i // 2, j // 2)) for i, j in exponents}
     keys = sorted({f for pair in splits.values() for f in pair})
     factors = dict(zip(keys, _pair_monomials(a, b, keys)))
-    columns, groups = {}, {}
+    columns = {}
     for ij, pair in splits.items():
         if ij in factors:
             columns[ij] = [c.x0_part() for c in factors[ij].coeffs]
         else:
-            right, left = sorted(pair, key=lambda f: factors[f].order)
-            groups.setdefault(right, []).append((ij, left))
-    for right, members in groups.items():
-        columns.update(zip([ij for ij, _ in members], compose_x0_coefficients(
-            [factors[left].coeffs for _, left in members], factors[right].coeffs)))
+            left, right = sorted((factors[f] for f in pair), key=lambda op: op.order)
+            columns[ij] = compose_x0_coefficients(left.coeffs, right.coeffs)
     return {ij: columns[ij] for ij in exponents}
 
 

@@ -23,7 +23,7 @@ Everything downstream computes over these types:
   reduction frame and its remainder) sum each result in one int dict over a
   common denominator (``_packed_sum``), as do ``compose_coefficients``,
   ``commutator_coefficients`` and ``compose_x0_coefficients`` (only the
-  ``x^0`` parts of products with one right factor), and reduce each result once.
+  ``x^0`` parts of a product, by direct Leibniz pairing), and reduce each result once.
 * ``ZSeries``      -- truncated Laurent series in ``z`` whose coefficients are
   ``XLaurent``.  Dense in ``z``, sparse in ``x``.  An exact one (no
   truncation) is a polynomial in ``z`` over ``XLaurent``.  A truncated one
@@ -559,28 +559,40 @@ def compose_coefficients(a, b) -> list[XLaurent]:
     return [_xl_of(r, da * db) for r in acc]
 
 
-def compose_x0_coefficients(lefts, b) -> list[list[XLaurent]]:
-    """The x^0 parts, as x-free ``XLaurent``s, of the coefficients of ``A . B`` for each
-    ``A`` in ``lefts``, on one ``_d_power_rows`` run over ``B``: ``sum_i a_i R_i[n]`` on the
-    term pairs whose x exponents sum to 0, ``a_i``'s terms keyed by the x exponent they need."""
-    rb, db = _packed_rows(b)
-    dens = [math.lcm(*[v.den for v in a]) for a in lefts]
-    accs = [[{} for _ in range(len(a) + len(b) - 1)] for a in lefts]
-    for i, rows in enumerate(_d_power_rows(rb, (), max(map(len, lefts)))):
-        for a, da, acc in zip(lefts, dens, accs):
-            if i >= len(a) or not (ai := a[i]).num:
-                continue
-            need: dict[int, list[tuple[int, int]]] = {}
-            f = da // ai.den
-            for k, v in ai.num.items():
-                need.setdefault(-(k >> _EPS_BITS), []).append((k & _EPS_MASK, v * f))
-            for acc_n, r in zip(acc, rows):
-                get = acc_n.get
-                for k, v in r.items():
-                    for e, va in need.get(k >> _EPS_BITS, ()):
-                        e += k & _EPS_MASK
-                        acc_n[e] = get(e, 0) + va * v
-    return [[_xl_of(r, da * db) for r in acc] for da, acc in zip(dens, accs)]
+def _x_groups(row: dict[int, int]) -> dict[int, list[tuple[int, int]]]:
+    """An operator row's terms by x exponent: ``{x_exp: [(eps_exp, numerator), ...]}``."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, v in row.items():
+        groups.setdefault(k >> _EPS_BITS, []).append((k & _EPS_MASK, v))
+    return groups
+
+
+def compose_x0_coefficients(a, b) -> list[XLaurent]:
+    """The x^0 parts, as x-free ``XLaurent``s, of the coefficients of ``A . B`` for those
+    of nonzero ``A`` and ``B``, by direct Leibniz pairing with no ``D^i . B`` rows.
+
+    ``a_i D^i . b_j D^j = sum_k C(i, k) a_i b_j^(k) D^(i+j-k)``, so an ``x^e`` term of
+    ``a_i`` and an ``x^t`` term of ``b_j`` meet at ``x^0`` only for ``k = e + t`` with
+    ``0 <= k <= i``, in ``D^(i+j-k)``, weighted ``C(i, k) t(t-1)...(t-k+1)``: the
+    falling factorial is ``perm(t, k)`` for ``t >= 0`` (zero for ``t < k``, so an
+    ``e > 0`` needs ``k < e``) and ``(-1)^k perm(k - t - 1, k)`` for ``t < 0``.  Each
+    pair of x groups multiplies its eps parts once; the cost grows with ``A``'s order."""
+    (ra, da), (rb, db) = _packed_rows(a), _packed_rows(b)
+    right: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
+    for j, row in enumerate(rb):
+        for t, items in _x_groups(row).items():
+            right.setdefault(t, []).append((j, items))
+    acc: list[dict[int, int]] = [{} for _ in range(len(a) + len(b) - 1)]
+    for i, row in enumerate(ra):
+        for e, aitems in _x_groups(row).items():
+            for k in range(min(i, e - 1) + 1 if e > 0 else i + 1):
+                if (t := k - e) not in right:
+                    continue
+                f = math.comb(i, k) * (math.perm(t, k) if t >= 0
+                                       else (-1) ** k * math.perm(k - t - 1, k))
+                for j, bitems in right[t]:
+                    _add_products(acc[i + j - k], aitems, bitems, f)
+    return [_xl_of(r, da * db) for r in acc]
 
 
 def commutator_coefficients(a, b) -> list[XLaurent]:

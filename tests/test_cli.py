@@ -289,8 +289,8 @@ def test_passing_relation_check_builds_no_order_36_product(capsys, monkeypatch):
 
 def test_relation_search_builds_no_order_36_product(monkeypatch):
     # the search solves the x^0 rows of the weight-36 monomials: full products only
-    # up to L1^2 and L2^2 (order 24), and the x^0 products grouped by their right
-    # factor (L1, L2 or L1^2), one D^i . B recurrence run each
+    # up to L1^2 and L2^2 (order 24), and each x^0 product, its lower-order factor
+    # on the left, by direct Leibniz pairing with no D^i . B recurrence run
     from bcpair import diffop, exact, find_bc_relation
     orders, runs, x0_runs = [], [], []
     compose, rows, x0 = DiffOp.compose, exact._d_power_rows, diffop.compose_x0_coefficients
@@ -300,16 +300,18 @@ def test_relation_search_builds_no_order_36_product(monkeypatch):
         orders.append(product.order)
         return product
 
-    def counted_x0(lefts, b):
+    def counted_x0(a, b):
         before = len(runs)
-        out = x0(lefts, b)
-        x0_runs.append((len(b) - 1, len(runs) - before))
+        out = x0(a, b)
+        x0_runs.append((len(a) - 1, len(b) - 1, len(runs) - before))
         return out
     monkeypatch.setattr(DiffOp, "compose", counted_compose)
     monkeypatch.setattr(exact, "_d_power_rows", lambda *args: runs.append(1) or rows(*args))
     monkeypatch.setattr(diffop, "compose_x0_coefficients", counted_x0)
     assert find_bc_relation(make_l1(), make_l2(), 36) is not None
-    assert (max(orders), sorted(x0_runs)) == (24, [(9, 1), (12, 1), (18, 1)])
+    assert max(orders) == 24
+    assert sorted(x0_runs) == [
+        (9, 12, 0), (9, 18, 0), (9, 24, 0), (12, 18, 0), (12, 24, 0), (18, 18, 0)]
 
 
 SUITES =("all", "commute", "bc", "limit", "rank", "kn")

@@ -219,19 +219,30 @@ def x0_parts(coeffs) -> list[XLaurent]:
 
 
 def test_x0_products_are_the_x0_parts_of_the_full_ones():
-    # seeded operators with zero coefficients and terms on both sides of x^0
+    # both orders of every pair: seeded operators with zero coefficients, a
+    # commuting pair of orders 3 and 6, seeded operators of order 1 to 3 whose
+    # lower coefficients may be zero, and terms down to x^-5 (against D^4 too)
+    g = make_limit_op()
+    h = fold_compose(g, g) + g.scale(F(2, 3))
+    r = rng(24)
+
+    def seeded(xspan: int) -> DiffOp:
+        return DiffOp([random_xlaurent(r, xspan=xspan, terms=2) for _ in range(r.randint(1, 3))]
+                      + [xl({r.randint(-xspan, xspan): r.randint(1, 5)})])
     ops = [op for op in edge_ops(rng(25)) if not op.is_zero()] + [
-        DiffOp([XLaurent.zero(), xl({1: 2, -1: F(1, 3)}), XLaurent.zero(), XLaurent.one()])]
+        DiffOp([XLaurent.zero(), xl({1: 2, -1: F(1, 3)}), XLaurent.zero(), XLaurent.one()]),
+        DiffOp([xl({-5: {0: 1, 1: F(2, 3)}, 4: -1}), XLaurent.zero(), xl({-4: 3, -1: {2: 1}})]),
+        g, h] + [seeded(2) for _ in range(3)] + [seeded(5) for _ in range(3)]
     for a in ops:
         for b in ops:
-            assert compose_x0_coefficients([a.coeffs], b.coeffs) == \
-                [x0_parts(compose_coefficients(a.coeffs, b.coeffs))]
+            assert compose_x0_coefficients(a.coeffs, b.coeffs) == \
+                x0_parts(compose_coefficients(a.coeffs, b.coeffs))
 
 
 def test_grouped_x0_products_are_the_x0_parts_of_the_full_ones():
-    # one D^i . B run serves every left factor, whatever its length: seeded
-    # operators with zero coefficients, a commuting pair of orders 3 and 6, and
-    # seeded operators of order 1 to 3 whose lower coefficients may be zero
+    # the kernel pairs the x-exponent groups of each row: seeded operators with
+    # zero coefficients, a commuting pair of orders 3 and 6, and seeded operators
+    # of order 1 to 3 whose lower coefficients may be zero, in every pairing
     g = make_limit_op()
     h = fold_compose(g, g) + g.scale(F(2, 3))
     r = rng(24)
@@ -242,10 +253,30 @@ def test_grouped_x0_products_are_the_x0_parts_of_the_full_ones():
     ops = [op for op in edge_ops(rng(23)) if not op.is_zero()] + [
         DiffOp([XLaurent.zero(), xl({1: 2}), XLaurent.zero(), XLaurent.one()]), g, h] + [
         seeded() for _ in range(4)]
-    lefts = [op.coeffs for op in ops]
-    for b in ops:
-        assert compose_x0_coefficients(lefts, b.coeffs) == \
-            [x0_parts(compose_coefficients(a, b.coeffs)) for a in lefts]
+    for a in ops:
+        for b in ops:
+            assert compose_x0_coefficients(a.coeffs, b.coeffs) == \
+                x0_parts(compose_coefficients(a.coeffs, b.coeffs))
+
+
+@pytest.mark.parametrize("a, b, x0", [
+    # t < 0: the x^(2+k) term of (x^3 + x^4 + x^5) D^3 meets (x^-2)^(k) =
+    # (-2)(-3)...(-1-k) x^(-2-k) in D^(3-k), times C(3, k)
+    ([{}, {}, {}, {3: 1, 4: 1, 5: 1}], [{-2: 1}], [-24, 18, -6, 0]),
+    # 0 <= k <= t: x^-1 D^2 . x^2 = x D^2 + 4 D + 2 x^-1
+    ([{}, {}, {-1: 1}], [{2: 1}], [0, 4, 0]),
+    # 0 <= t < k: x D^3 . x = x^2 D^3 + 3 x D^2, as (x)'' = 0
+    ([{}, {}, {}, {1: 1}], [{1: 1}], [0, 0, 0, 0]),
+    # k > i: x^3 D . x^-1 = x^2 D - x, as k = e + t = 2 exceeds D's order
+    ([{}, {3: 1}], [{-1: 1}], [0, 0]),
+    # eps parts: A = (1 + eps) x^-1 + (eps - eps^2) x D, B = (1 + eps) x^-1 + eps x D;
+    # in D^1, a_1 b_0 = eps - eps^3 and a_0 b_1 = eps + eps^2, and no other pair meets x^0
+    ([{-1: {0: 1, 1: 1}}, {1: {1: 1, 2: -1}}], [{-1: {0: 1, 1: 1}}, {1: {1: 1}}],
+     [0, {1: 2, 2: 1, 3: -1}, 0]),
+], ids=["t<0", "t>=k", "t<k", "k>i", "eps"])
+def test_x0_pairing_rule_by_hand(a, b, x0):
+    assert compose_x0_coefficients([xl(c) for c in a], [xl(c) for c in b]) == \
+        [xl({0: v}) for v in x0]
 
 
 @pytest.mark.parametrize("eps", [F(0), F(-5, 3)])
@@ -358,7 +389,7 @@ def test_eval_poly_needs_an_x_free_leading_coefficient():
     # x D commutes with itself, and w at (x D, x D) is x D, whose coefficients
     # have no x^0 part: the x^0 shortcut must not apply without an x-free lead
     xd = DiffOp([XLaurent.zero(), XLaurent.var()])
-    assert all(v.is_zero() for v in compose_x0_coefficients([I.coeffs], xd.coeffs)[0])
+    assert all(v.is_zero() for v in compose_x0_coefficients(I.coeffs, xd.coeffs))
     assert eval_poly_at_pair(BivarPoly({(0, 1): 1}), xd, xd) == xd
     assert _relation_failure("Q", _leading_term(BivarPoly({(0, 1): 1}), xd, xd)) == \
         "Q != 0: leading term (1*x^1)*D^1"
@@ -374,7 +405,7 @@ def test_noncommuting_pair_with_vanishing_x0_parts_never_passes():
     # D is monic, and w at (D, x D) has no x^0 part: only the commutation check
     # ([D, x D] = D) stands between this pair and a passing relation
     xd = DiffOp([XLaurent.zero(), XLaurent.var()])
-    assert all(v.is_zero() for v in compose_x0_coefficients([I.coeffs], xd.coeffs)[0])
+    assert all(v.is_zero() for v in compose_x0_coefficients(I.coeffs, xd.coeffs))
     with pytest.raises(NonCommutingPair, match="W_1"):
         eval_poly_at_pair(BivarPoly({(0, 1): 1}), D, xd)
     with pytest.raises(PipelineError, match="W_1"):
