@@ -7,25 +7,26 @@ from .exact import (BivarPoly, EpsPoly, ExactError, XLaurent, ZSeries, ep,
                     series_sqrt, xl, DEFAULT_SERIES_ORDER)
 from .diffop import (DiffOp, XLAURENT_RING, eval_poly_at_pair, right_reduce,
                      NonCommutingPair, ReductionError)
-from .curve import (CurveDef, CurveElem, DEFAULT_CURVE, bc_function_identity,
-                    chi, curve_series, lambda_fn, mu_fn)
+from .curve import (ChiTriple, CurveDef, CurveElem, DEFAULT_CURVE, bc_function_identity,
+                    chi, chi_series_triple, curve_series, lambda_fn, mu_fn, reduction_frame)
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
-from .pipeline import (AffineSolutionSet, ChiTriple, PipelineError, Rank3Report,
-                       TruncationTooShort, chi_series_triple, derive_L1_coeffs,
-                       find_bc_relation, reduce_with_frame, reduction_frame,
-                       solve_commuting, verify_rank3)
 
 __version__ = "0.1.0"
 _PACKAGE = sys.modules[__name__]  # this generation, which alone loads its lazy modules
 
 # Names served by a module that loads on first use: the command line
-# (argparse, reports), the solver layer (``linsolve``, which only the
-# constructive steps ``solve_commuting`` and ``find_bc_relation`` and
+# (argparse, reports), the rank check and the constructions (``pipeline``:
+# ``verify_rank3``, the L1 re-derivation, the commutant and the relation
+# search), the solver layer (``linsolve``, which only the constructive steps
+# ``solve_commuting`` and ``find_bc_relation`` and
 # ``AffineSolutionSet.contains`` call) and the numeric check (mpmath).  The
-# exact layers above need none of them.  A module's name stands for the
-# module itself.
+# exact layers above, the chi triple and its frame included, need none of
+# them.  A module's name stands for the module itself.
 _LAZY = {
     **dict.fromkeys(("main", "parse_op", "print_op"), "cli"),
+    **dict.fromkeys(("pipeline", "AffineSolutionSet", "PipelineError", "Rank3Report",
+                     "TruncationTooShort", "derive_L1_coeffs", "find_bc_relation",
+                     "reduce_with_frame", "solve_commuting", "verify_rank3"), "pipeline"),
     "linsolve": "linsolve",
     **dict.fromkeys(("kncheck", "BranchAssignment", "KNData", "KNReport", "gamma_eval",
                      "gamma_equation_residual", "kn_check", "kn_residuals",

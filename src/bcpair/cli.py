@@ -43,7 +43,8 @@ from fractions import Fraction
 
 from .exact import EpsPoly, XLaurent
 from .diffop import DiffOp, _commutation_failure, _leading_term, _relation_failure
-from .curve import CurveDef, bc_function_identity, curve_series, lambda_fn, mu_fn
+from .curve import (ChiTriple, CurveDef, bc_function_identity, chi_series_triple, curve_series,
+                    lambda_fn, mu_fn)
 from .opdata import bc_poly, make_l1, make_l2, make_limit_op, zeta1, zeta2
 from . import pipeline
 
@@ -396,7 +397,7 @@ def _suite_limit(report: Report, eps) -> None:
 
 
 def _suite_rank(report: Report, eps) -> None:
-    chis = pipeline.ChiTriple(_maybe_eps(s, eps) for s in pipeline.chi_series_triple())
+    chis = ChiTriple(_maybe_eps(s, eps) for s in chi_series_triple())
     lam, mu = (_maybe_eps(curve_series(f()), eps) for f in (lambda_fn, mu_fn))
     l1, l2 = _maybe_eps(make_l1(), eps), _maybe_eps(make_l2(), eps)
     rep1 = pipeline.verify_rank3(l1, chis, lam)
@@ -458,7 +459,7 @@ def _write_artifact(report: Report, path: str, header: str, body: str) -> None:
 
 
 def _construct_l1(report: Report, out: str) -> None:
-    coeffs = pipeline.derive_L1_coeffs(*pipeline.chi_series_triple())
+    coeffs = pipeline.derive_L1_coeffs(*chi_series_triple())
     derived = DiffOp(coeffs + [XLaurent.zero(), XLaurent.one()])
     report.add("derived coefficients match the catalogued operator", derived == make_l1())
     _write_artifact(report, out or "l1_derived.txt",

@@ -6,7 +6,12 @@ function field in (x, z) are ``(a + b*w)/kappa^m``, w^2 rewritten via W, over
 the chis' one pole divisor kappa = (eps^2 + x^3) z^3 - x^3 = 0 (z = a_s gamma).
 Since kappa(0) = -x^3 is a unit, expanding one at q is one series division.
 The chi functions, the eigenvalue functions ``lambda`` (pole order 3 at q) and
-``mu`` (pole order 4), and their z-expansions all live here.
+``mu`` (pole order 4), and their z-expansions all live here, as does the
+rank-3 reduction frame that the chi expansions span: ``chi_series_triple``
+returns them as a ``ChiTriple``, which builds its frame (``reduction_frame``)
+once and keeps it.  Building the operators and these expansions needs
+nothing more, so ``import bcpair`` leaves the constructive module
+``pipeline`` to load on first use.
 
 A widely-copied display of w(z) carries eps^2 where the defining equation has
 eps^4; the constructor keeps eps^4 by default and exposes the variant so the
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, XLaurent, ZSeries,
-                    series_divide, series_sqrt, xl)
+                    series_divide, series_sqrt, series_sum, xl)
 from .opdata import bc_poly
 
 
@@ -186,7 +191,9 @@ def mu_fn(curve: CurveDef = DEFAULT_CURVE) -> CurveElem:
 
 def curve_series(e: CurveElem, order: int = DEFAULT_SERIES_ORDER) -> ZSeries:
     """Laurent expansion of ``(a + b*w)/kappa^m`` at the marked point q = (0, 1),
-    one series division since kappa(0) = -x^3 is a unit."""
+    one series division since kappa(0) = -x^3 is a unit; ``order >= 1`` terms."""
+    if order < 1:
+        raise ValueError(f"series order must be at least 1, got {order}")
     num = e.a if e.b.is_zero() else e.a + e.b * e.curve.w_series(order)
     return series_divide(num, e.den, nterms=order)
 
@@ -219,3 +226,50 @@ def bc_function_identity(curve: CurveDef = DEFAULT_CURVE, eps=None) -> bool:
     q = _eval_at(bc_poly(), lambda_fn(curve), mu_fn(curve))
     parts = (q.a, q.b) if eps is None else (q.a.substitute_eps(eps), q.b.substitute_eps(eps))
     return all(p.is_zero() for p in parts)
+
+
+# ---------------------------------------------------------------------------
+# the rank-3 reduction frame
+# ---------------------------------------------------------------------------
+
+class ChiTriple(tuple):
+    """The chi expansions ``(chi0, chi1, chi2)``, keeping the reduction frame built on them.
+
+    ``frame(n_max)`` builds ``reduction_frame(*self, n_max)`` once and keeps
+    it on the triple, rebuilding only when a longer frame is asked for.  The
+    frame is set by one assignment, so concurrent callers at worst build it
+    twice; equal triples that are distinct objects each build their own.
+    """
+
+    _frame = ()
+
+    def frame(self, n_max: int):
+        frame = self._frame
+        if len(frame) <= n_max:
+            frame = self._frame = reduction_frame(*self, n_max)
+        return frame
+
+
+def chi_series_triple(order: int = DEFAULT_SERIES_ORDER) -> ChiTriple:
+    """The three chi expansions at the marked point, ready for reduction."""
+    return ChiTriple(curve_series(chi(j), order) for j in range(3))
+
+
+def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
+    """Remainders of D^k modulo T = D^3 - chi2 D^2 - chi1 D - chi0, k <= n_max.
+
+    Returns a list of triples (a0, a1, a2) of ZSeries with
+    D^k = a0 + a1 D + a2 D^2 (mod T).  A step
+    ``D^(k+1) = (a0' + a2 chi0) + (a0 + a1' + a2 chi1) D + (a1 + a2' + a2 chi2) D^2``
+    is three ``exact.series_sum`` calls, each z-coefficient of each component
+    one integer accumulation, with the windows of the fold of ``+``,
+    ``.derive()`` and ``*``.
+    """
+    one, zero = ZSeries.one(), ZSeries.zero()
+    frame = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    for _ in range(3, n_max + 1):
+        a0, a1, a2 = frame[-1]
+        frame.append((series_sum((), (a0,), ((a2, chi0),)),
+                      series_sum((a0,), (a1,), ((a2, chi1),)),
+                      series_sum((a1,), (a2,), ((a2, chi2),))))
+    return frame

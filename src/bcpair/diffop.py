@@ -8,7 +8,7 @@ recurrence ``D^i . B = D . (D^(i-1) . B)``, run in ``exact`` on integer
 numerators over one denominator with no derivative table and no binomials,
 one reduction per output coefficient.  Series in z never become operator
 coefficients: they enter only through the rank-3 reduction frame, which
-``pipeline.reduction_frame`` builds by its own recurrence.
+``curve.reduction_frame`` builds by its own recurrence.
 
 A relation ``Q(a, b)`` of a commuting pair is read by ``top_term`` on the
 columns that ``relation_columns`` gives, the same for the relation check

@@ -17,20 +17,24 @@ relation from scratch.
   the ``x^0`` parts of the monomials' D^k coefficients, the columns on which
   the relation check decides (``diffop.relation_columns``).
 * ``verify_rank3`` checks the reduction remainder of an operator against its
-  expected eigenvalue series, on the frame that its ``ChiTriple`` keeps, so
-  ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames, not
-  three.  The module holds no mutable state: a frame lives on its triple.
+  expected eigenvalue series, on the frame that its ``curve.ChiTriple`` keeps,
+  so ``verify rank`` (L1, L2, then L1 + D on one triple) builds two frames,
+  not three.  The module holds no mutable state: a frame lives on its triple.
 
 Every solver's output is re-verified exactly before it is returned: the L1
 coefficients by ``verify_rank3``, the commutant by commutation and the relation
 by substitution, each failure naming its z-order, its ``W_k`` or the leading
 term ``(c)*D^r`` of ``Q(a, b)``.
 
-The fraction-free solver (``linsolve``) is a lazy module of the package: the
-constructive steps reach it as ``_PACKAGE.linsolve`` at call time, through
-the package object this module was imported with, so the checks (the
-rank-3 reduction, ``derive_L1_coeffs``) never load it and a package keeps
-the solver it loaded when the package is imported afresh.
+This module is itself a lazy module of the package: ``import bcpair`` and the
+set-up of the exact checks (the operators, the chi triple and its frame, the
+lambda and mu expansions, all in ``curve`` and ``opdata``) do not load it;
+the first use of one of its names does.  The fraction-free solver
+(``linsolve``) is lazy too: the constructive steps reach it as
+``_PACKAGE.linsolve`` at call time, through the package object this module
+was imported with, so the checks (the rank-3 reduction,
+``derive_L1_coeffs``) never load it and a package keeps the solver it loaded
+when the package is imported afresh.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ from collections.abc import Sequence
 from math import comb
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import (DEFAULT_SERIES_ORDER, BivarPoly, EpsPoly, ExactError, XLaurent,
-                    ZSeries, d_power_commutators, series_sum, sum_of_products)
+from .exact import (BivarPoly, EpsPoly, ExactError, XLaurent, ZSeries, d_power_commutators,
+                    series_sum, sum_of_products)
 from .diffop import (DiffOp, _relation_failure, _require_commuting, combination,
                      relation_columns, top_term)
-from .curve import chi, curve_series, lambda_fn
+# the chi triple and its frame live in curve; pipeline.chi_series_triple and
+# pipeline.reduction_frame name the same functions
+from .curve import ChiTriple, chi_series_triple, curve_series, lambda_fn, reduction_frame
 
 if TYPE_CHECKING:
     from .linsolve import BareissEchelon
@@ -63,51 +69,8 @@ class TruncationTooShort(PipelineError):
 
 
 # ---------------------------------------------------------------------------
-# the rank-3 reduction frame
+# the rank-3 reduction check
 # ---------------------------------------------------------------------------
-
-class ChiTriple(tuple):
-    """The chi expansions ``(chi0, chi1, chi2)``, keeping the reduction frame built on them.
-
-    ``frame(n_max)`` builds ``reduction_frame(*self, n_max)`` once and keeps
-    it on the triple, rebuilding only when a longer frame is asked for.  The
-    frame is set by one assignment, so concurrent callers at worst build it
-    twice; equal triples that are distinct objects each build their own.
-    """
-
-    _frame = ()
-
-    def frame(self, n_max: int):
-        frame = self._frame
-        if len(frame) <= n_max:
-            frame = self._frame = reduction_frame(*self, n_max)
-        return frame
-
-
-def chi_series_triple(order: int = DEFAULT_SERIES_ORDER) -> ChiTriple:
-    """The three chi expansions at the marked point, ready for reduction."""
-    return ChiTriple(curve_series(chi(j), order) for j in range(3))
-
-
-def reduction_frame(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries, n_max: int):
-    """Remainders of D^k modulo T = D^3 - chi2 D^2 - chi1 D - chi0, k <= n_max.
-
-    Returns a list of triples (a0, a1, a2) of ZSeries with
-    D^k = a0 + a1 D + a2 D^2 (mod T).  A step
-    ``D^(k+1) = (a0' + a2 chi0) + (a0 + a1' + a2 chi1) D + (a1 + a2' + a2 chi2) D^2``
-    is three ``exact.series_sum`` calls, each z-coefficient of each component
-    one integer accumulation, with the windows of the fold of ``+``,
-    ``.derive()`` and ``*``.
-    """
-    one, zero = ZSeries.one(), ZSeries.zero()
-    frame = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
-    for _ in range(3, n_max + 1):
-        a0, a1, a2 = frame[-1]
-        frame.append((series_sum((), (a0,), ((a2, chi0),)),
-                      series_sum((a0,), (a1,), ((a2, chi1),)),
-                      series_sum((a1,), (a2,), ((a2, chi2),))))
-    return frame
-
 
 def reduce_with_frame(op: DiffOp, frame):
     """Remainder (Q0, Q1, Q2) of an XLaurent-coefficient operator mod T.
@@ -179,8 +142,11 @@ def derive_L1_coeffs(chi0: ZSeries, chi1: ZSeries, chi2: ZSeries,
     reduce to zero.  Every result is re-verified symbolically against the
     reduction remainder over the full series window (``verify_rank3``, on the
     frame that set up the system); a ``PipelineError`` names where it fails.  ``eigen``
-    defaults to lambda expanded to as many terms as ``chi0`` stores.
+    defaults to lambda expanded to as many terms as ``chi0`` stores.  The rows
+    assume rank 3, so ``order`` must be a positive multiple of 3.
     """
+    if order < 3 or order % 3:
+        raise ValueError(f"order must be a positive multiple of 3, got {order}")
     for name, s in (("chi0", chi0), ("chi1", chi1), ("chi2", chi2)):
         if s.known_len() < order - 1:
             raise TruncationTooShort(

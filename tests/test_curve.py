@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bcpair import (CurveDef, CurveElem, EpsPoly, XLaurent, ZSeries,
-                    bc_function_identity, chi, curve_series, lambda_fn, mu_fn,
-                    xl, zeta1, zeta2)
+                    bc_function_identity, chi, chi_series_triple, curve_series, lambda_fn,
+                    mu_fn, xl, zeta1, zeta2)
 
 F = Fraction
 ZERO, ONE = ZSeries.zero(), ZSeries.one()
@@ -147,6 +147,15 @@ def test_lambda_series():
     assert s.coefficient(2).is_zero()
     # eps is specialised in the expansion: -2^4/15552 at z^1
     assert s.substitute_eps(2).coefficient(1) == xl({0: F(-1, 972)})
+
+
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize("expand", [chi_series_triple, lambda n: curve_series(lambda_fn(), n)],
+                         ids=["chi_series_triple", "curve_series"])
+def test_expansions_refuse_an_order_below_1(expand, order):
+    with pytest.raises(ValueError, match=rf"series order must be at least 1, got {order}$"):
+        expand(order)
+    expand(1)  # the smallest order is accepted
 
 
 def test_pole_orders():

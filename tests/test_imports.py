@@ -1,6 +1,7 @@
 """What ``import bcpair`` loads: the exact layers at once, the command line,
-the solver layer (``linsolve``) and the numeric check (``kncheck``, mpmath)
-on first use of one of their names."""
+the rank check and constructions (``pipeline``), the solver layer
+(``linsolve``) and the numeric check (``kncheck``, mpmath) on first use of one
+of their names."""
 
 import dataclasses
 import inspect
@@ -16,6 +17,9 @@ from conftest import child_env
 
 KN_NAMES = ("BranchAssignment", "KNData", "KNReport", "gamma_eval", "gamma_equation_residual",
             "kn_check", "kn_residuals", "pole_data_from_chi")
+PIPELINE_NAMES = ("AffineSolutionSet", "PipelineError", "Rank3Report", "TruncationTooShort",
+                  "derive_L1_coeffs", "find_bc_relation", "reduce_with_frame",
+                  "solve_commuting", "verify_rank3")
 
 
 def _run_python(code: str, *args: str) -> None:
@@ -39,6 +43,28 @@ def test_exact_work_and_exact_commands_leave_the_numeric_layer_unloaded(tmp_path
         str(tmp_path))
 
 
+def test_set_up_loads_only_the_exact_layers_and_the_rank_check_loads_pipeline():
+    # import, the operators, the chi triple, lambda and mu: what an exact
+    # check builds before it checks anything
+    _run_python(
+        "import sys\n"
+        "import bcpair\n"
+        "def loaded():\n"
+        "    return {m for m in sys.modules if m == 'bcpair' or m.startswith('bcpair.')}\n"
+        "bcpair.make_l1(), bcpair.make_l2()\n"
+        "chis = bcpair.chi_series_triple(24)\n"
+        "lam = bcpair.curve_series(bcpair.lambda_fn(), 24)\n"
+        "bcpair.curve_series(bcpair.mu_fn(), 24)\n"
+        "exact = {'bcpair', 'bcpair.exact', 'bcpair.diffop', 'bcpair.curve', 'bcpair.opdata'}\n"
+        "assert loaded() == exact, loaded()\n"
+        "assert bcpair.verify_rank3(bcpair.make_l1(), chis, lam).passed\n"
+        "assert loaded() == exact | {'bcpair.pipeline'}, loaded()\n"
+        "assert bcpair.pipeline.reduction_frame is bcpair.curve.reduction_frame\n"
+        "assert bcpair.pipeline.chi_series_triple is bcpair.chi_series_triple\n"
+        f"for name in {PIPELINE_NAMES!r}:\n"
+        "    assert getattr(bcpair, name) is getattr(bcpair.pipeline, name), name\n")
+
+
 def test_lazy_names_are_the_numeric_modules_own():
     from bcpair import kn_check, kncheck
     assert kn_check is kncheck.kn_check
@@ -47,11 +73,13 @@ def test_lazy_names_are_the_numeric_modules_own():
 
 
 def test_dir_lists_the_lazy_names_before_they_load_and_unknown_names_still_fail():
-    names = ("kncheck", *KN_NAMES, "linsolve", "main", "parse_op", "print_op", "make_l1")
+    names = ("kncheck", *KN_NAMES, "pipeline", *PIPELINE_NAMES, "linsolve", "main", "parse_op",
+             "print_op", "make_l1")
     _run_python(
         "import sys, bcpair\n"
         "listed = dir(bcpair)\n"
-        "assert not {'bcpair.kncheck', 'bcpair.cli', 'bcpair.linsolve'} & set(sys.modules)\n"
+        "lazy = {'bcpair.kncheck', 'bcpair.cli', 'bcpair.linsolve', 'bcpair.pipeline'}\n"
+        "assert not lazy & set(sys.modules)\n"
         f"missing = set({names!r}) - set(listed)\n"
         "assert not missing, missing\n")
     with pytest.raises(AttributeError, match=r"^module 'bcpair' has no attribute 'no_such_name'$"):
@@ -124,14 +152,17 @@ def test_a_package_keeps_the_solver_it_loaded_across_a_fresh_import():
 def test_a_stale_package_refuses_to_load_what_it_has_not_loaded():
     # after a fresh import of the package, A has no generation of its own to
     # load a lazy module into: it fails by name instead of binding B's module
-    # to A's exact types, and B loads and solves as usual
+    # to A's exact types, and B loads and solves as usual.  A loaded pipeline
+    # before B came, so its solve reaches for linsolve; A0 loaded nothing
     _run_python(
         "import importlib, sys\n"
         "def fresh():\n"
         "    for name in [n for n in sys.modules if n == 'bcpair' or n.startswith('bcpair.')]:\n"
         "        del sys.modules[name]\n"
         "    return importlib.import_module('bcpair')\n"
+        "a0 = fresh()\n"
         "a = fresh()\n"
+        "a.pipeline\n"
         "b = fresh()\n"
         "def refused(load, module):\n"
         "    try:\n"
@@ -144,7 +175,11 @@ def test_a_stale_package_refuses_to_load_what_it_has_not_loaded():
         "refused(lambda: a.kncheck, 'kncheck')\n"
         "refused(lambda: a.kn_check, 'kncheck')\n"
         "refused(lambda: a.main, 'cli')\n"
-        "assert not {'bcpair.linsolve', 'bcpair.kncheck', 'bcpair.cli'} & set(sys.modules)\n"
+        "refused(lambda: a0.pipeline, 'pipeline')\n"
+        "refused(lambda: a0.verify_rank3, 'pipeline')\n"
+        "refused(lambda: a0.solve_commuting(a0.make_limit_op(), 3), 'pipeline')\n"
+        "lazy = {'bcpair.linsolve', 'bcpair.kncheck', 'bcpair.cli', 'bcpair.pipeline'}\n"
+        "assert not lazy & set(sys.modules)\n"
         "assert sys.modules['bcpair'] is b\n"
         "assert b.solve_commuting(b.make_limit_op(), 3).dimension == 1\n"
         "assert b.linsolve.EpsPoly is b.EpsPoly and b.kncheck.ZSeries is b.ZSeries\n")
@@ -161,7 +196,7 @@ def test_a_stale_package_refuses_to_load_what_it_has_not_loaded():
 ])
 def test_records_keep_their_signature_equality_immutability_and_repr(
         record, args, other, defaults, text):
-    # the records are built on every import of the package, so they are
+    # the records are built on every import of their module, so they are
     # typing.NamedTuple classes: no dataclass code generation
     assert not dataclasses.is_dataclass(record)
     assert [(p.name, p.default) for p in inspect.signature(record).parameters.values()] == [

@@ -11,7 +11,7 @@ from bcpair import (AffineSolutionSet, BivarPoly, ChiTriple, DiffOp, EpsPoly,
                     lambda_fn, make_l1, make_l2, make_limit_op, mu_fn,
                     reduce_with_frame, reduction_frame, right_reduce,
                     solve_commuting, verify_rank3, xl)
-from bcpair import cli, pipeline
+from bcpair import cli, curve, pipeline
 from bcpair.exact import d_power_commutators
 from bcpair.pipeline import EmptyCommutant, _eliminate, _integrate_level
 from conftest import assert_same_series, random_xlaurent, reference_product, rng
@@ -142,14 +142,15 @@ def _fresh_chis(chis24, upper: int = 24):
 
 @pytest.fixture
 def frame_orders(monkeypatch):
-    """The top order of every frame that ``reduction_frame`` builds during the test."""
+    """The top order of every frame that ``reduction_frame`` builds during the test,
+    patched where ``ChiTriple.frame`` reads it."""
     orders = []
-    inner = pipeline.reduction_frame
+    inner = curve.reduction_frame
 
     def counting(*args):
         orders.append(args[3])
         return inner(*args)
-    monkeypatch.setattr(pipeline, "reduction_frame", counting)
+    monkeypatch.setattr(curve, "reduction_frame", counting)
     return orders
 
 
@@ -246,6 +247,14 @@ def test_derive_order12_matches_l2():
 def test_derive_l1_truncation_too_short(chis24):
     with pytest.raises(TruncationTooShort):
         derive_L1_coeffs(*(s.truncate(6) for s in chis24))
+
+
+@pytest.mark.parametrize("order", [0, 10, -3])
+def test_derive_l1_rejects_an_order_rank_3_cannot_have(frame_orders, chis24, order):
+    # the rows 3*(order//3) assume rank 3: the order is refused before any frame
+    with pytest.raises(ValueError, match=rf"positive multiple of 3, got {order}$"):
+        derive_L1_coeffs(*chis24, order=order)
+    assert frame_orders == []
 
 
 def test_solve_commuting_constant_coefficients():
